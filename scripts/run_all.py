@@ -13,7 +13,7 @@ from pathlib import Path
 from conewave import cli
 
 COMMANDS = [
-    ["spectrum", "--jobs", "4"],
+    ["spectrum"],
     ["green-check"],
     ["laplace-compare"],
     ["evolve", "--mode", "nonlinear", "--tau-max", "8.0"],

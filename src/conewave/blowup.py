@@ -110,15 +110,15 @@ def fit_blowup_time(d: int, v: PerturbationData, delta: float = None,
     n_ev = 0
 
     grid = np.linspace(a, b, 5)
-    trajs = []
+    runs = []  # (end time, mode coefficients); the states are not needed
     for T in grid:
         _, traj_t = _late_mode_coefficient(d, T, v, disc, tau_max, dtau)
-        trajs.append(traj_t)
+        runs.append((traj_t.taus[-1], traj_t.mode_coeffs))
         n_ev += 1
     # compare at the earliest common time: detuned runs may blow up first
-    tau_common = min(t.taus[-1] for t in trajs)
+    tau_common = min(tau_end for tau_end, _ in runs)
     k = int(round(tau_common / dtau))
-    cs = [float(np.real(t.mode_coeffs[k])) for t in trajs]
+    cs = [float(np.real(coeffs[k])) for _, coeffs in runs]
     monotone = bool(np.all(np.diff(cs) > 0) or np.all(np.diff(cs) < 0))
     ca, cb = cs[0], cs[-1]
     if ca == 0.0 or cb == 0.0:
@@ -154,19 +154,12 @@ def fit_blowup_time(d: int, v: PerturbationData, delta: float = None,
         c_mid, traj = _late_mode_coefficient(d, T_star, v, disc, tau_max, dtau)
         n_ev += 1
     q = 2.0 * d / (d - 3.0) if d > 3 else math.inf
-    s_sq = strichartz_norm(traj, 2.0, q, tail_warn=1.1) ** 2 \
-        if d > 3 else _sup_l2_sq(traj)
+    s_sq = strichartz_norm(traj, 2.0, q, tail_warn=1.1) ** 2
     return FitResult(
         T_star=float(T_star), residual_mode=abs(c_mid), trajectory=traj,
         strichartz_sq=float(s_sq), bracket=(a, b), monotone=monotone,
         n_evolutions=n_ev,
     )
-
-
-def _sup_l2_sq(traj):
-    # d = 3: q = 2d/(d-3) is infinite; use the sup-norm realization
-    g = np.array([np.max(np.abs(s[: traj.disc.N])) for s in traj.states])
-    return float(np.trapezoid(g**2, traj.taus))
 
 
 def stability_report(fit: FitResult, d: int, delta: float,
@@ -185,7 +178,7 @@ def stability_report(fit: FitResult, d: int, delta: float,
     traj = fit.trajectory
     T = fit.T_star
     q = 2.0 * d / (d - 3.0) if d > 3 else math.inf
-    norms = np.array([lq_norm(d, s[: disc.N], q, disc) for s in traj.states])
+    norms = lq_norm(d, traj.states[:, : disc.N], q, disc)
     s_sim = float(np.trapezoid(norms**2, traj.taus))
 
     tau_max = traj.tau_max

@@ -18,7 +18,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import collocation as co
 from . import evolve as ev
 from . import green as gr
 from . import radialode as ro
-from .errors import NumericsError
+from .errors import NumericsError, TruncationWarning
 
 EXIT_OK = 0
 EXIT_DISAGREE = 2
@@ -52,7 +51,6 @@ class RunConfig:
     amplitude: float = 0.05
     pairs: tuple = ((2.0, 8.0), (math.inf, 4.0))
     seed: int = 0
-    jobs: int = 1
     out_dir: str = "out"
 
     def validate(self):
@@ -76,8 +74,6 @@ class RunConfig:
             raise ValueError("delta must lie in (0, 1/2)")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         return self
 
 
@@ -166,28 +162,20 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     d = cfg.d
     disc = co.build(d, 64)
     disc_fine = co.build(d, 128)
-    tasks = [
-        ("eig-perturbed", lambda: [
+    # the free operator's dense spectrum comes from L0 on the same grids
+    grids = {
+        "perturbed": (disc, disc_fine),
+        "free": tuple(dataclasses.replace(g, L_mat=g.L0_mat)
+                      for g in (disc, disc_fine)),
+    }
+    results = {}
+    for variant, (coarse, fine) in grids.items():
+        results[f"eig-{variant}"] = [
             (z, 1) for z in co.unstable_eigenvalues(
-                disc, disc_fine, re_min=0.05, im_max=cfg.omega_scan)]),
-        ("shooting-perturbed", lambda: ro.scan_halfplane(
-            d, "perturbed", omega_max=cfg.omega_scan)),
-        ("shooting-free", lambda: ro.scan_halfplane(
-            d, "free", omega_max=cfg.omega_scan)),
-        ("c3-perturbed", lambda: ro.scan_halfplane(
-            d, "perturbed", omega_max=cfg.omega_scan, method="c3")),
-        ("c3-free", lambda: ro.scan_halfplane(
-            d, "free", omega_max=cfg.omega_scan, method="c3")),
-    ]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = [(name, pool.submit(fn)) for name, fn in tasks]
-        results = {name: fut.result() for name, fut in futures}
-    # the filtered dense spectrum for the free operator
-    disc0 = dataclasses.replace(disc, L_mat=disc.L0_mat)
-    disc0_fine = dataclasses.replace(disc_fine, L_mat=disc_fine.L0_mat)
-    results["eig-free"] = [
-        (z, 1) for z in co.unstable_eigenvalues(
-            disc0, disc0_fine, re_min=0.05, im_max=cfg.omega_scan)]
+                coarse, fine, re_min=0.05, im_max=cfg.omega_scan)]
+        for method in ("shooting", "c3"):
+            results[f"{method}-{variant}"] = ro.scan_halfplane(
+                d, variant, omega_max=cfg.omega_scan, method=method)
 
     rows = []
     for name in ("eig-perturbed", "eig-free", "shooting-perturbed",
@@ -258,7 +246,7 @@ def cmd_laplace_compare(cfg: RunConfig, out_dir: Path) -> int:
     traj = ev.evolve(disc, phi0, tau, cfg.dtau, "linear-perturbed")
     ts = np.real(traj.states[-1][: disc.N])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", TruncationWarning)
         lap = gr.semigroup_laplace(
             d, tau, src, disc.nodes, eps=cfg.eps_contour,
             omega_max=cfg.omega, domega=cfg.domega)
@@ -355,7 +343,6 @@ def _build_parser():
     for name in names:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--d", type=int, default=None)
         sp.add_argument("--N", type=int, default=None)
@@ -373,9 +360,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     overrides = {
-        "jobs": args.jobs, "d": args.d, "N": args.N,
-        "tau_max": args.tau_max, "amplitude": args.amplitude,
-        "delta": args.delta, "seed": args.seed, "out_dir": args.out,
+        "d": args.d, "N": args.N, "tau_max": args.tau_max,
+        "amplitude": args.amplitude, "delta": args.delta, "seed": args.seed,
+        "out_dir": args.out,
     }
     try:
         cfg = load_config(args.config, overrides)

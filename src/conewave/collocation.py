@@ -79,6 +79,17 @@ def _folded_derivatives(n_half: int):
     return rho, de[rev][:, rev], do[rev][:, rev]
 
 
+def _cheb_analysis(n: int):
+    """Analysis matrix: f(z_j), z_j = cos(j pi/n) -> Chebyshev coefficients."""
+    j = np.arange(n + 1)
+    cmat = np.cos(np.pi * np.outer(j, j) / n) * (2.0 / n)
+    cmat[:, 0] *= 0.5
+    cmat[:, -1] *= 0.5
+    cmat[0] *= 0.5
+    cmat[-1] *= 0.5
+    return cmat
+
+
 def _weighted_cc_weights(rho, d: int):
     """Weights with sum_i w_i f(rho_i) = int_0^1 f rho^{d-1} drho.
 
@@ -87,13 +98,7 @@ def _weighted_cc_weights(rho, d: int):
     Gauss-Legendre moments of the Chebyshev basis in z.
     """
     n = len(rho) - 1
-    j = np.arange(n + 1)
-    # analysis matrix: f(z_j), z_j = cos(j pi/n) -> Chebyshev coefficients
-    cmat = np.cos(np.pi * np.outer(j, j) / n) * (2.0 / n)
-    cmat[:, 0] *= 0.5
-    cmat[:, -1] *= 0.5
-    cmat[0] *= 0.5
-    cmat[-1] *= 0.5
+    cmat = _cheb_analysis(n)
     # moments m_k = int_0^1 T_k(2 rho^2 - 1) rho^{d-1} drho
     gl_x, gl_w = np.polynomial.legendre.leggauss(n + 10)
     t = 0.5 * (gl_x + 1.0)
@@ -163,14 +168,14 @@ class SpectralDiscretization:
 
     def split(self, u):
         u = np.asarray(u)
-        return u[: self.N], u[self.N:]
+        return u[..., : self.N], u[..., self.N:]
 
     def stack(self, u1, u2):
         return np.concatenate([np.asarray(u1), np.asarray(u2)])
 
     def mode_coefficient(self, u):
-        """<u, w>_E with the normalization <g, w>_E = 1."""
-        return np.vdot(self.adjoint_functional, np.asarray(u))
+        """<u, w>_E with the normalization <g, w>_E = 1, per state of a stack."""
+        return np.asarray(u) @ self.adjoint_functional
 
 
 def _assemble_blocks(d: int, rho, de, d2e, perturbed: bool):
@@ -279,21 +284,24 @@ def gauge_residual(disc: SpectralDiscretization) -> float:
     return float(np.linalg.norm(res) / np.linalg.norm(disc.g_disc))
 
 
-def energy_product(disc: SpectralDiscretization, u, v) -> complex:
+def energy_product(disc: SpectralDiscretization, u, v):
     """(u|v)_E = int u1' conj(v1') rho^{d-1} + int u2 conj(v2) rho^{d-1}
-    + u1(1) conj(v1(1))."""
+    + u1(1) conj(v1(1)); an array for stacks of states (leading axis)."""
     u1, u2 = disc.split(u)
     v1, v2 = disc.split(v)
-    du = disc.D1 @ u1
-    dv = disc.D1 @ v1
+    du = (disc.D1 @ u1.T).T
+    dv = (disc.D1 @ v1.T).T
     w = disc.quad_weights
-    out = np.sum(w * du * np.conj(dv)) + np.sum(w * u2 * np.conj(v2))
-    out += u1[-1] * np.conj(v1[-1])
-    return complex(out)
+    out = (np.sum(w * du * np.conj(dv), axis=-1)
+           + np.sum(w * u2 * np.conj(v2), axis=-1))
+    out = out + u1[..., -1] * np.conj(v1[..., -1])
+    return complex(out) if out.ndim == 0 else out
 
 
-def energy_norm(disc: SpectralDiscretization, u) -> float:
-    return math.sqrt(max(energy_product(disc, u, u).real, 0.0))
+def energy_norm(disc: SpectralDiscretization, u):
+    """sqrt((u|u)_E); an array for stacks of states (leading axis)."""
+    out = np.sqrt(np.maximum(np.real(energy_product(disc, u, u)), 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def sobolev_norm(disc: SpectralDiscretization, u) -> float:
@@ -403,27 +411,19 @@ def _polish_eigenvalue(l_mat, lam, iters: int = 3):
     return lam
 
 
-def spectral_projection(disc: SpectralDiscretization) -> np.ndarray:
-    """Rank-1 projection onto the gauge mode; commutes with L_mat."""
-    return disc.P_mat
-
-
 # ---------------------------------------------------------------------------
 # interpolation off the grid (even-Chebyshev representation)
 # ---------------------------------------------------------------------------
 
 
 def even_cheb_coeffs(disc: SpectralDiscretization, values):
-    """Coefficients c_k of u(rho) = sum_k c_k T_k(2 rho^2 - 1) from grid values."""
-    n = disc.N - 1
-    vals = np.asarray(values)[::-1]  # reorder to z_j = cos(j pi / n)
-    j = np.arange(n + 1)
-    cmat = np.cos(np.pi * np.outer(j, j) / n) * (2.0 / n)
-    cmat[:, 0] *= 0.5
-    cmat[:, -1] *= 0.5
-    cmat[0] *= 0.5
-    cmat[-1] *= 0.5
-    return cmat @ vals
+    """Coefficients c_k of u(rho) = sum_k c_k T_k(2 rho^2 - 1) from grid values.
+
+    values may be a stack of grid functions (leading axis); the
+    coefficients then stack the same way.
+    """
+    vals = np.asarray(values)[..., ::-1]  # reorder to z_j = cos(j pi / n)
+    return (_cheb_analysis(disc.N - 1) @ vals.T).T
 
 
 def even_cheb_eval(coeffs, rho):

@@ -2,9 +2,9 @@
 
 The similarity-coordinate system for the perturbation Phi = Psi - (c_d,
 (d-2)/2 c_d) is d_tau Phi = L Phi + (0, N(Phi_1)).  Steps use a Lawson
-(integrating-factor) RK4 with the dense matrix exponentials e^{dt L} and
-e^{dt L / 2} precomputed by scaling-and-squaring; the linear modes are
-advanced by the exponential alone, which is exact in time.
+(integrating-factor) RK4 with the dense matrix exponential e^{dt L / 2}
+precomputed by scaling-and-squaring; the linear modes are advanced by
+e^{dt L} alone, which is exact in time.
 
 Modes: "linear-free" (L0), "linear-perturbed" (L), "nonlinear" (L plus
 pointwise collocation of the nonlinearity, no dealiasing; the top
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .collocation import SpectralDiscretization, energy_norm
+from .collocation import SpectralDiscretization, energy_norm, even_cheb_coeffs
 from .errors import BlowupDetected, DomainError, NotConvergedWarning, ParamError
 from .model import nonlinearity, sphere_area
 
@@ -36,18 +36,17 @@ class Propagator:
     disc: SpectralDiscretization
     dtau: float
     mode: str
-    E: np.ndarray = field(init=False, repr=False)
-    E_half: np.ndarray = field(init=False, repr=False)
+    E: np.ndarray = field(init=False, repr=False)       # linear modes only
+    E_half: np.ndarray = field(init=False, repr=False)  # nonlinear mode only
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ParamError(f"unknown mode {self.mode!r}")
         lmat = self.disc.L0_mat if self.mode == "linear-free" else self.disc.L_mat
-        self.E = scipy.linalg.expm(self.dtau * lmat)
         if self.mode == "nonlinear":
-            self.E_half = scipy.linalg.expm(0.5 * self.dtau * lmat)
+            self.E, self.E_half = None, scipy.linalg.expm(0.5 * self.dtau * lmat)
         else:
-            self.E_half = None
+            self.E, self.E_half = scipy.linalg.expm(self.dtau * lmat), None
 
     def _nonlin(self, u):
         n1 = self.disc.N
@@ -59,7 +58,7 @@ class Propagator:
         """One step of size dtau; Lawson RK4 in the nonlinear mode."""
         if self.mode != "nonlinear":
             return self.E @ u
-        e, eh = self.E, self.E_half
+        eh = self.E_half
         dt = self.dtau
         k1 = self._nonlin(u)
         eh_u = eh @ u
@@ -121,18 +120,6 @@ class EvolutionTrajectory:
         return self.states[i]
 
 
-def _top_cheb_coefficient(disc, u1):
-    """Magnitude of the top even-Chebyshev coefficient of u1 (alias monitor)."""
-    n = disc.N - 1
-    vals = np.asarray(u1)[::-1]  # z grid is the reversed rho grid
-    j = np.arange(n + 1)
-    halv = np.ones(n + 1)
-    halv[0] = halv[-1] = 0.5
-    c_top = (2.0 / n) * 0.5 * np.sum(halv * np.cos(np.pi * j) * vals)
-    scale = np.max(np.abs(vals)) + 1e-300
-    return abs(c_top) / scale
-
-
 def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
            mode: str, q_list=(), raise_on_blowup: bool = False):
     """Integrate to tau_max recording every step.
@@ -165,15 +152,14 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
             break
     taus = taus[: n_done + 1]
     states = states[: n_done + 1]
-    coeffs = np.array([disc.mode_coefficient(s) for s in states])
-    enorms = np.array([energy_norm(disc, s) for s in states])
-    lq = {}
-    for q in q_list:
-        lq[q] = np.array([lq_norm(disc.d, s[: disc.N], q, disc) for s in states])
+    coeffs = disc.mode_coefficient(states)
+    enorms = energy_norm(disc, states)
+    lq = {q: lq_norm(disc.d, states[:, : disc.N], q, disc) for q in q_list}
     if mode == "nonlinear":
-        alias = max(
-            _top_cheb_coefficient(disc, s[: disc.N]) for s in states[:: max(1, n_done // 50)]
-        )
+        # top even-Chebyshev coefficient of Phi_1 relative to its sup norm
+        u1 = states[:: max(1, n_done // 50), : disc.N]
+        top = np.abs(even_cheb_coeffs(disc, u1)[:, -1])
+        alias = float(np.max(top / (np.max(np.abs(u1), axis=1) + 1e-300)))
     return EvolutionTrajectory(
         disc=disc, dtau=dtau, mode=mode, taus=taus, states=states,
         mode_coeffs=coeffs, energy_norms=enorms, lq_norms=lq,
@@ -186,14 +172,20 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
 # ---------------------------------------------------------------------------
 
 
-def lq_norm(d: int, u1, q: float, disc: SpectralDiscretization) -> float:
-    """(|S^{d-1}| int_0^1 |u1|^q rho^{d-1} drho)^{1/q} on the grid."""
+def lq_norm(d: int, u1, q: float, disc: SpectralDiscretization):
+    """(|S^{d-1}| int_0^1 |u1|^q rho^{d-1} drho)^{1/q} on the grid.
+
+    u1 may be a stack of first components (leading axis); the norms are
+    then returned per state.
+    """
     if q < 2.0:
         raise DomainError("q must be >= 2")
     if math.isinf(q):
-        return float(np.max(np.abs(u1)))
-    val = sphere_area(d) * float(np.sum(disc.quad_weights * np.abs(u1) ** q))
-    return max(val, 0.0) ** (1.0 / q)
+        out = np.max(np.abs(u1), axis=-1)
+    else:
+        val = sphere_area(d) * np.sum(disc.quad_weights * np.abs(u1) ** q, axis=-1)
+        out = np.maximum(val, 0.0) ** (1.0 / q)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float,
@@ -209,7 +201,7 @@ def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float,
     if q in traj.lq_norms:
         g = traj.lq_norms[q]
     else:
-        g = np.array([lq_norm(disc.d, s[: disc.N], q, disc) for s in traj.states])
+        g = lq_norm(disc.d, traj.states[:, : disc.N], q, disc)
     if math.isinf(p):
         return float(np.max(g))
     gp = g ** p

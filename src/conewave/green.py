@@ -42,7 +42,7 @@ from .collocation import even_cheb_coeffs, even_cheb_eval
 from .errors import (DomainError, NearEigenvalueError, QuadratureError,
                      TruncationWarning)
 from .model import varphi
-from .radialode import (ONE_START, ORIGIN_START, SpectralODE, _batch_rhs,
+from .radialode import (ONE_START, ORIGIN_START, SpectralODE, _shoot_start,
                         integrate, seed_one, seed_origin)
 from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 
@@ -122,29 +122,17 @@ def _solution_values(d, lam_arr, variant, pts, endpoint, rtol):
     u = np.empty((n_lam, n_pts), dtype=complex)
     up = np.empty((n_lam, n_pts), dtype=complex)
 
-    seeds = []
-    for lam in lam_arr:
-        ode = SpectralODE(d, complex(lam), variant)
-        if endpoint == "origin":
-            seeds.append(seed_origin(ode))
-        else:
-            seeds.append(seed_one(ode, "analytic"))
+    seeds, start, y0, f, h0 = _shoot_start(d, lam_arr, variant, endpoint)
     if endpoint == "origin":
-        start = ORIGIN_START
         gap = pts <= start
         cps = pts[~gap]
     else:
-        start = ONE_START
         gap = pts >= start
         cps = pts[~gap][::-1]  # descending toward 0
     for i, seed in enumerate(seeds):
         if np.any(gap):
             u[i, gap], up[i, gap] = seed.eval(pts[gap])
     if len(cps):
-        y0 = np.array([s.eval(start) for s in seeds], dtype=complex)
-        f = _batch_rhs(d, lam_arr, variant)
-        amax = float(np.max(np.abs(1j * (0.5 - lam_arr))))
-        h0 = 0.5 / (20.0 + amax)
         _, cp_vals, _ = _rk45.solve(
             f, start, float(cps[-1]), y0, rtol=rtol, atol=1e-300,
             checkpoints=cps, h0=h0,
@@ -211,16 +199,11 @@ def build_kernel(d: int, lam, variant: str, tol: float = 1e-10) -> GreenKernel:
     ode = SpectralODE(d, lam, variant)
     sol0 = integrate(seed_origin(ode), ONE_START, tol=tol)
     sol1 = integrate(seed_one(ode, "analytic"), ORIGIN_START, tol=tol)
-    rho = 0.5
-    u0, u0p = sol0(rho)
-    u1, u1p = sol1(rho)
-    w = complex(u1 * u0p - u1p * u0)
-    fac = rho ** (d - 1.0) * cmath.exp((0.5 + lam) * math.log(1.0 - rho * rho))
-    kappa = w * fac
-    scale = ((abs(u1) + abs(u1p)) * (abs(u0) + abs(u0p)) * abs(fac))
-    if abs(kappa) <= EIGEN_GUARD * scale:
-        raise NearEigenvalueError(f"lam={lam} too close to an eigenvalue")
-    c = 2.0j / kappa
+    mid = np.array([0.5])
+    u0, u0p = sol0(mid)
+    u1, u1p = sol1(mid)
+    c = complex(_normalize_kernel(d, [lam], u0[None], u0p[None], u1[None],
+                                  u1p[None], mid)[0, 0])
 
     def u0_scaled(r, _sol0=sol0, _c=c):
         u, up = _sol0(r)
@@ -393,12 +376,9 @@ def residual_checks(kernel: GreenKernel, src: SourceTerm, rho_test,
     u2p = (sol.u2[ix] * w_fd[None, :]).sum(axis=1)
 
     r = rho_test
-    c0 = (complex(lam) * (complex(lam) + d - 1.0)
-          - (d if kernel.variant == "perturbed" else -d * (d - 2.0) / 4.0))
     flam = src.F_lambda(r, lam, d)
-    ode_res = ((1.0 - r**2) * u1pp
-               + ((d - 1.0) / r - (2.0 * complex(lam) + d) * r) * u1p
-               - c0 * u1 + flam)
+    ode = SpectralODE(d, lam, kernel.variant)
+    ode_res = ode.residual(r, u1, u1p, u1pp) + flam
     fscale = float(np.max(np.abs(flam))) + 1e-300
     beta = (2.0 * d + d * d) / 4.0 if kernel.variant == "perturbed" else 0.0
     f1_back = complex(lam) * u1 + r * u1p + (d - 2.0) / 2.0 * u1 - u2

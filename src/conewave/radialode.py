@@ -53,20 +53,8 @@ class SpectralODE:
         zero_order_coeff(self.d, self.lam, self.variant)  # validates variant
 
     @property
-    def a_of_lambda(self) -> complex:
-        return 1j * (0.5 - complex(self.lam))
-
-    @property
     def c0(self) -> complex:
         return zero_order_coeff(self.d, self.lam, self.variant)
-
-    def rhs(self, rho, y):
-        """y = (u, u') -> (u', u''), vectorized over leading axes."""
-        d, lam, c0 = self.d, complex(self.lam), self.c0
-        u, up = y[..., 0], y[..., 1]
-        b = (d - 1.0) / rho - (2.0 * lam + d) * rho
-        upp = (-b * up + c0 * u) / (1.0 - rho * rho)
-        return np.stack([up, upp], axis=-1)
 
     def residual(self, rho, u, up, upp):
         """(1-rho^2) u'' + ((d-1)/rho - (2 lam + d) rho) u' - c0 u."""
@@ -125,8 +113,7 @@ class FrobeniusSeed:
             for k in range(len(b) - 1, 0, -1):
                 u = u * r2 + b[k]
                 up = up * r2 + 2 * k * b[k]
-                if k >= 1:
-                    upp = upp * r2 + 2 * k * (2 * k - 1) * b[k]
+                upp = upp * r2 + 2 * k * (2 * k - 1) * b[k]
             u = u * r2 + b[0]
             return u, up * rho, upp
         x = 1.0 - rho
@@ -242,19 +229,36 @@ class FundamentalSolution:
         return u, up
 
 
+def _shoot_start(d: int, lam_arr, variant: str, endpoint: str, seeds=None):
+    """Frobenius start of a shoot batched over lam from one endpoint.
+
+    Returns (seeds, start, y0, rhs, h0): the seeds (the analytic-branch
+    ones unless given), the start point ORIGIN_START or ONE_START, the
+    seed data (u, u') there per lam, the batched RHS, and an initial step
+    resolving the fastest oscillation e^{a(lam) phi} of the batch.
+    """
+    lam_arr = np.asarray(lam_arr, dtype=complex)
+    if seeds is None:
+        odes = [SpectralODE(d, complex(lam), variant) for lam in lam_arr]
+        seeds = ([seed_origin(ode) for ode in odes] if endpoint == "origin"
+                 else [seed_one(ode, "analytic") for ode in odes])
+    start = ORIGIN_START if endpoint == "origin" else ONE_START
+    y0 = np.array([seed.eval(start) for seed in seeds], dtype=complex)
+    h0 = 0.5 / (20.0 + float(np.max(np.abs(1j * (0.5 - lam_arr)))))
+    return seeds, start, y0, _batch_rhs(d, lam_arr, variant), h0
+
+
 def integrate(seed: FrobeniusSeed, to: float, tol: float = 1e-10) -> FundamentalSolution:
     """Integrate from the seed's start point to `to` with dense output."""
     if not (0.0 < to < 1.0):
         raise DomainError("target must lie in (0,1)")
-    start = ORIGIN_START if seed.endpoint == "origin" else ONE_START
+    ode = seed.ode
+    _, start, y0, f, h0 = _shoot_start(ode.d, [ode.lam], ode.variant,
+                                       seed.endpoint, [seed])
     if seed.endpoint == "origin" and to <= start:
         raise DomainError("target inside the seed gap")
     if seed.endpoint == "one" and to >= start:
         raise DomainError("target inside the seed gap")
-    u0, up0 = seed.eval(start)
-    y0 = np.array([[u0, up0]], dtype=complex)
-    f = _batch_rhs(seed.ode.d, [seed.ode.lam], seed.ode.variant)
-    h0 = 0.5 / (20.0 + abs(seed.ode.a_of_lambda))
     _, _, segs = _rk45.solve(f, start, to, y0, rtol=tol, atol=1e-300,
                              dense=True, h0=h0)
     lo, hi = (start, to) if to > start else (to, start)
@@ -274,6 +278,18 @@ def wronskian(s1, s2, rho):
 # ---------------------------------------------------------------------------
 
 
+def _shoot_to_mid(d: int, lam_arr, variant: str, rtol: float):
+    """(mu, ya, yb): the indicator and the (u, u') of the origin- and
+    one-seeded solutions at RHO_MID, batched over lam."""
+    mid = []
+    for endpoint in ("origin", "one"):
+        _, start, y0, f, h0 = _shoot_start(d, lam_arr, variant, endpoint)
+        mid.append(_rk45.solve(f, start, RHO_MID, y0, rtol=rtol,
+                               atol=1e-300, h0=h0)[0])
+    ya, yb = mid
+    return ya[:, 0] * yb[:, 1] - ya[:, 1] * yb[:, 0], ya, yb
+
+
 def _indicator_batch(d: int, lam_arr, variant: str, rtol: float = 1e-9):
     """mu(lam) = W(u_origin, u_analytic-at-1)(1/2) for an array of lam.
 
@@ -282,20 +298,7 @@ def _indicator_batch(d: int, lam_arr, variant: str, rtol: float = 1e-9):
     lam_arr = np.asarray(lam_arr, dtype=complex)
     if len(lam_arr) == 0:
         return np.empty(0, dtype=complex)
-    f = _batch_rhs(d, lam_arr, variant)
-    y_or = np.empty((len(lam_arr), 2), dtype=complex)
-    y_on = np.empty((len(lam_arr), 2), dtype=complex)
-    for i, lam in enumerate(lam_arr):
-        ode = SpectralODE(d, complex(lam), variant)
-        y_or[i] = seed_origin(ode).eval(ORIGIN_START)
-        y_on[i] = seed_one(ode, "analytic").eval(ONE_START)
-    amax = np.max(np.abs(1j * (0.5 - lam_arr)))
-    h0 = 0.5 / (20.0 + amax)
-    ya, _, _ = _rk45.solve(f, ORIGIN_START, RHO_MID, y_or, rtol=rtol,
-                           atol=1e-300, h0=h0)
-    yb, _, _ = _rk45.solve(f, ONE_START, RHO_MID, y_on, rtol=rtol,
-                           atol=1e-300, h0=h0)
-    return ya[:, 0] * yb[:, 1] - ya[:, 1] * yb[:, 0]
+    return _shoot_to_mid(d, lam_arr, variant, rtol)[0]
 
 
 def eigen_indicator(d: int, lam, variant: str, rtol: float = 1e-10):
@@ -304,20 +307,9 @@ def eigen_indicator(d: int, lam, variant: str, rtol: float = 1e-10):
     Zeros of mu in lam are the eigenvalues of the variant's operator.
     Reliable for Re(lam) >= -1/2 and |lam - 1/2| >= 1e-6.
     """
-    lam = complex(lam)
-    lam_arr = np.asarray([lam], dtype=complex)
-    f = _batch_rhs(d, lam_arr, variant)
-    ode = SpectralODE(d, lam, variant)
-    y_or = np.array([seed_origin(ode).eval(ORIGIN_START)], dtype=complex)
-    y_on = np.array([seed_one(ode, "analytic").eval(ONE_START)], dtype=complex)
-    h0 = 0.5 / (20.0 + abs(ode.a_of_lambda))
-    ya, _, _ = _rk45.solve(f, ORIGIN_START, RHO_MID, y_or, rtol=rtol,
-                           atol=1e-300, h0=h0)
-    yb, _, _ = _rk45.solve(f, ONE_START, RHO_MID, y_on, rtol=rtol,
-                           atol=1e-300, h0=h0)
-    mu = ya[0, 0] * yb[0, 1] - ya[0, 1] * yb[0, 0]
+    mu, ya, yb = _shoot_to_mid(d, [complex(lam)], variant, rtol)
     scale = (abs(ya[0, 0]) + abs(ya[0, 1])) * (abs(yb[0, 0]) + abs(yb[0, 1]))
-    return complex(mu), float(scale)
+    return complex(mu[0]), float(scale)
 
 
 class _CachedIndicator:

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,30 @@ class TestExitCodes:
     def test_bad_range_exit(self, capsys):
         code = cli.main(["evolve", "--N", "4", "--out", "/tmp/x"])
         assert code == cli.EXIT_CONFIG
+
+    def test_no_jobs_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--jobs", "2"])
+        assert exc.value.code == cli.EXIT_CONFIG
+
+    def test_no_jobs_key(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("jobs = 2\n")
+        code = cli.main(["spectrum", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
+
+
+def test_run_all_commands_parse():
+    """scripts/run_all.py only passes flags the CLI accepts."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
+    spec = importlib.util.spec_from_file_location("run_all", path)
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    parser = cli._build_parser()
+    for cmd in run_all.COMMANDS:
+        assert parser.parse_args(cmd + ["--out", "out"]).command == cmd[0]
 
 
 class TestCommands:

@@ -217,3 +217,32 @@ class TestInterpolation:
         assert np.max(np.abs(out - vals)) <= 1e-12
         dref = np.exp(-rho**2) * (-2 * rho * (1 + rho**4) + 4 * rho**3)
         assert np.max(np.abs(dout - dref)) <= 1e-9
+
+
+class TestStackedDiagnostics:
+    """One call on a stack of states equals the per-state calls."""
+
+    @pytest.mark.parametrize("complex_states", [False, True])
+    def test_stack_matches_per_state(self, disc4, complex_states):
+        rng = np.random.default_rng(12)
+        states = np.array([co.random_smooth_pair(disc4, rng) for _ in range(7)])
+        if complex_states:
+            states = states + 1j * np.array(
+                [co.random_smooth_pair(disc4, rng) for _ in range(7)])
+        cases = {
+            "energy_norm": lambda u: co.energy_norm(disc4, u),
+            "mode_coefficient": disc4.mode_coefficient,
+            "even_cheb_coeffs": lambda u: co.even_cheb_coeffs(disc4, u[..., :64]),
+        }
+        for name, fn in cases.items():
+            stacked = fn(states)
+            single = np.array([fn(u) for u in states])
+            assert stacked.shape == single.shape, name
+            err = np.max(np.abs(stacked - single))
+            assert err <= 1e-14 * np.max(np.abs(single)), name
+
+    def test_single_state_stays_scalar(self, disc4):
+        u = co.random_smooth_pair(disc4, np.random.default_rng(13))
+        assert isinstance(co.energy_norm(disc4, u), float)
+        assert isinstance(co.energy_product(disc4, u, u), complex)
+        assert np.ndim(disc4.mode_coefficient(u)) == 0

@@ -114,6 +114,39 @@ class TestLqNorm:
         with pytest.raises(DomainError):
             ev.lq_norm(4, np.ones(96), 1.5, disc)
 
+    @pytest.mark.parametrize("q", [4.0, 8.0, math.inf])
+    def test_stack_matches_per_state(self, disc, q):
+        rng = np.random.default_rng(3)
+        u1 = np.array([co.random_smooth_pair(disc, rng)[:96] for _ in range(6)])
+        stacked = ev.lq_norm(4, u1, q, disc)
+        single = np.array([ev.lq_norm(4, u, q, disc) for u in u1])
+        assert np.max(np.abs(stacked - single)) <= 1e-14 * np.max(single)
+
+
+def _top_cheb_reference(disc, u1):
+    """Top even-Chebyshev coefficient of u1 over its sup norm, as a sum."""
+    n = disc.N - 1
+    vals = np.asarray(u1)[::-1]  # z grid is the reversed rho grid
+    halv = np.ones(n + 1)
+    halv[0] = halv[-1] = 0.5
+    c_top = (1.0 / n) * np.sum(halv * np.cos(np.pi * np.arange(n + 1)) * vals)
+    return abs(c_top) / (np.max(np.abs(vals)) + 1e-300)
+
+
+class TestAliasMonitor:
+    def test_matches_per_state(self, disc):
+        # data with a sizeable top mode T_n(2 rho^2 - 1), n = N - 1
+        z = 2.0 * disc.nodes**2 - 1.0
+        top = np.cos((disc.N - 1) * np.arccos(np.clip(z, -1.0, 1.0)))
+        rng = np.random.default_rng(4)
+        phi0 = (0.05 * co.random_smooth_pair(disc, rng)
+                + disc.stack(0.01 * top, np.zeros(disc.N)))
+        traj = ev.evolve(disc, phi0, 0.5, 0.01, "nonlinear")
+        assert traj.alias_indicator > 0.1
+        sampled = traj.states[:: max(1, (len(traj.taus) - 1) // 50), : disc.N]
+        ref = max(_top_cheb_reference(disc, u1) for u1 in sampled)
+        assert traj.alias_indicator == pytest.approx(ref, rel=1e-14)
+
 
 class TestStrichartzNorm:
     def _constant_traj(self, disc, u1, tau_max=2.0):

@@ -192,6 +192,13 @@ class TestEigenIndicator:
         mu, scale = ro.eigen_indicator(4, 1j * omega, "free")
         assert abs(mu) > 1e-2 * scale
 
+    @pytest.mark.parametrize("variant", ["free", "perturbed"])
+    @pytest.mark.parametrize("lam", [2.0, 0.3 + 1.5j, 0.1 + 12.0j, 1.2 + 40.0j])
+    def test_scalar_is_batched_shoot(self, variant, lam):
+        mu, _ = ro.eigen_indicator(4, lam, variant, rtol=1e-9)
+        ref = ro._indicator_batch(4, [lam], variant, rtol=1e-9)[0]
+        assert abs(mu - ref) <= 1e-14 * abs(ref)
+
     def test_scan_small_window(self):
         for d in (3, 5, 6):
             roots = ro.scan_halfplane(d, "perturbed", omega_max=6.0)
