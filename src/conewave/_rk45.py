@@ -3,8 +3,10 @@
 The spectral ODEs are integrated for many spectral parameters at once:
 the state has shape (batch, n) and a single step size is controlled by
 the worst batch member.  Steps optionally clip onto a sorted list of
-checkpoints (quadrature nodes, output grids) where the state is recorded,
-and all accepted steps can be kept for quintic-Hermite dense output.
+checkpoints (quadrature nodes, output grids) where the state is recorded
+(after a clipped step the controller resumes from the step it proposed
+before clipping), and all accepted steps can be kept for quintic-Hermite
+dense output.
 """
 
 import numpy as np
@@ -41,11 +43,6 @@ class DenseSegments:
         self.yb = np.asarray(yb)
         self.fb = np.asarray(fb)
         self.ascending = bool(self.xb[-1] > self.xa[0]) if len(self.xa) else True
-
-    def x_range(self):
-        lo = min(self.xa[0], self.xb[-1])
-        hi = max(self.xa[0], self.xb[-1])
-        return lo, hi
 
     def __call__(self, x):
         """Evaluate (u, u') at points x; components are first state entries.
@@ -146,7 +143,9 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
         x_stop = x_end
         if cps is not None and next_cp < len(cps):
             x_stop = cps[next_cp]
-        if direction * (x + h - x_stop) > 0:
+        h_free = h
+        clipped = direction * (x + h - x_stop) > 0
+        if clipped:
             h = x_stop - x
 
         ks = [k1]
@@ -178,9 +177,13 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
                     cp_vals[next_cp] = y
                     next_cp += 1
             fac = 2.0 if emax == 0.0 else min(2.0, max(0.25, 0.9 * emax ** -0.2))
+            h = h * fac
+            if clipped:
+                # a step shortened onto a checkpoint says nothing about the
+                # controller's step; resume from the step it had proposed
+                h = direction * max(abs(h_free), abs(h))
         else:
-            fac = max(0.1, 0.9 * emax ** -0.2)
-        h = h * fac
+            h = h * max(0.1, 0.9 * emax ** -0.2)
 
     segments = None
     if dense:

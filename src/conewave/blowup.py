@@ -22,10 +22,11 @@ import numpy as np
 
 from .collocation import SpectralDiscretization, energy_norm
 from .errors import DomainError, NoBracketError
-from .evolve import EvolutionTrajectory, evolve, lq_norm, strichartz_norm
+from .evolve import EvolutionTrajectory, evolve, lq_norm
 from .model import c_d, check_dimension
 
 BISECT_WIDTH = 1e-14
+DETUNE = 0.02  # blowup-time detuning of the gauge-mode growth demo
 
 
 @dataclass
@@ -47,11 +48,10 @@ def zero_perturbation(delta: float = 0.1) -> PerturbationData:
     return PerturbationData(v1=z, v2=z, delta=delta, amplitude=0.0)
 
 
-def bump_perturbation(delta: float = 0.1, amplitude: float = 0.05,
-                      radius: float = None) -> PerturbationData:
-    """amplitude * (1 - (r/radius)^2)^4 in both slots, supported in r < radius."""
-    if radius is None:
-        radius = 1.0 + delta / 2.0
+def bump_perturbation(delta: float = 0.1,
+                      amplitude: float = 0.05) -> PerturbationData:
+    """amplitude * (1 - (r/R)^2)^4 in both slots, supported in r < R = 1 + delta/2."""
+    radius = 1.0 + delta / 2.0
 
     def prof(r):
         r = np.asarray(r, dtype=float)
@@ -79,7 +79,6 @@ class FitResult:
     T_star: float
     residual_mode: float
     trajectory: EvolutionTrajectory
-    strichartz_sq: float
     bracket: tuple
     monotone: bool
     n_evolutions: int
@@ -91,21 +90,20 @@ def _late_mode_coefficient(d, T, v, disc, tau_max, dtau):
     return float(np.real(traj.mode_coeffs[-1])), traj
 
 
-def fit_blowup_time(d: int, v: PerturbationData, delta: float = None,
-                    tau_max: float = 12.0, tol: float = None,
+def fit_blowup_time(d: int, v: PerturbationData, tau_max: float = 12.0,
                     disc: SpectralDiscretization = None,
                     dtau: float = 0.01) -> FitResult:
     """Bisection in T so the evolved solution carries no late gauge mode.
 
     The late-time coefficient c(tau_max) = <Phi(tau_max), w>_E is strictly
-    monotone in T across the bracket (checked on a 5-point grid); its zero
-    is the fitted blowup time.  tol defaults to 1e-8 ||Phi(0)||_E.
+    monotone in T across the bracket 1 +/- v.delta (checked on a 5-point
+    grid); its zero is the fitted blowup time, accepted once |c| is below
+    1e-8 ||Phi(0)||_E.
     """
     check_dimension(d, nonlinear=True)
     if disc is None:
         raise DomainError("a discretization is required")
-    if delta is None:
-        delta = v.delta
+    delta = v.delta
     a, b = 1.0 - delta, 1.0 + delta
     n_ev = 0
 
@@ -129,9 +127,8 @@ def fit_blowup_time(d: int, v: PerturbationData, delta: float = None,
             f"{ca:.3e} vs {cb:.3e}"
         )
 
-    if tol is None:
-        phi0 = initial_data(d, 1.0 + delta / 2.0, v, disc)
-        tol = 1e-8 * max(energy_norm(disc, phi0), 1e-12)
+    phi0 = initial_data(d, 1.0 + delta / 2.0, v, disc)
+    tol = 1e-8 * max(energy_norm(disc, phi0), 1e-12)
 
     sign_a = math.copysign(1.0, ca)
     t_eval, c_mid, traj = None, None, None
@@ -153,12 +150,9 @@ def fit_blowup_time(d: int, v: PerturbationData, delta: float = None,
     if t_eval != T_star:
         c_mid, traj = _late_mode_coefficient(d, T_star, v, disc, tau_max, dtau)
         n_ev += 1
-    q = 2.0 * d / (d - 3.0) if d > 3 else math.inf
-    s_sq = strichartz_norm(traj, 2.0, q, tail_warn=1.1) ** 2
     return FitResult(
         T_star=float(T_star), residual_mode=abs(c_mid), trajectory=traj,
-        strichartz_sq=float(s_sq), bracket=(a, b), monotone=monotone,
-        n_evolutions=n_ev,
+        bracket=(a, b), monotone=monotone, n_evolutions=n_ev,
     )
 
 
@@ -211,16 +205,16 @@ def stability_report(fit: FitResult, d: int, delta: float,
 
 def instability_demo(d: int, tau_max: float = 10.0,
                      disc: SpectralDiscretization = None,
-                     detune: float = 0.02, dtau: float = 0.01) -> dict:
+                     dtau: float = 0.01) -> dict:
     """Gauge-mode growth under blowup-time detuning (not a real instability).
 
-    Evolves v = 0 data with T = 1 +/- detune; the mode coefficient grows
+    Evolves v = 0 data with T = 1 +/- DETUNE; the mode coefficient grows
     like e^tau until nonlinear saturation, and its sign follows sign(T-1).
     """
     check_dimension(d, nonlinear=True)
-    v0 = zero_perturbation(delta=max(2 * detune, 0.05))
-    out = {"d": d, "detune": detune, "slopes": {}, "signs": {}}
-    for T in (1.0 - detune, 1.0 + detune):
+    v0 = zero_perturbation(delta=max(2 * DETUNE, 0.05))
+    out = {"d": d, "detune": DETUNE, "slopes": {}, "signs": {}}
+    for T in (1.0 - DETUNE, 1.0 + DETUNE):
         phi0 = initial_data(d, T, v0, disc)
         traj = evolve(disc, phi0, tau_max, dtau, "nonlinear")
         c = np.real(traj.mode_coeffs)

@@ -8,6 +8,8 @@ configuration, so identical configs produce bit-identical CSV bodies.
 
 Exit codes: 0 success, 2 spectrum method disagreement, 64 bad
 configuration, 65 numerical failure, 66 acceptance threshold missed.
+Once the configuration loads, the manifest records the exit code on
+every exit, and the error text on 64 and 65.
 """
 
 import argparse
@@ -213,9 +215,9 @@ def _smooth_test_source(cfg, disc, remove_projection=True):
     f2 = lambda r: 0.5 * np.cos(np.asarray(r)) - 0.3
     fgrid = disc.stack(f1(disc.nodes), f2(disc.nodes))
     if not remove_projection:
-        return gr.SourceTerm.from_callables(f1, f1p, f2), fgrid
+        return gr.SourceTerm(f1, f1p, f2), fgrid
     c = float(np.real(disc.mode_coefficient(fgrid)))
-    src = gr.SourceTerm.from_callables(
+    src = gr.SourceTerm(
         lambda r: f1(r) - 2.0 * c, f1p, lambda r: f2(r) - cfg.d * c)
     return src, fgrid - disc.P_mat @ fgrid
 
@@ -228,8 +230,7 @@ def cmd_green_check(cfg: RunConfig, out_dir: Path) -> int:
     rows = []
     ok = True
     for lam in (2.0 + 0.0j, 0.5 + 3.0j, 0.1 + 10.0j):
-        kernel = gr.build_kernel(d, lam, "perturbed")
-        checks = gr.residual_checks(kernel, src, rho_test)
+        checks = gr.residual_checks(d, lam, "perturbed", src, rho_test)
         rows.append((f"{lam.real:g}+{lam.imag:g}i",
                      checks["ode_residual"], checks["round_trip"]))
         ok &= checks["ode_residual"] <= 1e-6 and checks["round_trip"] <= 1e-6
@@ -315,6 +316,8 @@ def cmd_fit_blowup(cfg: RunConfig, out_dir: Path) -> int:
     report["amplitude"] = cfg.amplitude
     report["slopes"] = {str(k): v for k, v in demo["slopes"].items()}
     report["monotone_bracket"] = fit.monotone
+    report["bracket"] = [float(t) for t in fit.bracket]
+    report["n_evolutions"] = fit.n_evolutions
     with open(out_dir / "fit_blowup_report.json", "w") as fh:
         json.dump(report, fh, indent=1)
     ok = (1.0 - cfg.delta < fit.T_star < 1.0 + cfg.delta
@@ -373,6 +376,7 @@ def main(argv=None) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
+    failure = {}
     try:
         if args.command == "spectrum":
             code = cmd_spectrum(cfg, out_dir)
@@ -390,12 +394,13 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     except ValueError as exc:
         print(f"conewave: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, failure = EXIT_CONFIG, {"error": str(exc)}
     except NumericsError as exc:
         print(f"conewave: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code, failure = EXIT_NUMERIC, {"error": str(exc)}
     _write_manifest(out_dir, args.command.replace("-", "_"), cfg,
-                    wall=time.time() - t0)
+                    wall=time.time() - t0,
+                    extra={"exit_code": code, **failure})
     return code
 
 

@@ -121,13 +121,13 @@ def _two_sum_err(a: float, b: float) -> float:
     return (a - (s - bb)) + (b - bb)
 
 
-def _absorb_row_sums(block: np.ndarray, target, skip_diagonal: bool = True):
+def _absorb_row_sums(block: np.ndarray, target):
     """Adjust one small entry per row so exact row sums equal `target`.
 
     target may be a scalar or a per-row array.  The deficit is computed
-    with math.fsum and subtracted from the smallest-magnitude entry
-    (off-diagonal when requested), which represents the correction with
-    at most one ulp of that small entry.
+    with math.fsum and subtracted from the smallest-magnitude off-diagonal
+    entry, which represents the correction with at most one ulp of that
+    small entry.
     """
     n = block.shape[0]
     tgt = np.broadcast_to(np.asarray(target, dtype=float), (n,))
@@ -138,7 +138,7 @@ def _absorb_row_sums(block: np.ndarray, target, skip_diagonal: bool = True):
             continue
         order = np.argsort(np.abs(row))
         k = int(order[0])
-        if skip_diagonal and k == i and len(order) > 1:
+        if k == i and len(order) > 1:
             k = int(order[1])
         row[k] -= deficit
         resid = math.fsum(row) - tgt[i]
@@ -313,10 +313,10 @@ def sobolev_norm(disc: SpectralDiscretization, u) -> float:
     return math.sqrt(float(val.real))
 
 
-def random_smooth_pair(disc: SpectralDiscretization, rng, degree: int = 12):
-    """Random even-polynomial pair on the grid, O(1) normalized."""
+def random_smooth_pair(disc: SpectralDiscretization, rng):
+    """Random even-polynomial pair of degree 12 on the grid, O(1) normalized."""
     rho = disc.nodes
-    ncoef = degree // 2 + 1
+    ncoef = 7
     c1 = rng.standard_normal(ncoef)
     c2 = rng.standard_normal(ncoef)
     r2 = rho * rho
@@ -353,11 +353,10 @@ def norm_equivalence_check(disc: SpectralDiscretization, n_samples: int = 100,
 
 
 def discrete_spectrum(disc: SpectralDiscretization,
-                      disc_fine: SpectralDiscretization,
-                      move_tol: float = 1e-4):
+                      disc_fine: SpectralDiscretization):
     """Eigenvalues of L_mat filtered by stability under N -> 2N.
 
-    Returns (physical, raw): eigenvalues that move less than move_tol when
+    Returns (physical, raw): eigenvalues that move by at most 1e-4 when
     recomputed on the companion grid, and the full raw list.
     """
     try:
@@ -367,7 +366,7 @@ def discrete_spectrum(disc: SpectralDiscretization,
         raise EigensolverFailure(str(exc)) from exc
     physical = []
     for lam in ev:
-        if np.min(np.abs(ev_fine - lam)) <= move_tol:
+        if np.min(np.abs(ev_fine - lam)) <= 1e-4:
             physical.append(complex(lam))
     physical.sort(key=lambda z: (-z.real, z.imag))
     return physical, np.sort_complex(ev)
@@ -393,11 +392,11 @@ def unstable_eigenvalues(disc, disc_fine, re_min: float = 0.05,
     return dedup
 
 
-def _polish_eigenvalue(l_mat, lam, iters: int = 3):
+def _polish_eigenvalue(l_mat, lam):
     n2 = l_mat.shape[0]
     lam = complex(lam)
     v = None
-    for _ in range(iters):
+    for _ in range(3):
         a = l_mat - (lam + 1e-12) * np.eye(n2)
         try:
             lu = scipy.linalg.lu_factor(a)

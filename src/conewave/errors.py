@@ -52,18 +52,13 @@ class NoBracketError(NumericsError):
 class BlowupDetected(NumericsError):
     """The evolved solution left the resolvable regime (sup norm > 1e8).
 
-    This is physics, not a bug: carries the time and, when known, the
-    detuned blowup-time parameter that produced it.
+    This is physics, not a bug: carries the time and the sup norm.
     """
 
-    def __init__(self, tau, sup_norm, T=None):
+    def __init__(self, tau, sup_norm):
         self.tau = tau
         self.sup_norm = sup_norm
-        self.T = T
-        msg = f"solution blew up at tau={tau:.4f} (sup={sup_norm:.3e})"
-        if T is not None:
-            msg += f" for T={T!r}"
-        super().__init__(msg)
+        super().__init__(f"solution blew up at tau={tau:.4f} (sup={sup_norm:.3e})")
 
 
 class TruncationWarning(UserWarning):

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .collocation import SpectralDiscretization, energy_norm, even_cheb_coeffs
-from .errors import BlowupDetected, DomainError, NotConvergedWarning, ParamError
+from .errors import DomainError, NotConvergedWarning, ParamError
 from .model import nonlinearity, sphere_area
 
 BLOWUP_SUP = 1e8
@@ -82,18 +82,6 @@ def _propagator(disc, dtau, mode):
     return cache[key]
 
 
-def step(disc: SpectralDiscretization, state, dtau: float, mode: str):
-    """Advance one state vector by dtau (convenience wrapper).
-
-    Raises BlowupDetected when the sup norm leaves the resolvable regime.
-    """
-    out = _propagator(disc, dtau, mode).step(np.asarray(state))
-    sup = float(np.max(np.abs(out)))
-    if sup > BLOWUP_SUP:
-        raise BlowupDetected(tau=dtau, sup_norm=sup)
-    return out
-
-
 @dataclass
 class EvolutionTrajectory:
     """Uniform-step time series with per-snapshot diagnostics."""
@@ -121,7 +109,7 @@ class EvolutionTrajectory:
 
 
 def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
-           mode: str, q_list=(), raise_on_blowup: bool = False):
+           mode: str, q_list=()):
     """Integrate to tau_max recording every step.
 
     Diagnostics per snapshot: energy norm, mode coefficient <Phi, w>_E,
@@ -147,8 +135,6 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
         if not math.isfinite(sup) or sup > BLOWUP_SUP:
             blowup_tau = taus[k + 1]
             n_done = k + 1
-            if raise_on_blowup:
-                raise BlowupDetected(tau=float(blowup_tau), sup_norm=sup)
             break
     taus = taus[: n_done + 1]
     states = states[: n_done + 1]
@@ -188,14 +174,13 @@ def lq_norm(d: int, u1, q: float, disc: SpectralDiscretization):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float,
-                    tail_warn: float = 0.05) -> float:
+def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float) -> float:
     """L^p_tau L^q_rho norm of the first component over the trajectory.
 
     Composite trapezoid in tau of lq_norm^p; p=inf is the max over
     snapshots (a grid-level lower bound of the true sup).  Warns when the
-    trailing 10% of the horizon contributes more than tail_warn of the
-    total (horizon likely too short).
+    trailing 10% of the horizon contributes more than 5% of the total
+    (horizon likely too short).
     """
     disc = traj.disc
     if q in traj.lq_norms:
@@ -209,7 +194,7 @@ def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float,
     if total > 0.0:
         i0 = int(0.9 * (len(traj.taus) - 1))
         tail = float(np.trapezoid(gp[i0:], traj.taus[i0:]))
-        if tail > tail_warn * total:
+        if tail > 0.05 * total:
             warnings.warn(
                 f"trailing segment carries {tail / total:.1%} of the "
                 f"L^{p} integral; tau_max may be too small",

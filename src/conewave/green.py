@@ -17,7 +17,7 @@ with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 
 Quadrature uses Gauss-Legendre panels refined geometrically (ratio 1/2)
 toward both endpoints; the integrand carries the algebraic factor
-(1-s)^{lam-1/2}, so the refinement depth (default 24 levels) sets the
+(1-s)^{lam-1/2}, so the refinement depth (GEO_DEPTH = 24 levels) sets the
 endpoint truncation level ~ depth^{Re lam + 1/2}.  Output points are
 inserted as panel boundaries, making the split integrals exact partial
 sums over panels.
@@ -49,6 +49,8 @@ from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 GEO_DEPTH = 24
 GL_NODES = 12
 EIGEN_GUARD = 1e-6
+LAPLACE_RTOL = 2e-7   # RK45 tolerance of the contour resolvent solves
+LAPLACE_BATCH = 500   # most frequencies integrated in one batched solve
 
 
 @dataclass
@@ -58,10 +60,6 @@ class SourceTerm:
     f1: callable
     f1p: callable
     f2: callable
-
-    @classmethod
-    def from_callables(cls, f1, f1p, f2):
-        return cls(f1=f1, f1p=f1p, f2=f2)
 
     @classmethod
     def from_grid(cls, disc, pair):
@@ -85,18 +83,19 @@ class SourceTerm:
 # ---------------------------------------------------------------------------
 
 
-def _panel_layout(rho_out, depth: int = GEO_DEPTH, n_gl: int = GL_NODES):
+def _panel_layout(rho_out):
     """(breakpoints, nodes, weights) of the composite rule on (0, 1).
 
-    Breakpoints are the geometric ladders toward 0 and 1 merged with the
-    positive output points; each panel carries an n_gl Gauss-Legendre rule.
+    Breakpoints are the geometric ladders (GEO_DEPTH levels) toward 0 and 1
+    merged with the positive output points; each panel carries a GL_NODES
+    Gauss-Legendre rule.
     """
-    left = 0.5 * 2.0 ** -np.arange(depth + 1, dtype=float)
+    left = 0.5 * 2.0 ** -np.arange(GEO_DEPTH + 1, dtype=float)
     right = 1.0 - left
     pts = set(left) | set(right) | {0.0, 1.0}
     pts |= {float(r) for r in np.asarray(rho_out).ravel() if 0.0 < r < 1.0}
     bps = np.array(sorted(pts))
-    gx, gw = np.polynomial.legendre.leggauss(n_gl)
+    gx, gw = np.polynomial.legendre.leggauss(GL_NODES)
     a, b = bps[:-1], bps[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -184,7 +183,6 @@ class GreenKernel:
     variant: str
     u0: object  # callable rho -> (u, u'), origin-regular, normalized
     u1: object  # callable rho -> (u, u'), analytic at 1
-    normalization: complex
 
     def weight(self, s):
         s = np.asarray(s, dtype=float)
@@ -205,12 +203,11 @@ def build_kernel(d: int, lam, variant: str, tol: float = 1e-10) -> GreenKernel:
     c = complex(_normalize_kernel(d, [lam], u0[None], u0p[None], u1[None],
                                   u1p[None], mid)[0, 0])
 
-    def u0_scaled(r, _sol0=sol0, _c=c):
-        u, up = _sol0(r)
-        return _c * u, _c * up
+    def u0_scaled(r):
+        u, up = sol0(r)
+        return c * u, c * up
 
-    return GreenKernel(d=d, lam=lam, variant=variant, u0=u0_scaled,
-                       u1=sol1, normalization=c)
+    return GreenKernel(d=d, lam=lam, variant=variant, u0=u0_scaled, u1=sol1)
 
 
 def green_eval(kernel: GreenKernel, rho, s) -> complex:
@@ -246,12 +243,8 @@ class ResolventSolution:
     u2: np.ndarray
     u1_deriv: np.ndarray
 
-    def pair(self):
-        return self.u1, self.u2
 
-
-def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out,
-                     rtol=1e-8, depth=GEO_DEPTH):
+def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
     """[R(lam) f] on rho_out for each lam; arrays (n_lam, n_out).
 
     Endpoints are allowed: at rho=0 only the regular branch contributes,
@@ -265,7 +258,7 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out,
         raise DomainError("output points must lie in [0, 1]")
     interior = (rho_out > 0.0) & (rho_out < 1.0)
     at_one = rho_out == 1.0
-    bps, nodes, wts = _panel_layout(rho_out[interior], depth=depth)
+    bps, nodes, wts = _panel_layout(rho_out[interior])
 
     pos = interior
     eval_pts = np.unique(np.concatenate(
@@ -341,17 +334,17 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out,
     return uo, u2, uop
 
 
-def resolvent_apply(kernel: GreenKernel, src: SourceTerm, rho_out,
+def resolvent_apply(d: int, lam, variant: str, src: SourceTerm, rho_out,
                     rtol: float = 1e-9) -> ResolventSolution:
     """Solve (lam - L) u = f through the Green function on rho_out."""
     rho_out = np.asarray(rho_out, dtype=float)
-    u1, u2, u1p = _resolvent_batch(
-        kernel.d, [kernel.lam], kernel.variant, src, rho_out, rtol=rtol)
+    u1, u2, u1p = _resolvent_batch(d, [complex(lam)], variant, src, rho_out,
+                                   rtol=rtol)
     return ResolventSolution(rho=rho_out, u1=u1[0], u2=u2[0], u1_deriv=u1p[0])
 
 
-def residual_checks(kernel: GreenKernel, src: SourceTerm, rho_test,
-                    h: float = 2e-4, rtol: float = 1e-10) -> dict:
+def residual_checks(d: int, lam, variant: str, src: SourceTerm,
+                    rho_test) -> dict:
     """Independent verification that (lam - L) R(lam) f = f at rho_test.
 
     Derivatives that the construction does not supply (u1'', u2') are
@@ -360,13 +353,14 @@ def residual_checks(kernel: GreenKernel, src: SourceTerm, rho_test,
     algebra.  Returns the relative sup of the reduced-ODE residual and of
     the full round trip (second component).
     """
-    d, lam = kernel.d, kernel.lam
+    lam = complex(lam)
+    h = 2e-4
     rho_test = np.asarray(rho_test, dtype=float)
     if np.any(rho_test - 2 * h <= 0.0) or np.any(rho_test + 2 * h >= 1.0):
         raise DomainError("test points must keep the FD stencil inside (0,1)")
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
     pts = np.unique((rho_test[:, None] + offsets[None, :]).ravel())
-    sol = resolvent_apply(kernel, src, pts, rtol=rtol)
+    sol = resolvent_apply(d, lam, variant, src, pts, rtol=1e-10)
     ix = np.searchsorted(pts, rho_test[:, None] + offsets[None, :])
     w_fd = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
     u1 = sol.u1[ix[:, 2]]
@@ -377,12 +371,12 @@ def residual_checks(kernel: GreenKernel, src: SourceTerm, rho_test,
 
     r = rho_test
     flam = src.F_lambda(r, lam, d)
-    ode = SpectralODE(d, lam, kernel.variant)
+    ode = SpectralODE(d, lam, variant)
     ode_res = ode.residual(r, u1, u1p, u1pp) + flam
     fscale = float(np.max(np.abs(flam))) + 1e-300
-    beta = (2.0 * d + d * d) / 4.0 if kernel.variant == "perturbed" else 0.0
-    f1_back = complex(lam) * u1 + r * u1p + (d - 2.0) / 2.0 * u1 - u2
-    f2_back = (complex(lam) * u2 - u1pp - (d - 1.0) / r * u1p
+    beta = (2.0 * d + d * d) / 4.0 if variant == "perturbed" else 0.0
+    f1_back = lam * u1 + r * u1p + (d - 2.0) / 2.0 * u1 - u2
+    f2_back = (lam * u2 - u1pp - (d - 1.0) / r * u1p
                + r * u2p + d / 2.0 * u2 - beta * u1)
     f1_true = src.f1(r)
     f2_true = src.f2(r)
@@ -426,8 +420,7 @@ def kernel_decay_scan(d: int, rho: float, s: float, omega_list,
 
 def semigroup_laplace(d: int, tau: float, src: SourceTerm, rho_out,
                       eps: float = 0.1, omega_max: float = 200.0,
-                      domega: float = 0.05, rtol: float = 2e-7,
-                      batch: int = 500) -> np.ndarray:
+                      domega: float = 0.05) -> np.ndarray:
     """[S(tau)(I-P) f]_1 on rho_out by truncated Laplace inversion.
 
     The large-|lam| asymptote R(lam) f ~ f / lam is inverted analytically
@@ -438,7 +431,8 @@ def semigroup_laplace(d: int, tau: float, src: SourceTerm, rho_out,
               ([R f]_1 - f1 / (eps + i w)) dw.
 
     src must already have the gauge-mode projection removed.  Real data
-    makes the integrand conjugate-symmetric, so only w >= 0 is computed.
+    makes the integrand conjugate-symmetric, so only w >= 0 is computed,
+    in the fewest equal batches of at most LAPLACE_BATCH frequencies.
     Emits TruncationWarning with the relative last-octave tail estimate.
     """
     if not (0.0 < eps < 0.5):
@@ -449,19 +443,19 @@ def semigroup_laplace(d: int, tau: float, src: SourceTerm, rho_out,
     f1_out = np.asarray(src.f1(rho_out), dtype=float)
     n_w = int(round(omega_max / domega))
     omegas = np.arange(n_w + 1) * domega
+    weights = np.full(n_w + 1, domega)  # trapezoid rule
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
     total = f1_out.copy()
     tail = np.zeros(len(rho_out))
-    for start in range(0, n_w + 1, batch):
-        ws = omegas[start:start + batch]
+    n_batches = math.ceil((n_w + 1) / LAPLACE_BATCH)
+    for ix in np.array_split(np.arange(n_w + 1), n_batches):
+        ws, coef = omegas[ix], weights[ix]
         lam = eps + 1j * ws
-        u1, _, _ = _resolvent_batch(d, lam, "perturbed", src, rho_out, rtol=rtol)
+        u1, _, _ = _resolvent_batch(d, lam, "perturbed", src, rho_out,
+                                    rtol=LAPLACE_RTOL)
         u1 = u1 - f1_out[None, :] / lam[:, None]
         phases = np.exp((eps + 1j * ws) * tau)
-        coef = np.full(len(ws), domega)
-        if start == 0:
-            coef[0] *= 0.5
-        if start + len(ws) == n_w + 1:
-            coef[-1] *= 0.5
         contrib = (coef[:, None] * np.real(phases[:, None] * u1)).sum(axis=0)
         total += contrib / math.pi
         in_tail = ws >= omega_max / 2.0

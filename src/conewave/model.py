@@ -34,7 +34,7 @@ def c_d(d: int) -> float:
     return (d * (d - 2) / 4.0) ** ((d - 2) / 4.0)
 
 
-def ode_blowup(d: int, T: float, t, r=None) -> float:
+def ode_blowup(d: int, T: float, t) -> float:
     """u^T(t) = c_d (T-t)^{(2-d)/2}; independent of r."""
     check_dimension(d)
     t = np.asarray(t, dtype=float)
@@ -60,7 +60,7 @@ def to_similarity(T: float, t, r):
     r = np.asarray(r, dtype=float)
     if np.any(t < 0) or np.any(t >= T) or np.any(r < 0) or np.any(r > T - t):
         raise DomainError("point outside the backward lightcone Gamma_T")
-    tau = -np.log(T - t) + math.log(T)
+    tau = -np.log1p(-t / T)  # exactly 0 at t = 0, never negative
     rho = r / (T - t)
     return tau, rho
 
@@ -134,9 +134,10 @@ def q_bounds(d: int):
     return 2.0 * d / (d - 2.0), hi
 
 
-def admissible(d: int, p: float, q: float, tol: float = 1e-12) -> bool:
-    """True iff 1/p + d/q = d/2 - 1 with p in [2, inf], q in the allowed range."""
+def admissible(d: int, p: float, q: float) -> bool:
+    """True iff 1/p + d/q = d/2 - 1 (to 1e-12) with p in [2, inf], q in range."""
     check_dimension(d)
+    tol = 1e-12
     if p < 2.0:
         return False
     qlo, qhi = q_bounds(d)

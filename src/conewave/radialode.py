@@ -29,6 +29,8 @@ ORIGIN_START = 1e-3      # integration starts here (series below)
 ONE_START = 1.0 - 1e-3
 SEED_ORDER = 8
 RHO_MID = 0.5            # Wronskian matching point for the indicator
+EDGE_DENSITY = 10.0      # initial samples per unit length of a scan edge
+EDGE_MAX_DEPTH = 12      # bisection rounds before an edge counts as unresolved
 
 
 def zero_order_coeff(d: int, lam: complex, variant: str) -> complex:
@@ -94,7 +96,6 @@ class FrobeniusSeed:
     endpoint: str                   # "origin" | "one"
     index: complex
     coefficients: tuple = field(repr=False)
-    order: int = SEED_ORDER
 
     def eval(self, rho):
         """(u, du/drho) at rho (scalar or array)."""
@@ -139,22 +140,19 @@ class FrobeniusSeed:
         return y, -yp, ypp
 
 
-def seed_origin(ode: SpectralODE, order: int = SEED_ORDER) -> FrobeniusSeed:
+def seed_origin(ode: SpectralODE) -> FrobeniusSeed:
     """Index-0 even series at rho=0: a_{k+1}/a_k from the ODE recurrence."""
-    if order < 4:
-        raise ParamError("seed order must be >= 4")
     d, lam, c0 = ode.d, complex(ode.lam), ode.c0
     a = [1.0 + 0.0j]
     k = 0
-    while k < order or (abs(a[-1]) * ORIGIN_START ** (2 * k) > 1e-17 and k < 80):
+    while k < SEED_ORDER or (abs(a[-1]) * ORIGIN_START ** (2 * k) > 1e-17 and k < 80):
         num = 4.0 * k * k + 2.0 * k * (2.0 * lam + d - 1.0) + c0
         a.append(a[-1] * num / ((2.0 * k + 2.0) * (2.0 * k + d)))
         k += 1
-    return FrobeniusSeed(ode, "origin", 0.0, tuple(a), len(a) - 1)
+    return FrobeniusSeed(ode, "origin", 0.0, tuple(a))
 
 
-def seed_one(ode: SpectralODE, branch: str = "analytic",
-             order: int = SEED_ORDER) -> FrobeniusSeed:
+def seed_one(ode: SpectralODE, branch: str = "analytic") -> FrobeniusSeed:
     """Frobenius series at rho=1; indices {0, 1/2-lam}.
 
     analytic: Taylor in x = 1-rho with leading coefficient 1;
@@ -165,8 +163,6 @@ def seed_one(ode: SpectralODE, branch: str = "analytic",
     P y'' + Q y' + R y = 0,  P = 2x - 3x^2 + x^3,
     Q = (2 lam + 1) - 2(2 lam + d) x + (2 lam + d) x^2,  R = -c0 + c0 x.
     """
-    if order < 4:
-        raise ParamError("seed order must be >= 4")
     d, lam, c0 = ode.d, complex(ode.lam), ode.c0
     if branch == "analytic":
         sig = 0.0 + 0.0j
@@ -180,7 +176,7 @@ def seed_one(ode: SpectralODE, branch: str = "analytic",
     x0 = 1.0 - ONE_START
     coeffs = [1.0 + 0.0j]
     m = 0
-    while m < order or (abs(coeffs[-1]) * x0**m > 1e-17 and m < 80):
+    while m < SEED_ORDER or (abs(coeffs[-1]) * x0**m > 1e-17 and m < 80):
         ms = m + sig
         c_m = (ms + 1.0) * (2.0 * ms + 2.0 * lam + 1.0)
         if abs(c_m) < 1e-12:
@@ -192,7 +188,7 @@ def seed_one(ode: SpectralODE, branch: str = "analytic",
         prev2 = coeffs[m - 1] if m >= 1 else 0.0
         coeffs.append(-(a_m * coeffs[m] + b_m * prev2) / c_m)
         m += 1
-    return FrobeniusSeed(ode, "one", sig, tuple(coeffs), len(coeffs) - 1)
+    return FrobeniusSeed(ode, "one", sig, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +204,6 @@ class FundamentalSolution:
     seed: FrobeniusSeed
     start: float
     segments: object
-    domain: tuple
 
     def __call__(self, rho):
         """(u, u') at rho; inside the seed gap the series is used."""
@@ -261,8 +256,7 @@ def integrate(seed: FrobeniusSeed, to: float, tol: float = 1e-10) -> Fundamental
         raise DomainError("target inside the seed gap")
     _, _, segs = _rk45.solve(f, start, to, y0, rtol=tol, atol=1e-300,
                              dense=True, h0=h0)
-    lo, hi = (start, to) if to > start else (to, start)
-    return FundamentalSolution(seed.ode, seed, start, segs, (lo, hi))
+    return FundamentalSolution(seed.ode, seed, start, segs)
 
 
 def wronskian(s1, s2, rho):
@@ -339,12 +333,12 @@ class _CachedIndicator:
         return np.array([self.cache[l] for l in lams], dtype=complex)
 
 
-def _trace_edge(ev, z0, z1, n0, max_depth=12):
+def _trace_edge(ev, z0, z1, n0):
     """Sample f along [z0, z1] densely enough that arg increments < ~0.8."""
     ts = np.linspace(0.0, 1.0, max(n0, 3))
     pts = list(z0 + (z1 - z0) * ts)
     vals = list(ev(pts))
-    for _ in range(max_depth):
+    for _ in range(EDGE_MAX_DEPTH):
         new_pts = []
         insert_at = []
         for k in range(len(pts) - 1):
@@ -363,16 +357,16 @@ def _trace_edge(ev, z0, z1, n0, max_depth=12):
             pts.insert(k + 1, p)
             vals.insert(k + 1, complex(v))
     raise ContourTooCloseError(
-        f"edge [{z0}, {z1}] not resolved after {max_depth} refinements"
+        f"edge [{z0}, {z1}] not resolved after {EDGE_MAX_DEPTH} refinements"
     )
 
 
-def _winding_rect(ev, re0, re1, im0, im1, density=10.0):
+def _winding_rect(ev, re0, re1, im0, im1):
     corners = [complex(re0, im0), complex(re1, im0),
                complex(re1, im1), complex(re0, im1), complex(re0, im0)]
     total = 0.0
     for a, b in zip(corners[:-1], corners[1:]):
-        n0 = max(4, int(abs(b - a) * density) + 1)
+        n0 = max(4, int(abs(b - a) * EDGE_DENSITY) + 1)
         _, vals = _trace_edge(ev, a, b, n0)
         for k in range(len(vals) - 1):
             total += cmath.phase(vals[k + 1] / vals[k])
@@ -382,9 +376,9 @@ def _winding_rect(ev, re0, re1, im0, im1, density=10.0):
     return int(round(w))
 
 
-def _newton_polish(scalar_fn, z, tol=1e-11, max_iter=40):
+def _newton_polish(scalar_fn, z):
     h = 1e-6
-    for _ in range(max_iter):
+    for _ in range(40):
         f0 = scalar_fn(z)
         step_h = h * (1.0 + abs(z))
         fp = (scalar_fn(z + step_h) - scalar_fn(z - step_h)) / (2.0 * step_h)
@@ -392,7 +386,7 @@ def _newton_polish(scalar_fn, z, tol=1e-11, max_iter=40):
             break
         dz = f0 / fp
         z = z - dz
-        if abs(dz) <= tol * (1.0 + abs(z)):
+        if abs(dz) <= 1e-11 * (1.0 + abs(z)):
             break
     return z
 
@@ -400,8 +394,8 @@ def _newton_polish(scalar_fn, z, tol=1e-11, max_iter=40):
 _SPLIT_FRACTIONS = (0.5381966, 0.4123106, 0.6287094)
 
 
-def _locate_in_rect(ev, scalar_fn, re0, re1, im0, im1, density, roots, depth=0):
-    w = _winding_rect(ev, re0, re1, im0, im1, density)
+def _locate_in_rect(ev, scalar_fn, re0, re1, im0, im1, roots, depth=0):
+    w = _winding_rect(ev, re0, re1, im0, im1)
     if w == 0:
         return
     if max(re1 - re0, im1 - im0) <= 1e-3 or depth >= 40:
@@ -416,16 +410,16 @@ def _locate_in_rect(ev, scalar_fn, re0, re1, im0, im1, density, roots, depth=0):
         try:
             if re1 - re0 >= im1 - im0:
                 rm = re0 + frac * (re1 - re0)
-                _locate_in_rect(ev, scalar_fn, re0, rm, im0, im1, density,
-                                roots, depth + 1)
-                _locate_in_rect(ev, scalar_fn, rm, re1, im0, im1, density,
-                                roots, depth + 1)
+                _locate_in_rect(ev, scalar_fn, re0, rm, im0, im1, roots,
+                                depth + 1)
+                _locate_in_rect(ev, scalar_fn, rm, re1, im0, im1, roots,
+                                depth + 1)
             else:
                 im = im0 + frac * (im1 - im0)
-                _locate_in_rect(ev, scalar_fn, re0, re1, im0, im, density,
-                                roots, depth + 1)
-                _locate_in_rect(ev, scalar_fn, re0, re1, im, im1, density,
-                                roots, depth + 1)
+                _locate_in_rect(ev, scalar_fn, re0, re1, im0, im, roots,
+                                depth + 1)
+                _locate_in_rect(ev, scalar_fn, re0, re1, im, im1, roots,
+                                depth + 1)
             return
         except ContourTooCloseError:
             del roots[base:]
@@ -434,9 +428,8 @@ def _locate_in_rect(ev, scalar_fn, re0, re1, im0, im1, density, roots, depth=0):
 
 
 def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
-                   re_range=(0.0, 2.0), method: str = "shooting",
-                   rtol: float = 1e-8):
-    """Roots of the eigenvalue indicator in [re0,re1] x [-omega_max, omega_max].
+                   method: str = "shooting"):
+    """Roots of the eigenvalue indicator in [0, 2] x [-omega_max, omega_max].
 
     Argument-principle counts on bands of height 2 (starting at Im=-1 so
     the real axis is interior), Newton polish of each located root.  The
@@ -448,9 +441,8 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
     """
     if omega_max > 60.0:
         raise DomainError("omega_max must be <= 60")
-    re0, re1 = re_range
     if method == "shooting":
-        batch = lambda arr: _indicator_batch(d, arr, variant, rtol=rtol)
+        batch = lambda arr: _indicator_batch(d, arr, variant, rtol=1e-8)
         scalar = lambda z: eigen_indicator(d, z, variant, rtol=1e-10)[0]
     elif method == "c3":
         batch = lambda arr: np.array(
@@ -468,7 +460,7 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
             lo = -1.0 - shift
             while lo < omega_max:
                 hi = min(lo + 2.0, omega_max + 0.5)
-                _locate_in_rect(ev, scalar, re0, re1, lo, hi, 10.0, roots)
+                _locate_in_rect(ev, scalar, 0.0, 2.0, lo, hi, roots)
                 lo = hi
             break
         except ContourTooCloseError:
@@ -566,10 +558,6 @@ class ExplicitLambda1:
         return rho ** (1.0 - self.d) * (1.0 - rho**2) ** -1.5
 
 
-def explicit_lambda1(d: int) -> ExplicitLambda1:
-    return ExplicitLambda1(d)
-
-
 class NearOneModel:
     """Model fundamental system near rho=1 before the potential correction.
 
@@ -614,10 +602,6 @@ class NearOneModel:
         rho = np.asarray(rho, dtype=float)
         ex1, ex2 = 0.75 - lam2 / 2.0, 0.25 + lam2 / 2.0
         return (1.0 + rho) ** ex1 * (1.0 - rho) ** ex2 / np.sqrt(a2)
-
-
-def near_one_model(lam) -> NearOneModel:
-    return NearOneModel(lam)
 
 
 def generalized_eigen_check(d: int) -> dict:

@@ -19,7 +19,6 @@ Principal branch for all complex powers and logs.
 import cmath
 import math
 
-import numpy as np
 
 from .errors import DomainError, ParamError, PoleError
 
@@ -115,8 +114,8 @@ def _hyp2f1_series_with_deriv(a, b, c, z):
     return s, sp
 
 
-def _taylor_recenter(a, b, c, z0, f0, f1, h, order=72):
-    """Advance (F, F') from z0 to z0+h using the hypergeometric ODE.
+def _taylor_recenter(a, b, c, z0, f0, f1, h):
+    """Advance (F, F') from z0 to z0+h by a Taylor series of order 72.
 
     z(1-z)F'' + (c-(a+b+1)z)F' - ab F = 0 gives a 3-term recurrence for
     the Taylor coefficients at z0.
@@ -128,7 +127,7 @@ def _taylor_recenter(a, b, c, z0, f0, f1, h, order=72):
     q1 = -(a + b + 1.0)
     r0 = -a * b
     t = [f0, f1]
-    for m in range(order):
+    for m in range(72):
         tm = t[m]
         tm1 = t[m + 1]
         num = (p1 * (m + 1) * m + q0 * (m + 1)) * tm1 + (p2 * m * (m - 1) + q1 * m + r0) * tm

@@ -36,7 +36,7 @@ def _smooth_source(d, disc):
     f2 = lambda r: 0.5 * np.cos(np.asarray(r)) - 0.3
     fgrid = disc.stack(f1(disc.nodes), f2(disc.nodes))
     c = float(np.real(disc.mode_coefficient(fgrid)))
-    src = gr.SourceTerm.from_callables(
+    src = gr.SourceTerm(
         lambda r: f1(r) - 2.0 * c, f1p, lambda r: f2(r) - d * c)
     return src, fgrid - disc.P_mat @ fgrid
 
@@ -81,7 +81,7 @@ def test_criterion_3_lambda1_closed_forms():
     worst_sol = worst_w = 0.0
     for d in (3, 4, 5, 6):
         ode = ro.SpectralODE(d, 1.0, "free")
-        ex = ro.explicit_lambda1(d)
+        ex = ro.ExplicitLambda1(d)
         rr = np.linspace(0.1, 0.9, 17)
         sol0 = ro.integrate(ro.seed_origin(ode), 0.95, tol=1e-11)
         u, _ = sol0(rr)
@@ -110,13 +110,12 @@ def test_criterion_4_resolvent_correctness():
     f1p = lambda r: np.exp(-2.0 * np.asarray(r) ** 2) * (
         -4.0 * np.asarray(r) * (1.0 - np.asarray(r) ** 2) - 2.0 * np.asarray(r))
     f2 = lambda r: 0.5 * np.cos(np.asarray(r)) - 0.3
-    src = gr.SourceTerm.from_callables(f1, f1p, f2)
+    src = gr.SourceTerm(f1, f1p, f2)
     rho_test = np.linspace(0.06, 0.94, 23)
     worst_res = worst_rt = 0.0
     for d in (3, 4):
         for lam in (2.0 + 0.0j, 0.5 + 3.0j, 0.1 + 10.0j):
-            kernel = gr.build_kernel(d, lam, "perturbed")
-            checks = gr.residual_checks(kernel, src, rho_test)
+            checks = gr.residual_checks(d, lam, "perturbed", src, rho_test)
             worst_res = max(worst_res, checks["ode_residual"])
             worst_rt = max(worst_rt, checks["round_trip"])
     ok = worst_res <= 1e-6 and worst_rt <= 1e-6

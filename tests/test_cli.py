@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conewave import cli
+from conewave.errors import StepFailure
 
 
 class TestConfig:
@@ -72,6 +73,28 @@ class TestExitCodes:
         assert "unknown config key 'jobs'" in capsys.readouterr().err
 
 
+def _raising(exc):
+    def command(cfg, out_dir):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("command, code, error", [
+    (lambda cfg, out_dir: cli.EXIT_OK, cli.EXIT_OK, None),
+    (_raising(ValueError("pairs not admissible")), cli.EXIT_CONFIG,
+     "pairs not admissible"),
+    (_raising(StepFailure("step size underflow")), cli.EXIT_NUMERIC,
+     "step size underflow"),
+], ids=["exit-0", "exit-64", "exit-65"])
+def test_manifest_on_every_exit(tmp_path, monkeypatch, command, code, error):
+    monkeypatch.setattr(cli, "cmd_green_check", command)
+    assert cli.main(["green-check", "--out", str(tmp_path)]) == code
+    manifest = json.loads((tmp_path / "green_check_manifest.json").read_text())
+    assert manifest["exit_code"] == code
+    assert manifest.get("error") == error
+    assert "config_sha256" in manifest
+
+
 def test_run_all_commands_parse():
     """scripts/run_all.py only passes flags the CLI accepts."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
@@ -104,6 +127,14 @@ class TestCommands:
         body = (tmp_path / "green_check.csv").read_text().splitlines()
         assert body[0] == "lambda,ode_residual,round_trip_error"
         assert len(body) == 4
+
+    def test_fit_blowup_reports_bracket_and_evolutions(self, tmp_path):
+        cli.main(["fit-blowup", "--N", "32", "--tau-max", "4.0",
+                  "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "fit_blowup_report.json").read_text())
+        lo, hi = report["bracket"]
+        assert lo <= report["T_star"] <= hi
+        assert report["n_evolutions"] >= 6  # five bracket runs and the fit
 
     def test_strichartz_zero_spread_guard(self, tmp_path):
         code = cli.main(["strichartz", "--N", "48", "--tau-max", "16.0",

@@ -33,13 +33,6 @@ class TestStep:
         growth = traj.energy_norms[1:] / traj.energy_norms[:-1]
         assert np.max(growth) <= 1.001
 
-    def test_step_matches_evolve(self, disc):
-        rng = np.random.default_rng(2)
-        u = co.random_smooth_pair(disc, rng)
-        one = ev.step(disc, u, 0.01, "linear-perturbed")
-        traj = ev.evolve(disc, u, 0.01, 0.01, "linear-perturbed")
-        assert np.max(np.abs(one - traj.states[-1])) == 0.0
-
     def test_invariant_subspace(self, disc):
         rng = np.random.default_rng(3)
         f = co.random_smooth_pair(disc, rng)

@@ -35,7 +35,7 @@ def _poly_pair_source(d, lam):
                        d * u1pp(0.0))
         return lam * u2(r) - lap + r * u2p(r) + d / 2.0 * u2(r) - beta * u1(r)
 
-    return gr.SourceTerm.from_callables(f1, f1p, f2), u1, u2
+    return gr.SourceTerm(f1, f1p, f2), u1, u2
 
 
 @pytest.fixture(scope="module")
@@ -94,34 +94,34 @@ class TestKernel:
 
 
 class TestResolvent:
-    def test_forward_operator_oracle(self, kernel_d4):
+    def test_forward_operator_oracle(self):
         src, u1e, u2e = _poly_pair_source(4, 2.0)
         rho = np.linspace(0.0, 1.0, 21)
-        sol = gr.resolvent_apply(kernel_d4, src, rho, rtol=1e-10)
+        sol = gr.resolvent_apply(4, 2.0, "perturbed", src, rho, rtol=1e-10)
         assert np.max(np.abs(sol.u1 - u1e(rho))) <= 1e-6
         assert np.max(np.abs(sol.u2 - u2e(rho))) <= 1e-6
 
-    def test_zero_source(self, kernel_d4):
+    def test_zero_source(self):
         z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        sol = gr.resolvent_apply(kernel_d4, gr.SourceTerm.from_callables(z, z, z),
+        sol = gr.resolvent_apply(4, 2.0, "perturbed", gr.SourceTerm(z, z, z),
                                  np.linspace(0.1, 0.9, 5))
         assert np.max(np.abs(sol.u1)) == 0.0
 
-    def test_residual_checks(self, kernel_d4):
+    def test_residual_checks(self):
         src, _, _ = _poly_pair_source(4, 2.0)
-        out = gr.residual_checks(kernel_d4, src,
+        out = gr.residual_checks(4, 2.0, "perturbed", src,
                                  np.linspace(0.08, 0.92, 15))
         assert out["ode_residual"] <= 1e-6
         assert out["round_trip"] <= 1e-6
 
     def test_smooth_rhs_example(self):
         # lam=2, d=4, f=(1-rho^2, 0): residual check passes
-        k = gr.build_kernel(4, 2.0, "perturbed")
-        src = gr.SourceTerm.from_callables(
+        src = gr.SourceTerm(
             lambda r: 1.0 - np.asarray(r) ** 2,
             lambda r: -2.0 * np.asarray(r),
             lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-        out = gr.residual_checks(k, src, np.linspace(0.1, 0.9, 9))
+        out = gr.residual_checks(4, 2.0, "perturbed", src,
+                                 np.linspace(0.1, 0.9, 9))
         assert out["ode_residual"] <= 1e-6
 
     def test_resolvent_identity(self):
@@ -130,13 +130,11 @@ class TestResolvent:
         disc = co.build(d, 48)
         lam, mu = 2.0, 1.4  # lam - 1/2 nonintegral keeps both traces regular
         src, _, _ = _poly_pair_source(d, 2.0)
-        k_lam = gr.build_kernel(d, lam, "perturbed")
-        k_mu = gr.build_kernel(d, mu, "perturbed")
         rho = disc.nodes
-        r_lam = gr.resolvent_apply(k_lam, src, rho, rtol=1e-10)
-        r_mu = gr.resolvent_apply(k_mu, src, rho, rtol=1e-10)
+        r_lam = gr.resolvent_apply(d, lam, "perturbed", src, rho, rtol=1e-10)
+        r_mu = gr.resolvent_apply(d, mu, "perturbed", src, rho, rtol=1e-10)
         inner = gr.SourceTerm.from_grid(disc, (np.real(r_mu.u1), np.real(r_mu.u2)))
-        r_both = gr.resolvent_apply(k_lam, inner, rho, rtol=1e-10)
+        r_both = gr.resolvent_apply(d, lam, "perturbed", inner, rho, rtol=1e-10)
         lhs = r_lam.u1 - r_mu.u1
         rhs = (mu - lam) * r_both.u1
         scale = np.max(np.abs(r_lam.u1))
@@ -169,7 +167,7 @@ class TestSemigroupLaplace:
         f2 = lambda r: 0.4 - 0.2 * np.asarray(r) ** 2
         fgrid = disc.stack(f1(disc.nodes), f2(disc.nodes))
         c = float(np.real(disc.mode_coefficient(fgrid)))
-        src = gr.SourceTerm.from_callables(
+        src = gr.SourceTerm(
             lambda r: f1(r) - 2.0 * c, f1p, lambda r: f2(r) - d * c)
         return src, fgrid - disc.P_mat @ fgrid
 
@@ -194,13 +192,32 @@ class TestSemigroupLaplace:
             warnings.simplefilter("ignore", TruncationWarning)
             a = gr.semigroup_laplace(d, 0.5, src, disc.nodes,
                                      omega_max=20.0, domega=0.2)
-            src2 = gr.SourceTerm.from_callables(
+            src2 = gr.SourceTerm(
                 lambda r: 3.0 * src.f1(r), lambda r: 3.0 * src.f1p(r),
                 lambda r: 3.0 * src.f2(r))
             b = gr.semigroup_laplace(d, 0.5, src2, disc.nodes,
                                      omega_max=20.0, domega=0.2)
         assert np.max(np.abs(b - 3.0 * a)) <= 1e-12 * np.max(np.abs(a))
         assert np.isrealobj(a)
+
+    @pytest.mark.parametrize("omega_max, domega, n_nodes",
+                             [(100.0, 0.2, 501), (200.0, 0.05, 4001)])
+    def test_equal_batches(self, monkeypatch, omega_max, domega, n_nodes):
+        sizes = []
+
+        def stub(d, lam, variant, src, rho_out, rtol):
+            sizes.append(len(lam))
+            z = np.zeros((len(lam), len(rho_out)), dtype=complex)
+            return z, z, z
+
+        monkeypatch.setattr(gr, "_resolvent_batch", stub)
+        z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+        gr.semigroup_laplace(4, 1.0, gr.SourceTerm(z, z, z),
+                             np.linspace(0.0, 1.0, 5), eps=0.4,
+                             omega_max=omega_max, domega=domega)
+        assert sum(sizes) == n_nodes
+        assert max(sizes) <= 500
+        assert max(sizes) - min(sizes) <= 1
 
     def test_contour_domain(self):
         d = 4

@@ -151,7 +151,7 @@ class TestWronskian:
         # the integrated free fundamental system at lam=1 reproduces the
         # closed-form Wronskian (d-2) rho^{1-d} (1-rho^2)^{-3/2}
         for d in (3, 4, 5):
-            ex = ro.explicit_lambda1(d)
+            ex = ro.ExplicitLambda1(d)
             r = np.linspace(0.15, 0.85, 8)
             w = ex.u0(r) * ex.u1_deriv(r) - ex.u0_deriv(r) * ex.u1(r)
             assert np.max(np.abs(w - ex.wronskian(r)) / np.abs(w)) <= 1e-11
@@ -159,14 +159,14 @@ class TestWronskian:
 
 class TestExplicitLambda1:
     def test_u0_at_origin(self):
-        assert ro.explicit_lambda1(4).u0(0.0) == pytest.approx(0.5, abs=1e-14)
+        assert ro.ExplicitLambda1(4).u0(0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_wronskian_value(self):
-        assert ro.explicit_lambda1(3).wronskian(0.5) == pytest.approx(
+        assert ro.ExplicitLambda1(3).wronskian(0.5) == pytest.approx(
             W_D3_HALF, abs=1e-12)
 
     def test_h1_basepoint_and_derivative(self):
-        ex = ro.explicit_lambda1(4)
+        ex = ro.ExplicitLambda1(4)
         assert ex.h1(0.5) == 0.0
         h = 1e-6
         fd = (ex.h1(0.6 + h) - ex.h1(0.6 - h)) / (2 * h)
@@ -174,7 +174,7 @@ class TestExplicitLambda1:
 
     def test_solves_free_lambda1_equation(self):
         ode = ro.SpectralODE(5, 1.0, "free")
-        ex = ro.explicit_lambda1(5)
+        ex = ro.ExplicitLambda1(5)
         h = 1e-5
         for r in (0.2, 0.5, 0.8):
             upp = (ex.u0(r + h) - 2 * ex.u0(r) + ex.u0(r - h)) / h**2
@@ -224,13 +224,13 @@ class TestEigenIndicator:
 
 class TestNearOneModel:
     def test_wronskian_2i(self):
-        nm = ro.near_one_model(2.0j)
+        nm = ro.NearOneModel(2.0j)
         for r in (0.3, 0.7, 0.95):
             w = nm.w1(r) * nm.w2_deriv(r) - nm.w1_deriv(r) * nm.w2(r)
             assert abs(w - 2.0j) <= 1e-12
 
     def test_lambda_swap_proportionality(self):
-        nm = ro.near_one_model(0.7 + 1.3j)
+        nm = ro.NearOneModel(0.7 + 1.3j)
         rr = np.array([0.4, 0.6, 0.8])
         ratio = nm.swapped_w1(rr) / nm.w2(rr)
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
@@ -238,14 +238,14 @@ class TestNearOneModel:
 
     def test_collision_guard(self):
         with pytest.raises(IndexCollisionError):
-            ro.near_one_model(0.5)
+            ro.NearOneModel(0.5)
 
     def test_transformed_solution_rate(self):
         # v/w1 -> const at rate (1-rho), log-log slope 1.0 +/- 0.1
         d, lam = 4, 2.0j
         ode = ro.SpectralODE(d, lam, "perturbed")
         sol = ro.integrate(ro.seed_one(ode, "analytic"), 0.3, tol=1e-11)
-        nm = ro.near_one_model(lam)
+        nm = ro.NearOneModel(lam)
         xs = 1.0 - np.linspace(0.9, 0.998, 12)
         rr = 1.0 - xs
         u, _ = sol(rr)

@@ -58,3 +58,24 @@ def test_step_failure():
     y0 = np.array([[1.0 + 0.0j]])
     with pytest.raises(StepFailure):
         _rk45.solve(f, 0.0, 1.0, y0, rtol=1e-10)
+
+
+def test_checkpoint_clusters_keep_the_step():
+    # u'' = -u with 40 clusters of 5 checkpoints 1e-4 apart: landing on a
+    # checkpoint costs at most one extra step, it does not reset the step
+    def f(x, y):
+        f.calls += 1
+        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+    def attempted_steps(checkpoints):
+        f.calls = 0
+        out = _rk45.solve(f, 0.0, 20.0, y0, rtol=1e-10, checkpoints=checkpoints)
+        return (f.calls - 1) // 6, out  # k1 once, then six stages per step
+
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j]])
+    starts = 0.5 * np.arange(40) + 0.25
+    cps = (starts[:, None] + 1e-4 * np.arange(5)[None, :]).ravel()
+    free, _ = attempted_steps(None)
+    clipped, (_, vals, _) = attempted_steps(cps)
+    assert clipped <= free + len(cps)
+    assert np.max(np.abs(vals[:, 0, 0] - np.sin(cps))) <= 1e-9

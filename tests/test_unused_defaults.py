@@ -1,0 +1,92 @@
+"""Guard against knobs that nothing turns.
+
+Every defaulted parameter of a function in ``src/conewave`` must be set
+by some call in ``src/``, ``scripts/`` or ``tests/``; a default that no
+call overrides is a constant and should be written as one.  Calls are
+matched to definitions by name (the called name or attribute), so a
+parameter counts as set when any call of that name passes it by keyword,
+by position, or through ``*args`` / ``**kwargs``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "conewave"
+CALLER_DIRS = ("src", "scripts", "tests")
+
+# _rk45.solve(max_steps) is set only by the benchmark's self-test, which
+# checks the step budget; the benchmark directory is not a caller here.
+ALLOWED = {("_rk45", "solve", "max_steps")}
+
+
+def _defaulted_params(tree):
+    """(function name, [(param name, positional index or None)]) per def.
+
+    A class's ``__init__`` is reported under the class name, which is how
+    it is called.  Methods drop ``self``/``cls`` from the positional index.
+    """
+    out = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, cls=child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                shift = 1 if cls is not None and positional and \
+                    positional[0].arg in ("self", "cls") else 0
+                first_default = len(positional) - len(args.defaults)
+                params = [(a.arg, i - shift)
+                          for i, a in enumerate(positional) if i >= first_default]
+                params += [(a.arg, None) for a, dflt in
+                           zip(args.kwonlyargs, args.kw_defaults) if dflt is not None]
+                name = cls if child.name == "__init__" and cls else child.name
+                if params:
+                    out.append((name, params))
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(tree)
+    return out
+
+
+def _calls_by_name():
+    calls = {}
+    for sub in CALLER_DIRS:
+        for path in sorted((ROOT / sub).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _is_set(call, param, index):
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unset_defaults():
+    calls = _calls_by_name()
+    unset = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, params in _defaulted_params(ast.parse(path.read_text())):
+            for param, index in params:
+                if not any(_is_set(c, param, index) for c in calls.get(name, ())):
+                    unset.add((path.stem, name, param))
+    return unset
+
+
+def test_every_default_is_set_by_some_call():
+    assert unset_defaults() == ALLOWED
