@@ -8,8 +8,9 @@ configuration, so identical configs produce bit-identical CSV bodies.
 
 Exit codes: 0 success, 2 spectrum method disagreement, 64 bad
 configuration, 65 numerical failure, 66 acceptance threshold missed.
-Once the configuration loads, the manifest records the exit code on
-every exit, and the error text on 64 and 65.
+Once the configuration loads, the manifest records the exit code and
+the warnings raised (each category and message once; each is also
+printed once to stderr) on every exit, and the error text on 64 and 65.
 """
 
 import argparse
@@ -30,7 +31,7 @@ from . import collocation as co
 from . import evolve as ev
 from . import green as gr
 from . import radialode as ro
-from .errors import NumericsError, TruncationWarning
+from .errors import NumericsError
 
 EXIT_OK = 0
 EXIT_DISAGREE = 2
@@ -246,11 +247,9 @@ def cmd_laplace_compare(cfg: RunConfig, out_dir: Path) -> int:
     tau = 1.0
     traj = ev.evolve(disc, phi0, tau, cfg.dtau, "linear-perturbed")
     ts = np.real(traj.states[-1][: disc.N])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        lap = gr.semigroup_laplace(
-            d, tau, src, disc.nodes, eps=cfg.eps_contour,
-            omega_max=cfg.omega, domega=cfg.domega)
+    lap = gr.semigroup_laplace(
+        d, tau, src, disc.nodes, eps=cfg.eps_contour,
+        omega_max=cfg.omega, domega=cfg.domega)
     w = np.maximum(disc.quad_weights, 0.0)
     rel = math.sqrt(float(np.sum(w * (lap - ts) ** 2)
                           / np.sum(w * ts**2)))
@@ -377,30 +376,38 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     failure = {}
-    try:
-        if args.command == "spectrum":
-            code = cmd_spectrum(cfg, out_dir)
-        elif args.command == "green-check":
-            code = cmd_green_check(cfg, out_dir)
-        elif args.command == "laplace-compare":
-            code = cmd_laplace_compare(cfg, out_dir)
-        elif args.command == "evolve":
-            code = cmd_evolve(cfg, out_dir, args.mode)
-        elif args.command == "strichartz":
-            code = cmd_strichartz(cfg, out_dir)
-        elif args.command == "fit-blowup":
-            code = cmd_fit_blowup(cfg, out_dir)
-        else:  # pragma: no cover
-            return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"conewave: config error: {exc}", file=sys.stderr)
-        code, failure = EXIT_CONFIG, {"error": str(exc)}
-    except NumericsError as exc:
-        print(f"conewave: numerical failure: {exc}", file=sys.stderr)
-        code, failure = EXIT_NUMERIC, {"error": str(exc)}
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            if args.command == "spectrum":
+                code = cmd_spectrum(cfg, out_dir)
+            elif args.command == "green-check":
+                code = cmd_green_check(cfg, out_dir)
+            elif args.command == "laplace-compare":
+                code = cmd_laplace_compare(cfg, out_dir)
+            elif args.command == "evolve":
+                code = cmd_evolve(cfg, out_dir, args.mode)
+            elif args.command == "strichartz":
+                code = cmd_strichartz(cfg, out_dir)
+            elif args.command == "fit-blowup":
+                code = cmd_fit_blowup(cfg, out_dir)
+            else:  # pragma: no cover
+                return EXIT_CONFIG
+        except ValueError as exc:
+            print(f"conewave: config error: {exc}", file=sys.stderr)
+            code, failure = EXIT_CONFIG, {"error": str(exc)}
+        except NumericsError as exc:
+            print(f"conewave: numerical failure: {exc}", file=sys.stderr)
+            code, failure = EXIT_NUMERIC, {"error": str(exc)}
+    raised = []
+    for w in caught:
+        item = {"category": w.category.__name__, "message": str(w.message)}
+        if item not in raised:
+            raised.append(item)
+            print(f"conewave: {item['category']}: {item['message']}",
+                  file=sys.stderr)
     _write_manifest(out_dir, args.command.replace("-", "_"), cfg,
                     wall=time.time() - t0,
-                    extra={"exit_code": code, **failure})
+                    extra={"exit_code": code, "warnings": raised, **failure})
     return code
 
 

@@ -49,18 +49,6 @@ class NoBracketError(NumericsError):
     """Blowup-time bisection endpoints have the same sign."""
 
 
-class BlowupDetected(NumericsError):
-    """The evolved solution left the resolvable regime (sup norm > 1e8).
-
-    This is physics, not a bug: carries the time and the sup norm.
-    """
-
-    def __init__(self, tau, sup_norm):
-        self.tau = tau
-        self.sup_norm = sup_norm
-        super().__init__(f"solution blew up at tau={tau:.4f} (sup={sup_norm:.3e})")
-
-
 class TruncationWarning(UserWarning):
     """Contour truncation tail estimate is not negligible."""
 

@@ -68,12 +68,15 @@ class SpectralODE:
 def _batch_rhs(d: int, lam_arr, variant: str):
     lam_arr = np.asarray(lam_arr, dtype=complex)
     c0 = np.array([zero_order_coeff(d, l, variant) for l in lam_arr])
+    two_ld = 2.0 * lam_arr + d
 
     def f(rho, y):
         u, up = y[..., 0], y[..., 1]
-        b = (d - 1.0) / rho - (2.0 * lam_arr + d) * rho
-        upp = (-b * up + c0 * u) / (1.0 - rho * rho)
-        return np.stack([up, upp], axis=-1)
+        b = (d - 1.0) / rho - two_ld * rho
+        out = np.empty_like(y)
+        out[..., 0] = up
+        out[..., 1] = (-b * up + c0 * u) / (1.0 - rho * rho)
+        return out
 
     return f
 
@@ -333,47 +336,69 @@ class _CachedIndicator:
         return np.array([self.cache[l] for l in lams], dtype=complex)
 
 
-def _trace_edge(ev, z0, z1, n0):
-    """Sample f along [z0, z1] densely enough that arg increments < ~0.8."""
-    ts = np.linspace(0.0, 1.0, max(n0, 3))
-    pts = list(z0 + (z1 - z0) * ts)
-    vals = list(ev(pts))
+def _trace_edges(ev, edges):
+    """Sample f along each edge (z0, z1, n0) densely enough that arg
+    increments stay below ~0.8.
+
+    The edges refine in lockstep: the initial samples of all edges are one
+    ev call, and each round evaluates the midpoints of every failing
+    interval of every edge in one more.  Returns [(pts, vals)] per edge.
+    """
+    pts = [list(z0 + (z1 - z0) * np.linspace(0.0, 1.0, max(n0, 3)))
+           for z0, z1, n0 in edges]
+    flat = ev([p for ps in pts for p in ps])
+    vals = [list(v) for v in
+            np.split(flat, np.cumsum([len(ps) for ps in pts])[:-1])]
     for _ in range(EDGE_MAX_DEPTH):
-        new_pts = []
-        insert_at = []
-        for k in range(len(pts) - 1):
-            a, b = vals[k], vals[k + 1]
-            if a == 0 or b == 0:
-                raise ContourTooCloseError(f"edge sample hit a zero near {pts[k]}")
-            r = b / a
-            if abs(cmath.phase(r)) > 0.8 or not (0.25 < abs(r) < 4.0):
-                insert_at.append(k)
-                new_pts.append(0.5 * (pts[k] + pts[k + 1]))
-        if not new_pts:
-            return pts, vals
-        new_vals = ev(new_pts)
-        for k, p, v in zip(reversed(insert_at), reversed(new_pts),
-                           reversed(list(new_vals))):
-            pts.insert(k + 1, p)
-            vals.insert(k + 1, complex(v))
+        refine = []      # (edge, interval indices, midpoints)
+        for e, (ps, vs) in enumerate(zip(pts, vals)):
+            insert_at, new_pts = [], []
+            for k in range(len(ps) - 1):
+                a, b = vs[k], vs[k + 1]
+                if a == 0 or b == 0:
+                    raise ContourTooCloseError(f"edge sample hit a zero near {ps[k]}")
+                r = b / a
+                if abs(cmath.phase(r)) > 0.8 or not (0.25 < abs(r) < 4.0):
+                    insert_at.append(k)
+                    new_pts.append(0.5 * (ps[k] + ps[k + 1]))
+            if new_pts:
+                refine.append((e, insert_at, new_pts))
+        if not refine:
+            return list(zip(pts, vals))
+        new_vals = iter(ev([p for _, _, new in refine for p in new]))
+        for e, insert_at, new_pts in refine:
+            chunk = [complex(next(new_vals)) for _ in new_pts]
+            for k, p, v in zip(reversed(insert_at), reversed(new_pts),
+                               reversed(chunk)):
+                pts[e].insert(k + 1, p)
+                vals[e].insert(k + 1, v)
+    z0, z1, _ = edges[refine[0][0]]
     raise ContourTooCloseError(
         f"edge [{z0}, {z1}] not resolved after {EDGE_MAX_DEPTH} refinements"
     )
 
 
-def _winding_rect(ev, re0, re1, im0, im1):
-    corners = [complex(re0, im0), complex(re1, im0),
-               complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-    total = 0.0
-    for a, b in zip(corners[:-1], corners[1:]):
-        n0 = max(4, int(abs(b - a) * EDGE_DENSITY) + 1)
-        _, vals = _trace_edge(ev, a, b, n0)
-        for k in range(len(vals) - 1):
-            total += cmath.phase(vals[k + 1] / vals[k])
-    w = total / (2.0 * math.pi)
-    if abs(w - round(w)) > 0.25:
-        raise ContourTooCloseError(f"non-integer winding {w:.3f} on rectangle")
-    return int(round(w))
+def _winding_rect(ev, rects):
+    """Winding numbers of f around rectangles (re0, re1, im0, im1), all
+    edges traced in one lockstep pass."""
+    edges = []
+    for re0, re1, im0, im1 in rects:
+        corners = [complex(re0, im0), complex(re1, im0),
+                   complex(re1, im1), complex(re0, im1), complex(re0, im0)]
+        for a, b in zip(corners[:-1], corners[1:]):
+            edges.append((a, b, max(4, int(abs(b - a) * EDGE_DENSITY) + 1)))
+    traced = _trace_edges(ev, edges)
+    windings = []
+    for j in range(len(rects)):
+        total = 0.0
+        for _, vals in traced[4 * j:4 * j + 4]:
+            for k in range(len(vals) - 1):
+                total += cmath.phase(vals[k + 1] / vals[k])
+        w = total / (2.0 * math.pi)
+        if abs(w - round(w)) > 0.25:
+            raise ContourTooCloseError(f"non-integer winding {w:.3f} on rectangle")
+        windings.append(int(round(w)))
+    return windings
 
 
 def _newton_polish(scalar_fn, z):
@@ -394,10 +419,10 @@ def _newton_polish(scalar_fn, z):
 _SPLIT_FRACTIONS = (0.5381966, 0.4123106, 0.6287094)
 
 
-def _locate_in_rect(ev, scalar_fn, re0, re1, im0, im1, roots, depth=0):
-    w = _winding_rect(ev, re0, re1, im0, im1)
-    if w == 0:
-        return
+def _locate_in_rect(ev, scalar_fn, rect, w, roots, depth=0):
+    """Split a rectangle of known nonzero winding w until each root is
+    isolated to 1e-3, then Newton-polish it onto roots."""
+    re0, re1, im0, im1 = rect
     if max(re1 - re0, im1 - im0) <= 1e-3 or depth >= 40:
         z0 = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         z = _newton_polish(scalar_fn, z0)
@@ -410,16 +435,13 @@ def _locate_in_rect(ev, scalar_fn, re0, re1, im0, im1, roots, depth=0):
         try:
             if re1 - re0 >= im1 - im0:
                 rm = re0 + frac * (re1 - re0)
-                _locate_in_rect(ev, scalar_fn, re0, rm, im0, im1, roots,
-                                depth + 1)
-                _locate_in_rect(ev, scalar_fn, rm, re1, im0, im1, roots,
-                                depth + 1)
+                children = [(re0, rm, im0, im1), (rm, re1, im0, im1)]
             else:
                 im = im0 + frac * (im1 - im0)
-                _locate_in_rect(ev, scalar_fn, re0, re1, im0, im, roots,
-                                depth + 1)
-                _locate_in_rect(ev, scalar_fn, re0, re1, im, im1, roots,
-                                depth + 1)
+                children = [(re0, re1, im0, im), (re0, re1, im, im1)]
+            for child, wc in zip(children, _winding_rect(ev, children)):
+                if wc != 0:
+                    _locate_in_rect(ev, scalar_fn, child, wc, roots, depth + 1)
             return
         except ContourTooCloseError:
             del roots[base:]
@@ -457,11 +479,15 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
             roots = []
             ev = _CachedIndicator(batch)
             shift = attempt * 0.37
+            bands = []
             lo = -1.0 - shift
             while lo < omega_max:
                 hi = min(lo + 2.0, omega_max + 0.5)
-                _locate_in_rect(ev, scalar, 0.0, 2.0, lo, hi, roots)
+                bands.append((0.0, 2.0, lo, hi))
                 lo = hi
+            for band, w in zip(bands, _winding_rect(ev, bands)):
+                if w != 0:
+                    _locate_in_rect(ev, scalar, band, w, roots)
             break
         except ContourTooCloseError:
             if attempt == 2:

@@ -1,12 +1,14 @@
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
 from conewave import cli
-from conewave.errors import StepFailure
+from conewave.errors import (NotConvergedWarning, StepFailure,
+                             TruncationWarning)
 
 
 class TestConfig:
@@ -93,6 +95,29 @@ def test_manifest_on_every_exit(tmp_path, monkeypatch, command, code, error):
     assert manifest["exit_code"] == code
     assert manifest.get("error") == error
     assert "config_sha256" in manifest
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["exit-0", "exit-65"])
+def test_manifest_records_warnings(tmp_path, monkeypatch, capsys, fail):
+    def command(cfg, out_dir):
+        warnings.warn("tail carries 3%", TruncationWarning)
+        warnings.warn("tail carries 3%", TruncationWarning)  # another site
+        warnings.warn("horizon too small", NotConvergedWarning)
+        if fail:
+            raise StepFailure("step size underflow")
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_green_check", command)
+    code = cli.main(["green-check", "--out", str(tmp_path)])
+    assert code == (cli.EXIT_NUMERIC if fail else cli.EXIT_OK)
+    manifest = json.loads((tmp_path / "green_check_manifest.json").read_text())
+    assert manifest["warnings"] == [
+        {"category": "TruncationWarning", "message": "tail carries 3%"},
+        {"category": "NotConvergedWarning", "message": "horizon too small"},
+    ]
+    err = capsys.readouterr().err
+    assert err.count("TruncationWarning: tail carries 3%") == 1
+    assert err.count("NotConvergedWarning: horizon too small") == 1
 
 
 def test_run_all_commands_parse():

@@ -212,6 +212,21 @@ class TestEigenIndicator:
         assert len(a) == len(b) == 1
         assert abs(a[0][0] - b[0][0]) <= 1e-6
 
+    def test_scan_batches_per_round(self, monkeypatch):
+        # the free scan at omega 50 finds nothing; tracing its 26 bands in
+        # lockstep needs one indicator call per |Im| group and round, where
+        # tracing each edge alone needs about a hundred
+        calls = []
+        batch = ro._indicator_batch
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(ro, "_indicator_batch", counted)
+        assert ro.scan_halfplane(4, "free", omega_max=50.0) == []
+        assert len(calls) <= 10
+
     def test_indicator_tolerance_invariance(self):
         # zero location stable under doubling the integration tolerance
         from conewave.radialode import _newton_polish
@@ -220,6 +235,62 @@ class TestEigenIndicator:
                 lambda z: ro.eigen_indicator(4, z, "perturbed", rtol=rtol)[0],
                 1.1 + 0.05j)
             assert abs(root - 1.0) <= 1e-6
+
+
+ROOT2 = 0.5 + 3.0j  # simple zero of _poly; lam = 1 is a double zero
+
+
+def _poly(z):
+    return (z - 1.0) * (z - 1.0) * (z - ROOT2)
+
+
+def _counted_indicator():
+    """_CachedIndicator over _poly, evaluated one point at a time so the
+    values do not depend on how the cache groups its batches; also returns
+    the list of batch sizes the tracer asked for."""
+    calls = []
+    cached = ro._CachedIndicator(
+        lambda lams: np.array([_poly(complex(z)) for z in lams]))
+
+    def ev(lams):
+        calls.append(len(lams))
+        return cached(lams)
+
+    return ev, calls
+
+
+class TestLockstepTracing:
+    EDGES = [
+        (-1.0j, 2.0 - 1.0j, 21),
+        (2.0 - 1.0j, 2.0 + 1.0j, 21),
+        (0.4 + 2.95j, 0.6 + 2.95j, 4),   # passes 0.05 below ROOT2
+        (1.05 + 0.5j, 1.05 - 0.5j, 4),   # passes 0.05 right of lam = 1
+        (3.0j, 5.0j, 21),                # runs through no zero
+    ]
+
+    def test_same_points_and_values_as_edge_alone(self):
+        ev, calls = _counted_indicator()
+        together = ro._trace_edges(ev, self.EDGES)
+        rounds = []
+        for edge, (pts, vals) in zip(self.EDGES, together):
+            ev1, calls1 = _counted_indicator()
+            [(pts1, vals1)] = ro._trace_edges(ev1, [edge])
+            assert pts == pts1
+            assert vals == vals1
+            rounds.append(len(calls1))
+        # the near-root edges refine, and all edges share each round's call
+        assert max(rounds) > 1
+        assert len(calls) == max(rounds)
+
+    def test_winding_numbers_of_rect_list(self):
+        rects = [(0.0, 2.0, -1.0, 1.0),   # lam = 1, double
+                 (0.0, 1.0, 2.0, 4.0),    # ROOT2
+                 (0.0, 2.0, 5.0, 7.0)]    # empty
+        ev, calls = _counted_indicator()
+        assert ro._winding_rect(ev, rects) == [2, 1, 0]
+        for rect, w in zip(rects, (2, 1, 0)):
+            ev1, _ = _counted_indicator()
+            assert ro._winding_rect(ev1, [rect]) == [w]
 
 
 class TestNearOneModel:
