@@ -286,7 +286,7 @@ class TestLockstepTracing:
         rects = [(0.0, 2.0, -1.0, 1.0),   # lam = 1, double
                  (0.0, 1.0, 2.0, 4.0),    # ROOT2
                  (0.0, 2.0, 5.0, 7.0)]    # empty
-        ev, calls = _counted_indicator()
+        ev, _ = _counted_indicator()
         assert ro._winding_rect(ev, rects) == [2, 1, 0]
         for rect, w in zip(rects, (2, 1, 0)):
             ev1, _ = _counted_indicator()
