@@ -18,12 +18,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import blowup as bl
@@ -147,6 +149,8 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
         "versions": {
             "conewave": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
         },
         "wall_time_s": wall,
     }

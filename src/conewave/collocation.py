@@ -160,10 +160,8 @@ class SpectralDiscretization:
     L0_mat: np.ndarray
     Lprime_mat: np.ndarray
     L_mat: np.ndarray
-    gram: np.ndarray
     g_disc: np.ndarray
     adjoint_functional: np.ndarray = field(repr=False)  # y with y^H g = 1
-    w_adjoint: np.ndarray = field(repr=False)           # G^{-1} y
     P_mat: np.ndarray = field(repr=False)
 
     def split(self, u):
@@ -219,25 +217,16 @@ def build(d: int, N: int) -> SpectralDiscretization:
 
     l0 = _assemble_blocks(d, rho, de, d2e, perturbed=False)
     lfull = _assemble_blocks(d, rho, de, d2e, perturbed=True)
-    beta = (2.0 * d + d * d) / 4.0
     lprime = lfull - l0
-
-    # energy Gram matrix: G11 = De^T diag(w) De + e_N e_N^T, G22 = diag(w)
-    g11 = de.T @ (w[:, None] * de)
-    g11[-1, -1] += 1.0
-    gram = np.zeros((2 * N, 2 * N))
-    gram[:N, :N] = 0.5 * (g11 + g11.T)
-    gram[N:, N:] = np.diag(w)
 
     g_disc = np.concatenate([np.full(N, 2.0), np.full(N, float(d))])
 
     y, p_mat = _gauge_projection(lfull, g_disc)
-    w_adj = np.linalg.solve(gram, y)
 
     return SpectralDiscretization(
         d=d, N=N, nodes=rho, D1=de, D1_odd=do, D2=d2e, quad_weights=w,
-        L0_mat=l0, Lprime_mat=lprime, L_mat=lfull, gram=gram, g_disc=g_disc,
-        adjoint_functional=y, w_adjoint=w_adj, P_mat=p_mat,
+        L0_mat=l0, Lprime_mat=lprime, L_mat=lfull, g_disc=g_disc,
+        adjoint_functional=y, P_mat=p_mat,
     )
 
 

@@ -14,6 +14,9 @@ and
     K(s) = F_lam(s) s^{d-1} (1-s^2)^{lam - 1/2} / (2i),
     F_lam(s) = s f1'(s) + (lam + d/2) f1(s) + f2(s),
 with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
+`build_kernel` returns the normalized u0, u1 and their derivatives on a
+point set for an array of lam; the resolvent, `green_eval` and the
+kernel-decay scan all read them from there.
 
 Quadrature uses Gauss-Legendre panels refined geometrically (ratio 1/2)
 toward both endpoints; the integrand carries the algebraic factor
@@ -37,13 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# unused here, but the benchmark's tracer patches conewave.green:_rk45.solve
 from . import _rk45
 from .collocation import even_cheb_coeffs, even_cheb_eval
 from .errors import (DomainError, NearEigenvalueError, QuadratureError,
                      TruncationWarning)
 from .model import varphi
-from .radialode import (ONE_START, ORIGIN_START, SpectralODE, _shoot_start,
-                        integrate, seed_one, seed_origin)
+# `integrate` is bound here by name: the benchmark's tracer patches
+# conewave.green:integrate and conewave.green:build_kernel
+from .radialode import ONE_START, SpectralODE, integrate, seed_one
 from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 
 GEO_DEPTH = 24
@@ -105,46 +110,8 @@ def _panel_layout(rho_out):
 
 
 # ---------------------------------------------------------------------------
-# fundamental-solution values on node sets (batched over lam)
+# the kernel: normalized fundamental solutions on node sets (batched over lam)
 # ---------------------------------------------------------------------------
-
-
-def _solution_values(d, lam_arr, variant, pts, endpoint, rtol):
-    """(u, u') of the origin/one-seeded solutions at sorted pts, per lam.
-
-    Points inside the seed gap are evaluated from the Frobenius series,
-    the rest by checkpoint integration.  Returns arrays (n_lam, n_pts).
-    """
-    lam_arr = np.asarray(lam_arr, dtype=complex)
-    pts = np.asarray(pts, dtype=float)
-    n_lam, n_pts = len(lam_arr), len(pts)
-    u = np.empty((n_lam, n_pts), dtype=complex)
-    up = np.empty((n_lam, n_pts), dtype=complex)
-
-    seeds, start, y0, f, h0 = _shoot_start(d, lam_arr, variant, endpoint)
-    if endpoint == "origin":
-        gap = pts <= start
-        cps = pts[~gap]
-    else:
-        gap = pts >= start
-        cps = pts[~gap][::-1]  # descending toward 0
-    for i, seed in enumerate(seeds):
-        if np.any(gap):
-            u[i, gap], up[i, gap] = seed.eval(pts[gap])
-    if len(cps):
-        _, cp_vals, _ = _rk45.solve(
-            f, start, float(cps[-1]), y0, rtol=rtol, atol=1e-300,
-            checkpoints=cps, h0=h0,
-        )
-        if not np.all(np.isfinite(cp_vals)):
-            raise QuadratureError("fundamental solution overflowed on nodes")
-        if endpoint == "origin":
-            u[:, ~gap] = cp_vals[:, :, 0].T
-            up[:, ~gap] = cp_vals[:, :, 1].T
-        else:
-            u[:, ~gap] = cp_vals[::-1, :, 0].T
-            up[:, ~gap] = cp_vals[::-1, :, 1].T
-    return u, up
 
 
 def _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts):
@@ -169,66 +136,38 @@ def _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts):
     return (2.0j / kappa)[:, None]
 
 
-# ---------------------------------------------------------------------------
-# GreenKernel (single spectral point, dense in rho)
-# ---------------------------------------------------------------------------
+def build_kernel(d: int, lam_arr, variant: str, pts, rtol: float):
+    """(u0, u0', u1, u1', c) on ascending pts in (0, 1), arrays (n_lam, n_pts).
+
+    u1 is the analytic-at-one solution and u0 the origin-regular one scaled
+    by c (shape (n_lam, 1)) to the normalization of the module docstring,
+    matched at the point of pts nearest 1/2.  The origin series starts at
+    1, so c is also u0(0).
+    """
+    u0, u0p = integrate(d, lam_arr, variant, "origin", pts, rtol)
+    u1, u1p = integrate(d, lam_arr, variant, "one", pts, rtol)
+    c = _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts)
+    return u0 * c, u0p * c, u1, u1p, c
 
 
-@dataclass
-class GreenKernel:
-    """Green function data at one lam: normalized u0, u1 with derivatives."""
-
-    d: int
-    lam: complex
-    variant: str
-    u0: object  # callable rho -> (u, u'), origin-regular, normalized
-    u1: object  # callable rho -> (u, u'), analytic at 1
-
-    def weight(self, s):
-        s = np.asarray(s, dtype=float)
-        lam = self.lam
-        return s ** (self.d - 1.0) * np.exp(
-            (lam - 0.5) * np.log(1.0 - s * s)) / 2.0j
+def _kernel_weight(d, lam_arr, s):
+    """s^{d-1} (1-s^2)^{lam-1/2} / (2i), arrays (n_lam, n_s)."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    return s ** (d - 1.0) * np.exp(
+        (lam_arr[:, None] - 0.5) * np.log(1.0 - s * s)[None, :]) / 2.0j
 
 
-def build_kernel(d: int, lam, variant: str, tol: float = 1e-10) -> GreenKernel:
-    """Construct the kernel on [ORIGIN_START, ONE_START] with dense output."""
-    lam = complex(lam)
-    ode = SpectralODE(d, lam, variant)
-    sol0 = integrate(seed_origin(ode), ONE_START, tol=tol)
-    sol1 = integrate(seed_one(ode, "analytic"), ORIGIN_START, tol=tol)
-    mid = np.array([0.5])
-    u0, u0p = sol0(mid)
-    u1, u1p = sol1(mid)
-    c = complex(_normalize_kernel(d, [lam], u0[None], u0p[None], u1[None],
-                                  u1p[None], mid)[0, 0])
-
-    def u0_scaled(r):
-        u, up = sol0(r)
-        return c * u, c * up
-
-    return GreenKernel(d=d, lam=lam, variant=variant, u0=u0_scaled, u1=sol1)
-
-
-def green_eval(kernel: GreenKernel, rho, s) -> complex:
-    """G(rho, s, lam); continuous across rho = s."""
+def green_eval(d: int, lam, variant: str, rho, s, rtol: float = 1e-10):
+    """G(rho, s, lam) for a scalar or an array of lam; continuous across
+    rho = s."""
+    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     rho, s = float(rho), float(s)
     lo, hi = min(rho, s), max(rho, s)
-    u0, _ = kernel.u0(lo)
-    u1, _ = kernel.u1(hi)
-    return complex(kernel.weight(s) * u0 * u1)
-
-
-def green_eval_drho(kernel: GreenKernel, rho, s) -> complex:
-    """d/drho G(rho, s, lam) away from the diagonal."""
-    rho, s = float(rho), float(s)
-    if rho <= s:
-        _, du0 = kernel.u0(rho)
-        u1, _ = kernel.u1(s)
-        return complex(kernel.weight(s) * du0 * u1)
-    u0, _ = kernel.u0(s)
-    _, du1 = kernel.u1(rho)
-    return complex(kernel.weight(s) * u0 * du1)
+    pts = np.unique([lo, hi, 0.5])
+    u0, _, u1, _, _ = build_kernel(d, lam_arr, variant, pts, rtol)
+    i, j = np.searchsorted(pts, [lo, hi])
+    g = _kernel_weight(d, lam_arr, s)[:, 0] * u0[:, i] * u1[:, j]
+    return complex(g[0]) if np.ndim(lam) == 0 else g
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +202,13 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
     pos = interior
     eval_pts = np.unique(np.concatenate(
         [nodes, rho_out[pos], [ONE_START]]))
-    u0, u0p = _solution_values(d, lam_arr, variant, eval_pts, "origin", rtol)
-    u1, u1p = _solution_values(d, lam_arr, variant, eval_pts, "one", rtol)
-    scale0 = _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, eval_pts)
-    u0 = u0 * scale0
-    u0p = u0p * scale0
+    u0, u0p, u1, u1p, scale0 = build_kernel(d, lam_arr, variant, eval_pts, rtol)
 
     node_ix = np.searchsorted(eval_pts, nodes)
     out_ix = np.searchsorted(eval_pts, rho_out)
 
     flam = src.F_lambda(nodes, 0.0, d)[None, :] + lam_arr[:, None] * src.f1(nodes)[None, :]
-    kfac = nodes ** (d - 1.0) * np.exp(
-        (lam_arr[:, None] - 0.5) * np.log(1.0 - nodes * nodes)[None, :]) / 2.0j
-    kern = wts[None, :] * kfac * flam
+    kern = wts[None, :] * _kernel_weight(d, lam_arr, nodes) * flam
 
     contrib0 = kern * u0[:, node_ix]   # integrand of I0 = int_0^rho K u0
     contrib1 = kern * u1[:, node_ix]   # integrand of I1 = int_rho^1 K u1
@@ -298,11 +231,8 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
     uop[:, pos] = u0p[:, out_ix[pos]] * i1[:, pos] + u1p[:, out_ix[pos]] * i0[:, pos]
     for jj in np.where(rho_out == 0.0)[0]:
         # at rho = 0: I0 = 0 and u1 I0 -> 0, so only the regular branch
-        # acts; u0(0) is the leading seed coefficient, u0'(0) = 0
-        u0_at0 = np.array(
-            [seed_origin(SpectralODE(d, complex(l), variant)).coefficients[0]
-             for l in lam_arr])
-        uo[:, jj] = u0_at0 * scale0[:, 0] * cums1[:, -1]
+        # acts; u0(0) is the kernel's scale, u0'(0) = 0
+        uo[:, jj] = scale0[:, 0] * cums1[:, -1]
         uop[:, jj] = 0.0
     if np.any(at_one):
         i0_full = cums0[:, -1]
@@ -400,13 +330,9 @@ def kernel_decay_scan(d: int, rho: float, s: float, omega_list,
     if not (0.05 <= rho < 1.0 and 0.05 <= s < 1.0):
         raise DomainError("evaluation points should lie inside (0, 1)")
     omegas = np.asarray(sorted(omega_list), dtype=float)
-    diffs = []
-    for w in omegas:
-        lam = eps + 1j * w
-        kp = build_kernel(d, lam, "perturbed")
-        kf = build_kernel(d, lam, "free")
-        diffs.append(abs(green_eval(kp, rho, s) - green_eval(kf, rho, s)))
-    diffs = np.array(diffs)
+    lam = eps + 1j * omegas
+    diffs = np.abs(green_eval(d, lam, "perturbed", rho, s)
+                   - green_eval(d, lam, "free", rho, s))
     pos = omegas > 0
     slope = float(np.polyfit(np.log(omegas[pos]), np.log(diffs[pos]), 1)[0]) \
         if np.sum(pos) >= 2 else math.nan
@@ -531,19 +457,14 @@ def perturbed_bessel_check(d: int, lam, rho_grid) -> dict:
     wr_err = float(np.max(np.abs(wr - 2.0 / math.pi) * math.pi / 2.0))
 
     # transformed origin-regular solution against b1
-    ode = SpectralODE(d, lam, "perturbed")
-    seed = seed_origin(ode)
-    sol = integrate(seed, float(np.max(rho_grid)) + 0.05, tol=1e-11)
-    u0 = np.empty(len(rho_grid), dtype=complex)
-    small = rho_grid <= ORIGIN_START
-    if np.any(small):
-        u0[small] = seed.eval(rho_grid[small])[0]
-    u0[~small] = sol(rho_grid[~small])[0]
+    rho_ref = 1e-3
+    pts = np.unique(np.append(rho_grid, rho_ref))
+    u0, _ = integrate(d, [lam], "perturbed", "origin", pts, 1e-11)
+    u0r = u0[0, np.searchsorted(pts, rho_ref)]
+    u0 = u0[0, np.searchsorted(pts, rho_grid)]
     v = rho_grid ** ((d - 1.0) / 2.0) * np.exp(
         (0.25 + lam / 2.0) * np.log(om)) * u0
     ratio = v / b1
-    rho_ref = 1e-3
-    u0r = seed.eval(np.asarray(rho_ref))[0]
     vref = rho_ref ** ((d - 1.0) / 2.0) * cmath.exp(
         (0.25 + lam / 2.0) * math.log(1.0 - rho_ref**2)) * complex(u0r)
     b1r = _b_solution(d, lam, np.asarray([rho_ref]), "J")[0][0]

@@ -9,9 +9,12 @@ with c0 = lam(lam+d-1) + d(d-2)/4 for the free variant and
 c0 = lam(lam+d-1) - d for the perturbed one (the potential shifts the
 zero-order coefficient by (2d+d^2)/4).  Both endpoints are regular
 singular points: Frobenius indices {0, (2-d)/2} at rho=0 and
-{0, 1/2-lam} at rho=1.  Eigenvalues are located as zeros (in lam) of the
-Wronskian of the origin-regular and the analytic-at-one branches,
-counted by the argument principle on rectangles and polished by Newton.
+{0, 1/2-lam} at rho=1.  `integrate` evaluates the origin-regular and the
+analytic-at-one branches on point sets, batched over lam; it is the one
+place where the Frobenius series bridges the seed gap next to each
+endpoint.  Eigenvalues are located as zeros (in lam) of the Wronskian of
+the two branches, counted by the argument principle on rectangles and
+polished by Newton.
 """
 
 import cmath
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import _rk45
 from .errors import (ContourTooCloseError, DomainError, IndexCollisionError,
-                     ParamError)
+                     ParamError, QuadratureError)
 from .specfun import c3_connection
 
 ORIGIN_START = 1e-3      # integration starts here (series below)
@@ -95,7 +98,6 @@ class FrobeniusSeed:
             sigma = 0 (analytic) or 1/2 - lam (singular).
     """
 
-    ode: SpectralODE
     endpoint: str                   # "origin" | "one"
     index: complex
     coefficients: tuple = field(repr=False)
@@ -152,7 +154,7 @@ def seed_origin(ode: SpectralODE) -> FrobeniusSeed:
         num = 4.0 * k * k + 2.0 * k * (2.0 * lam + d - 1.0) + c0
         a.append(a[-1] * num / ((2.0 * k + 2.0) * (2.0 * k + d)))
         k += 1
-    return FrobeniusSeed(ode, "origin", 0.0, tuple(a))
+    return FrobeniusSeed("origin", 0.0, tuple(a))
 
 
 def seed_one(ode: SpectralODE, branch: str = "analytic") -> FrobeniusSeed:
@@ -191,7 +193,7 @@ def seed_one(ode: SpectralODE, branch: str = "analytic") -> FrobeniusSeed:
         prev2 = coeffs[m - 1] if m >= 1 else 0.0
         coeffs.append(-(a_m * coeffs[m] + b_m * prev2) / c_m)
         m += 1
-    return FrobeniusSeed(ode, "one", sig, tuple(coeffs))
+    return FrobeniusSeed("one", sig, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -199,75 +201,66 @@ def seed_one(ode: SpectralODE, branch: str = "analytic") -> FrobeniusSeed:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FundamentalSolution:
-    """Dense-output solution of the spectral ODE tagged by its seed."""
-
-    ode: SpectralODE
-    seed: FrobeniusSeed
-    start: float
-    segments: object
-
-    def __call__(self, rho):
-        """(u, u') at rho; inside the seed gap the series is used."""
-        scalar = np.ndim(rho) == 0
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        u = np.empty(rho.shape, dtype=complex)
-        up = np.empty(rho.shape, dtype=complex)
-        if self.seed.endpoint == "origin":
-            in_gap = rho <= self.start
-        else:
-            in_gap = rho >= self.start
-        if np.any(in_gap):
-            u[in_gap], up[in_gap] = self.seed.eval(rho[in_gap])
-        if np.any(~in_gap):
-            u[~in_gap], up[~in_gap] = self.segments(rho[~in_gap])
-        if scalar:
-            return complex(u[0]), complex(up[0])
-        return u, up
-
-
-def _shoot_start(d: int, lam_arr, variant: str, endpoint: str, seeds=None):
+def _shoot_start(d: int, lam_arr, variant: str, endpoint: str):
     """Frobenius start of a shoot batched over lam from one endpoint.
 
-    Returns (seeds, start, y0, rhs, h0): the seeds (the analytic-branch
-    ones unless given), the start point ORIGIN_START or ONE_START, the
-    seed data (u, u') there per lam, the batched RHS, and an initial step
-    resolving the fastest oscillation e^{a(lam) phi} of the batch.
+    Returns (seeds, start, y0, rhs, h0): the analytic-branch seeds, the
+    start point ORIGIN_START or ONE_START, the seed data (u, u') there per
+    lam, the batched RHS, and an initial step resolving the fastest
+    oscillation e^{a(lam) phi} of the batch.
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
-    if seeds is None:
-        odes = [SpectralODE(d, complex(lam), variant) for lam in lam_arr]
-        seeds = ([seed_origin(ode) for ode in odes] if endpoint == "origin"
-                 else [seed_one(ode, "analytic") for ode in odes])
+    odes = [SpectralODE(d, complex(lam), variant) for lam in lam_arr]
+    seeds = ([seed_origin(ode) for ode in odes] if endpoint == "origin"
+             else [seed_one(ode, "analytic") for ode in odes])
     start = ORIGIN_START if endpoint == "origin" else ONE_START
     y0 = np.array([seed.eval(start) for seed in seeds], dtype=complex)
     h0 = 0.5 / (20.0 + float(np.max(np.abs(1j * (0.5 - lam_arr)))))
     return seeds, start, y0, _batch_rhs(d, lam_arr, variant), h0
 
 
-def integrate(seed: FrobeniusSeed, to: float, tol: float = 1e-10) -> FundamentalSolution:
-    """Integrate from the seed's start point to `to` with dense output."""
-    if not (0.0 < to < 1.0):
-        raise DomainError("target must lie in (0,1)")
-    ode = seed.ode
-    _, start, y0, f, h0 = _shoot_start(ode.d, [ode.lam], ode.variant,
-                                       seed.endpoint, [seed])
-    if seed.endpoint == "origin" and to <= start:
-        raise DomainError("target inside the seed gap")
-    if seed.endpoint == "one" and to >= start:
-        raise DomainError("target inside the seed gap")
-    _, _, segs = _rk45.solve(f, start, to, y0, rtol=tol, atol=1e-300,
-                             dense=True, h0=h0)
-    return FundamentalSolution(seed.ode, seed, start, segs)
+def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
+    """(u, u') of the solution seeded at `endpoint` on ascending pts in
+    (0, 1), batched over lam; arrays (n_lam, n_pts).
 
+    The origin-seeded solution is the regular one, the one-seeded solution
+    the analytic one, both with unit leading seed coefficient.  Points
+    inside the seed gap [0, ORIGIN_START] or [ONE_START, 1] are evaluated
+    from the Frobenius series, the rest by landing RK45 checkpoints on
+    them (integrating toward 0 for the one-seeded solution).
+    """
+    lam_arr = np.asarray(lam_arr, dtype=complex)
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) and (pts[0] <= 0.0 or pts[-1] >= 1.0 or np.any(np.diff(pts) < 0.0)):
+        raise DomainError("points must be ascending in (0, 1)")
+    n_lam, n_pts = len(lam_arr), len(pts)
+    u = np.empty((n_lam, n_pts), dtype=complex)
+    up = np.empty((n_lam, n_pts), dtype=complex)
 
-def wronskian(s1, s2, rho):
-    """u1 u2' - u1' u2 at rho for two evaluables returning (u, u')."""
-    u1, up1 = s1(rho)
-    u2, up2 = s2(rho)
-    w = u1 * up2 - up1 * u2
-    return w if np.ndim(rho) else complex(w)
+    seeds, start, y0, f, h0 = _shoot_start(d, lam_arr, variant, endpoint)
+    if endpoint == "origin":
+        gap = pts <= start
+        cps = pts[~gap]
+    else:
+        gap = pts >= start
+        cps = pts[~gap][::-1]  # descending toward 0
+    for i, seed in enumerate(seeds):
+        if np.any(gap):
+            u[i, gap], up[i, gap] = seed.eval(pts[gap])
+    if len(cps):
+        _, cp_vals, _ = _rk45.solve(
+            f, start, float(cps[-1]), y0, rtol=rtol, atol=1e-300,
+            checkpoints=cps, h0=h0,
+        )
+        if not np.all(np.isfinite(cp_vals)):
+            raise QuadratureError("fundamental solution overflowed on nodes")
+        if endpoint == "origin":
+            u[:, ~gap] = cp_vals[:, :, 0].T
+            up[:, ~gap] = cp_vals[:, :, 1].T
+        else:
+            u[:, ~gap] = cp_vals[::-1, :, 0].T
+            up[:, ~gap] = cp_vals[::-1, :, 1].T
+    return u, up
 
 
 # ---------------------------------------------------------------------------

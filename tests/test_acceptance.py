@@ -79,23 +79,21 @@ def test_criterion_2_spectral_gap_three_methods():
 def test_criterion_3_lambda1_closed_forms():
     t0 = time.time()
     worst_sol = worst_w = 0.0
+    rr = np.linspace(0.1, 0.9, 17)
+    mid = 8  # rr[8] = 1/2, where the integrated solutions are scaled
     for d in (3, 4, 5, 6):
-        ode = ro.SpectralODE(d, 1.0, "free")
         ex = ro.ExplicitLambda1(d)
-        rr = np.linspace(0.1, 0.9, 17)
-        sol0 = ro.integrate(ro.seed_origin(ode), 0.95, tol=1e-11)
-        u, _ = sol0(rr)
+        u0, u0p = ro.integrate(d, [1.0], "free", "origin", rr, 1e-11)
+        u1, u1p = ro.integrate(d, [1.0], "free", "one", rr, 1e-11)
         ref = ex.u0(rr)
-        scale0 = complex(sol0(0.5)[0]) / ex.u0(0.5)
-        worst_sol = max(worst_sol, float(np.max(np.abs(u / scale0 - ref)
+        scale0 = complex(u0[0, mid]) / ref[mid]
+        worst_sol = max(worst_sol, float(np.max(np.abs(u0[0] / scale0 - ref)
                                                 / np.abs(ref))))
-        sol1 = ro.integrate(ro.seed_one(ode, "analytic"), 0.05, tol=1e-11)
-        u1v, _ = sol1(rr)
         ref1 = ex.u1(rr)
-        scale1 = complex(sol1(0.5)[0]) / ex.u1(0.5)
-        worst_sol = max(worst_sol, float(np.max(np.abs(u1v / scale1 - ref1)
+        scale1 = complex(u1[0, mid]) / ref1[mid]
+        worst_sol = max(worst_sol, float(np.max(np.abs(u1[0] / scale1 - ref1)
                                                 / np.abs(ref1))))
-        w_int = np.array([ro.wronskian(sol0, sol1, r) for r in rr])
+        w_int = u0[0] * u1p[0] - u0p[0] * u1[0]
         w_ref = ex.wronskian(rr)
         worst_w = max(worst_w, float(np.max(
             np.abs(w_int / (scale0 * scale1) - w_ref) / np.abs(w_ref))))

@@ -95,6 +95,7 @@ def test_manifest_on_every_exit(tmp_path, monkeypatch, command, code, error):
     assert manifest["exit_code"] == code
     assert manifest.get("error") == error
     assert "config_sha256" in manifest
+    assert {"scipy", "python"} <= set(manifest["versions"])
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["exit-0", "exit-65"])
@@ -160,6 +161,15 @@ class TestCommands:
         lo, hi = report["bracket"]
         assert lo <= report["T_star"] <= hi
         assert report["n_evolutions"] >= 6  # five bracket runs and the fit
+
+    def test_strichartz_records_not_converged(self, tmp_path):
+        # a short horizon leaves the L^p integrals' tails too heavy
+        cli.main(["strichartz", "--N", "32", "--tau-max", "0.5",
+                  "--out", str(tmp_path)])
+        manifest = json.loads(
+            (tmp_path / "strichartz_manifest.json").read_text())
+        assert "NotConvergedWarning" in {
+            w["category"] for w in manifest["warnings"]}
 
     def test_strichartz_zero_spread_guard(self, tmp_path):
         code = cli.main(["strichartz", "--N", "48", "--tau-max", "16.0",

@@ -38,59 +38,75 @@ def _poly_pair_source(d, lam):
     return gr.SourceTerm(f1, f1p, f2), u1, u2
 
 
+KERNEL_PTS = np.array([0.1, 0.35, 0.5, 0.55, 0.6, 0.9])
+
+
 @pytest.fixture(scope="module")
 def kernel_d4():
-    return gr.build_kernel(4, 2.0, "perturbed")
+    return gr.build_kernel(4, [2.0], "perturbed", KERNEL_PTS, 1e-10)
 
 
 class TestKernel:
     def test_near_eigenvalue_guard(self):
         with pytest.raises(NearEigenvalueError):
-            gr.build_kernel(4, 1.0, "perturbed")
+            gr.build_kernel(4, [1.0], "perturbed", KERNEL_PTS, 1e-10)
 
     def test_wronskian_normalization(self, kernel_d4):
         # W(u1, u0) rho^{d-1} (1-rho^2)^{1/2+lam} = 2i across the interval
         d, lam = 4, 2.0
-        for r in (0.1, 0.35, 0.6, 0.9):
-            u0, u0p = kernel_d4.u0(r)
-            u1, u1p = kernel_d4.u1(r)
-            w = (u1 * u0p - u1p * u0) * r ** (d - 1) * (1 - r * r) ** (0.5 + lam)
+        u0, u0p, u1, u1p, _ = kernel_d4
+        for k, r in enumerate(KERNEL_PTS):
+            w = ((u1[0, k] * u0p[0, k] - u1p[0, k] * u0[0, k])
+                 * r ** (d - 1) * (1 - r * r) ** (0.5 + lam))
             assert abs(w - 2.0j) <= 1e-8 * 2.0
 
-    def test_continuity_across_diagonal(self, kernel_d4):
-        a = gr.green_eval(kernel_d4, 0.4, 0.4 + 1e-12)
-        b = gr.green_eval(kernel_d4, 0.4 + 1e-12, 0.4)
+    def test_continuity_across_diagonal(self):
+        a = gr.green_eval(4, 2.0, "perturbed", 0.4, 0.4 + 1e-12)
+        b = gr.green_eval(4, 2.0, "perturbed", 0.4 + 1e-12, 0.4)
         assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_jump_relation(self, kernel_d4):
-        # (1-s^2) [d_rho G jump across rho=s] = -1
+        # (1-s^2) [d_rho G jump across rho=s] = -1, where the jump is
+        # weight(s) (u0 u1' - u0' u1)(s)
         s = 0.55
-        dp = gr.green_eval_drho(kernel_d4, s + 1e-9, s)
-        dm = gr.green_eval_drho(kernel_d4, s - 1e-9, s)
-        assert abs((1 - s * s) * (dp - dm) + 1.0) <= 1e-6
+        k = int(np.searchsorted(KERNEL_PTS, s))
+        u0, u0p, u1, u1p, _ = kernel_d4
+        weight = gr._kernel_weight(4, np.array([2.0 + 0.0j]), s)[0, 0]
+        jump = weight * (u0[0, k] * u1p[0, k] - u0p[0, k] * u1[0, k])
+        assert abs((1 - s * s) * jump + 1.0) <= 1e-6
 
     def test_free_and_perturbed_differ(self):
         lam = 0.1 + 5.0j
-        kf = gr.build_kernel(4, lam, "free")
-        kp = gr.build_kernel(4, lam, "perturbed")
-        assert abs(gr.green_eval(kf, 0.3, 0.6) - gr.green_eval(kp, 0.3, 0.6)) > 1e-3
+        gf = gr.green_eval(4, lam, "free", 0.3, 0.6)
+        gp = gr.green_eval(4, lam, "perturbed", 0.3, 0.6)
+        assert abs(gf - gp) > 1e-3
 
     def test_self_consistency_doubled_tolerance(self):
-        lam = 2.0
-        a = gr.green_eval(gr.build_kernel(4, lam, "perturbed", tol=1e-10), 0.3, 0.6)
-        b = gr.green_eval(gr.build_kernel(4, lam, "perturbed", tol=5e-11), 0.3, 0.6)
+        a = gr.green_eval(4, 2.0, "perturbed", 0.3, 0.6, rtol=1e-10)
+        b = gr.green_eval(4, 2.0, "perturbed", 0.3, 0.6, rtol=5e-11)
         assert abs(a - b) <= 1e-7 * abs(a)
 
     def test_free_kernel_reproduces_hypergeometric(self):
         # u0 of the free variant is proportional to 2F1(a_f, b_f; d/2; rho^2)
         d, lam = 4, 0.2 + 1.5j
-        k = gr.build_kernel(d, lam, "free")
-        a, b, c = sf.hypergeo_params(d, lam, "free")
         rr = np.linspace(0.1, 0.9, 9)
-        vals = np.array([k.u0(r)[0] for r in rr])
+        vals = gr.build_kernel(d, [lam], "free", rr, 1e-10)[0][0]
+        a, b, c = sf.hypergeo_params(d, lam, "free")
         ref = np.array([sf.hyp2f1(a, b, c, r * r) for r in rr])
         ratio = vals / ref
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-8 * abs(ratio[0])
+
+    def test_green_eval_over_lambda_array(self):
+        # batch members share one step size, so rows agree with single-lam
+        # solves to ~rtol; a tight rtol makes that difference negligible
+        lams = np.array([0.1 + 5.0j, 2.0, 0.1 + 40.0j])
+        for variant in ("free", "perturbed"):
+            for rho, s in ((0.3, 0.6), (0.7, 0.2)):
+                g = gr.green_eval(4, lams, variant, rho, s, rtol=1e-13)
+                assert g.shape == (3,)
+                for lam, val in zip(lams, g):
+                    ref = gr.green_eval(4, lam, variant, rho, s, rtol=1e-13)
+                    assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
 class TestResolvent:
@@ -148,11 +164,21 @@ class TestKernelDecay:
         assert rep["slope"] <= -0.7
 
     def test_zero_frequency_finite(self):
-        lam = 0.1
-        kp = gr.build_kernel(4, lam, "perturbed")
-        kf = gr.build_kernel(4, lam, "free")
-        val = abs(gr.green_eval(kp, 0.3, 0.6) - gr.green_eval(kf, 0.3, 0.6))
+        val = abs(gr.green_eval(4, 0.1, "perturbed", 0.3, 0.6)
+                  - gr.green_eval(4, 0.1, "free", 0.3, 0.6))
         assert math.isfinite(val) and val > 0
+
+    def test_one_kernel_build_per_variant(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return build(*args)
+
+        build = gr.build_kernel
+        monkeypatch.setattr(gr, "build_kernel", counted)
+        gr.kernel_decay_scan(4, 0.3, 0.6, [5.0, 10.0, 20.0, 40.0])
+        assert sorted(calls) == ["free", "perturbed"]
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):

@@ -78,33 +78,37 @@ class TestSeeds:
                 assert diff == (2.0 * d + d * d) / 4.0
 
 
+def _origin(d, lam, variant, pts, rtol=1e-11):
+    u, up = ro.integrate(d, [lam], variant, "origin", np.asarray(pts), rtol)
+    return u[0], up[0]
+
+
 class TestIntegration:
     def test_gauge_constant_flow(self):
-        ode = ro.SpectralODE(5, 1.0, "perturbed")
-        sol = ro.integrate(ro.seed_origin(ode), 0.9, tol=1e-11)
-        u, up = sol(np.linspace(0.05, 0.9, 9))
+        u, up = _origin(5, 1.0, "perturbed", np.linspace(0.05, 0.9, 9))
         assert np.max(np.abs(u - 1.0)) <= 1e-10
         assert np.max(np.abs(up)) <= 1e-10
 
     def test_free_lambda1_d3_matches_2f1(self):
-        ode = ro.SpectralODE(3, 1.0, "free")
-        sol = ro.integrate(ro.seed_origin(ode), 0.95, tol=1e-11)
         rr = np.linspace(0.1, 0.9, 17)
-        u, _ = sol(rr)
+        u, _ = _origin(3, 1.0, "free", rr)
         a, b, c = sf.hypergeo_params(3, 1.0, "free")
         ref = np.array([sf.hyp2f1(a, b, c, r * r) for r in rr])
         assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
 
     def test_dense_output_residual(self):
-        ode = ro.SpectralODE(4, 0.4 + 3.0j, "perturbed")
-        sol = ro.integrate(ro.seed_origin(ode), 0.97, tol=1e-10)
+        # u'' by central differences of u' on a three-point stencil
+        lam = 0.4 + 3.0j
+        ode = ro.SpectralODE(4, lam, "perturbed")
         h = 1e-5
-        for r in np.linspace(0.05, 0.95, 10):
-            u, up = sol(r)
-            upp = (sol(r + h)[1] - sol(r - h)[1]) / (2 * h)
-            res = ode.residual(r, complex(u), complex(up), complex(upp))
-            scale = abs(u) + abs(up) + abs(upp)
-            assert abs(res) <= 1e-8 * scale
+        rr = np.linspace(0.05, 0.95, 10)
+        u, up = _origin(4, lam, "perturbed",
+                        (rr[:, None] + np.array([-h, 0.0, h])).ravel(), 1e-10)
+        u, up = u.reshape(-1, 3)[:, 1], up.reshape(-1, 3)
+        upp = (up[:, 2] - up[:, 0]) / (2 * h)
+        res = ode.residual(rr, u, up[:, 1], upp)
+        scale = np.abs(u) + np.abs(up[:, 1]) + np.abs(upp)
+        assert np.all(np.abs(res) <= 1e-8 * scale)
 
     def test_hypergeometric_reduction_invariant(self):
         # free ode solution == 2F1(a_f, b_f; d/2; rho^2) on [0.1, 0.9]
@@ -112,39 +116,42 @@ class TestIntegration:
         d = 4
         for _ in range(5):
             lam = complex(rng.uniform(0.0, 0.25), rng.uniform(-5.0, 5.0))
-            ode = ro.SpectralODE(d, lam, "free")
-            sol = ro.integrate(ro.seed_origin(ode), 0.95, tol=1e-11)
             a, b, c = sf.hypergeo_params(d, lam, "free")
             rr = np.linspace(0.1, 0.9, 9)
-            u, _ = sol(rr)
+            u, _ = _origin(d, lam, "free", rr)
             ref = np.array([sf.hyp2f1(a, b, c, r * r) for r in rr])
             assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
 
+    @pytest.mark.parametrize("endpoint, start",
+                             [("origin", ro.ORIGIN_START), ("one", ro.ONE_START)])
+    @pytest.mark.parametrize("lam", [2.0, 0.3 + 5.0j])
+    def test_seed_gap_boundary(self, endpoint, start, lam):
+        # just inside the gap the series is read, just outside RK45 steps
+        # off the series start; both agree with the series itself
+        pts = start + np.array([-1e-6, -1e-9, 1e-9, 1e-6])
+        ode = ro.SpectralODE(4, lam, "perturbed")
+        seed = (ro.seed_origin(ode) if endpoint == "origin"
+                else ro.seed_one(ode, "analytic"))
+        u, up = ro.integrate(4, [lam], "perturbed", endpoint, pts, 1e-10)
+        ref_u, ref_up = seed.eval(pts)
+        assert np.max(np.abs(u[0] - ref_u) / np.abs(ref_u)) <= 1e-9
+        assert np.max(np.abs(up[0] - ref_up)) <= 1e-9 * np.max(np.abs(ref_up))
+
     def test_domain_errors(self):
-        ode = ro.SpectralODE(4, 0.0, "free")
-        with pytest.raises(DomainError):
-            ro.integrate(ro.seed_origin(ode), 1.0)
-        with pytest.raises(DomainError):
-            ro.integrate(ro.seed_origin(ode), 1e-4)
+        for pts in ([0.5, 1.0], [0.0, 0.5], [-0.1], [0.6, 0.4]):
+            with pytest.raises(DomainError):
+                ro.integrate(4, [0.0], "free", "origin", pts, 1e-10)
 
 
 class TestWronskian:
-    def test_identical_solutions_vanish(self):
-        ode = ro.SpectralODE(4, 0.7, "perturbed")
-        sol = ro.integrate(ro.seed_origin(ode), 0.9)
-        assert abs(ro.wronskian(sol, sol, 0.5)) == 0.0
-
     def test_abel_identity(self):
         # W(rho) rho^{d-1} (1-rho^2)^{1/2+lam} is constant
         d, lam = 4, 0.3 + 2.0j
-        ode = ro.SpectralODE(d, lam, "perturbed")
-        s1 = ro.integrate(ro.seed_origin(ode), 0.95, tol=1e-11)
-        s2 = ro.integrate(ro.seed_one(ode, "analytic"), 0.05, tol=1e-11)
-        vals = []
-        for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-            w = ro.wronskian(s1, s2, r)
-            vals.append(w * r ** (d - 1) * (1.0 - r * r) ** (0.5 + lam))
-        vals = np.array(vals)
+        r = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        u0, u0p = ro.integrate(d, [lam], "perturbed", "origin", r, 1e-11)
+        u1, u1p = ro.integrate(d, [lam], "perturbed", "one", r, 1e-11)
+        w = u0[0] * u1p[0] - u0p[0] * u1[0]
+        vals = w * r ** (d - 1) * (1.0 - r * r) ** (0.5 + lam)
         assert np.max(np.abs(vals - vals[0])) <= 1e-8 * abs(vals[0])
 
     def test_explicit_lambda1_pair(self):
@@ -314,19 +321,19 @@ class TestNearOneModel:
     def test_transformed_solution_rate(self):
         # v/w1 -> const at rate (1-rho), log-log slope 1.0 +/- 0.1
         d, lam = 4, 2.0j
-        ode = ro.SpectralODE(d, lam, "perturbed")
-        sol = ro.integrate(ro.seed_one(ode, "analytic"), 0.3, tol=1e-11)
         nm = ro.NearOneModel(lam)
         xs = 1.0 - np.linspace(0.9, 0.998, 12)
         rr = 1.0 - xs
-        u, _ = sol(rr)
+        r_ref = 1.0 - 1e-4
+        u, _ = ro.integrate(d, [lam], "perturbed", "one",
+                            np.append(rr, r_ref), 1e-11)
+        u, u_ref = u[0, :-1], u[0, -1]
         v = rr ** ((d - 1) / 2.0) * (1.0 - rr**2) ** (0.25 + lam / 2.0) * u
         ratio = v / nm.w1(rr)
         # reference constant from the closest-to-one sample
-        u_ref, _ = sol(1.0 - 1e-4)
-        v_ref = ((1.0 - 1e-4) ** ((d - 1) / 2.0)
-                 * (1.0 - (1.0 - 1e-4) ** 2) ** (0.25 + lam / 2.0) * u_ref)
-        c_ref = complex(v_ref) / complex(nm.w1(1.0 - 1e-4))
+        v_ref = (r_ref ** ((d - 1) / 2.0)
+                 * (1.0 - r_ref ** 2) ** (0.25 + lam / 2.0) * u_ref)
+        c_ref = complex(v_ref) / complex(nm.w1(r_ref))
         dev = np.abs(ratio / c_ref - 1.0)
         slope = np.polyfit(np.log(xs), np.log(dev), 1)[0]
         assert abs(slope - 1.0) <= 0.1
