@@ -2,7 +2,8 @@
 """Blowup-time shift and spacetime smallness versus perturbation size.
 
 Fits T* for a ladder of bump amplitudes and tabulates the shift |T*-1|
-and the spacetime norm S_phys; the shift is asymptotically linear in the
+and the spacetime norm S_phys, each with its refinement error bar
+(``blowup.refinement_error``); the shift is asymptotically linear in the
 amplitude and S_phys quadratic, which shows up as the ratio columns
 approaching constants.
 """
@@ -25,18 +26,21 @@ def main():
     disc = co.build(d, 96)
     rows = []
     for amp in AMPLITUDES:
-        fit = bl.fit_blowup_time(d, bl.bump_perturbation(delta, amp),
-                                 tau_max=12.0, disc=disc)
+        v = bl.bump_perturbation(delta, amp)
+        fit = bl.fit_blowup_time(d, v, tau_max=12.0, disc=disc)
         rep = bl.stability_report(fit, d, delta, disc)
-        rows.append((amp, fit.T_star, abs(fit.T_star - 1.0), rep["S_phys"]))
-        print(f"amplitude {amp:.5f}: T* = {fit.T_star:.9f}, "
-              f"S_phys = {rep['S_phys']:.3e}")
+        err = bl.refinement_error(fit, v)
+        rows.append((amp, fit.T_star, err["T_star_err"], abs(fit.T_star - 1.0),
+                     rep["S_phys"], err["S_phys_err"]))
+        print(f"amplitude {amp:.5f}: T* = {fit.T_star:.9f} "
+              f"+/- {err['T_star_err']:.1e}, S_phys = {rep['S_phys']:.3e}")
     with open(out, "w") as fh:
-        fh.write("amplitude,T_star,shift,S_phys,shift_per_amp,S_per_amp_sq\n")
-        for amp, t, s, sp in rows:
-            fh.write(f"{amp:.17g},{t:.17g},{s:.17g},{sp:.17g},"
-                     f"{s / amp:.17g},{sp / amp**2:.17g}\n")
-    shifts = np.array([r[2] for r in rows])
+        fh.write("amplitude,T_star,T_star_err,shift,S_phys,S_phys_err,"
+                 "shift_per_amp,S_per_amp_sq\n")
+        for amp, t, t_err, s, sp, sp_err in rows:
+            fh.write(",".join(f"{x:.17g}" for x in (
+                amp, t, t_err, s, sp, sp_err, s / amp, sp / amp**2)) + "\n")
+    shifts = np.array([r[3] for r in rows])
     amps = np.array([r[0] for r in rows])
     print("shift/amplitude ratios:", np.round(shifts / amps, 4))
     print(f"wrote {out}")

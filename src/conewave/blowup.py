@@ -10,22 +10,28 @@ through the map
 whose T-derivative at T=1, v=0 is (d-2)/4 c_d g: detuning the blowup
 time excites exactly the gauge mode.  The fitted blowup time T* is the
 zero of the late-time gauge-mode coefficient of the nonlinear evolution
-started from U(T, v), found by bisection; on the stable manifold this
-coefficient vanishes together with the Lyapunov-Perron correction
-functional.
+started from U(T, v), found by a secant in T on that coefficient inside
+its linear window; on the stable manifold this coefficient vanishes
+together with the Lyapunov-Perron correction functional.  Its error bar
+comes from re-fits on a coarser grid and with a doubled time step.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collocation import SpectralDiscretization, energy_norm
-from .errors import DomainError, NoBracketError
+# energy_norm is unused here, but the benchmark's tracer patches
+# conewave.blowup:energy_norm
+from .collocation import SpectralDiscretization, build, energy_norm
+from .errors import DomainError, NoBracketError, SecantFailure
 from .evolve import EvolutionTrajectory, evolve, lq_norm
 from .model import c_d, check_dimension
 
-BISECT_WIDTH = 1e-14
+WINDOW = 0.01  # linear window of the secant: |c| <= WINDOW c_d
+SECANT_STEP = 1e-14  # a secant step this small at tau_max ends the fit
+SECANT_MAX_STEPS = 20
+REFIT_OFFSET = 1e-9  # second start point of the error-bar re-fits
 DETUNE = 0.02  # blowup-time detuning of the gauge-mode growth demo
 
 
@@ -84,39 +90,84 @@ class FitResult:
     n_evolutions: int
 
 
-def _late_mode_coefficient(d, T, v, disc, tau_max, dtau):
-    phi0 = initial_data(d, T, v, disc)
-    traj = evolve(disc, phi0, tau_max, dtau, "nonlinear")
-    return float(np.real(traj.mode_coeffs[-1])), traj
+def _evolve_at(d, T, v, disc, tau_max, dtau):
+    return evolve(disc, initial_data(d, T, v, disc), tau_max, dtau, "nonlinear")
+
+
+def _secant(d, v, disc, tau_max, dtau, older, newer):
+    """Secant in T on the gauge-mode coefficient inside its linear window.
+
+    ``older`` is (T, mode coefficients); ``newer`` is (T, mode coefficients,
+    trajectory or None).  Each step reads both runs at the last snapshot k
+    up to which both satisfy |c| <= WINDOW c_d (k = 0 if there is none):
+    past it the nonlinearity saturates c and the secant would diverge.
+    The window moves out to tau_max as the pair closes.  Stops, without
+    evolving the next iterate, once that iterate is within SECANT_STEP of
+    the newer one and k is the tau_max snapshot, or once c(tau_max) of the
+    newer run is exactly 0.  Only the older run's coefficients are kept.
+
+    Returns (T*, trajectory at T*, last pair, evolutions made).
+    """
+    n_last = int(round(tau_max / dtau))
+    limit = WINDOW * c_d(d)
+    (t0, c0), (t1, c1, traj) = older, newer
+    n_ev = 0
+    for _ in range(SECANT_MAX_STEPS):
+        if len(c1) > n_last and c1[n_last] == 0.0:
+            break
+        n = min(len(c0), len(c1))
+        inside = (np.abs(c0[:n]) <= limit) & (np.abs(c1[:n]) <= limit)
+        outside = np.flatnonzero(~inside)
+        k = max(outside[0] - 1 if outside.size else n - 1, 0)
+        if c1[k] == c0[k]:
+            raise SecantFailure(
+                f"equal mode coefficients {c1[k]:.3e} at tau={k * dtau:g} "
+                f"for the pair T={t0!r}, {t1!r}")
+        t_next = t1 - c1[k] * (t1 - t0) / (c1[k] - c0[k])
+        if k == n_last and abs(t_next - t1) <= SECANT_STEP:
+            break
+        if not (1.0 - v.delta <= t_next <= 1.0 + v.delta):
+            raise SecantFailure(
+                f"secant step to T={t_next!r} leaves [1-delta, 1+delta] "
+                f"from the pair T={t0!r}, {t1!r}")
+        traj = _evolve_at(d, t_next, v, disc, tau_max, dtau)
+        n_ev += 1
+        t0, c0 = t1, c1
+        t1, c1 = t_next, np.real(traj.mode_coeffs)
+    else:
+        raise SecantFailure(
+            f"no convergence in {SECANT_MAX_STEPS} secant steps; last pair "
+            f"T={t0!r}, {t1!r}")
+    if traj is None:  # the newer run came from the grid scan
+        traj = _evolve_at(d, t1, v, disc, tau_max, dtau)
+        n_ev += 1
+    return float(t1), traj, (float(t0), float(t1)), n_ev
 
 
 def fit_blowup_time(d: int, v: PerturbationData, tau_max: float = 12.0,
                     disc: SpectralDiscretization = None,
                     dtau: float = 0.01) -> FitResult:
-    """Bisection in T so the evolved solution carries no late gauge mode.
+    """Secant in T so the evolved solution carries no late gauge mode.
 
-    The late-time coefficient c(tau_max) = <Phi(tau_max), w>_E is strictly
-    monotone in T across the bracket 1 +/- v.delta (checked on a 5-point
-    grid); its zero is the fitted blowup time, accepted once |c| is below
-    1e-8 ||Phi(0)||_E.
+    The coefficient c(tau) = <Phi(tau), w>_E is checked for a sign change
+    and for monotonicity in T on a 5-point grid over 1 +/- v.delta.  The
+    secant (``_secant``) starts from the adjacent grid pair that brackets
+    the zero; its limit is the fitted blowup time.  ``bracket`` is the
+    secant's last pair and ``n_evolutions`` counts the grid runs too.
     """
     check_dimension(d, nonlinear=True)
     if disc is None:
         raise DomainError("a discretization is required")
     delta = v.delta
     a, b = 1.0 - delta, 1.0 + delta
-    n_ev = 0
 
     grid = np.linspace(a, b, 5)
-    runs = []  # (end time, mode coefficients); the states are not needed
-    for T in grid:
-        _, traj_t = _late_mode_coefficient(d, T, v, disc, tau_max, dtau)
-        runs.append((traj_t.taus[-1], traj_t.mode_coeffs))
-        n_ev += 1
+    # the mode coefficients only: the states are not needed
+    coeffs = [np.real(_evolve_at(d, T, v, disc, tau_max, dtau).mode_coeffs)
+              for T in grid]
     # compare at the earliest common time: detuned runs may blow up first
-    tau_common = min(tau_end for tau_end, _ in runs)
-    k = int(round(tau_common / dtau))
-    cs = [float(np.real(coeffs[k])) for _, coeffs in runs]
+    k = min(len(c) for c in coeffs) - 1
+    cs = [float(c[k]) for c in coeffs]
     monotone = bool(np.all(np.diff(cs) > 0) or np.all(np.diff(cs) < 0))
     ca, cb = cs[0], cs[-1]
     if ca == 0.0 or cb == 0.0:
@@ -127,33 +178,54 @@ def fit_blowup_time(d: int, v: PerturbationData, tau_max: float = 12.0,
             f"{ca:.3e} vs {cb:.3e}"
         )
 
-    phi0 = initial_data(d, 1.0 + delta / 2.0, v, disc)
-    tol = 1e-8 * max(energy_norm(disc, phi0), 1e-12)
-
-    sign_a = math.copysign(1.0, ca)
-    t_eval, c_mid, traj = None, None, None
-    while b - a > BISECT_WIDTH:
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            break
-        c_mid, traj = _late_mode_coefficient(d, mid, v, disc, tau_max, dtau)
-        t_eval = mid
-        n_ev += 1
-        if abs(c_mid) <= tol:
-            a = b = mid
-            break
-        if math.copysign(1.0, c_mid) == sign_a:
-            a = mid
-        else:
-            b = mid
-    T_star = 0.5 * (a + b)
-    if t_eval != T_star:
-        c_mid, traj = _late_mode_coefficient(d, T_star, v, disc, tau_max, dtau)
-        n_ev += 1
+    i = next(i for i in range(4) if cs[i] * cs[i + 1] <= 0.0)
+    # the newer iterate is the one nearer the zero
+    old, new = (i + 1, i) if abs(cs[i]) < abs(cs[i + 1]) else (i, i + 1)
+    T_star, traj, pair, n_ev = _secant(
+        d, v, disc, tau_max, dtau, (grid[old], coeffs[old]),
+        (grid[new], coeffs[new], None))
     return FitResult(
-        T_star=float(T_star), residual_mode=abs(c_mid), trajectory=traj,
-        bracket=(a, b), monotone=monotone, n_evolutions=n_ev,
+        T_star=T_star, residual_mode=abs(float(np.real(traj.mode_coeffs[-1]))),
+        trajectory=traj, bracket=pair, monotone=monotone,
+        n_evolutions=len(grid) + n_ev,
     )
+
+
+def refinement_error(fit: FitResult, v: PerturbationData) -> dict:
+    """Error bar of T* and S_phys from two re-fits of ``fit`` to data v.
+
+    Re-fits at (N, 2 dtau) and at (2N/3, dtau), each a secant warm-started
+    from the pair (T*, T* + REFIT_OFFSET).  Lawson RK4 is fourth order, so
+    the 2 dtau change bounds the dtau error of T* from above (by ~15x);
+    S_phys is integrated in tau at second order (~3x).  Each error is the
+    largest change over the two re-fits; tau_max must be a multiple of
+    2 dtau (DomainError otherwise).
+    """
+    base = fit.trajectory
+    disc, d, dtau, tau_max = base.disc, base.disc.d, base.dtau, base.tau_max
+    if round(tau_max / dtau) % 2:
+        raise DomainError(
+            f"the 2 dtau re-fit needs tau_max={tau_max:g} to be a multiple "
+            f"of 2 dtau={2.0 * dtau:g}")
+    s_phys = stability_report(fit, d, v.delta, disc, tau_max)["S_phys"]
+    coarse = build(d, max(16, round(2 * disc.N / 3)))
+    t_err = s_err = 0.0
+    n_ev = 0
+    for disc_r, dtau_r in ((disc, 2.0 * dtau), (coarse, dtau)):
+        t1 = fit.T_star
+        t0 = t1 + REFIT_OFFSET
+        c0 = np.real(_evolve_at(d, t0, v, disc_r, tau_max, dtau_r).mode_coeffs)
+        traj = _evolve_at(d, t1, v, disc_r, tau_max, dtau_r)
+        T_r, traj, _, n_sec = _secant(
+            d, v, disc_r, tau_max, dtau_r, (t0, c0),
+            (t1, np.real(traj.mode_coeffs), traj))
+        n_ev += 2 + n_sec
+        refit = replace(fit, T_star=T_r, trajectory=traj)
+        s_r = stability_report(refit, d, v.delta, disc_r, tau_max)["S_phys"]
+        t_err = max(t_err, abs(T_r - fit.T_star))
+        s_err = max(s_err, abs(s_r - s_phys))
+    return {"T_star_err": t_err, "S_phys_err": s_err,
+            "n_evolutions_err": n_ev}
 
 
 def stability_report(fit: FitResult, d: int, delta: float,

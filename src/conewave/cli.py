@@ -321,6 +321,8 @@ def cmd_fit_blowup(cfg: RunConfig, out_dir: Path) -> int:
     report["monotone_bracket"] = fit.monotone
     report["bracket"] = [float(t) for t in fit.bracket]
     report["n_evolutions"] = fit.n_evolutions
+    # after the fit, so its evolution count stays the fit's own
+    report.update(bl.refinement_error(fit, v))
     with open(out_dir / "fit_blowup_report.json", "w") as fh:
         json.dump(report, fh, indent=1)
     ok = (1.0 - cfg.delta < fit.T_star < 1.0 + cfg.delta

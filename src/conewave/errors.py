@@ -46,7 +46,12 @@ class DegenerateEigenvalueError(NumericsError):
 
 
 class NoBracketError(NumericsError):
-    """Blowup-time bisection endpoints have the same sign."""
+    """The gauge-mode coefficient has the same sign at both ends of the
+    blowup-time bracket 1 +/- delta."""
+
+
+class SecantFailure(NumericsError):
+    """The blowup-time secant did not converge; names the last pair."""
 
 
 class TruncationWarning(UserWarning):

@@ -174,33 +174,47 @@ def lq_norm(d: int, u1, q: float, disc: SpectralDiscretization):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float) -> float:
-    """L^p_tau L^q_rho norm of the first component over the trajectory.
+TAIL_SHARE = 0.05  # largest share of the L^p integral the last 10% may carry
 
-    Composite trapezoid in tau of lq_norm^p; p=inf is the max over
-    snapshots (a grid-level lower bound of the true sup).  Warns when the
-    trailing 10% of the horizon contributes more than 5% of the total
-    (horizon likely too short).
-    """
+
+def _strichartz_with_tail(traj: EvolutionTrajectory, p: float, q: float):
+    """(L^p_tau L^q_rho norm, share of its p-th power in the last 10%)."""
     disc = traj.disc
     if q in traj.lq_norms:
         g = traj.lq_norms[q]
     else:
         g = lq_norm(disc.d, traj.states[:, : disc.N], q, disc)
     if math.isinf(p):
-        return float(np.max(g))
+        return float(np.max(g)), 0.0
     gp = g ** p
     total = float(np.trapezoid(gp, traj.taus))
-    if total > 0.0:
-        i0 = int(0.9 * (len(traj.taus) - 1))
-        tail = float(np.trapezoid(gp[i0:], traj.taus[i0:]))
-        if tail > 0.05 * total:
-            warnings.warn(
-                f"trailing segment carries {tail / total:.1%} of the "
-                f"L^{p} integral; tau_max may be too small",
-                NotConvergedWarning,
-            )
-    return total ** (1.0 / p)
+    if total == 0.0:
+        return 0.0, 0.0
+    i0 = int(0.9 * (len(traj.taus) - 1))
+    tail = float(np.trapezoid(gp[i0:], traj.taus[i0:]))
+    return total ** (1.0 / p), tail / total
+
+
+def _warn_tail(share, p, q, tau_max):
+    if share > TAIL_SHARE:
+        warnings.warn(
+            f"trailing segment carries {share:.1%} of the L^{p} L^{q} "
+            f"integral at horizon {tau_max:g}; tau_max may be too small",
+            NotConvergedWarning, stacklevel=3,
+        )
+
+
+def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float) -> float:
+    """L^p_tau L^q_rho norm of the first component over the trajectory.
+
+    Composite trapezoid in tau of lq_norm^p; p=inf is the max over
+    snapshots (a grid-level lower bound of the true sup).  Warns when the
+    trailing 10% of the horizon contributes more than TAIL_SHARE of the
+    total (horizon likely too short).
+    """
+    norm, share = _strichartz_with_tail(traj, p, q)
+    _warn_tail(share, p, q, traj.tau_max)
+    return norm
 
 
 def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
@@ -210,7 +224,8 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
     For each random pair f, evolve Phi0 = (I-P) f in the linear-perturbed
     mode and record ||[Phi]_1||_{L^p L^q} / ||Phi0||_{H1 x L2} for each
     admissible pair, at horizons tau_max and tau_max/2 (for the
-    stability-under-doubling check).
+    stability-under-doubling check).  Warns once, naming the worst tail
+    share and its pair, when any norm's tail exceeds TAIL_SHARE.
 
     Returns {"pairs": ..., "ratios": (n_samples, n_pairs), "ratios_half": ...,
     "spread": per-pair max/min}.
@@ -221,7 +236,7 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
     qs = sorted({q for _, q in pairs if not math.isinf(q)})
     ratios = np.empty((n_samples, len(pairs)))
     ratios_half = np.empty((n_samples, len(pairs)))
-    half_idx_known = None
+    worst = (0.0, None, None, None)
     for i in range(n_samples):
         f = random_smooth_pair(disc, rng)
         phi0 = f - disc.P_mat @ f
@@ -241,8 +256,13 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
             alias_indicator=traj.alias_indicator,
         )
         for j, (p, q) in enumerate(pairs):
-            ratios[i, j] = strichartz_norm(traj, p, q) / denom
-            ratios_half[i, j] = strichartz_norm(traj_half, p, q) / denom
+            for out, tr in ((ratios, traj), (ratios_half, traj_half)):
+                norm, share = _strichartz_with_tail(tr, p, q)
+                out[i, j] = norm / denom
+                if share > worst[0]:
+                    worst = (share, p, q, tr.tau_max)
+    # one warning per run: the worst share over samples, pairs and horizons
+    _warn_tail(*worst)
     spread = ratios.max(axis=0) / np.maximum(ratios.min(axis=0), 1e-300)
     return {
         "pairs": list(pairs),

@@ -1,14 +1,18 @@
 """Complex special functions backing the spectral theory.
 
-Hand-rolled (no scipy.special at runtime) so that the eigenvalue
-cross-checks stay independent of the library stack used by the tests:
+Gamma and 2F1 are hand-rolled, so the eigenvalue cross-checks (the c3
+connection coefficient) stay independent of the library stack the tests
+compare against; scipy's ``hyp2f1`` also takes no complex parameters.
+The Bessel functions wrap ``scipy.special``, which is more accurate than
+the series/Hankel code it replaced (worst relative error against mpmath
+2.6e-14 against 5.6e-12 for |z| <= 67); only the Bessel-model check in
+``green`` uses them:
 
 * ``gamma_c``    -- complex Gamma, Lanczos approximation + reflection,
 * ``hyp2f1``     -- Gauss 2F1 on z in [0,1) by power series plus analytic
                     continuation through repeated Taylor recentering,
-* ``bessel_j/y`` -- J_nu, Y_nu for the half-integer/integer orders
-                    (d-2)/2, d = 3..9, by ascending series and Hankel
-                    asymptotics,
+* ``bessel_j/y`` -- J_nu, Y_nu (and derivatives) for the orders
+                    (d-2)/2, d = 3..9, wrapping ``scipy.special``,
 * ``c3_connection`` -- the closed-form connection coefficient
                     Gamma(c)Gamma(a+b-c+1)/(Gamma(a)Gamma(b)) whose zeros
                     in the right half plane detect eigenvalues.
@@ -21,8 +25,6 @@ import math
 
 
 from .errors import DomainError, ParamError, PoleError
-
-_EULER_GAMMA = 0.5772156649015328606
 
 # Lanczos coefficients, g = 607/128, n = 15 (Godfrey's set).  Relative
 # error of the approximation is below 1e-14 on Re z >= 1/2.
@@ -180,160 +182,53 @@ def hyp2f1_deriv(a, b, c, z) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions J_nu, Y_nu for nu in {-1/2, 0, 1/2, 1, ..., 7/2}
+# Bessel functions J_nu, Y_nu for nu = (d-2)/2, d = 3..9
 # ---------------------------------------------------------------------------
 
-_BESSEL_CROSSOVER = 12.0
 _ALLOWED_ORDERS = {0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5}
 
 
-def _bessel_j_series(nu: float, z: complex) -> complex:
-    # J_nu(z) = (z/2)^nu sum_k (-z^2/4)^k / (k! Gamma(nu+k+1))
-    q = -0.25 * z * z
-    term = rgamma(nu + 1.0)
-    s = term
-    for k in range(1, 200):
-        term = term * q / (k * (nu + k))
-        s += term
-        if abs(term) <= 1e-18 * (abs(s) + 1e-300):
-            break
-    return (0.5 * z) ** nu * s
-
-
-def _bessel_y_series_halfint(nu: float, z: complex) -> complex:
-    # Y_{n+1/2}(z) = (-1)^{n+1} J_{-n-1/2}(z)
-    n = int(round(nu - 0.5))
-    return (-1.0) ** (n + 1) * _bessel_j_series(-nu, z)
-
-
-def _bessel_y_series_int(n: int, z: complex) -> complex:
-    """DLMF 10.8.1 ascending series for integer order n >= 0."""
-    zh = 0.5 * z
-    q = zh * zh
-    s_fin = 0.0 + 0.0j
-    for k in range(n):
-        s_fin += math.factorial(n - k - 1) / math.factorial(k) * q**k
-    psi1 = -_EULER_GAMMA
-    psi2 = -_EULER_GAMMA + sum(1.0 / j for j in range(1, n + 1))
-    term = 1.0 / math.factorial(n)
-    s_psi = (psi1 + psi2) * term
-    qk = 1.0 + 0.0j
-    sgn = 1.0
-    for k in range(1, 200):
-        term = term / (k * (n + k))
-        sgn = -sgn
-        psi1 += 1.0 / k
-        psi2 += 1.0 / (n + k)
-        qk *= q
-        contrib = sgn * (psi1 + psi2) * term * qk
-        s_psi += contrib
-        if abs(contrib) <= 1e-18 * (abs(s_psi) + 1e-300):
-            break
-    jn = _bessel_j_series(float(n), z)
-    out = 2.0 / math.pi * cmath.log(zh) * jn
-    out -= zh ** (-n) / math.pi * s_fin
-    out -= zh**n / math.pi * s_psi
-    return out
-
-
-def _hankel_pq(nu: float, z: complex):
-    """P(nu,z), Q(nu,z) with explicit alternating signs (DLMF 10.17)."""
-    mu = 4.0 * nu * nu
-    # a_k without sign
-    a = 1.0 + 0.0j
-    p = 1.0 + 0.0j
-    q = 0.0 + 0.0j
-    zz = 1.0 + 0.0j
-    last = math.inf
-    for k in range(1, 60):
-        a = a * (mu - (2 * k - 1) ** 2) / (k * 8.0)
-        zz = zz / z
-        term = a * zz
-        if term == 0:
-            break
-        mag = abs(term)
-        if mag > last:
-            break
-        last = mag
-        if k % 2 == 1:
-            q += term * (-1.0) ** ((k - 1) // 2)
-        else:
-            p += term * (-1.0) ** (k // 2)
-    return p, q
-
-
-def _bessel_asymptotic(nu: float, z: complex):
-    if z.real < 0.0:
-        # expansion loses accuracy near the negative real axis; rotate to
-        # Re > 0 and continue analytically: J(ze^{ipi}) = e^{i nu pi} J(z),
-        # Y(ze^{ipi}) = e^{-i nu pi} Y(z) + 2i cos(nu pi) J(z)
-        jt, yt = _bessel_asymptotic(nu, -z)
-        ph = cmath.exp(1j * math.pi * nu)
-        return ph * jt, yt / ph + 2j * math.cos(math.pi * nu) * jt
-    p, q = _hankel_pq(nu, z)
-    chi = z - (0.5 * nu + 0.25) * math.pi
-    amp = cmath.sqrt(2.0 / (math.pi * z))
-    j = amp * (p * cmath.cos(chi) - q * cmath.sin(chi))
-    y = amp * (p * cmath.sin(chi) + q * cmath.cos(chi))
-    return j, y
-
-
-def _bessel_any(nu: float, z: complex):
-    """(J_nu, Y_nu) for nu in {-1/2, 0, 1/2, ..., 7/2}."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("Bessel functions singular at z=0")
-    if abs(z) > _BESSEL_CROSSOVER:
-        return _bessel_asymptotic(nu, z)
-    j = _bessel_j_series(nu, z)
-    if nu == int(nu):
-        y = _bessel_y_series_int(int(nu), z)
-    else:
-        y = _bessel_y_series_halfint(nu, z)
-    return j, y
-
-
-def _check_order(nu: float):
+def _bessel_args(nu: float, z):
     if float(nu) not in _ALLOWED_ORDERS:
         raise DomainError(
             f"order nu={nu} unsupported; expected (d-2)/2 for d=3..9"
         )
+    z = complex(z)
+    if z == 0:
+        raise DomainError("Bessel functions singular at z=0")
+    return float(nu), z
+
+
+# scipy.special is imported inside each wrapper: at module level it would
+# add ~70 ms to every interpreter start, for the Bessel-model check alone
 
 
 def bessel_j(nu: float, z) -> complex:
-    """J_nu(z), nu = (d-2)/2 for d=3..9, complex z with 0 <= arg z < pi."""
-    _check_order(nu)
-    return _bessel_any(float(nu), complex(z))[0]
+    """J_nu(z), nu = (d-2)/2 for d=3..9, complex z != 0."""
+    import scipy.special
+
+    return complex(scipy.special.jv(*_bessel_args(nu, z)))
 
 
 def bessel_y(nu: float, z) -> complex:
     """Y_nu(z), same domain as bessel_j."""
-    _check_order(nu)
-    return _bessel_any(float(nu), complex(z))[1]
+    import scipy.special
+
+    return complex(scipy.special.yv(*_bessel_args(nu, z)))
 
 
 def bessel_j_deriv(nu: float, z) -> complex:
-    """J_nu'(z) = J_{nu-1}(z) - (nu/z) J_nu(z)."""
-    _check_order(nu)
-    z = complex(z)
-    if z == 0:
-        raise DomainError("Bessel functions singular at z=0")
-    jm1 = _bessel_any(float(nu) - 1.0, z)[0]
-    return jm1 - (nu / z) * _bessel_any(float(nu), z)[0]
+    """J_nu'(z), same domain as bessel_j."""
+    import scipy.special
+
+    return complex(scipy.special.jvp(*_bessel_args(nu, z)))
 
 
 def bessel_y_deriv(nu: float, z) -> complex:
-    """Y_nu'(z) = Y_{nu-1}(z) - (nu/z) Y_nu(z)."""
-    _check_order(nu)
-    z = complex(z)
-    if z == 0:
-        raise DomainError("Bessel functions singular at z=0")
-    nu = float(nu)
-    if nu == 0.5:
-        ym1 = _bessel_any(0.5, z)[0]  # Y_{-1/2} = J_{1/2}
-    else:
-        ym1 = _bessel_any(nu - 1.0, z)[1]
-    return ym1 - (nu / z) * _bessel_any(nu, z)[1]
+    """Y_nu'(z), same domain as bessel_j."""
+    import scipy.special
+
+    return complex(scipy.special.yvp(*_bessel_args(nu, z)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from conewave import blowup as bl
 from conewave import collocation as co
-from conewave.errors import DomainError, NoBracketError
+from conewave.errors import DomainError, NoBracketError, SecantFailure
 
 SQRT2 = math.sqrt(2.0)
 
@@ -13,6 +14,12 @@ SQRT2 = math.sqrt(2.0)
 @pytest.fixture(scope="module")
 def disc():
     return co.build(4, 96)
+
+
+@pytest.fixture(scope="module")
+def bump_fit(disc):
+    v = bl.bump_perturbation(delta=0.1, amplitude=0.05)
+    return v, bl.fit_blowup_time(4, v, tau_max=12.0, disc=disc)
 
 
 class TestInitialData:
@@ -49,6 +56,10 @@ class TestFit:
                                  disc=disc)
         assert abs(fit.T_star - 1.0) <= 1e-9
         assert fit.monotone
+        # T = 1 is a grid point with identically zero data: no secant step
+        assert fit.T_star == 1.0
+        assert fit.residual_mode == 0.0
+        assert fit.n_evolutions == 6
 
     def test_gauge_direction_linear_response(self, disc):
         # v = a g scales the data along the gauge mode:
@@ -62,9 +73,8 @@ class TestFit:
         predicted = 1.0 - a / ((4 - 2) * SQRT2 / 4.0)
         assert abs(fit.T_star - predicted) <= 30.0 * a * a
 
-    def test_bump_experiment(self, disc):
-        v = bl.bump_perturbation(delta=0.1, amplitude=0.05)
-        fit = bl.fit_blowup_time(4, v, tau_max=12.0, disc=disc)
+    def test_bump_experiment(self, disc, bump_fit):
+        v, fit = bump_fit
         assert 0.9 < fit.T_star < 1.1
         assert fit.monotone
         phi0 = bl.initial_data(4, fit.T_star, v, disc)
@@ -80,6 +90,35 @@ class TestFit:
         late = sups[traj.taus >= 5.0]
         assert np.all(np.diff(late) <= 1e-12)
 
+    def test_secant_matches_bisection(self, bump_fit):
+        # T* of the 47-evolution bisection to width 1e-14 it replaced
+        _, fit = bump_fit
+        assert abs(fit.T_star - 0.9995089928555445) <= 1e-13
+        assert fit.n_evolutions <= 12
+        assert fit.bracket[1] == fit.T_star
+
+    def test_never_linear_raises(self, disc, never_linear):
+        with pytest.raises(SecantFailure, match="for the pair T="):
+            bl.fit_blowup_time(4, bl.zero_perturbation(), tau_max=1.0,
+                               disc=disc)
+
+    def test_refinement_error(self, disc, bump_fit):
+        v, fit = bump_fit
+        err = bl.refinement_error(fit, v)
+        assert 0.0 <= err["T_star_err"] <= 1e-12
+        s_phys = bl.stability_report(fit, 4, 0.1, disc)["S_phys"]
+        assert 0.0 < err["S_phys_err"] <= 1e-3 * s_phys
+        assert 4 <= err["n_evolutions_err"] <= 8
+
+    def test_refinement_error_needs_even_steps(self, disc):
+        v = bl.zero_perturbation()
+        traj = bl.evolve(disc, bl.initial_data(4, 1.0, v, disc), 0.03, 0.01,
+                         "nonlinear")
+        fit = bl.FitResult(T_star=1.0, residual_mode=0.0, trajectory=traj,
+                           bracket=(1.0, 1.0), monotone=True, n_evolutions=1)
+        with pytest.raises(DomainError, match="multiple of 2 dtau"):
+            bl.refinement_error(fit, v)
+
     def test_no_bracket(self, disc):
         # a perturbation dominated by the gauge mode with tiny delta cannot
         # flip the late coefficient inside the bracket
@@ -90,6 +129,22 @@ class TestFit:
             delta=0.02, amplitude=a)
         with pytest.raises(NoBracketError):
             bl.fit_blowup_time(4, v, tau_max=8.0, disc=disc)
+
+
+def test_paper_dimension_range():
+    # the paper's nonlinear stability covers 3 <= d <= 6
+    t0 = time.time()
+    for d in (3, 4, 5, 6):
+        disc = co.build(d, 48)
+        v = bl.bump_perturbation(delta=0.1, amplitude=0.05)
+        fit = bl.fit_blowup_time(d, v, tau_max=12.0, disc=disc)
+        err = bl.refinement_error(fit, v)
+        rep = bl.stability_report(fit, d, 0.1, disc)
+        assert fit.monotone, d
+        assert fit.n_evolutions <= 12, d
+        assert err["T_star_err"] <= 1e-10, d
+        assert rep["identity_rel_err"] <= 1e-3, d
+    assert time.time() - t0 < 30.0, "exceeded the 30 s budget"
 
 
 class TestInstabilityDemo:

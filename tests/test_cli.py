@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -132,6 +133,22 @@ def test_run_all_commands_parse():
         assert parser.parse_args(cmd + ["--out", "out"]).command == cmd[0]
 
 
+def test_amplitude_sweep_columns(tmp_path, monkeypatch):
+    """scripts/amplitude_sweep.py writes the error bars and both ratios."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "amplitude_sweep.py"
+    spec = importlib.util.spec_from_file_location("amplitude_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sweep, "AMPLITUDES", [0.05, 0.025])
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(sys, "argv", ["amplitude_sweep.py", str(out)])
+    assert sweep.main() == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ("amplitude,T_star,T_star_err,shift,S_phys,S_phys_err,"
+                        "shift_per_amp,S_per_amp_sq")
+    assert len(lines) == 3
+
+
 class TestCommands:
     def test_evolve_deterministic(self, tmp_path):
         args = ["evolve", "--N", "32", "--tau-max", "1.0", "--seed", "5"]
@@ -158,9 +175,20 @@ class TestCommands:
         cli.main(["fit-blowup", "--N", "32", "--tau-max", "4.0",
                   "--out", str(tmp_path)])
         report = json.loads((tmp_path / "fit_blowup_report.json").read_text())
-        lo, hi = report["bracket"]
-        assert lo <= report["T_star"] <= hi
-        assert report["n_evolutions"] >= 6  # five bracket runs and the fit
+        # the bracket is the secant's last pair, ending at T*
+        assert report["T_star"] == report["bracket"][1]
+        assert 6 <= report["n_evolutions"] <= 12  # five grid runs and the fit
+        assert 0.0 <= report["T_star_err"] <= 1e-10
+        assert report["S_phys_err"] >= 0.0
+        assert report["n_evolutions_err"] >= 4
+
+    def test_fit_blowup_secant_failure_exits_65(self, tmp_path, never_linear):
+        code = cli.main(["fit-blowup", "--N", "32", "--tau-max", "4.0",
+                         "--amplitude", "0", "--out", str(tmp_path)])
+        assert code == cli.EXIT_NUMERIC
+        manifest = json.loads(
+            (tmp_path / "fit_blowup_manifest.json").read_text())
+        assert "for the pair T=" in manifest["error"]
 
     def test_strichartz_records_not_converged(self, tmp_path):
         # a short horizon leaves the L^p integrals' tails too heavy
@@ -168,8 +196,11 @@ class TestCommands:
                   "--out", str(tmp_path)])
         manifest = json.loads(
             (tmp_path / "strichartz_manifest.json").read_text())
-        assert "NotConvergedWarning" in {
-            w["category"] for w in manifest["warnings"]}
+        caught = [w for w in manifest["warnings"]
+                  if w["category"] == "NotConvergedWarning"]
+        # one warning per run, naming the worst tail share and its pair
+        assert len(caught) == 1
+        assert "L^2.0 L^8.0" in caught[0]["message"]
 
     def test_strichartz_zero_spread_guard(self, tmp_path):
         code = cli.main(["strichartz", "--N", "48", "--tau-max", "16.0",
