@@ -27,9 +27,9 @@ def main():
     rows = []
     for amp in AMPLITUDES:
         v = bl.bump_perturbation(delta, amp)
-        fit = bl.fit_blowup_time(d, v, tau_max=12.0, disc=disc)
-        rep = bl.stability_report(fit, d, delta, disc)
-        err = bl.refinement_error(fit, v)
+        fit = bl.fit_blowup_time(disc, v, tau_max=12.0)
+        rep = bl.stability_report(fit)
+        err = bl.refinement_error(fit)
         rows.append((amp, fit.T_star, err["T_star_err"], abs(fit.T_star - 1.0),
                      rep["S_phys"], err["S_phys_err"]))
         print(f"amplitude {amp:.5f}: T* = {fit.T_star:.9f} "

@@ -13,7 +13,8 @@ zero of the late-time gauge-mode coefficient of the nonlinear evolution
 started from U(T, v), found by a secant in T on that coefficient inside
 its linear window; on the stable manifold this coefficient vanishes
 together with the Lyapunov-Perron correction functional.  Its error bar
-comes from re-fits on a coarser grid and with a doubled time step.
+comes from re-fits on a coarser grid and with a doubled time step.  The
+dimension is read from ``disc.d`` and the perturbation from ``FitResult.v``.
 """
 
 import math
@@ -66,9 +67,10 @@ def bump_perturbation(delta: float = 0.1,
     return PerturbationData(v1=prof, v2=prof, delta=delta, amplitude=amplitude)
 
 
-def initial_data(d: int, T: float, v: PerturbationData,
-                 disc: SpectralDiscretization) -> np.ndarray:
-    """Grid sample of U(T, v) (the similarity-frame perturbation at tau=0)."""
+def initial_data(disc: SpectralDiscretization, T: float,
+                 v: PerturbationData) -> np.ndarray:
+    """Grid sample of U(T, v) in dimension disc.d (Phi at tau=0)."""
+    d = disc.d
     check_dimension(d, nonlinear=True)
     if not (1.0 - v.delta <= T <= 1.0 + v.delta):
         raise DomainError(f"T={T} outside [1-delta, 1+delta]")
@@ -88,13 +90,14 @@ class FitResult:
     bracket: tuple
     monotone: bool
     n_evolutions: int
+    v: PerturbationData  # the data the fit was made to
 
 
-def _evolve_at(d, T, v, disc, tau_max, dtau):
-    return evolve(disc, initial_data(d, T, v, disc), tau_max, dtau, "nonlinear")
+def _evolve_at(disc, T, v, tau_max, dtau):
+    return evolve(disc, initial_data(disc, T, v), tau_max, dtau, "nonlinear")
 
 
-def _secant(d, v, disc, tau_max, dtau, older, newer):
+def _secant(disc, v, tau_max, dtau, older, newer):
     """Secant in T on the gauge-mode coefficient inside its linear window.
 
     ``older`` is (T, mode coefficients); ``newer`` is (T, mode coefficients,
@@ -106,14 +109,16 @@ def _secant(d, v, disc, tau_max, dtau, older, newer):
     the newer one and k is the tau_max snapshot, or once c(tau_max) of the
     newer run is exactly 0.  Only the older run's coefficients are kept.
 
-    Returns (T*, trajectory at T*, last pair, evolutions made).
+    Returns (proposal, trajectory at T*, last pair ending at T*, evolutions
+    made); the proposal is the iterate the secant would evolve next.
     """
     n_last = int(round(tau_max / dtau))
-    limit = WINDOW * c_d(d)
+    limit = WINDOW * c_d(disc.d)
     (t0, c0), (t1, c1, traj) = older, newer
     n_ev = 0
     for _ in range(SECANT_MAX_STEPS):
         if len(c1) > n_last and c1[n_last] == 0.0:
+            t_next = t1
             break
         n = min(len(c0), len(c1))
         inside = (np.abs(c0[:n]) <= limit) & (np.abs(c1[:n]) <= limit)
@@ -130,7 +135,7 @@ def _secant(d, v, disc, tau_max, dtau, older, newer):
             raise SecantFailure(
                 f"secant step to T={t_next!r} leaves [1-delta, 1+delta] "
                 f"from the pair T={t0!r}, {t1!r}")
-        traj = _evolve_at(d, t_next, v, disc, tau_max, dtau)
+        traj = _evolve_at(disc, t_next, v, tau_max, dtau)
         n_ev += 1
         t0, c0 = t1, c1
         t1, c1 = t_next, np.real(traj.mode_coeffs)
@@ -139,14 +144,13 @@ def _secant(d, v, disc, tau_max, dtau, older, newer):
             f"no convergence in {SECANT_MAX_STEPS} secant steps; last pair "
             f"T={t0!r}, {t1!r}")
     if traj is None:  # the newer run came from the grid scan
-        traj = _evolve_at(d, t1, v, disc, tau_max, dtau)
+        traj = _evolve_at(disc, t1, v, tau_max, dtau)
         n_ev += 1
-    return float(t1), traj, (float(t0), float(t1)), n_ev
+    return float(t_next), traj, (float(t0), float(t1)), n_ev
 
 
-def fit_blowup_time(d: int, v: PerturbationData, tau_max: float = 12.0,
-                    disc: SpectralDiscretization = None,
-                    dtau: float = 0.01) -> FitResult:
+def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
+                    tau_max: float = 12.0, dtau: float = 0.01) -> FitResult:
     """Secant in T so the evolved solution carries no late gauge mode.
 
     The coefficient c(tau) = <Phi(tau), w>_E is checked for a sign change
@@ -155,15 +159,12 @@ def fit_blowup_time(d: int, v: PerturbationData, tau_max: float = 12.0,
     the zero; its limit is the fitted blowup time.  ``bracket`` is the
     secant's last pair and ``n_evolutions`` counts the grid runs too.
     """
-    check_dimension(d, nonlinear=True)
-    if disc is None:
-        raise DomainError("a discretization is required")
     delta = v.delta
     a, b = 1.0 - delta, 1.0 + delta
 
     grid = np.linspace(a, b, 5)
     # the mode coefficients only: the states are not needed
-    coeffs = [np.real(_evolve_at(d, T, v, disc, tau_max, dtau).mode_coeffs)
+    coeffs = [np.real(_evolve_at(disc, T, v, tau_max, dtau).mode_coeffs)
               for T in grid]
     # compare at the earliest common time: detuned runs may blow up first
     k = min(len(c) for c in coeffs) - 1
@@ -181,56 +182,55 @@ def fit_blowup_time(d: int, v: PerturbationData, tau_max: float = 12.0,
     i = next(i for i in range(4) if cs[i] * cs[i + 1] <= 0.0)
     # the newer iterate is the one nearer the zero
     old, new = (i + 1, i) if abs(cs[i]) < abs(cs[i + 1]) else (i, i + 1)
-    T_star, traj, pair, n_ev = _secant(
-        d, v, disc, tau_max, dtau, (grid[old], coeffs[old]),
+    _, traj, pair, n_ev = _secant(
+        disc, v, tau_max, dtau, (grid[old], coeffs[old]),
         (grid[new], coeffs[new], None))
     return FitResult(
-        T_star=T_star, residual_mode=abs(float(np.real(traj.mode_coeffs[-1]))),
+        T_star=pair[1], residual_mode=abs(float(np.real(traj.mode_coeffs[-1]))),
         trajectory=traj, bracket=pair, monotone=monotone,
-        n_evolutions=len(grid) + n_ev,
+        n_evolutions=len(grid) + n_ev, v=v,
     )
 
 
-def refinement_error(fit: FitResult, v: PerturbationData) -> dict:
-    """Error bar of T* and S_phys from two re-fits of ``fit`` to data v.
+def refinement_error(fit: FitResult) -> dict:
+    """Error bar of T* and S_phys from two re-fits of ``fit`` to its data.
 
     Re-fits at (N, 2 dtau) and at (2N/3, dtau), each a secant warm-started
-    from the pair (T*, T* + REFIT_OFFSET).  Lawson RK4 is fourth order, so
-    the 2 dtau change bounds the dtau error of T* from above (by ~15x);
-    S_phys is integrated in tau at second order (~3x).  Each error is the
-    largest change over the two re-fits; tau_max must be a multiple of
-    2 dtau (DomainError otherwise).
+    from the pair (T*, T* + REFIT_OFFSET); T* moves to the secant's final
+    proposal, so shifts below SECANT_STEP count.  Lawson RK4 is fourth
+    order, so the 2 dtau change bounds the dtau error of T* from above (by
+    ~15x); S_phys is integrated in tau at second order (~3x).  Each error
+    is the largest change over the two re-fits; tau_max must be a multiple
+    of 2 dtau (DomainError otherwise).
     """
-    base = fit.trajectory
-    disc, d, dtau, tau_max = base.disc, base.disc.d, base.dtau, base.tau_max
+    base, v = fit.trajectory, fit.v
+    disc, dtau, tau_max = base.disc, base.dtau, base.tau_max
     if round(tau_max / dtau) % 2:
         raise DomainError(
             f"the 2 dtau re-fit needs tau_max={tau_max:g} to be a multiple "
             f"of 2 dtau={2.0 * dtau:g}")
-    s_phys = stability_report(fit, d, v.delta, disc, tau_max)["S_phys"]
-    coarse = build(d, max(16, round(2 * disc.N / 3)))
+    s_phys = stability_report(fit, tau_max)["S_phys"]
+    coarse = build(disc.d, max(16, round(2 * disc.N / 3)))
     t_err = s_err = 0.0
     n_ev = 0
     for disc_r, dtau_r in ((disc, 2.0 * dtau), (coarse, dtau)):
         t1 = fit.T_star
         t0 = t1 + REFIT_OFFSET
-        c0 = np.real(_evolve_at(d, t0, v, disc_r, tau_max, dtau_r).mode_coeffs)
-        traj = _evolve_at(d, t1, v, disc_r, tau_max, dtau_r)
-        T_r, traj, _, n_sec = _secant(
-            d, v, disc_r, tau_max, dtau_r, (t0, c0),
+        c0 = np.real(_evolve_at(disc_r, t0, v, tau_max, dtau_r).mode_coeffs)
+        traj = _evolve_at(disc_r, t1, v, tau_max, dtau_r)
+        t_next, traj, (_, T_r), n_sec = _secant(
+            disc_r, v, tau_max, dtau_r, (t0, c0),
             (t1, np.real(traj.mode_coeffs), traj))
         n_ev += 2 + n_sec
         refit = replace(fit, T_star=T_r, trajectory=traj)
-        s_r = stability_report(refit, d, v.delta, disc_r, tau_max)["S_phys"]
-        t_err = max(t_err, abs(T_r - fit.T_star))
+        s_r = stability_report(refit, tau_max)["S_phys"]
+        t_err = max(t_err, abs(t_next - fit.T_star))
         s_err = max(s_err, abs(s_r - s_phys))
     return {"T_star_err": t_err, "S_phys_err": s_err,
             "n_evolutions_err": n_ev}
 
 
-def stability_report(fit: FitResult, d: int, delta: float,
-                     disc: SpectralDiscretization,
-                     tau_eval: float = 10.0) -> dict:
+def stability_report(fit: FitResult, tau_eval: float = 10.0) -> dict:
     """Similarity/physical spacetime norms of the fitted solution.
 
     S_sim  = int_0^tau_max || psi_1(tau) - c_d ||^2_{L^q(B_1)} dtau,
@@ -242,9 +242,10 @@ def stability_report(fit: FitResult, d: int, delta: float,
     independent integration path.
     """
     traj = fit.trajectory
+    disc, d, delta = traj.disc, traj.disc.d, fit.v.delta
     T = fit.T_star
     q = 2.0 * d / (d - 3.0) if d > 3 else math.inf
-    norms = lq_norm(d, traj.states[:, : disc.N], q, disc)
+    norms = lq_norm(disc, traj.states[:, : disc.N], q)
     s_sim = float(np.trapezoid(norms**2, traj.taus))
 
     tau_max = traj.tau_max
@@ -275,19 +276,18 @@ def stability_report(fit: FitResult, d: int, delta: float,
     }
 
 
-def instability_demo(d: int, tau_max: float = 10.0,
-                     disc: SpectralDiscretization = None,
+def instability_demo(disc: SpectralDiscretization, tau_max: float = 10.0,
                      dtau: float = 0.01) -> dict:
     """Gauge-mode growth under blowup-time detuning (not a real instability).
 
     Evolves v = 0 data with T = 1 +/- DETUNE; the mode coefficient grows
     like e^tau until nonlinear saturation, and its sign follows sign(T-1).
     """
-    check_dimension(d, nonlinear=True)
+    d = disc.d
     v0 = zero_perturbation(delta=max(2 * DETUNE, 0.05))
     out = {"d": d, "detune": DETUNE, "slopes": {}, "signs": {}}
     for T in (1.0 - DETUNE, 1.0 + DETUNE):
-        phi0 = initial_data(d, T, v0, disc)
+        phi0 = initial_data(disc, T, v0)
         traj = evolve(disc, phi0, tau_max, dtau, "nonlinear")
         c = np.real(traj.mode_coeffs)
         c0 = abs(c[0])
@@ -301,7 +301,7 @@ def instability_demo(d: int, tau_max: float = 10.0,
             slope = math.nan
         out["slopes"][T] = slope
         out["signs"][T] = float(np.sign(c[np.where(np.abs(c) > 0)[0][-1]]))
-    phi0 = initial_data(d, 1.0, zero_perturbation(), disc)
+    phi0 = initial_data(disc, 1.0, zero_perturbation())
     traj = evolve(disc, phi0, min(tau_max, 5.0), dtau, "nonlinear")
     out["tuned_max_coeff"] = float(np.max(np.abs(traj.mode_coeffs)))
     return out

@@ -140,7 +140,7 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
     states = states[: n_done + 1]
     coeffs = disc.mode_coefficient(states)
     enorms = energy_norm(disc, states)
-    lq = {q: lq_norm(disc.d, states[:, : disc.N], q, disc) for q in q_list}
+    lq = {q: lq_norm(disc, states[:, : disc.N], q) for q in q_list}
     if mode == "nonlinear":
         # top even-Chebyshev coefficient of Phi_1 relative to its sup norm
         u1 = states[:: max(1, n_done // 50), : disc.N]
@@ -158,8 +158,8 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
 # ---------------------------------------------------------------------------
 
 
-def lq_norm(d: int, u1, q: float, disc: SpectralDiscretization):
-    """(|S^{d-1}| int_0^1 |u1|^q rho^{d-1} drho)^{1/q} on the grid.
+def lq_norm(disc: SpectralDiscretization, u1, q: float):
+    """(|S^{d-1}| int_0^1 |u1|^q rho^{d-1} drho)^{1/q} on the grid, d = disc.d.
 
     u1 may be a stack of first components (leading axis); the norms are
     then returned per state.
@@ -169,29 +169,31 @@ def lq_norm(d: int, u1, q: float, disc: SpectralDiscretization):
     if math.isinf(q):
         out = np.max(np.abs(u1), axis=-1)
     else:
-        val = sphere_area(d) * np.sum(disc.quad_weights * np.abs(u1) ** q, axis=-1)
-        out = np.maximum(val, 0.0) ** (1.0 / q)
+        val = np.sum(disc.quad_weights * np.abs(u1) ** q, axis=-1)
+        out = np.maximum(sphere_area(disc.d) * val, 0.0) ** (1.0 / q)
     return float(out) if np.ndim(out) == 0 else out
 
 
 TAIL_SHARE = 0.05  # largest share of the L^p integral the last 10% may carry
 
 
-def _strichartz_with_tail(traj: EvolutionTrajectory, p: float, q: float):
-    """(L^p_tau L^q_rho norm, share of its p-th power in the last 10%)."""
-    disc = traj.disc
+def _norm_series(traj: EvolutionTrajectory, q: float):
+    """Per-snapshot L^q norms of the first component, recorded or computed."""
     if q in traj.lq_norms:
-        g = traj.lq_norms[q]
-    else:
-        g = lq_norm(disc.d, traj.states[:, : disc.N], q, disc)
+        return traj.lq_norms[q]
+    return lq_norm(traj.disc, traj.states[:, : traj.disc.N], q)
+
+
+def _strichartz_with_tail(g, taus, p: float):
+    """(L^p_tau norm of g on taus, share of its p-th power in the last 10%)."""
     if math.isinf(p):
         return float(np.max(g)), 0.0
     gp = g ** p
-    total = float(np.trapezoid(gp, traj.taus))
+    total = float(np.trapezoid(gp, taus))
     if total == 0.0:
         return 0.0, 0.0
-    i0 = int(0.9 * (len(traj.taus) - 1))
-    tail = float(np.trapezoid(gp[i0:], traj.taus[i0:]))
+    i0 = int(0.9 * (len(taus) - 1))
+    tail = float(np.trapezoid(gp[i0:], taus[i0:]))
     return total ** (1.0 / p), tail / total
 
 
@@ -212,7 +214,7 @@ def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float) -> float:
     trailing 10% of the horizon contributes more than TAIL_SHARE of the
     total (horizon likely too short).
     """
-    norm, share = _strichartz_with_tail(traj, p, q)
+    norm, share = _strichartz_with_tail(_norm_series(traj, q), traj.taus, p)
     _warn_tail(share, p, q, traj.tau_max)
     return norm
 
@@ -246,21 +248,15 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
             ratios_half[i] = 0.0
             continue
         traj = evolve(disc, phi0, tau_max, dtau, "linear-perturbed", q_list=qs)
-        half = len(traj.taus) // 2
-        traj_half = EvolutionTrajectory(
-            disc=disc, dtau=dtau, mode=traj.mode,
-            taus=traj.taus[: half + 1], states=traj.states[: half + 1],
-            mode_coeffs=traj.mode_coeffs[: half + 1],
-            energy_norms=traj.energy_norms[: half + 1],
-            lq_norms={q: v[: half + 1] for q, v in traj.lq_norms.items()},
-            alias_indicator=traj.alias_indicator,
-        )
+        # the half horizon is a prefix of the same run
+        half = len(traj.taus) // 2 + 1
         for j, (p, q) in enumerate(pairs):
-            for out, tr in ((ratios, traj), (ratios_half, traj_half)):
-                norm, share = _strichartz_with_tail(tr, p, q)
+            g = _norm_series(traj, q)
+            for out, n in ((ratios, len(g)), (ratios_half, half)):
+                norm, share = _strichartz_with_tail(g[:n], traj.taus[:n], p)
                 out[i, j] = norm / denom
                 if share > worst[0]:
-                    worst = (share, p, q, tr.tau_max)
+                    worst = (share, p, q, float(traj.taus[n - 1]))
     # one warning per run: the worst share over samples, pairs and horizons
     _warn_tail(*worst)
     spread = ratios.max(axis=0) / np.maximum(ratios.min(axis=0), 1e-300)

@@ -48,7 +48,8 @@ from .errors import (DomainError, NearEigenvalueError, QuadratureError,
 from .model import varphi
 # `integrate` is bound here by name: the benchmark's tracer patches
 # conewave.green:integrate and conewave.green:build_kernel
-from .radialode import ONE_START, SpectralODE, integrate, seed_one
+from .radialode import (ONE_START, SpectralODE, integrate, matching_wronskian,
+                        seed_one)
 from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 
 GEO_DEPTH = 24
@@ -117,18 +118,18 @@ def _panel_layout(rho_out):
 def _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts):
     """Rescale u0 so W(u1,u0) rho^{d-1}(1-rho^2)^{1/2+lam} = 2i; return scale.
 
-    Raises NearEigenvalueError when the normalized Wronskian is below
-    EIGEN_GUARD relative to the solution magnitudes at the matching point.
+    W(u1, u0) = -mu (mu the eigen indicator's Wronskian) and its scale
+    come from `radialode.matching_wronskian` at the point of pts nearest
+    1/2.  Raises NearEigenvalueError when the normalized Wronskian is below
+    EIGEN_GUARD relative to the solution magnitudes there.
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     j = int(np.argmin(np.abs(pts - 0.5)))
     rho = pts[j]
-    w = u1[:, j] * u0p[:, j] - u1p[:, j] * u0[:, j]
+    w, scale = matching_wronskian((u1[:, j], u1p[:, j]), (u0[:, j], u0p[:, j]))
     fac = rho ** (d - 1.0) * np.exp((0.5 + lam_arr) * math.log(1.0 - rho * rho))
     kappa = w * fac
-    scale = ((np.abs(u1[:, j]) + np.abs(u1p[:, j]))
-             * (np.abs(u0[:, j]) + np.abs(u0p[:, j])) * np.abs(fac))
-    bad = np.abs(kappa) <= EIGEN_GUARD * scale
+    bad = np.abs(kappa) <= EIGEN_GUARD * (scale * np.abs(fac))
     if np.any(bad):
         raise NearEigenvalueError(
             f"lam={lam_arr[bad][:3]} too close to an eigenvalue"

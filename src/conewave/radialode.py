@@ -12,9 +12,11 @@ singular points: Frobenius indices {0, (2-d)/2} at rho=0 and
 {0, 1/2-lam} at rho=1.  `integrate` evaluates the origin-regular and the
 analytic-at-one branches on point sets, batched over lam; it is the one
 place where the Frobenius series bridges the seed gap next to each
-endpoint.  Eigenvalues are located as zeros (in lam) of the Wronskian of
-the two branches, counted by the argument principle on rectangles and
-polished by Newton.
+endpoint, and every shoot of the ODE (indicator, resolvent kernel, the
+closed-form checks) goes through it.  Eigenvalues are located as zeros
+(in lam) of the Wronskian of the two branches at RHO_MID
+(`matching_wronskian`, which also normalizes the Green kernel), counted
+by the argument principle on rectangles and polished by Newton.
 """
 
 import cmath
@@ -201,24 +203,6 @@ def seed_one(ode: SpectralODE, branch: str = "analytic") -> FrobeniusSeed:
 # ---------------------------------------------------------------------------
 
 
-def _shoot_start(d: int, lam_arr, variant: str, endpoint: str):
-    """Frobenius start of a shoot batched over lam from one endpoint.
-
-    Returns (seeds, start, y0, rhs, h0): the analytic-branch seeds, the
-    start point ORIGIN_START or ONE_START, the seed data (u, u') there per
-    lam, the batched RHS, and an initial step resolving the fastest
-    oscillation e^{a(lam) phi} of the batch.
-    """
-    lam_arr = np.asarray(lam_arr, dtype=complex)
-    odes = [SpectralODE(d, complex(lam), variant) for lam in lam_arr]
-    seeds = ([seed_origin(ode) for ode in odes] if endpoint == "origin"
-             else [seed_one(ode, "analytic") for ode in odes])
-    start = ORIGIN_START if endpoint == "origin" else ONE_START
-    y0 = np.array([seed.eval(start) for seed in seeds], dtype=complex)
-    h0 = 0.5 / (20.0 + float(np.max(np.abs(1j * (0.5 - lam_arr)))))
-    return seeds, start, y0, _batch_rhs(d, lam_arr, variant), h0
-
-
 def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
     """(u, u') of the solution seeded at `endpoint` on ascending pts in
     (0, 1), batched over lam; arrays (n_lam, n_pts).
@@ -227,7 +211,8 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
     the analytic one, both with unit leading seed coefficient.  Points
     inside the seed gap [0, ORIGIN_START] or [ONE_START, 1] are evaluated
     from the Frobenius series, the rest by landing RK45 checkpoints on
-    them (integrating toward 0 for the one-seeded solution).
+    them (integrating toward 0 for the one-seeded solution).  This is the
+    only RK45 entry of the package.
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     pts = np.asarray(pts, dtype=float)
@@ -237,20 +222,27 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
     u = np.empty((n_lam, n_pts), dtype=complex)
     up = np.empty((n_lam, n_pts), dtype=complex)
 
-    seeds, start, y0, f, h0 = _shoot_start(d, lam_arr, variant, endpoint)
+    odes = [SpectralODE(d, complex(lam), variant) for lam in lam_arr]
     if endpoint == "origin":
+        seeds = [seed_origin(ode) for ode in odes]
+        start = ORIGIN_START
         gap = pts <= start
         cps = pts[~gap]
     else:
+        seeds = [seed_one(ode, "analytic") for ode in odes]
+        start = ONE_START
         gap = pts >= start
         cps = pts[~gap][::-1]  # descending toward 0
-    for i, seed in enumerate(seeds):
-        if np.any(gap):
+    if np.any(gap):
+        for i, seed in enumerate(seeds):
             u[i, gap], up[i, gap] = seed.eval(pts[gap])
-    if len(cps):
+    if len(cps) and n_lam:
+        y0 = np.array([seed.eval(start) for seed in seeds], dtype=complex)
+        # initial step resolving the batch's fastest oscillation e^{a phi}
+        h0 = 0.5 / (20.0 + float(np.max(np.abs(1j * (0.5 - lam_arr)))))
         _, cp_vals, _ = _rk45.solve(
-            f, start, float(cps[-1]), y0, rtol=rtol, atol=1e-300,
-            checkpoints=cps, h0=h0,
+            _batch_rhs(d, lam_arr, variant), start, float(cps[-1]), y0,
+            rtol=rtol, atol=1e-300, checkpoints=cps, h0=h0,
         )
         if not np.all(np.isfinite(cp_vals)):
             raise QuadratureError("fundamental solution overflowed on nodes")
@@ -263,32 +255,34 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
     return u, up
 
 
+def matching_wronskian(first, second):
+    """(W, scale) of two solutions given as (u, u') pairs at one matching
+    point, elementwise over arrays.
+
+    W = W(first, second) = u_f u_s' - u_f' u_s, and scale = (|u_f| +
+    |u_f'|)(|u_s| + |u_s'|) is its natural magnitude.  The eigen indicator
+    is mu = W(u_origin, u_one); the Green kernel is normalized by
+    W(u_one, u_origin) = -mu.
+    """
+    (uf, ufp), (us, usp) = first, second
+    scale = (np.abs(uf) + np.abs(ufp)) * (np.abs(us) + np.abs(usp))
+    return uf * usp - ufp * us, scale
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue indicator and half-plane scan
 # ---------------------------------------------------------------------------
 
 
-def _shoot_to_mid(d: int, lam_arr, variant: str, rtol: float):
-    """(mu, ya, yb): the indicator and the (u, u') of the origin- and
-    one-seeded solutions at RHO_MID, batched over lam."""
-    mid = []
-    for endpoint in ("origin", "one"):
-        _, start, y0, f, h0 = _shoot_start(d, lam_arr, variant, endpoint)
-        mid.append(_rk45.solve(f, start, RHO_MID, y0, rtol=rtol,
-                               atol=1e-300, h0=h0)[0])
-    ya, yb = mid
-    return ya[:, 0] * yb[:, 1] - ya[:, 1] * yb[:, 0], ya, yb
-
-
 def _indicator_batch(d: int, lam_arr, variant: str, rtol: float = 1e-9):
-    """mu(lam) = W(u_origin, u_analytic-at-1)(1/2) for an array of lam.
+    """mu(lam) = W(u_origin, u_analytic-at-1)(RHO_MID) for an array of lam.
 
     Solutions are normalized to unit seed data, so mu's scale is O(|u|^2).
     """
-    lam_arr = np.asarray(lam_arr, dtype=complex)
-    if len(lam_arr) == 0:
-        return np.empty(0, dtype=complex)
-    return _shoot_to_mid(d, lam_arr, variant, rtol)[0]
+    mu, _ = matching_wronskian(
+        integrate(d, lam_arr, variant, "origin", [RHO_MID], rtol),
+        integrate(d, lam_arr, variant, "one", [RHO_MID], rtol))
+    return mu[:, 0]
 
 
 def eigen_indicator(d: int, lam, variant: str, rtol: float = 1e-10):
@@ -297,9 +291,11 @@ def eigen_indicator(d: int, lam, variant: str, rtol: float = 1e-10):
     Zeros of mu in lam are the eigenvalues of the variant's operator.
     Reliable for Re(lam) >= -1/2 and |lam - 1/2| >= 1e-6.
     """
-    mu, ya, yb = _shoot_to_mid(d, [complex(lam)], variant, rtol)
-    scale = (abs(ya[0, 0]) + abs(ya[0, 1])) * (abs(yb[0, 0]) + abs(yb[0, 1]))
-    return complex(mu[0]), float(scale)
+    lam_arr = [complex(lam)]
+    mu, scale = matching_wronskian(
+        integrate(d, lam_arr, variant, "origin", [RHO_MID], rtol),
+        integrate(d, lam_arr, variant, "one", [RHO_MID], rtol))
+    return complex(mu[0, 0]), float(scale[0, 0])
 
 
 class _CachedIndicator:

@@ -189,12 +189,12 @@ def test_criterion_9_nonlinear_stability():
     t0 = time.time()
     d, delta = 4, 0.1
     disc = co.build(d, 96)
-    fit = bl.fit_blowup_time(d, bl.bump_perturbation(delta, 0.05),
-                             tau_max=12.0, disc=disc)
-    rep = bl.stability_report(fit, d, delta, disc, tau_eval=10.0)
-    fit_half = bl.fit_blowup_time(d, bl.bump_perturbation(delta, 0.025),
-                                  tau_max=12.0, disc=disc)
-    rep_half = bl.stability_report(fit_half, d, delta, disc, tau_eval=10.0)
+    fit = bl.fit_blowup_time(disc, bl.bump_perturbation(delta, 0.05),
+                             tau_max=12.0)
+    rep = bl.stability_report(fit, tau_eval=10.0)
+    fit_half = bl.fit_blowup_time(disc, bl.bump_perturbation(delta, 0.025),
+                                  tau_max=12.0)
+    rep_half = bl.stability_report(fit_half, tau_eval=10.0)
     ratio = rep["S_phys"] / rep_half["S_phys"]
     ok = (0.9 < fit.T_star < 1.1
           and rep["sup_deviation"] <= 1e-3

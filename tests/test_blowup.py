@@ -18,42 +18,41 @@ def disc():
 
 @pytest.fixture(scope="module")
 def bump_fit(disc):
-    v = bl.bump_perturbation(delta=0.1, amplitude=0.05)
-    return v, bl.fit_blowup_time(4, v, tau_max=12.0, disc=disc)
+    return bl.fit_blowup_time(
+        disc, bl.bump_perturbation(delta=0.1, amplitude=0.05), tau_max=12.0)
 
 
 class TestInitialData:
     def test_zero_at_tuned_time(self, disc):
-        u = bl.initial_data(4, 1.0, bl.zero_perturbation(), disc)
+        u = bl.initial_data(disc, 1.0, bl.zero_perturbation())
         assert np.max(np.abs(u)) == 0.0
 
     def test_tangent_is_gauge_mode(self, disc):
         # d/dT U(T,0)|_{T=1} = (d-2)/4 c_d g; d=4: (sqrt2, 2 sqrt2)
         h = 1e-6
         v0 = bl.zero_perturbation()
-        up = bl.initial_data(4, 1.0 + h, v0, disc)
-        um = bl.initial_data(4, 1.0 - h, v0, disc)
+        up = bl.initial_data(disc, 1.0 + h, v0)
+        um = bl.initial_data(disc, 1.0 - h, v0)
         tangent = (up - um) / (2.0 * h)
         expect = np.concatenate([np.full(96, SQRT2), np.full(96, 2.0 * SQRT2)])
         assert np.max(np.abs(tangent - expect)) <= 1e-8
 
     def test_small_detuning_linearization(self, disc):
-        u = bl.initial_data(4, 1.01, bl.zero_perturbation(), disc)
+        u = bl.initial_data(disc, 1.01, bl.zero_perturbation())
         expect = 0.01 * np.concatenate(
             [np.full(96, SQRT2), np.full(96, 2.0 * SQRT2)])
         assert np.max(np.abs(u - expect)) <= 2e-4
 
     def test_domain_gate(self, disc):
         with pytest.raises(DomainError):
-            bl.initial_data(4, 1.2, bl.zero_perturbation(0.1), disc)
+            bl.initial_data(disc, 1.2, bl.zero_perturbation(0.1))
         with pytest.raises(DomainError):
-            bl.initial_data(7, 1.0, bl.zero_perturbation(), disc)
+            bl.initial_data(co.build(7, 16), 1.0, bl.zero_perturbation())
 
 
 class TestFit:
     def test_zero_perturbation_fixed_point(self, disc):
-        fit = bl.fit_blowup_time(4, bl.zero_perturbation(), tau_max=8.0,
-                                 disc=disc)
+        fit = bl.fit_blowup_time(disc, bl.zero_perturbation(), tau_max=8.0)
         assert abs(fit.T_star - 1.0) <= 1e-9
         assert fit.monotone
         # T = 1 is a grid point with identically zero data: no secant step
@@ -69,18 +68,18 @@ class TestFit:
             v1=lambda r: 2.0 * a * np.ones_like(np.asarray(r, dtype=float)),
             v2=lambda r: 4.0 * a * np.ones_like(np.asarray(r, dtype=float)),
             delta=0.1, amplitude=a)
-        fit = bl.fit_blowup_time(4, v, tau_max=10.0, disc=disc)
+        fit = bl.fit_blowup_time(disc, v, tau_max=10.0)
         predicted = 1.0 - a / ((4 - 2) * SQRT2 / 4.0)
         assert abs(fit.T_star - predicted) <= 30.0 * a * a
 
     def test_bump_experiment(self, disc, bump_fit):
-        v, fit = bump_fit
+        fit = bump_fit
         assert 0.9 < fit.T_star < 1.1
         assert fit.monotone
-        phi0 = bl.initial_data(4, fit.T_star, v, disc)
+        phi0 = bl.initial_data(disc, fit.T_star, fit.v)
         tol = 1e-8 * co.energy_norm(disc, phi0)
         assert fit.residual_mode <= max(tol, 1e-9)
-        rep = bl.stability_report(fit, 4, 0.1, disc)
+        rep = bl.stability_report(fit)
         assert rep["identity_rel_err"] <= 1e-3
         assert rep["sup_deviation"] <= 1e-3
         assert rep["delta_sq_bound"]
@@ -92,32 +91,31 @@ class TestFit:
 
     def test_secant_matches_bisection(self, bump_fit):
         # T* of the 47-evolution bisection to width 1e-14 it replaced
-        _, fit = bump_fit
+        fit = bump_fit
         assert abs(fit.T_star - 0.9995089928555445) <= 1e-13
         assert fit.n_evolutions <= 12
         assert fit.bracket[1] == fit.T_star
 
     def test_never_linear_raises(self, disc, never_linear):
         with pytest.raises(SecantFailure, match="for the pair T="):
-            bl.fit_blowup_time(4, bl.zero_perturbation(), tau_max=1.0,
-                               disc=disc)
+            bl.fit_blowup_time(disc, bl.zero_perturbation(), tau_max=1.0)
 
-    def test_refinement_error(self, disc, bump_fit):
-        v, fit = bump_fit
-        err = bl.refinement_error(fit, v)
+    def test_refinement_error(self, bump_fit):
+        err = bl.refinement_error(bump_fit)
         assert 0.0 <= err["T_star_err"] <= 1e-12
-        s_phys = bl.stability_report(fit, 4, 0.1, disc)["S_phys"]
+        s_phys = bl.stability_report(bump_fit)["S_phys"]
         assert 0.0 < err["S_phys_err"] <= 1e-3 * s_phys
         assert 4 <= err["n_evolutions_err"] <= 8
 
     def test_refinement_error_needs_even_steps(self, disc):
         v = bl.zero_perturbation()
-        traj = bl.evolve(disc, bl.initial_data(4, 1.0, v, disc), 0.03, 0.01,
+        traj = bl.evolve(disc, bl.initial_data(disc, 1.0, v), 0.03, 0.01,
                          "nonlinear")
         fit = bl.FitResult(T_star=1.0, residual_mode=0.0, trajectory=traj,
-                           bracket=(1.0, 1.0), monotone=True, n_evolutions=1)
+                           bracket=(1.0, 1.0), monotone=True, n_evolutions=1,
+                           v=v)
         with pytest.raises(DomainError, match="multiple of 2 dtau"):
-            bl.refinement_error(fit, v)
+            bl.refinement_error(fit)
 
     def test_no_bracket(self, disc):
         # a perturbation dominated by the gauge mode with tiny delta cannot
@@ -128,7 +126,7 @@ class TestFit:
             v2=lambda r: 4.0 * a * np.ones_like(np.asarray(r, dtype=float)),
             delta=0.02, amplitude=a)
         with pytest.raises(NoBracketError):
-            bl.fit_blowup_time(4, v, tau_max=8.0, disc=disc)
+            bl.fit_blowup_time(disc, v, tau_max=8.0)
 
 
 def test_paper_dimension_range():
@@ -137,19 +135,20 @@ def test_paper_dimension_range():
     for d in (3, 4, 5, 6):
         disc = co.build(d, 48)
         v = bl.bump_perturbation(delta=0.1, amplitude=0.05)
-        fit = bl.fit_blowup_time(d, v, tau_max=12.0, disc=disc)
-        err = bl.refinement_error(fit, v)
-        rep = bl.stability_report(fit, d, 0.1, disc)
+        fit = bl.fit_blowup_time(disc, v, tau_max=12.0)
+        err = bl.refinement_error(fit)
+        rep = bl.stability_report(fit)
         assert fit.monotone, d
         assert fit.n_evolutions <= 12, d
-        assert err["T_star_err"] <= 1e-10, d
+        # resolved below the secant's stopping step (3e-15 at d 6)
+        assert 0.0 < err["T_star_err"] <= 1e-10, d
         assert rep["identity_rel_err"] <= 1e-3, d
     assert time.time() - t0 < 30.0, "exceeded the 30 s budget"
 
 
 class TestInstabilityDemo:
     def test_rates_and_signs(self, disc):
-        rep = bl.instability_demo(4, tau_max=10.0, disc=disc)
+        rep = bl.instability_demo(disc, tau_max=10.0)
         for T, slope in rep["slopes"].items():
             assert abs(slope - 1.0) <= 0.05
         assert rep["signs"][1.02] > 0 > rep["signs"][0.98]

@@ -190,6 +190,18 @@ class TestCommands:
             (tmp_path / "fit_blowup_manifest.json").read_text())
         assert "for the pair T=" in manifest["error"]
 
+    def test_fit_blowup_keeps_fit_when_error_bar_fails(self, tmp_path):
+        # tau_max = 401 dtau has no 2 dtau re-fit, so the error bar raises
+        # after the fit has finished
+        code = cli.main(["fit-blowup", "--N", "32", "--tau-max", "4.01",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_NUMERIC
+        report = json.loads((tmp_path / "fit_blowup_report.json").read_text())
+        assert "T_star" in report and "T_star_err" not in report
+        manifest = json.loads(
+            (tmp_path / "fit_blowup_manifest.json").read_text())
+        assert "multiple of 2 dtau" in manifest["error"]
+
     def test_strichartz_records_not_converged(self, tmp_path):
         # a short horizon leaves the L^p integrals' tails too heavy
         cli.main(["strichartz", "--N", "32", "--tau-max", "0.5",

@@ -81,38 +81,38 @@ class TestStep:
 class TestLqNorm:
     def test_constant_anchor(self, disc):
         # |S^3| = 2 pi^2, int rho^3 = 1/4
-        val = ev.lq_norm(4, np.ones(96), 2.0, disc)
+        val = ev.lq_norm(disc, np.ones(96), 2.0)
         assert val == pytest.approx(math.pi / math.sqrt(2.0), abs=1e-10)
 
     def test_monomial_anchor(self, disc):
         # u = rho: (2 pi^2 int rho^{q+3})^{1/q}
         q = 4.0
         ref = (2.0 * math.pi**2 / (q + 4.0)) ** (1.0 / q)
-        assert ev.lq_norm(4, disc.nodes, q, disc) == pytest.approx(ref, abs=1e-10)
+        assert ev.lq_norm(disc, disc.nodes, q) == pytest.approx(ref, abs=1e-10)
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_homogeneity(self, c):
         d4 = co.build(4, 32)
         u = np.cos(d4.nodes)
-        a = ev.lq_norm(4, c * u, 6.0, d4)
-        b = c * ev.lq_norm(4, u, 6.0, d4)
+        a = ev.lq_norm(d4, c * u, 6.0)
+        b = c * ev.lq_norm(d4, u, 6.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_sup_norm(self, disc):
         u = disc.nodes**2
-        assert ev.lq_norm(4, u, math.inf, disc) == 1.0
+        assert ev.lq_norm(disc, u, math.inf) == 1.0
 
     def test_q_gate(self, disc):
         with pytest.raises(DomainError):
-            ev.lq_norm(4, np.ones(96), 1.5, disc)
+            ev.lq_norm(disc, np.ones(96), 1.5)
 
     @pytest.mark.parametrize("q", [4.0, 8.0, math.inf])
     def test_stack_matches_per_state(self, disc, q):
         rng = np.random.default_rng(3)
         u1 = np.array([co.random_smooth_pair(disc, rng)[:96] for _ in range(6)])
-        stacked = ev.lq_norm(4, u1, q, disc)
-        single = np.array([ev.lq_norm(4, u, q, disc) for u in u1])
+        stacked = ev.lq_norm(disc, u1, q)
+        single = np.array([ev.lq_norm(disc, u, q) for u in u1])
         assert np.max(np.abs(stacked - single)) <= 1e-14 * np.max(single)
 
 
@@ -158,7 +158,7 @@ class TestStrichartzNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
             val = ev.strichartz_norm(traj, 2.0, 8.0)
-        ref = math.sqrt(2.0) * ev.lq_norm(4, u1, 8.0, disc)
+        ref = math.sqrt(2.0) * ev.lq_norm(disc, u1, 8.0)
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_zero_trajectory(self, disc):
@@ -181,14 +181,14 @@ class TestStrichartzNorm:
             mode_coeffs=np.zeros(len(taus)), energy_norms=np.exp(-taus),
             lq_norms={}, alias_indicator=0.0)
         val = ev.strichartz_norm(traj, 2.0, 8.0)
-        ref = ev.lq_norm(4, u1, 8.0, disc) / math.sqrt(2.0)
+        ref = ev.lq_norm(disc, u1, 8.0) / math.sqrt(2.0)
         assert val == pytest.approx(ref, rel=1e-3)
 
     def test_sup_in_time(self, disc):
         u1 = np.cos(disc.nodes)
         traj = self._constant_traj(disc, u1)
         val = ev.strichartz_norm(traj, math.inf, 4.0)
-        assert val == pytest.approx(ev.lq_norm(4, u1, 4.0, disc), rel=1e-12)
+        assert val == pytest.approx(ev.lq_norm(disc, u1, 4.0), rel=1e-12)
 
 
 class TestSuite:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conewave import collocation as co
 from conewave import radialode as ro
 from conewave import specfun as sf
 from conewave.errors import DomainError, IndexCollisionError
@@ -137,6 +139,12 @@ class TestIntegration:
         assert np.max(np.abs(u[0] - ref_u) / np.abs(ref_u)) <= 1e-9
         assert np.max(np.abs(up[0] - ref_up)) <= 1e-9 * np.max(np.abs(ref_up))
 
+    def test_empty_batch(self):
+        # no lam: empty arrays, also where RK45 would land checkpoints
+        u, up = ro.integrate(4, [], "free", "one", [0.2, 0.5, 0.9999], 1e-8)
+        assert u.shape == up.shape == (0, 3)
+        assert ro._indicator_batch(4, [], "free").shape == (0,)
+
     def test_domain_errors(self):
         for pts in ([0.5, 1.0], [0.0, 0.5], [-0.1], [0.6, 0.4]):
             with pytest.raises(DomainError):
@@ -207,11 +215,22 @@ class TestEigenIndicator:
         assert abs(mu - ref) <= 1e-14 * abs(ref)
 
     def test_scan_small_window(self):
+        # across the paper's range the dense eigenvalues, the shooting scan
+        # and the c3 scan each find lam = 1 alone, and nothing for L0
         for d in (3, 5, 6):
-            roots = ro.scan_halfplane(d, "perturbed", omega_max=6.0)
-            assert len(roots) == 1
-            assert abs(roots[0][0] - 1.0) <= 1e-8
-            assert ro.scan_halfplane(d, "free", omega_max=6.0) == []
+            grids = (co.build(d, 64), co.build(d, 128))
+            free = [dataclasses.replace(g, L_mat=g.L0_mat) for g in grids]
+            eig = co.unstable_eigenvalues(*grids, re_min=0.05, im_max=6.0)
+            assert len(eig) == 1 and abs(eig[0] - 1.0) <= 1e-8, d
+            assert co.unstable_eigenvalues(
+                *free, re_min=0.05, im_max=6.0) == [], d
+            for method in ("shooting", "c3"):
+                roots = ro.scan_halfplane(d, "perturbed", omega_max=6.0,
+                                          method=method)
+                assert len(roots) == 1, (d, method)
+                assert abs(roots[0][0] - 1.0) <= 1e-8, (d, method)
+                assert ro.scan_halfplane(d, "free", omega_max=6.0,
+                                         method=method) == [], (d, method)
 
     def test_scan_methods_agree(self):
         a = ro.scan_halfplane(4, "perturbed", omega_max=6.0)

@@ -1,4 +1,4 @@
-"""Guard against knobs that nothing turns.
+"""Guard against knobs that nothing turns and facts stated twice.
 
 Every defaulted parameter of a function in ``src/conewave`` must be set
 by some call in ``src/``, ``scripts/`` or ``tests/``; a default that no
@@ -6,6 +6,11 @@ call overrides is a constant and should be written as one.  Calls are
 matched to definitions by name (the called name or attribute), so a
 parameter counts as set when any call of that name passes it by keyword,
 by position, or through ``*args`` / ``**kwargs``.
+
+Two more checks keep each fact in one place: no function takes a
+dimension ``d`` beside a discretization ``disc`` (which carries
+``disc.d``), and ``radialode.integrate`` is the only caller of
+``_rk45.solve``.
 """
 
 import ast
@@ -90,3 +95,44 @@ def unset_defaults():
 
 def test_every_default_is_set_by_some_call():
     assert unset_defaults() == ALLOWED
+
+
+def _package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
+
+
+def test_no_function_takes_d_beside_disc():
+    both = []
+    for stem, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                if {"d", "disc"} <= names:
+                    both.append(f"{stem}.{node.name}")
+    assert both == []
+
+
+def _calls_rk45_solve(call):
+    func = call.func
+    return (isinstance(func, ast.Name) and func.id == "solve"
+            or isinstance(func, ast.Attribute) and func.attr == "solve"
+            and isinstance(func.value, ast.Name) and func.value.id == "_rk45")
+
+
+def test_rk45_solve_is_called_only_by_integrate():
+    callers = []
+
+    def visit(node, stem, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, stem, child.name)
+                continue
+            if isinstance(child, ast.Call) and _calls_rk45_solve(child):
+                callers.append(f"{stem}.{owner}")
+            visit(child, stem, owner)
+
+    for stem, tree in _package_trees():
+        visit(tree, stem, "<module>")
+    assert callers == ["radialode.integrate"]
