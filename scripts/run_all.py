@@ -2,8 +2,10 @@
 """Run every batch command with the default configuration.
 
 Produces out/<command>/ directories with CSVs and manifests; prints one
-status line per command.  Expect a few minutes of wall time, dominated
-by the Laplace-inversion comparison.
+status line per command.  On a 2-core x86 box (Python 3.11, numpy 2.4)
+the six commands take ~37 s in all; the Laplace-inversion comparison at
+its defaults (eps 0.1, Omega 200, domega 0.05) is ~27 s of that, and
+each of the others is 0.5-3.6 s.
 """
 
 import sys

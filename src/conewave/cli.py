@@ -234,8 +234,9 @@ def cmd_green_check(cfg: RunConfig, out_dir: Path) -> int:
     rho_test = disc.nodes[(disc.nodes >= 0.05) & (disc.nodes <= 0.95)]
     rows = []
     ok = True
-    for lam in (2.0 + 0.0j, 0.5 + 3.0j, 0.1 + 10.0j):
-        checks = gr.residual_checks(d, lam, "perturbed", src, rho_test)
+    lams = (2.0 + 0.0j, 0.5 + 3.0j, 0.1 + 10.0j)
+    for lam, checks in zip(lams, gr.residual_checks(d, lams, "perturbed",
+                                                    src, rho_test)):
         rows.append((f"{lam.real:g}+{lam.imag:g}i",
                      checks["ode_residual"], checks["round_trip"]))
         ok &= checks["ode_residual"] <= 1e-6 and checks["round_trip"] <= 1e-6

@@ -16,7 +16,11 @@ and
 with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 `build_kernel` returns the normalized u0, u1 and their derivatives on a
 point set for an array of lam; the resolvent, `green_eval` and the
-kernel-decay scan all read them from there.
+kernel-decay scan all read them from there.  Near rho = 1 u0 is the
+Frobenius pair a u_analytic + b u_singular (`radialode.match_at_one`),
+and the rho = 1 trace reads b from the same helper.  `residual_checks`
+verifies several lam from one batched resolvent solve, each lam by its
+own finite-difference residual and round trip.
 
 Quadrature uses Gauss-Legendre panels refined geometrically (ratio 1/2)
 toward both endpoints; the integrand carries the algebraic factor
@@ -48,8 +52,8 @@ from .errors import (DomainError, NearEigenvalueError, QuadratureError,
 from .model import varphi
 # `integrate` is bound here by name: the benchmark's tracer patches
 # conewave.green:integrate and conewave.green:build_kernel
-from .radialode import (ONE_START, SpectralODE, integrate, matching_wronskian,
-                        seed_one)
+from .radialode import (ONE_START, SpectralODE, integrate, match_at_one,
+                        matching_wronskian)
 from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 
 GEO_DEPTH = 24
@@ -238,23 +242,14 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
     if np.any(at_one):
         i0_full = cums0[:, -1]
         star_ix = int(np.searchsorted(eval_pts, ONE_START))
-        u1_at1 = np.empty(len(lam_arr), dtype=complex)
-        u1p_at1 = np.empty(len(lam_arr), dtype=complex)
-        lim_coef = np.empty(len(lam_arr), dtype=complex)
-        for i, lam in enumerate(lam_arr):
-            lam = complex(lam)
-            ode = SpectralODE(d, lam, variant)
-            sa = seed_one(ode, "analytic")
-            u1_at1[i] = sa.coefficients[0]
-            u1p_at1[i] = -sa.coefficients[1]
-            ss = seed_one(ode, "singular")
-            ua, upa = sa.eval(np.asarray(ONE_START))
-            us, ups = ss.eval(np.asarray(ONE_START))
-            det = ua * ups - upa * us
-            b_coef = (ua * u0p[i, star_ix] - upa * u0[i, star_ix]) / det
-            f_at1 = complex(src.F_lambda(np.asarray(1.0), lam, d))
-            lim_coef[i] = (-b_coef * (0.5 - lam) * f_at1 * u1_at1[i]
-                           * 2.0 ** (lam - 0.5) / (2.0j * (lam + 0.5)))
+        _, b_coef, pair = match_at_one(d, lam_arr, variant,
+                                       u0[:, star_ix], u0p[:, star_ix])
+        u1_at1 = np.array([sa.coefficients[0] for sa, _ in pair])
+        u1p_at1 = np.array([-sa.coefficients[1] for sa, _ in pair])
+        f_at1 = np.array([complex(src.F_lambda(np.asarray(1.0), lam, d))
+                          for lam in lam_arr])
+        lim_coef = (-b_coef * (0.5 - lam_arr) * f_at1 * u1_at1
+                    * 2.0 ** (lam_arr - 0.5) / (2.0j * (lam_arr + 0.5)))
         for jj in np.where(at_one)[0]:
             uo[:, jj] = u1_at1 * i0_full
             uop[:, jj] = u1p_at1 * i0_full + lim_coef
@@ -274,50 +269,55 @@ def resolvent_apply(d: int, lam, variant: str, src: SourceTerm, rho_out,
     return ResolventSolution(rho=rho_out, u1=u1[0], u2=u2[0], u1_deriv=u1p[0])
 
 
-def residual_checks(d: int, lam, variant: str, src: SourceTerm,
-                    rho_test) -> dict:
-    """Independent verification that (lam - L) R(lam) f = f at rho_test.
+def residual_checks(d: int, lams, variant: str, src: SourceTerm,
+                    rho_test) -> list:
+    """Independent verification that (lam - L) R(lam) f = f at rho_test,
+    for each lam of lams; the resolvents come from one batched solve.
 
     Derivatives that the construction does not supply (u1'', u2') are
     formed by 4th-order central differences of the returned u1', u2 on
     local stencils, so the check does not reuse the Green-function
-    algebra.  Returns the relative sup of the reduced-ODE residual and of
-    the full round trip (second component).
+    algebra.  Returns one dict per lam with the relative sup of the
+    reduced-ODE residual and of the full round trip (second component).
     """
-    lam = complex(lam)
+    lams = np.asarray(lams, dtype=complex)
     h = 2e-4
     rho_test = np.asarray(rho_test, dtype=float)
     if np.any(rho_test - 2 * h <= 0.0) or np.any(rho_test + 2 * h >= 1.0):
         raise DomainError("test points must keep the FD stencil inside (0,1)")
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
     pts = np.unique((rho_test[:, None] + offsets[None, :]).ravel())
-    sol = resolvent_apply(d, lam, variant, src, pts, rtol=1e-10)
+    sol_u1, sol_u2, sol_u1p = _resolvent_batch(d, lams, variant, src, pts,
+                                               rtol=1e-10)
     ix = np.searchsorted(pts, rho_test[:, None] + offsets[None, :])
     w_fd = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    u1 = sol.u1[ix[:, 2]]
-    u1p = sol.u1_deriv[ix[:, 2]]
-    u2 = sol.u2[ix[:, 2]]
-    u1pp = (sol.u1_deriv[ix] * w_fd[None, :]).sum(axis=1)
-    u2p = (sol.u2[ix] * w_fd[None, :]).sum(axis=1)
-
     r = rho_test
-    flam = src.F_lambda(r, lam, d)
-    ode = SpectralODE(d, lam, variant)
-    ode_res = ode.residual(r, u1, u1p, u1pp) + flam
-    fscale = float(np.max(np.abs(flam))) + 1e-300
     beta = (2.0 * d + d * d) / 4.0 if variant == "perturbed" else 0.0
-    f1_back = lam * u1 + r * u1p + (d - 2.0) / 2.0 * u1 - u2
-    f2_back = (lam * u2 - u1pp - (d - 1.0) / r * u1p
-               + r * u2p + d / 2.0 * u2 - beta * u1)
     f1_true = src.f1(r)
     f2_true = src.f2(r)
     fnorm = max(float(np.max(np.abs(f1_true))), float(np.max(np.abs(f2_true))))
-    rt = max(float(np.max(np.abs(f1_back - f1_true))),
-             float(np.max(np.abs(f2_back - f2_true)))) / (fnorm + 1e-300)
-    return {
-        "ode_residual": float(np.max(np.abs(ode_res))) / fscale,
-        "round_trip": rt,
-    }
+    out = []
+    for lam, s_u1, s_u2, s_u1p in zip(lams, sol_u1, sol_u2, sol_u1p):
+        lam = complex(lam)
+        u1 = s_u1[ix[:, 2]]
+        u1p = s_u1p[ix[:, 2]]
+        u2 = s_u2[ix[:, 2]]
+        u1pp = (s_u1p[ix] * w_fd[None, :]).sum(axis=1)
+        u2p = (s_u2[ix] * w_fd[None, :]).sum(axis=1)
+
+        flam = src.F_lambda(r, lam, d)
+        ode_res = SpectralODE(d, lam, variant).residual(r, u1, u1p, u1pp) + flam
+        fscale = float(np.max(np.abs(flam))) + 1e-300
+        f1_back = lam * u1 + r * u1p + (d - 2.0) / 2.0 * u1 - u2
+        f2_back = (lam * u2 - u1pp - (d - 1.0) / r * u1p
+                   + r * u2p + d / 2.0 * u2 - beta * u1)
+        rt = max(float(np.max(np.abs(f1_back - f1_true))),
+                 float(np.max(np.abs(f2_back - f2_true)))) / (fnorm + 1e-300)
+        out.append({
+            "ode_residual": float(np.max(np.abs(ode_res))) / fscale,
+            "round_trip": rt,
+        })
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ singular points: Frobenius indices {0, (2-d)/2} at rho=0 and
 {0, 1/2-lam} at rho=1.  `integrate` evaluates the origin-regular and the
 analytic-at-one branches on point sets, batched over lam; it is the one
 place where the Frobenius series bridges the seed gap next to each
-endpoint, and every shoot of the ODE (indicator, resolvent kernel, the
-closed-form checks) goes through it.  Eigenvalues are located as zeros
-(in lam) of the Wronskian of the two branches at RHO_MID
-(`matching_wronskian`, which also normalizes the Green kernel), counted
-by the argument principle on rectangles and polished by Newton.
+endpoint (the origin branch continues across [ONE_START, 1) in the
+Frobenius pair at 1, `match_at_one`), and every shoot of the ODE
+(indicator, resolvent kernel, the closed-form checks) goes through it.
+Eigenvalues are located as zeros (in lam) of the Wronskian of the two
+branches at RHO_MID (`matching_wronskian`, which also normalizes the
+Green kernel), counted by the argument principle on rectangles and
+polished by Newton.
 """
 
 import cmath
@@ -198,6 +200,30 @@ def seed_one(ode: SpectralODE, branch: str = "analytic") -> FrobeniusSeed:
     return FrobeniusSeed("one", sig, tuple(coeffs))
 
 
+def match_at_one(d: int, lam_arr, variant: str, u, up):
+    """Coefficients in the Frobenius pair at rho=1 of the solutions with
+    data (u, u') at ONE_START, one per lam.
+
+    Returns (a, b, pair): arrays with u = a u_analytic + b u_singular on
+    [ONE_START, 1) and the list of (analytic, singular) seeds.  Raises
+    IndexCollisionError where the singular branch is no pure Frobenius
+    series: |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ...
+    """
+    a = np.empty(len(lam_arr), dtype=complex)
+    b = np.empty(len(lam_arr), dtype=complex)
+    pair = []
+    for i, lam in enumerate(lam_arr):
+        ode = SpectralODE(d, complex(lam), variant)
+        sa, ss = seed_one(ode, "analytic"), seed_one(ode, "singular")
+        ua, upa = sa.eval(np.asarray(ONE_START))
+        us, ups = ss.eval(np.asarray(ONE_START))
+        det = ua * ups - upa * us
+        a[i] = (u[i] * ups - up[i] * us) / det
+        b[i] = (ua * up[i] - upa * u[i]) / det
+        pair.append((sa, ss))
+    return a, b, pair
+
+
 # ---------------------------------------------------------------------------
 # fundamental solutions by adaptive integration
 # ---------------------------------------------------------------------------
@@ -211,8 +237,15 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
     the analytic one, both with unit leading seed coefficient.  Points
     inside the seed gap [0, ORIGIN_START] or [ONE_START, 1] are evaluated
     from the Frobenius series, the rest by landing RK45 checkpoints on
-    them (integrating toward 0 for the one-seeded solution).  This is the
-    only RK45 entry of the package.
+    them (integrating toward 0 for the one-seeded solution).  RK45 never
+    steps into [ONE_START, 1), where the branch (1-rho)^{1/2-lam}
+    oscillates like e^{-i Im(lam) ln(1-rho)}: the origin-seeded solution
+    lands ONE_START and continues as a u_analytic + b u_singular in the
+    Frobenius pair at 1 (`match_at_one`).  That pair does not exist at
+    the index resonance |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ..., so
+    there the origin-seeded solution raises IndexCollisionError on points
+    in [ONE_START, 1) and works below.  This is the only RK45 entry of
+    the package.
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     pts = np.asarray(pts, dtype=float)
@@ -227,11 +260,15 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
         seeds = [seed_origin(ode) for ode in odes]
         start = ORIGIN_START
         gap = pts <= start
-        cps = pts[~gap]
+        near_one = pts >= ONE_START
+        cps = pts[~gap & ~near_one]
+        if np.any(near_one):
+            cps = np.append(cps, ONE_START)
     else:
         seeds = [seed_one(ode, "analytic") for ode in odes]
         start = ONE_START
         gap = pts >= start
+        near_one = np.zeros(n_pts, dtype=bool)
         cps = pts[~gap][::-1]  # descending toward 0
     if np.any(gap):
         for i, seed in enumerate(seeds):
@@ -246,12 +283,20 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
         )
         if not np.all(np.isfinite(cp_vals)):
             raise QuadratureError("fundamental solution overflowed on nodes")
-        if endpoint == "origin":
-            u[:, ~gap] = cp_vals[:, :, 0].T
-            up[:, ~gap] = cp_vals[:, :, 1].T
-        else:
-            u[:, ~gap] = cp_vals[::-1, :, 0].T
-            up[:, ~gap] = cp_vals[::-1, :, 1].T
+        if endpoint == "one":
+            cp_vals = cp_vals[::-1]
+        mid = ~gap & ~near_one
+        n_mid = np.count_nonzero(mid)
+        u[:, mid] = cp_vals[:n_mid, :, 0].T
+        up[:, mid] = cp_vals[:n_mid, :, 1].T
+        if np.any(near_one):
+            a, b, pair = match_at_one(d, lam_arr, variant,
+                                      cp_vals[-1, :, 0], cp_vals[-1, :, 1])
+            for i, (sa, ss) in enumerate(pair):
+                ua, upa = sa.eval(pts[near_one])
+                us, ups = ss.eval(pts[near_one])
+                u[i, near_one] = a[i] * ua + b[i] * us
+                up[i, near_one] = a[i] * upa + b[i] * ups
     return u, up
 
 

@@ -112,8 +112,8 @@ def test_criterion_4_resolvent_correctness():
     rho_test = np.linspace(0.06, 0.94, 23)
     worst_res = worst_rt = 0.0
     for d in (3, 4):
-        for lam in (2.0 + 0.0j, 0.5 + 3.0j, 0.1 + 10.0j):
-            checks = gr.residual_checks(d, lam, "perturbed", src, rho_test)
+        for checks in gr.residual_checks(d, [2.0, 0.5 + 3.0j, 0.1 + 10.0j],
+                                         "perturbed", src, rho_test):
             worst_res = max(worst_res, checks["ode_residual"])
             worst_rt = max(worst_rt, checks["round_trip"])
     ok = worst_res <= 1e-6 and worst_rt <= 1e-6

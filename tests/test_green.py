@@ -125,10 +125,46 @@ class TestResolvent:
 
     def test_residual_checks(self):
         src, _, _ = _poly_pair_source(4, 2.0)
-        out = gr.residual_checks(4, 2.0, "perturbed", src,
-                                 np.linspace(0.08, 0.92, 15))
+        [out] = gr.residual_checks(4, [2.0], "perturbed", src,
+                                   np.linspace(0.08, 0.92, 15))
         assert out["ode_residual"] <= 1e-6
         assert out["round_trip"] <= 1e-6
+
+    def test_residual_checks_share_one_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return batch(*args, **kwargs)
+
+        batch = gr._resolvent_batch
+        monkeypatch.setattr(gr, "_resolvent_batch", counted)
+        src, _, _ = _poly_pair_source(4, 2.0)
+        out = gr.residual_checks(4, [2.0, 0.5 + 3.0j], "perturbed", src,
+                                 np.linspace(0.08, 0.92, 15))
+        assert calls == [2]
+        assert len(out) == 2
+        assert all(o["ode_residual"] <= 1e-6 and o["round_trip"] <= 1e-6
+                   for o in out)
+
+    def test_high_frequency_at_tight_tolerance(self):
+        # at lam = 0.4 + 200i the branch (1-rho)^{1/2-lam} oscillates like
+        # e^{-200i ln(1-rho)} toward the last quadrature node at
+        # 1 - 2.7e-10; the origin solution crosses that range in the
+        # Frobenius pair at 1, not by RK45 steps (criterion 4's source)
+        src = gr.SourceTerm(
+            lambda r: np.exp(-2.0 * np.asarray(r) ** 2) * (1.0 - np.asarray(r) ** 2),
+            lambda r: np.exp(-2.0 * np.asarray(r) ** 2) * (
+                -4.0 * np.asarray(r) * (1.0 - np.asarray(r) ** 2)
+                - 2.0 * np.asarray(r)),
+            lambda r: 0.5 * np.cos(np.asarray(r)) - 0.3)
+        rho = [0.0, 0.3, 0.7, 0.9995, 1.0]
+        coarse, fine = (gr._resolvent_batch(4, [0.4 + 200.0j], "perturbed",
+                                            src, rho, rtol=rtol)
+                        for rtol in (1e-10, 1e-11))
+        for a, b in zip(coarse, fine):
+            assert np.all(np.isfinite(a))
+            assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(b))
 
     def test_smooth_rhs_example(self):
         # lam=2, d=4, f=(1-rho^2, 0): residual check passes
@@ -136,8 +172,8 @@ class TestResolvent:
             lambda r: 1.0 - np.asarray(r) ** 2,
             lambda r: -2.0 * np.asarray(r),
             lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-        out = gr.residual_checks(4, 2.0, "perturbed", src,
-                                 np.linspace(0.1, 0.9, 9))
+        [out] = gr.residual_checks(4, [2.0], "perturbed", src,
+                                   np.linspace(0.1, 0.9, 9))
         assert out["ode_residual"] <= 1e-6
 
     def test_resolvent_identity(self):

@@ -139,6 +139,30 @@ class TestIntegration:
         assert np.max(np.abs(u[0] - ref_u) / np.abs(ref_u)) <= 1e-9
         assert np.max(np.abs(up[0] - ref_up)) <= 1e-9 * np.max(np.abs(ref_up))
 
+    def test_continuation_past_one_start_matches_closed_form(self):
+        # free lam = 1: u0 = ((1+s)^{d/2-1} s)^{-1}, s = sqrt(1-rho^2), so
+        # the singular branch (1-rho)^{-1/2} of the pair at 1 dominates
+        pts = np.array([0.5, 0.9991, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
+        for d in (3, 4, 5, 6):
+            ex = ro.ExplicitLambda1(d)
+            u, up = ro.integrate(d, [1.0], "free", "origin", pts, 1e-11)
+            c = u[0, 0] / ex.u0(0.5)
+            ref_u, ref_up = ex.u0(pts), ex.u0_deriv(pts)
+            assert np.max(np.abs(u[0] / c - ref_u) / ref_u) <= 1e-8
+            assert np.max(np.abs(up[0] / c - ref_up) / ref_up) <= 1e-8
+
+    def test_index_resonance_limit(self):
+        # at lam = 3/2 the singular branch at 1 is no pure Frobenius series:
+        # below ONE_START the origin solution is still the 2F1 one, on
+        # [ONE_START, 1) it cannot be continued
+        lam, rr = 1.5, np.array([0.3, 0.6, 0.9])
+        u, _ = _origin(4, lam, "free", rr)
+        a, b, c = sf.hypergeo_params(4, lam, "free")
+        ref = np.array([sf.hyp2f1(a, b, c, r * r) for r in rr])
+        assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
+        with pytest.raises(IndexCollisionError):
+            _origin(4, lam, "free", [0.5, 0.9995])
+
     def test_empty_batch(self):
         # no lam: empty arrays, also where RK45 would land checkpoints
         u, up = ro.integrate(4, [], "free", "one", [0.2, 0.5, 0.9999], 1e-8)
