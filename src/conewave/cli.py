@@ -34,6 +34,7 @@ from . import evolve as ev
 from . import green as gr
 from . import radialode as ro
 from .errors import NumericsError
+from .model import admissible
 
 EXIT_OK = 0
 EXIT_DISAGREE = 2
@@ -284,7 +285,6 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, mode: str) -> int:
 def cmd_strichartz(cfg: RunConfig, out_dir: Path) -> int:
     disc = co.build(cfg.d, cfg.N)
     for p, q in cfg.pairs:
-        from .model import admissible
         if not admissible(cfg.d, p, q):
             raise ValueError(f"pair ({p},{q}) not admissible for d={cfg.d}")
     report = ev.strichartz_suite(

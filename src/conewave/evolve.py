@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .collocation import SpectralDiscretization, energy_norm, even_cheb_coeffs
+from .collocation import (SpectralDiscretization, energy_norm, even_cheb_coeffs,
+                          random_smooth_pair, sobolev_norm)
 from .errors import DomainError, NotConvergedWarning, ParamError
 from .model import nonlinearity, sphere_area
 
@@ -232,8 +233,6 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
     Returns {"pairs": ..., "ratios": (n_samples, n_pairs), "ratios_half": ...,
     "spread": per-pair max/min}.
     """
-    from .collocation import random_smooth_pair, sobolev_norm
-
     rng = np.random.default_rng(seed)
     qs = sorted({q for _, q in pairs if not math.isinf(q)})
     ratios = np.empty((n_samples, len(pairs)))

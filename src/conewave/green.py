@@ -22,10 +22,10 @@ and the rho = 1 trace reads b from the same helper.  `residual_checks`
 verifies several lam from one batched resolvent solve, each lam by its
 own finite-difference residual and round trip.
 
-Quadrature uses Gauss-Legendre panels refined geometrically (ratio 1/2)
-toward both endpoints; the integrand carries the algebraic factor
-(1-s)^{lam-1/2}, so the refinement depth (GEO_DEPTH = 24 levels) sets the
-endpoint truncation level ~ depth^{Re lam + 1/2}.  Output points are
+Quadrature uses Gauss-Legendre panels refined geometrically (ratio 1/2,
+GEO_DEPTH = 24 levels) toward both endpoints; the panel at each end has width
+2^-(GEO_DEPTH+1), so with the integrand's factor (1-s)^{lam-1/2} it holds
+~(2^-(GEO_DEPTH+1))^{Re lam + 1/2} of the integrand's scale.  Output points are
 inserted as panel boundaries, making the split integrals exact partial
 sums over panels.
 

@@ -17,8 +17,8 @@ Frobenius pair at 1, `match_at_one`), and every shoot of the ODE
 (indicator, resolvent kernel, the closed-form checks) goes through it.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
-Green kernel), counted by the argument principle on rectangles and
-polished by Newton.
+Green kernel), counted by the argument principle on bands, located by
+the contour moments of the same samples and polished by Newton.
 """
 
 import cmath
@@ -413,8 +413,13 @@ def _trace_edges(ev, edges):
 
 
 def _winding_rect(ev, rects):
-    """Winding numbers of f around rectangles (re0, re1, im0, im1), all
-    edges traced in one lockstep pass."""
+    """[(w, estimates)]: winding number of f around each rectangle (re0,
+    re1, im0, im1) and its w roots, all edges traced in one lockstep pass.
+
+    Delves & Lyness: the power sums s_k = (1/2 pi i) oint z^k dlog f, by
+    the midpoint rule on the ratios vals[i+1]/vals[i] whose phases give w,
+    are the roots' monic polynomial through the Newton identities.
+    """
     edges = []
     for re0, re1, im0, im1 in rects:
         corners = [complex(re0, im0), complex(re1, im0),
@@ -422,17 +427,23 @@ def _winding_rect(ev, rects):
         for a, b in zip(corners[:-1], corners[1:]):
             edges.append((a, b, max(4, int(abs(b - a) * EDGE_DENSITY) + 1)))
     traced = _trace_edges(ev, edges)
-    windings = []
+    out = []
     for j in range(len(rects)):
-        total = 0.0
-        for _, vals in traced[4 * j:4 * j + 4]:
-            for k in range(len(vals) - 1):
-                total += cmath.phase(vals[k + 1] / vals[k])
-        w = total / (2.0 * math.pi)
+        # one closed polyline: each corner repeats, adding log(1) = 0
+        pts = np.concatenate([p for p, _ in traced[4 * j:4 * j + 4]])
+        vals = np.concatenate([v for _, v in traced[4 * j:4 * j + 4]])
+        logs = np.log(vals[1:] / vals[:-1])
+        w = np.sum(logs.imag) / (2.0 * math.pi)
         if abs(w - round(w)) > 0.25:
             raise ContourTooCloseError(f"non-integer winding {w:.3f} on rectangle")
-        windings.append(int(round(w)))
-    return windings
+        w = int(round(w))
+        mids = 0.5 * (pts[1:] + pts[:-1])
+        s = [np.sum(mids**k * logs) / (2j * math.pi) for k in range(w + 1)]
+        c = [1.0]  # the roots' monic polynomial, by the Newton identities
+        for k in range(1, w + 1):
+            c.append(-sum(c[i] * s[k - i] for i in range(k)) / k)
+        out.append((w, np.roots(c)))
+    return out
 
 
 def _newton_polish(scalar_fn, z):
@@ -450,37 +461,22 @@ def _newton_polish(scalar_fn, z):
     return z
 
 
-_SPLIT_FRACTIONS = (0.5381966, 0.4123106, 0.6287094)
-
-
-def _locate_in_rect(ev, scalar_fn, rect, w, roots, depth=0):
-    """Split a rectangle of known nonzero winding w until each root is
-    isolated to 1e-3, then Newton-polish it onto roots."""
+def _polish_band(scalar_fn, rect, estimates):
+    """[(root, multiplicity)] from Newton on each estimate; roots within
+    1e-6 merge, one leaving the rectangle raises ContourTooCloseError."""
     re0, re1, im0, im1 = rect
-    if max(re1 - re0, im1 - im0) <= 1e-3 or depth >= 40:
-        z0 = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        z = _newton_polish(scalar_fn, z0)
-        roots.append((z, w))
-        return
-    # asymmetric split fractions so a split line landing on a root is
-    # resolved by the retry ladder rather than endless edge refinement
-    base = len(roots)
-    for frac in _SPLIT_FRACTIONS:
-        try:
-            if re1 - re0 >= im1 - im0:
-                rm = re0 + frac * (re1 - re0)
-                children = [(re0, rm, im0, im1), (rm, re1, im0, im1)]
-            else:
-                im = im0 + frac * (im1 - im0)
-                children = [(re0, re1, im0, im), (re0, re1, im, im1)]
-            for child, wc in zip(children, _winding_rect(ev, children)):
-                if wc != 0:
-                    _locate_in_rect(ev, scalar_fn, child, wc, roots, depth + 1)
-            return
-        except ContourTooCloseError:
-            del roots[base:]
-            if frac == _SPLIT_FRACTIONS[-1]:
-                raise
+    roots = []
+    for z in estimates:
+        z = _newton_polish(scalar_fn, complex(z))
+        if not (re0 <= z.real <= re1 and im0 <= z.imag <= im1):
+            raise ContourTooCloseError(f"root {z} polished out of {rect}")
+        for i, (z2, m) in enumerate(roots):
+            if abs(z - z2) < 1e-6:
+                roots[i] = (z2, m + 1)
+                break
+        else:
+            roots.append((z, 1))
+    return roots
 
 
 def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
@@ -488,10 +484,12 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
     """Roots of the eigenvalue indicator in [0, 2] x [-omega_max, omega_max].
 
     Argument-principle counts on bands of height 2 (starting at Im=-1 so
-    the real axis is interior), Newton polish of each located root.  The
-    ODE has real coefficients in lam, so only Im >= -1 bands are scanned
-    and complex roots are mirrored.  method="c3" scans the closed-form
-    connection coefficient instead of the shooting Wronskian.
+    the real axis is interior) and root estimates from the same samples,
+    Newton-polished on the scalar indicator.  An unresolved band, or a
+    root polished out of its band, retries the scan with shifted bands.
+    The ODE has real coefficients in lam, so only Im >= -1 bands are
+    scanned and complex roots are mirrored.  method="c3" scans the
+    closed-form connection coefficient instead of the shooting Wronskian.
 
     Returns a list of (root, multiplicity), sorted by real part descending.
     """
@@ -507,10 +505,8 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
     else:
         raise ParamError(f"unknown method {method!r}")
 
-    roots = []
     for attempt in range(3):
         try:
-            roots = []
             ev = _CachedIndicator(batch)
             shift = attempt * 0.37
             bands = []
@@ -519,9 +515,9 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
                 hi = min(lo + 2.0, omega_max + 0.5)
                 bands.append((0.0, 2.0, lo, hi))
                 lo = hi
-            for band, w in zip(bands, _winding_rect(ev, bands)):
-                if w != 0:
-                    _locate_in_rect(ev, scalar, band, w, roots)
+            roots = []
+            for band, (_, estimates) in zip(bands, _winding_rect(ev, bands)):
+                roots += _polish_band(scalar, band, estimates)
             break
         except ContourTooCloseError:
             if attempt == 2:

@@ -7,7 +7,8 @@ import pytest
 from conewave import collocation as co
 from conewave import radialode as ro
 from conewave import specfun as sf
-from conewave.errors import DomainError, IndexCollisionError
+from conewave.errors import (ContourTooCloseError, DomainError,
+                             IndexCollisionError)
 
 PI_OVER_16 = 0.19634954084936208
 TWO_FIFTEENTHS = 0.13333333333333333
@@ -263,9 +264,10 @@ class TestEigenIndicator:
         assert abs(a[0][0] - b[0][0]) <= 1e-6
 
     def test_scan_batches_per_round(self, monkeypatch):
-        # the free scan at omega 50 finds nothing; tracing its 26 bands in
-        # lockstep needs one indicator call per |Im| group and round, where
-        # tracing each edge alone needs about a hundred
+        # tracing the 26 bands at omega 50 in lockstep needs one indicator
+        # call per |Im| group and round, where tracing each edge alone needs
+        # about a hundred; the perturbed scan locates lam = 1 from the same
+        # samples, so it needs no more calls than the free one
         calls = []
         batch = ro._indicator_batch
 
@@ -274,8 +276,12 @@ class TestEigenIndicator:
             return batch(*args, **kwargs)
 
         monkeypatch.setattr(ro, "_indicator_batch", counted)
-        assert ro.scan_halfplane(4, "free", omega_max=50.0) == []
-        assert len(calls) <= 10
+        for variant, expected in (("free", []), ("perturbed", [(1.0, 1)])):
+            calls.clear()
+            roots = ro.scan_halfplane(4, variant, omega_max=50.0)
+            assert [(round(z.real, 8) + round(z.imag, 8) * 1j, m)
+                    for z, m in roots] == expected, variant
+            assert len(calls) <= 10, variant
 
     def test_indicator_tolerance_invariance(self):
         # zero location stable under doubling the integration tolerance
@@ -337,10 +343,25 @@ class TestLockstepTracing:
                  (0.0, 1.0, 2.0, 4.0),    # ROOT2
                  (0.0, 2.0, 5.0, 7.0)]    # empty
         ev, _ = _counted_indicator()
-        assert ro._winding_rect(ev, rects) == [2, 1, 0]
+        counted = ro._winding_rect(ev, rects)
+        assert [w for w, _ in counted] == [2, 1, 0]
+        assert [len(est) for _, est in counted] == [2, 1, 0]
         for rect, w in zip(rects, (2, 1, 0)):
             ev1, _ = _counted_indicator()
-            assert ro._winding_rect(ev1, [rect]) == [w]
+            assert [w1 for w1, _ in ro._winding_rect(ev1, [rect])] == [w]
+        # the estimates polish onto the zeros; the double zero's two
+        # estimates merge into one root of multiplicity 2
+        located = [ro._polish_band(_poly, rect, est)
+                   for rect, (_, est) in zip(rects, counted)]
+        assert [[m for _, m in roots] for roots in located] == [[2], [1], []]
+        assert abs(located[0][0][0] - 1.0) <= 1e-8
+        assert abs(located[1][0][0] - ROOT2) <= 1e-12
+
+    def test_polished_root_outside_band_raises(self):
+        # a start whose Newton path leaves the rectangle sends the scan to
+        # its band-shift retry
+        with pytest.raises(ContourTooCloseError):
+            ro._polish_band(_poly, (0.0, 2.0, -1.0, 1.0), [0.5 + 2.9j])
 
 
 class TestNearOneModel:
