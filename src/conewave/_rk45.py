@@ -5,17 +5,22 @@ the state has shape (batch, n) and a single step size is controlled by
 the worst batch member.  Steps optionally clip onto a sorted list of
 checkpoints (quadrature nodes, output grids) where the state is recorded
 (after a clipped step the controller resumes from the step it proposed
-before clipping).  All accepted steps can be kept for quintic-Hermite
-dense output.  No conewave path reads it (its values are good to ~2e-10
-relative, against 5e-13 for checkpoint landing at rtol 1e-10); it stays
-because the benchmark's self-test (conebench) drives it.
+before clipping).  The seven stages of a step live in one (7, batch, n)
+buffer: each stage increment and the error estimate is one real matrix
+product of an h-scaled tableau row with the buffer's float view.  All
+accepted steps can be kept for quintic-Hermite dense output.  No
+conewave path reads it (its values are good to ~2e-10 relative, against
+5e-13 for checkpoint landing at rtol 1e-10); it stays because the
+benchmark's self-test (conebench) drives it.
 """
 
 import numpy as np
 
 from .errors import StepFailure
 
-_A = (
+# lower-triangular stage matrix; its last row holds the 5th-order
+# weights (FSAL), and _ROWS[i] forms stage i from stages 0..i-1
+_A = np.array([row + (0.0,) * (7 - len(row)) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -23,11 +28,11 @@ _A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+)])
+_ROWS = tuple(_A[i, :i] for i in range(7))
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+_E = _A[6] - np.array(_B4)
 
 _MAX_STEPS = 2_000_000
 
@@ -131,7 +136,10 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
     h = direction * min(abs(h0), span)
 
     x = x0
-    k1 = f(x, y)
+    stages = np.empty((7,) + y.shape, dtype=complex)
+    flat = stages.view(float).reshape(7, -1)
+    stages[0] = f(x, y)
+    abs_y = np.abs(y)
     seg_xa, seg_xb, seg_ya, seg_fa, seg_yb, seg_fb = [], [], [], [], [], []
     hmin = 1e-14 * max(1.0, abs(x0), abs(x_end))
     n_steps = 0
@@ -150,16 +158,16 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
         if clipped:
             h = x_stop - x
 
-        ks = [k1]
         for i in range(1, 7):
-            xi = x + _C[i] * h
-            yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
-            ks.append(f(xi, yi))
-        y5 = yi  # stage 7 state equals the 5th-order solution (FSAL)
-        err = h * sum(e * k for e, k in zip(_E, ks))
+            incr = ((h * _ROWS[i]) @ flat[:i]).view(complex).reshape(y.shape)
+            y5 = y + incr
+            stages[i] = f(x + _C[i] * h, y5)
+        # y5 is now the stage 7 state, the 5th-order solution (FSAL)
+        err = ((h * _E) @ flat).view(complex).reshape(y.shape)
         # member-wise sup scale: components of one batch member share a
         # scale so zero crossings of oscillatory components stay benign
-        mag = np.maximum(np.abs(y), np.abs(y5)).max(axis=-1, keepdims=True)
+        abs_y5 = np.abs(y5)
+        mag = np.maximum(abs_y, abs_y5).max(axis=-1, keepdims=True)
         scale = atol + rtol * mag
         emax = np.max(np.abs(err) / scale)
 
@@ -168,12 +176,12 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
                 seg_xa.append(x)
                 seg_xb.append(x + h)
                 seg_ya.append(y[0].copy())
-                seg_fa.append(ks[0][0].copy())
+                seg_fa.append(stages[0, 0].copy())
                 seg_yb.append(y5[0].copy())
-                seg_fb.append(ks[6][0].copy())
+                seg_fb.append(stages[6, 0].copy())
             x = x + h
-            y = y5
-            k1 = ks[6]
+            y, abs_y = y5, abs_y5
+            stages[0] = stages[6]
             if cps is not None:
                 while next_cp < len(cps) and direction * (cps[next_cp] - x) <= 1e-15 * max(1.0, abs(x)):
                     cp_vals[next_cp] = y

@@ -242,12 +242,12 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
     if np.any(at_one):
         i0_full = cums0[:, -1]
         star_ix = int(np.searchsorted(eval_pts, ONE_START))
-        _, b_coef, pair = match_at_one(d, lam_arr, variant,
-                                       u0[:, star_ix], u0p[:, star_ix])
-        u1_at1 = np.array([sa.coefficients[0] for sa, _ in pair])
-        u1p_at1 = np.array([-sa.coefficients[1] for sa, _ in pair])
-        f_at1 = np.array([complex(src.F_lambda(np.asarray(1.0), lam, d))
-                          for lam in lam_arr])
+        _, b_coef, (seed_a, _) = match_at_one(d, lam_arr, variant,
+                                              u0[:, star_ix], u0p[:, star_ix])
+        # u1 is the analytic seed: u1(1) = b_0 and u1'(1) = -b_1
+        u1_at1, u1p_at1 = seed_a.coefficients[:, 0], -seed_a.coefficients[:, 1]
+        one = np.asarray(1.0)
+        f_at1 = src.F_lambda(one, 0.0, d) + lam_arr * src.f1(one)
         lim_coef = (-b_coef * (0.5 - lam_arr) * f_at1 * u1_at1
                     * 2.0 ** (lam_arr - 0.5) / (2.0j * (lam_arr + 0.5)))
         for jj in np.where(at_one)[0]:

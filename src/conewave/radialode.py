@@ -40,8 +40,11 @@ EDGE_DENSITY = 10.0      # initial samples per unit length of a scan edge
 EDGE_MAX_DEPTH = 12      # bisection rounds before an edge counts as unresolved
 
 
-def zero_order_coeff(d: int, lam: complex, variant: str) -> complex:
-    lam = complex(lam)
+def zero_order_coeff(d: int, lam, variant: str):
+    """c0(lam) for a scalar or an array of lam."""
+    if d < 3 or int(d) != d:
+        raise DomainError("dimension must be an integer >= 3")
+    lam = np.asarray(lam, dtype=complex)
     base = lam * (lam + d - 1.0)
     if variant == "free":
         return base + d * (d - 2.0) / 4.0
@@ -57,9 +60,7 @@ class SpectralODE:
     variant: str  # "free" | "perturbed"
 
     def __post_init__(self):
-        if self.d < 3 or int(self.d) != self.d:
-            raise DomainError("dimension must be an integer >= 3")
-        zero_order_coeff(self.d, self.lam, self.variant)  # validates variant
+        zero_order_coeff(self.d, self.lam, self.variant)  # validates d, variant
 
     @property
     def c0(self) -> complex:
@@ -74,7 +75,7 @@ class SpectralODE:
 
 def _batch_rhs(d: int, lam_arr, variant: str):
     lam_arr = np.asarray(lam_arr, dtype=complex)
-    c0 = np.array([zero_order_coeff(d, l, variant) for l in lam_arr])
+    c0 = zero_order_coeff(d, lam_arr, variant)
     two_ld = 2.0 * lam_arr + d
 
     def f(rho, y):
@@ -82,7 +83,7 @@ def _batch_rhs(d: int, lam_arr, variant: str):
         b = (d - 1.0) / rho - two_ld * rho
         out = np.empty_like(y)
         out[..., 0] = up
-        out[..., 1] = (-b * up + c0 * u) / (1.0 - rho * rho)
+        out[..., 1] = (c0 * u - b * up) / (1.0 - rho * rho)
         return out
 
     return f
@@ -95,30 +96,34 @@ def _batch_rhs(d: int, lam_arr, variant: str):
 
 @dataclass(frozen=True)
 class FrobeniusSeed:
-    """Truncated Frobenius series at a singular endpoint.
+    """Truncated Frobenius series at a singular endpoint, one per lam.
 
     origin: u(rho) = sum_k a_k rho^{2k} (index 0, the H^1 branch);
     one:    u(rho) = x^sigma sum_k b_k x^k with x = 1 - rho and
             sigma = 0 (analytic) or 1/2 - lam (singular).
+    coefficients is (n_lam, K) and index (n_lam,); a member whose series
+    stopped below order K - 1 has zero coefficients above its order.
     """
 
     endpoint: str                   # "origin" | "one"
-    index: complex
-    coefficients: tuple = field(repr=False)
+    index: np.ndarray
+    coefficients: np.ndarray = field(repr=False)
 
     def eval(self, rho):
-        """(u, du/drho) at rho (scalar or array)."""
+        """(u, du/drho) at rho (scalar or array), shape (n_lam,) + rho.shape."""
         u, up, _ = self.eval2(rho)
         return u, up
 
     def eval2(self, rho):
-        """(u, u', u'') at rho, all from the truncated series."""
+        """(u, u', u'') at rho, all from the truncated series by Horner
+        over the coefficient axis."""
         rho = np.asarray(rho, dtype=float)
-        b = np.asarray(self.coefficients)
+        # column k broadcasts against rho: b[k] has shape (n_lam, 1, ...)
+        b = self.coefficients.T.reshape(
+            self.coefficients.shape[::-1] + (1,) * rho.ndim)
+        zero = np.zeros(b.shape[1:2] + rho.shape, dtype=complex)
         if self.endpoint == "origin":
-            u = np.zeros(rho.shape, dtype=complex)
-            up = np.zeros(rho.shape, dtype=complex)
-            upp = np.zeros(rho.shape, dtype=complex)
+            u = up = upp = zero
             r2 = rho * rho
             for k in range(len(b) - 1, 0, -1):
                 u = u * r2 + b[k]
@@ -127,21 +132,18 @@ class FrobeniusSeed:
             u = u * r2 + b[0]
             return u, up * rho, upp
         x = 1.0 - rho
-        s = np.zeros(rho.shape, dtype=complex)
-        sp = np.zeros(rho.shape, dtype=complex)
-        spp = np.zeros(rho.shape, dtype=complex)
+        s = sp = spp = zero
         for k in range(len(b) - 1, 1, -1):
             s = s * x + b[k]
             sp = sp * x + k * b[k]
             spp = spp * x + k * (k - 1) * b[k]
-        if len(b) > 1:
-            s = s * x + b[1]
-            sp = sp * x + b[1]
+        s = s * x + b[1]
+        sp = sp * x + b[1]
         s = s * x + b[0]
-        sig = complex(self.index)
-        if sig == 0:
+        if not np.any(self.index):
             y, yp, ypp = s, sp, spp
         else:
+            sig = self.index.reshape(b.shape[1:])
             xs = np.exp(sig * np.log(x))
             y = xs * s
             yp = xs * (sp + sig * s / x)
@@ -149,20 +151,40 @@ class FrobeniusSeed:
         return y, -yp, ypp
 
 
-def seed_origin(ode: SpectralODE) -> FrobeniusSeed:
-    """Index-0 even series at rho=0: a_{k+1}/a_k from the ODE recurrence."""
-    d, lam, c0 = ode.d, complex(ode.lam), ode.c0
-    a = [1.0 + 0.0j]
-    k = 0
-    while k < SEED_ORDER or (abs(a[-1]) * ORIGIN_START ** (2 * k) > 1e-17 and k < 80):
+def _series(n_lam, next_coeff, x0, power):
+    """(n_lam, K) coefficients c_0 = 1, c_{m+1} = next_coeff(m, cs, active).
+
+    Each member takes at least SEED_ORDER steps and stops once its last
+    coefficient is below 1e-17 at x0 (|c_m| x0^{power m}), or at order 80;
+    its coefficients above its own stopping order are zero.
+    """
+    cs = [np.ones(n_lam, dtype=complex)]
+    active = np.ones(n_lam, dtype=bool)
+    for m in range(80):
+        if m >= SEED_ORDER:
+            active &= np.abs(cs[-1]) * x0 ** (power * m) > 1e-17
+            if not active.any():
+                break
+        cs.append(np.where(active, next_coeff(m, cs, active), 0.0))
+    return np.stack(cs, axis=1)
+
+
+def seed_origin(d: int, lam_arr, variant: str) -> FrobeniusSeed:
+    """Index-0 even series at rho=0 for each lam: a_{k+1}/a_k from the ODE
+    recurrence."""
+    lam = np.asarray(lam_arr, dtype=complex)
+    c0 = zero_order_coeff(d, lam, variant)
+
+    def next_coeff(k, a, active):
         num = 4.0 * k * k + 2.0 * k * (2.0 * lam + d - 1.0) + c0
-        a.append(a[-1] * num / ((2.0 * k + 2.0) * (2.0 * k + d)))
-        k += 1
-    return FrobeniusSeed("origin", 0.0, tuple(a))
+        return a[-1] * num / ((2.0 * k + 2.0) * (2.0 * k + d))
+
+    coeffs = _series(len(lam), next_coeff, ORIGIN_START, 2)
+    return FrobeniusSeed("origin", np.zeros(len(lam), dtype=complex), coeffs)
 
 
-def seed_one(ode: SpectralODE, branch: str = "analytic") -> FrobeniusSeed:
-    """Frobenius series at rho=1; indices {0, 1/2-lam}.
+def seed_one(d: int, lam_arr, variant: str, branch: str) -> FrobeniusSeed:
+    """Frobenius series at rho=1 for each lam; indices {0, 1/2-lam}.
 
     analytic: Taylor in x = 1-rho with leading coefficient 1;
     singular: x^{1/2-lam} (series), unavailable for lam near 1/2.
@@ -172,56 +194,50 @@ def seed_one(ode: SpectralODE, branch: str = "analytic") -> FrobeniusSeed:
     P y'' + Q y' + R y = 0,  P = 2x - 3x^2 + x^3,
     Q = (2 lam + 1) - 2(2 lam + d) x + (2 lam + d) x^2,  R = -c0 + c0 x.
     """
-    d, lam, c0 = ode.d, complex(ode.lam), ode.c0
+    lam = np.asarray(lam_arr, dtype=complex)
+    c0 = zero_order_coeff(d, lam, variant)
     if branch == "analytic":
-        sig = 0.0 + 0.0j
+        sig = np.zeros(len(lam), dtype=complex)
     elif branch == "singular":
         sig = 0.5 - lam
-        if abs(sig) < 1e-8:
+        if np.any(np.abs(sig) < 1e-8):
             raise IndexCollisionError("Frobenius indices collide at lam=1/2")
     else:
         raise ParamError(f"unknown branch {branch!r}")
     two_ld = 2.0 * lam + d
-    x0 = 1.0 - ONE_START
-    coeffs = [1.0 + 0.0j]
-    m = 0
-    while m < SEED_ORDER or (abs(coeffs[-1]) * x0**m > 1e-17 and m < 80):
+
+    def next_coeff(m, b, active):
         ms = m + sig
         c_m = (ms + 1.0) * (2.0 * ms + 2.0 * lam + 1.0)
-        if abs(c_m) < 1e-12:
+        bad = active & (np.abs(c_m) < 1e-12)
+        if np.any(bad):
             raise IndexCollisionError(
-                f"recurrence degenerate at order {m + 1} for lam={lam}"
+                f"recurrence degenerate at order {m + 1} for lam={lam[bad]}"
             )
         a_m = -3.0 * ms * (ms - 1.0) - 2.0 * two_ld * ms - c0
         b_m = (ms - 1.0) * (ms - 2.0) + two_ld * (ms - 1.0) + c0
-        prev2 = coeffs[m - 1] if m >= 1 else 0.0
-        coeffs.append(-(a_m * coeffs[m] + b_m * prev2) / c_m)
-        m += 1
-    return FrobeniusSeed("one", sig, tuple(coeffs))
+        prev2 = b[m - 1] if m >= 1 else 0.0
+        return -(a_m * b[m] + b_m * prev2) / np.where(active, c_m, 1.0)
+
+    coeffs = _series(len(lam), next_coeff, 1.0 - ONE_START, 1)
+    return FrobeniusSeed("one", sig, coeffs)
 
 
 def match_at_one(d: int, lam_arr, variant: str, u, up):
     """Coefficients in the Frobenius pair at rho=1 of the solutions with
     data (u, u') at ONE_START, one per lam.
 
-    Returns (a, b, pair): arrays with u = a u_analytic + b u_singular on
-    [ONE_START, 1) and the list of (analytic, singular) seeds.  Raises
-    IndexCollisionError where the singular branch is no pure Frobenius
-    series: |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ...
+    Returns (a, b, (analytic, singular)): arrays with u = a u_analytic +
+    b u_singular on [ONE_START, 1) and the batched seeds of the pair.
+    Raises IndexCollisionError where the singular branch is no pure
+    Frobenius series: |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ...
     """
-    a = np.empty(len(lam_arr), dtype=complex)
-    b = np.empty(len(lam_arr), dtype=complex)
-    pair = []
-    for i, lam in enumerate(lam_arr):
-        ode = SpectralODE(d, complex(lam), variant)
-        sa, ss = seed_one(ode, "analytic"), seed_one(ode, "singular")
-        ua, upa = sa.eval(np.asarray(ONE_START))
-        us, ups = ss.eval(np.asarray(ONE_START))
-        det = ua * ups - upa * us
-        a[i] = (u[i] * ups - up[i] * us) / det
-        b[i] = (ua * up[i] - upa * u[i]) / det
-        pair.append((sa, ss))
-    return a, b, pair
+    sa = seed_one(d, lam_arr, variant, "analytic")
+    ss = seed_one(d, lam_arr, variant, "singular")
+    ua, upa = sa.eval(ONE_START)
+    us, ups = ss.eval(ONE_START)
+    det = ua * ups - upa * us
+    return (u * ups - up * us) / det, (ua * up - upa * u) / det, (sa, ss)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +271,8 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
     u = np.empty((n_lam, n_pts), dtype=complex)
     up = np.empty((n_lam, n_pts), dtype=complex)
 
-    odes = [SpectralODE(d, complex(lam), variant) for lam in lam_arr]
     if endpoint == "origin":
-        seeds = [seed_origin(ode) for ode in odes]
+        seed = seed_origin(d, lam_arr, variant)
         start = ORIGIN_START
         gap = pts <= start
         near_one = pts >= ONE_START
@@ -265,16 +280,15 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
         if np.any(near_one):
             cps = np.append(cps, ONE_START)
     else:
-        seeds = [seed_one(ode, "analytic") for ode in odes]
+        seed = seed_one(d, lam_arr, variant, "analytic")
         start = ONE_START
         gap = pts >= start
         near_one = np.zeros(n_pts, dtype=bool)
         cps = pts[~gap][::-1]  # descending toward 0
     if np.any(gap):
-        for i, seed in enumerate(seeds):
-            u[i, gap], up[i, gap] = seed.eval(pts[gap])
+        u[:, gap], up[:, gap] = seed.eval(pts[gap])
     if len(cps) and n_lam:
-        y0 = np.array([seed.eval(start) for seed in seeds], dtype=complex)
+        y0 = np.stack(seed.eval(start), axis=-1)
         # initial step resolving the batch's fastest oscillation e^{a phi}
         h0 = 0.5 / (20.0 + float(np.max(np.abs(1j * (0.5 - lam_arr)))))
         _, cp_vals, _ = _rk45.solve(
@@ -290,13 +304,12 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
         u[:, mid] = cp_vals[:n_mid, :, 0].T
         up[:, mid] = cp_vals[:n_mid, :, 1].T
         if np.any(near_one):
-            a, b, pair = match_at_one(d, lam_arr, variant,
-                                      cp_vals[-1, :, 0], cp_vals[-1, :, 1])
-            for i, (sa, ss) in enumerate(pair):
-                ua, upa = sa.eval(pts[near_one])
-                us, ups = ss.eval(pts[near_one])
-                u[i, near_one] = a[i] * ua + b[i] * us
-                up[i, near_one] = a[i] * upa + b[i] * ups
+            a, b, (sa, ss) = match_at_one(d, lam_arr, variant,
+                                          cp_vals[-1, :, 0], cp_vals[-1, :, 1])
+            ua, upa = sa.eval(pts[near_one])
+            us, ups = ss.eval(pts[near_one])
+            u[:, near_one] = a[:, None] * ua + b[:, None] * us
+            up[:, near_one] = a[:, None] * upa + b[:, None] * ups
     return u, up
 
 
@@ -319,28 +332,33 @@ def matching_wronskian(first, second):
 # ---------------------------------------------------------------------------
 
 
+def _mid_wronskian(d, lam_arr, variant, rtol):
+    """(mu, scale) at RHO_MID for an array of lam, arrays (n_lam,)."""
+    mu, scale = matching_wronskian(
+        integrate(d, lam_arr, variant, "origin", [RHO_MID], rtol),
+        integrate(d, lam_arr, variant, "one", [RHO_MID], rtol))
+    return mu[:, 0], scale[:, 0]
+
+
 def _indicator_batch(d: int, lam_arr, variant: str, rtol: float = 1e-9):
     """mu(lam) = W(u_origin, u_analytic-at-1)(RHO_MID) for an array of lam.
 
     Solutions are normalized to unit seed data, so mu's scale is O(|u|^2).
     """
-    mu, _ = matching_wronskian(
-        integrate(d, lam_arr, variant, "origin", [RHO_MID], rtol),
-        integrate(d, lam_arr, variant, "one", [RHO_MID], rtol))
-    return mu[:, 0]
+    return _mid_wronskian(d, lam_arr, variant, rtol)[0]
 
 
 def eigen_indicator(d: int, lam, variant: str, rtol: float = 1e-10):
-    """(mu, scale): scalar indicator and its natural magnitude scale.
+    """(mu, scale): the indicator and its natural magnitude scale, complex
+    and float for a scalar lam, arrays for an array of lam (one batch).
 
     Zeros of mu in lam are the eigenvalues of the variant's operator.
     Reliable for Re(lam) >= -1/2 and |lam - 1/2| >= 1e-6.
     """
-    lam_arr = [complex(lam)]
-    mu, scale = matching_wronskian(
-        integrate(d, lam_arr, variant, "origin", [RHO_MID], rtol),
-        integrate(d, lam_arr, variant, "one", [RHO_MID], rtol))
-    return complex(mu[0, 0]), float(scale[0, 0])
+    mu, scale = _mid_wronskian(d, np.atleast_1d(lam), variant, rtol)
+    if np.ndim(lam) == 0:
+        return complex(mu[0]), float(scale[0])
+    return mu, scale
 
 
 class _CachedIndicator:
@@ -446,28 +464,30 @@ def _winding_rect(ev, rects):
     return out
 
 
-def _newton_polish(scalar_fn, z):
+def _newton_polish(batch_fn, z):
+    """Newton from z; each iteration evaluates f(z) and the central
+    difference's f(z + h), f(z - h) in one batch_fn call."""
     h = 1e-6
     for _ in range(40):
-        f0 = scalar_fn(z)
         step_h = h * (1.0 + abs(z))
-        fp = (scalar_fn(z + step_h) - scalar_fn(z - step_h)) / (2.0 * step_h)
+        f0, f_plus, f_minus = batch_fn(np.array([z, z + step_h, z - step_h]))
+        fp = (f_plus - f_minus) / (2.0 * step_h)
         if fp == 0:
             break
-        dz = f0 / fp
+        dz = complex(f0 / fp)
         z = z - dz
         if abs(dz) <= 1e-11 * (1.0 + abs(z)):
             break
     return z
 
 
-def _polish_band(scalar_fn, rect, estimates):
+def _polish_band(batch_fn, rect, estimates):
     """[(root, multiplicity)] from Newton on each estimate; roots within
     1e-6 merge, one leaving the rectangle raises ContourTooCloseError."""
     re0, re1, im0, im1 = rect
     roots = []
     for z in estimates:
-        z = _newton_polish(scalar_fn, complex(z))
+        z = _newton_polish(batch_fn, complex(z))
         if not (re0 <= z.real <= re1 and im0 <= z.imag <= im1):
             raise ContourTooCloseError(f"root {z} polished out of {rect}")
         for i, (z2, m) in enumerate(roots):
@@ -485,8 +505,9 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
 
     Argument-principle counts on bands of height 2 (starting at Im=-1 so
     the real axis is interior) and root estimates from the same samples,
-    Newton-polished on the scalar indicator.  An unresolved band, or a
-    root polished out of its band, retries the scan with shifted bands.
+    Newton-polished on 3-point indicator batches (rtol 1e-10).  An
+    unresolved band, or a root polished out of its band, retries the scan
+    with shifted bands.
     The ODE has real coefficients in lam, so only Im >= -1 bands are
     scanned and complex roots are mirrored.  method="c3" scans the
     closed-form connection coefficient instead of the shooting Wronskian.
@@ -497,11 +518,10 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
         raise DomainError("omega_max must be <= 60")
     if method == "shooting":
         batch = lambda arr: _indicator_batch(d, arr, variant, rtol=1e-8)
-        scalar = lambda z: eigen_indicator(d, z, variant, rtol=1e-10)[0]
+        polish = lambda arr: eigen_indicator(d, arr, variant, rtol=1e-10)[0]
     elif method == "c3":
-        batch = lambda arr: np.array(
+        batch = polish = lambda arr: np.array(
             [c3_connection(d, l, variant) for l in arr], dtype=complex)
-        scalar = lambda z: c3_connection(d, z, variant)
     else:
         raise ParamError(f"unknown method {method!r}")
 
@@ -517,7 +537,7 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
                 lo = hi
             roots = []
             for band, (_, estimates) in zip(bands, _winding_rect(ev, bands)):
-                roots += _polish_band(scalar, band, estimates)
+                roots += _polish_band(polish, band, estimates)
             break
         except ContourTooCloseError:
             if attempt == 2:

@@ -30,7 +30,8 @@ class TestSeeds:
     @pytest.mark.parametrize("lam", [1.0, 0.3 + 2.0j, 0.1 + 20.0j, 2.0])
     def test_origin_residual(self, variant, lam):
         ode = ro.SpectralODE(4, lam, variant)
-        u, up, upp = ro.seed_origin(ode).eval2(np.asarray(ro.ORIGIN_START))
+        seed = ro.seed_origin(4, [lam], variant)
+        [u], [up], [upp] = seed.eval2(np.asarray(ro.ORIGIN_START))
         res = ode.residual(ro.ORIGIN_START, u, up, upp)
         assert abs(res) <= 1e-12 * (abs(u) + abs(upp))
 
@@ -38,39 +39,70 @@ class TestSeeds:
     def test_one_residual(self, branch):
         for lam in (1.0, 0.3 + 2.0j, 0.1 + 20.0j):
             ode = ro.SpectralODE(5, lam, "perturbed")
-            seed = ro.seed_one(ode, branch)
+            seed = ro.seed_one(5, [lam], "perturbed", branch)
             x = np.asarray(1.0 - 1e-3)
-            u, up, upp = seed.eval2(x)
+            [u], [up], [upp] = seed.eval2(x)
             res = ode.residual(float(x), u, up, upp)
             assert abs(res) <= 1e-9 * (abs(u) + abs(upp) + 1.0)
 
     def test_gauge_series_is_constant(self):
         # perturbed lam=1: the H^1 branch is u == 1
         for d in (3, 4, 5, 6):
-            seed = ro.seed_origin(ro.SpectralODE(d, 1.0, "perturbed"))
-            assert seed.coefficients[0] == 1.0
-            assert all(abs(c) == 0.0 for c in seed.coefficients[1:])
+            [coeffs] = ro.seed_origin(d, [1.0], "perturbed").coefficients
+            assert coeffs[0] == 1.0
+            assert all(abs(c) == 0.0 for c in coeffs[1:])
 
     def test_origin_matches_hypergeometric_coefficients(self):
         # free variant: u(rho) = 2F1(a_f, b_f; d/2; rho^2)
         for d, lam in ((4, 0.0), (3, 0.7 + 1.1j), (6, 0.2 - 3.0j)):
-            seed = ro.seed_origin(ro.SpectralODE(d, lam, "free"))
+            [coeffs] = ro.seed_origin(d, [lam], "free").coefficients
             a, b, c = sf.hypergeo_params(d, lam, "free")
             for k in (1, 2, 3):
                 ref = _pochhammer_ratio(a, b, c, k)
-                assert abs(seed.coefficients[k] - ref) <= 1e-12 * (abs(ref) + 1)
+                assert abs(coeffs[k] - ref) <= 1e-12 * (abs(ref) + 1)
 
     def test_singular_index(self):
-        seed = ro.seed_one(ro.SpectralODE(4, 1.0, "perturbed"), "singular")
-        assert seed.index == pytest.approx(-0.5)
+        seed = ro.seed_one(4, [1.0], "perturbed", "singular")
+        assert seed.index == pytest.approx([-0.5])
 
     def test_analytic_normalization(self):
-        seed = ro.seed_one(ro.SpectralODE(4, 0.3 + 1.0j, "perturbed"), "analytic")
-        assert seed.coefficients[0] == 1.0
+        seed = ro.seed_one(4, [0.3 + 1.0j], "perturbed", "analytic")
+        assert seed.coefficients[0, 0] == 1.0
 
     def test_index_collision(self):
-        with pytest.raises(IndexCollisionError):
-            ro.seed_one(ro.SpectralODE(4, 0.5, "perturbed"), "singular")
+        # one member at lam = 1/2 stops the singular branch of its batch
+        for lams in ([0.5], [0.3 + 2.0j, 0.5, 2.0]):
+            ro.seed_one(4, lams, "perturbed", "analytic")
+            with pytest.raises(IndexCollisionError):
+                ro.seed_one(4, lams, "perturbed", "singular")
+
+    def test_batched_seeds_match_scalar_recurrence(self):
+        # each member of a batch carries its own series, zero-padded above
+        # the order where its own series stops
+        rng = np.random.default_rng(7)
+        lams = rng.uniform(-0.4, 2.0, 40) + 1j * rng.uniform(-200.0, 200.0, 40)
+        lams[:4] = (1.0, 2.0, 0.3 + 0.5j, 0.1 + 200.0j)
+        for d in (3, 4, 5, 6):
+            for variant in ("free", "perturbed"):
+                seeds = [(ro.seed_origin(d, lams, variant), ro.ORIGIN_START ** 2,
+                          lambda lam: _scalar_origin(d, lam, variant))]
+                for branch in ("analytic", "singular"):
+                    seeds.append((
+                        ro.seed_one(d, lams, variant, branch), 1.0 - ro.ONE_START,
+                        lambda lam, br=branch: _scalar_one(d, lam, variant, br)))
+                for seed, x0, scalar in seeds:
+                    assert seed.coefficients.shape[0] == len(lams)
+                    for lam, row, index in zip(lams, seed.coefficients, seed.index):
+                        ref_index, ref = scalar(lam)
+                        assert index == ref_index
+                        assert np.all(row[len(ref):] == 0.0)
+                        # numpy's complex array loops and Python's complex
+                        # scalars round differently in the last bit, so each
+                        # term is compared at the seed's start point,
+                        # relative to the series there
+                        terms = np.abs(ref) * x0 ** np.arange(len(ref))
+                        err = np.abs(row[:len(ref)] - ref) * x0 ** np.arange(len(ref))
+                        assert np.all(err <= 1e-15 * terms.sum()), (d, lam)
 
     def test_coefficient_shift_between_variants(self):
         # perturbed zero-order coefficient = free - (2d+d^2)/4, all d, lam
@@ -79,6 +111,39 @@ class TestSeeds:
                 diff = (ro.zero_order_coeff(d, lam, "free")
                         - ro.zero_order_coeff(d, lam, "perturbed"))
                 assert diff == (2.0 * d + d * d) / 4.0
+
+
+def _scalar_origin(d, lam, variant):
+    """(index, coefficients) of the origin series of one lam, as the
+    recurrence a_{k+1}/a_k reads term by term."""
+    c0 = complex(ro.zero_order_coeff(d, lam, variant))
+    a = [1.0 + 0.0j]
+    k = 0
+    while k < ro.SEED_ORDER or (abs(a[-1]) * ro.ORIGIN_START ** (2 * k) > 1e-17
+                                and k < 80):
+        num = 4.0 * k * k + 2.0 * k * (2.0 * lam + d - 1.0) + c0
+        a.append(a[-1] * num / ((2.0 * k + 2.0) * (2.0 * k + d)))
+        k += 1
+    return 0.0, np.array(a)
+
+
+def _scalar_one(d, lam, variant, branch):
+    """(index, coefficients) of the series at rho = 1 of one lam."""
+    c0 = complex(ro.zero_order_coeff(d, lam, variant))
+    sig = 0.0 if branch == "analytic" else 0.5 - lam
+    two_ld = 2.0 * lam + d
+    b = [1.0 + 0.0j]
+    m = 0
+    while m < ro.SEED_ORDER or (abs(b[-1]) * (1.0 - ro.ONE_START) ** m > 1e-17
+                                and m < 80):
+        ms = m + sig
+        c_m = (ms + 1.0) * (2.0 * ms + 2.0 * lam + 1.0)
+        a_m = -3.0 * ms * (ms - 1.0) - 2.0 * two_ld * ms - c0
+        b_m = (ms - 1.0) * (ms - 2.0) + two_ld * (ms - 1.0) + c0
+        prev2 = b[m - 1] if m >= 1 else 0.0
+        b.append(-(a_m * b[m] + b_m * prev2) / c_m)
+        m += 1
+    return sig, np.array(b)
 
 
 def _origin(d, lam, variant, pts, rtol=1e-11):
@@ -132,11 +197,10 @@ class TestIntegration:
         # just inside the gap the series is read, just outside RK45 steps
         # off the series start; both agree with the series itself
         pts = start + np.array([-1e-6, -1e-9, 1e-9, 1e-6])
-        ode = ro.SpectralODE(4, lam, "perturbed")
-        seed = (ro.seed_origin(ode) if endpoint == "origin"
-                else ro.seed_one(ode, "analytic"))
+        seed = (ro.seed_origin(4, [lam], "perturbed") if endpoint == "origin"
+                else ro.seed_one(4, [lam], "perturbed", "analytic"))
         u, up = ro.integrate(4, [lam], "perturbed", endpoint, pts, 1e-10)
-        ref_u, ref_up = seed.eval(pts)
+        [ref_u], [ref_up] = seed.eval(pts)
         assert np.max(np.abs(u[0] - ref_u) / np.abs(ref_u)) <= 1e-9
         assert np.max(np.abs(up[0] - ref_up)) <= 1e-9 * np.max(np.abs(ref_up))
 
@@ -238,6 +302,16 @@ class TestEigenIndicator:
         mu, _ = ro.eigen_indicator(4, lam, variant, rtol=1e-9)
         ref = ro._indicator_batch(4, [lam], variant, rtol=1e-9)[0]
         assert abs(mu - ref) <= 1e-14 * abs(ref)
+
+    def test_array_lam_is_one_batch_of_scalars(self):
+        lams = np.array([2.0, 0.3 + 1.5j, 1.2 + 40.0j])
+        mu, scale = ro.eigen_indicator(4, lams, "perturbed", rtol=1e-10)
+        assert mu.shape == scale.shape == (3,)
+        for lam, m, sc in zip(lams, mu, scale):
+            ref, ref_scale = ro.eigen_indicator(4, lam, "perturbed", rtol=1e-10)
+            assert isinstance(ref, complex) and isinstance(ref_scale, float)
+            assert abs(m - ref) <= 1e-9 * abs(ref)
+            assert abs(sc - ref_scale) <= 1e-9 * ref_scale
 
     def test_scan_small_window(self):
         # across the paper's range the dense eigenvalues, the shooting scan

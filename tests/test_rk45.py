@@ -79,3 +79,44 @@ def test_checkpoint_clusters_keep_the_step():
     clipped, (_, vals, _) = attempted_steps(cps)
     assert clipped <= free + len(cps)
     assert np.max(np.abs(vals[:, 0, 0] - np.sin(cps))) <= 1e-9
+
+
+def test_stage_abscissae_come_in_groups_of_six():
+    # k1 once, then each attempted step calls f at x + _C[i] h, i = 1..6,
+    # from the last accepted x; conebench counts attempted steps this way
+    xs = []
+
+    def f(x, y):
+        xs.append(x)
+        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j], [1.0 + 0.0j, 0.0 + 0.0j]])
+    cps = np.array([0.3, 0.3001, 1.7, 2.5])
+    _rk45.solve(f, 0.0, 3.0, y0, rtol=1e-9, checkpoints=cps, h0=2.0)
+    assert xs[0] == 0.0 and (len(xs) - 1) % 6 == 0
+    start, end, rejected = 0.0, None, 0
+    for g in range(1, len(xs), 6):
+        group = xs[g:g + 6]
+        # a step starts where the last one ended (accepted) or where the
+        # last one started (rejected); group[4] is its end, x0 + h
+        x0s = [x0 for x0 in (start, end) if x0 is not None and all(
+            abs(xi - (x0 + _rk45._C[i] * (group[4] - x0))) <= 1e-14
+            for i, xi in enumerate(group, start=1))]
+        assert x0s, group
+        rejected += x0s[0] == start and g > 1
+        start, end = x0s[0], group[4]
+    assert end == 3.0 and rejected > 0
+
+
+def test_results_are_not_views_of_the_stage_buffer():
+    def f(x, y):
+        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j]])
+    cps = np.array([0.5, 1.0])
+    y, vals, _ = _rk45.solve(f, 0.0, 2.0, y0, rtol=1e-10, checkpoints=cps)
+    y_copy, vals_copy = y.copy(), vals.copy()
+    _rk45.solve(f, 0.0, 2.0, 3.0 * y0, rtol=1e-10, checkpoints=cps)
+    assert np.array_equal(y, y_copy)
+    assert np.array_equal(vals, vals_copy)
+    assert not np.shares_memory(y, vals)

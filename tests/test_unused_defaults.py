@@ -7,10 +7,11 @@ matched to definitions by name (the called name or attribute), so a
 parameter counts as set when any call of that name passes it by keyword,
 by position, or through ``*args`` / ``**kwargs``.
 
-Two more checks keep each fact in one place: no function takes a
+Three more checks keep each fact in one place: no function takes a
 dimension ``d`` beside a discretization ``disc`` (which carries
-``disc.d``), and ``radialode.integrate`` is the only caller of
-``_rk45.solve``.
+``disc.d``), ``radialode.integrate`` is the only caller of
+``_rk45.solve``, and the Frobenius seeds are built for a whole batch of
+lam, never one lam per loop pass.
 """
 
 import ast
@@ -63,15 +64,17 @@ def _calls_by_name():
     for sub in CALLER_DIRS:
         for path in sorted((ROOT / sub).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute)
-                        else None)
+                name = _called_name(node)
                 if name is not None:
                     calls.setdefault(name, []).append(node)
     return calls
+
+
+def _called_name(node):
+    """The called name or attribute of a call node, else None."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
 
 
 def _is_set(call, param, index):
@@ -136,3 +139,18 @@ def test_rk45_solve_is_called_only_by_integrate():
     for stem, tree in _package_trees():
         visit(tree, stem, "<module>")
     assert callers == ["radialode.integrate"]
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def test_seeds_are_not_built_per_lambda():
+    per_lambda = []
+    for stem, tree in _package_trees():
+        for loop in ast.walk(tree):
+            if not isinstance(loop, _LOOPS):
+                continue
+            per_lambda += [f"{stem}:{node.lineno}" for node in ast.walk(loop)
+                           if _called_name(node) in ("seed_origin", "seed_one")]
+    assert per_lambda == []
