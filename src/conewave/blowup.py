@@ -15,6 +15,11 @@ its linear window; on the stable manifold this coefficient vanishes
 together with the Lyapunov-Perron correction functional.  Its error bar
 comes from re-fits on a coarser grid and with a doubled time step.  The
 dimension is read from ``disc.d`` and the perturbation from ``FitResult.v``.
+
+Runs that do not depend on each other are one stacked evolution: the
+fit's 5-point T grid, each re-fit's start pair and the detuned pair of
+``instability_demo``.  The secant's runs stay one at a time.  Evolution
+counts count the members of a stack.
 """
 
 import math
@@ -94,7 +99,12 @@ class FitResult:
 
 
 def _evolve_at(disc, T, v, tau_max, dtau):
-    return evolve(disc, initial_data(disc, T, v), tau_max, dtau, "nonlinear")
+    """Nonlinear run from U(T, v); a sequence of T is one stacked run."""
+    if np.ndim(T):
+        phi0 = np.array([initial_data(disc, t, v) for t in T])
+    else:
+        phi0 = initial_data(disc, T, v)
+    return evolve(disc, phi0, tau_max, dtau, "nonlinear")
 
 
 def _secant(disc, v, tau_max, dtau, older, newer):
@@ -163,9 +173,9 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     a, b = 1.0 - delta, 1.0 + delta
 
     grid = np.linspace(a, b, 5)
-    # the mode coefficients only: the states are not needed
-    coeffs = [np.real(_evolve_at(disc, T, v, tau_max, dtau).mode_coeffs)
-              for T in grid]
+    # one stacked run; the mode coefficients only: the states are not needed
+    coeffs = [np.real(traj.mode_coeffs)
+              for traj in _evolve_at(disc, grid, v, tau_max, dtau)]
     # compare at the earliest common time: detuned runs may blow up first
     k = min(len(c) for c in coeffs) - 1
     cs = [float(c[k]) for c in coeffs]
@@ -216,8 +226,8 @@ def refinement_error(fit: FitResult) -> dict:
     for disc_r, dtau_r in ((disc, 2.0 * dtau), (coarse, dtau)):
         t1 = fit.T_star
         t0 = t1 + REFIT_OFFSET
-        c0 = np.real(_evolve_at(disc_r, t0, v, tau_max, dtau_r).mode_coeffs)
-        traj = _evolve_at(disc_r, t1, v, tau_max, dtau_r)
+        start, traj = _evolve_at(disc_r, (t0, t1), v, tau_max, dtau_r)
+        c0 = np.real(start.mode_coeffs)
         t_next, traj, (_, T_r), n_sec = _secant(
             disc_r, v, tau_max, dtau_r, (t0, c0),
             (t1, np.real(traj.mode_coeffs), traj))
@@ -286,9 +296,8 @@ def instability_demo(disc: SpectralDiscretization, tau_max: float = 10.0,
     d = disc.d
     v0 = zero_perturbation(delta=max(2 * DETUNE, 0.05))
     out = {"d": d, "detune": DETUNE, "slopes": {}, "signs": {}}
-    for T in (1.0 - DETUNE, 1.0 + DETUNE):
-        phi0 = initial_data(disc, T, v0)
-        traj = evolve(disc, phi0, tau_max, dtau, "nonlinear")
+    pair = (1.0 - DETUNE, 1.0 + DETUNE)
+    for T, traj in zip(pair, _evolve_at(disc, pair, v0, tau_max, dtau)):
         c = np.real(traj.mode_coeffs)
         c0 = abs(c[0])
         # fit strictly inside the linear regime: nonlinear feedback bends
@@ -301,7 +310,6 @@ def instability_demo(disc: SpectralDiscretization, tau_max: float = 10.0,
             slope = math.nan
         out["slopes"][T] = slope
         out["signs"][T] = float(np.sign(c[np.where(np.abs(c) > 0)[0][-1]]))
-    phi0 = initial_data(disc, 1.0, zero_perturbation())
-    traj = evolve(disc, phi0, min(tau_max, 5.0), dtau, "nonlinear")
+    traj = _evolve_at(disc, 1.0, v0, min(tau_max, 5.0), dtau)
     out["tuned_max_coeff"] = float(np.max(np.abs(traj.mode_coeffs)))
     return out

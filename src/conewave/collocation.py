@@ -230,14 +230,24 @@ def build(d: int, N: int) -> SpectralDiscretization:
     )
 
 
+KERNEL_GAP = 1e3  # least ratio of the two smallest singular values of L - 1
+
+
 def _gauge_projection(l_mat, g_disc):
-    """Left eigenvector of L at eigenvalue 1 and the rank-1 projection."""
+    """Left eigenvector of L at eigenvalue 1 and the rank-1 projection.
+
+    ker(L - 1) counts as one-dimensional when the smallest singular value
+    of L - 1 lies a factor KERNEL_GAP below the next one.  For d = 3..6
+    the ratio is ~1e7 or more up to N 256 and 6e4 to 6e5 at N 512.  An
+    absolute threshold scaled by the largest singular value (which grows
+    like N^4) would also count the second one, which falls like N^-2.
+    """
     n2 = l_mat.shape[0]
     sv = scipy.linalg.svdvals(l_mat - np.eye(n2))
-    null_dim = int(np.sum(sv <= sv[0] * n2 * np.finfo(float).eps))
-    if null_dim != 1:
+    if not sv[-1] * KERNEL_GAP <= sv[-2]:
         raise DegenerateEigenvalueError(
-            f"ker(L - 1) has discrete dimension {null_dim}, expected 1"
+            f"ker(L - 1) is not one-dimensional: the two smallest singular "
+            f"values of L - 1 are {sv[-1]:.3e} and {sv[-2]:.3e}"
         )
     # inverse iteration on the transpose, seeded with g itself
     a = (l_mat - (1.0 + 1e-9) * np.eye(n2)).T

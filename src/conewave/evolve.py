@@ -6,6 +6,11 @@ The similarity-coordinate system for the perturbation Phi = Psi - (c_d,
 precomputed by scaling-and-squaring; the linear modes are advanced by
 e^{dt L} alone, which is exact in time.
 
+``evolve`` steps one state or a stack of states as one block of columns.
+A member that passes BLOWUP_SUP leaves the block with its own blowup
+time; the others go on to tau_max.  Energy norms are computed on first
+read, so a stack holds only its states and mode coefficients.
+
 Modes: "linear-free" (L0), "linear-perturbed" (L), "nonlinear" (L plus
 pointwise collocation of the nonlinearity, no dealiasing; the top
 Chebyshev coefficient of Phi_1 is monitored instead).
@@ -16,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -37,7 +43,7 @@ class Propagator:
     disc: SpectralDiscretization
     dtau: float
     mode: str
-    E: np.ndarray = field(init=False, repr=False)       # linear modes only
+    E: np.ndarray = field(init=False, repr=False)  # E_half @ E_half if nonlinear
     E_half: np.ndarray = field(init=False, repr=False)  # nonlinear mode only
 
     def __post_init__(self):
@@ -45,33 +51,34 @@ class Propagator:
             raise ParamError(f"unknown mode {self.mode!r}")
         lmat = self.disc.L0_mat if self.mode == "linear-free" else self.disc.L_mat
         if self.mode == "nonlinear":
-            self.E, self.E_half = None, scipy.linalg.expm(0.5 * self.dtau * lmat)
+            self.E_half = scipy.linalg.expm(0.5 * self.dtau * lmat)
+            self.E = self.E_half @ self.E_half
         else:
             self.E, self.E_half = scipy.linalg.expm(self.dtau * lmat), None
 
-    def _nonlin(self, u):
-        n1 = self.disc.N
-        out = np.zeros_like(u)
-        out[n1:] = nonlinearity(self.disc.d, np.real(u[:n1]))
-        return out
-
     def step(self, u):
-        """One step of size dtau; Lawson RK4 in the nonlinear mode."""
+        """One step of size dtau; Lawson RK4 in the nonlinear mode.
+
+        u is one state (2N,) or a block of states (2N, m), real in the
+        nonlinear mode.  The nonlinear term (0, N(u1)) has no first block,
+        so it meets only the second block columns of E_half and E, and of
+        the stage states only the first block is formed.  The linear part
+        stays E_half @ (E_half @ u); k3 reads the first block of E_half @ u.
+        """
         if self.mode != "nonlinear":
             return self.E @ u
+        n, d, dt = self.disc.N, self.disc.d, self.dtau
         eh = self.E_half
-        dt = self.dtau
-        k1 = self._nonlin(u)
+        b = eh[:, n:]
+        k1 = nonlinearity(d, u[:n])
         eh_u = eh @ u
-        eh_k1 = eh @ k1
-        u2 = eh_u + 0.5 * dt * eh_k1
-        k2 = self._nonlin(u2)
-        u3 = eh_u + 0.5 * dt * k2
-        k3 = self._nonlin(u3)
+        k2 = nonlinearity(d, eh_u[:n] + 0.5 * dt * (b[:n] @ k1))
+        k3 = nonlinearity(d, eh_u[:n])
         e_u = eh @ eh_u
-        u4 = e_u + dt * (eh @ k3)
-        k4 = self._nonlin(u4)
-        return e_u + dt / 6.0 * (eh @ (eh_k1 + 2.0 * (k2 + k3)) + k4)
+        k4 = nonlinearity(d, e_u[:n] + dt * (b[:n] @ k3))
+        out = e_u + dt / 6.0 * (self.E[:, n:] @ k1 + b @ (2.0 * (k2 + k3)))
+        out[n:] += dt / 6.0 * k4
+        return out
 
 
 def _propagator(disc, dtau, mode):
@@ -85,7 +92,10 @@ def _propagator(disc, dtau, mode):
 
 @dataclass
 class EvolutionTrajectory:
-    """Uniform-step time series with per-snapshot diagnostics."""
+    """Uniform-step time series of one state with per-snapshot diagnostics.
+
+    ``energy_norms`` is computed from the states on first read.
+    """
 
     disc: SpectralDiscretization
     dtau: float
@@ -93,10 +103,13 @@ class EvolutionTrajectory:
     taus: np.ndarray
     states: np.ndarray          # (n_snap, 2N)
     mode_coeffs: np.ndarray     # <Phi, w>_E per snapshot
-    energy_norms: np.ndarray
     lq_norms: dict              # q -> per-snapshot array (first component)
     alias_indicator: float      # max top Chebyshev coefficient of Phi_1
     blowup_tau: float = None    # set if the run left the resolvable regime
+
+    @cached_property
+    def energy_norms(self):
+        return energy_norm(self.disc, self.states)
 
     @property
     def tau_max(self):
@@ -109,12 +122,30 @@ class EvolutionTrajectory:
         return self.states[i]
 
 
+class TrajectoryStack(list):
+    """The member trajectories of one stacked evolution, in input order.
+
+    ``taus`` is the block's time grid up to its last step; ``blowup_tau``
+    is set when every member blew up, so that the block stopped there.
+    """
+
+    def __init__(self, members, taus, blowup_tau=None):
+        super().__init__(members)
+        self.taus, self.blowup_tau = taus, blowup_tau
+
+
 def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
            mode: str, q_list=()):
     """Integrate to tau_max recording every step.
 
-    Diagnostics per snapshot: energy norm, mode coefficient <Phi, w>_E,
-    and L^q norms of the first component for each q in q_list.
+    phi0 is one state (2N,), which gives an EvolutionTrajectory, or a stack
+    of m states (m, 2N), which are stepped together as one (2N, m) block
+    and give a TrajectoryStack.  A member whose sup norm passes BLOWUP_SUP
+    (or is not finite) leaves the block there with its own blowup_tau; the
+    others go on to tau_max.
+
+    Diagnostics per snapshot: mode coefficient <Phi, w>_E and L^q norms of
+    the first component for each q in q_list; the energy norm on first read.
     """
     if tau_max > 50.0:
         raise DomainError("tau_max must be <= 50")
@@ -122,34 +153,52 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
     if abs(n_steps * dtau - tau_max) > 1e-9:
         raise DomainError("tau_max must be a multiple of dtau")
     prop = _propagator(disc, dtau, mode)
-    u = np.asarray(phi0, dtype=float if np.isrealobj(phi0) else complex).copy()
+    u = np.array(phi0, dtype=float if np.isrealobj(phi0) else complex)
+    single = u.ndim == 1
+    m = 1 if single else len(u)
     taus = np.arange(n_steps + 1) * dtau
-    states = np.empty((n_steps + 1,) + u.shape, dtype=u.dtype)
-    states[0] = u
-    blowup_tau = None
-    alias = 0.0
-    n_done = n_steps
+    states = np.empty((m, n_steps + 1, u.shape[-1]), dtype=u.dtype)
+    states[:, 0] = u
+    u = np.ascontiguousarray(u.T)
+    ends = np.full(m, n_steps)
+    blowup = [None] * m
+    live = slice(None)  # block columns -> members; an index array once one leaves
     for k in range(n_steps):
         u = prop.step(u)
-        states[k + 1] = u
-        sup = float(np.max(np.abs(u)))
-        if not math.isfinite(sup) or sup > BLOWUP_SUP:
-            blowup_tau = taus[k + 1]
-            n_done = k + 1
+        states[live, k + 1] = u.T
+        sup = np.abs(u).max(axis=0)
+        if (sup <= BLOWUP_SUP).all():
+            continue
+        # not (sup <= BLOWUP_SUP) also catches nan
+        gone = np.atleast_1d(~(sup <= BLOWUP_SUP))
+        members = np.arange(m)[live]
+        for j in members[gone]:
+            ends[j], blowup[j] = k + 1, taus[k + 1]
+        live = members[~gone]
+        if not live.size:
             break
-    taus = taus[: n_done + 1]
-    states = states[: n_done + 1]
-    coeffs = disc.mode_coefficient(states)
-    enorms = energy_norm(disc, states)
-    lq = {q: lq_norm(disc, states[:, : disc.N], q) for q in q_list}
+        u = u[:, ~gone]
+    trajs = [_trajectory(disc, dtau, mode, taus[: e + 1], states[j, : e + 1],
+                         blowup[j], q_list)
+             for j, e in enumerate(ends)]
+    if single:
+        return trajs[0]
+    return TrajectoryStack(trajs, taus[: ends.max() + 1],
+                           None if None in blowup else max(blowup))
+
+
+def _trajectory(disc, dtau, mode, taus, states, blowup_tau, q_list):
+    """One member's trajectory and its per-snapshot diagnostics."""
+    alias = 0.0
     if mode == "nonlinear":
         # top even-Chebyshev coefficient of Phi_1 relative to its sup norm
-        u1 = states[:: max(1, n_done // 50), : disc.N]
+        u1 = states[:: max(1, (len(taus) - 1) // 50), : disc.N]
         top = np.abs(even_cheb_coeffs(disc, u1)[:, -1])
         alias = float(np.max(top / (np.max(np.abs(u1), axis=1) + 1e-300)))
     return EvolutionTrajectory(
         disc=disc, dtau=dtau, mode=mode, taus=taus, states=states,
-        mode_coeffs=coeffs, energy_norms=enorms, lq_norms=lq,
+        mode_coeffs=disc.mode_coefficient(states),
+        lq_norms={q: lq_norm(disc, states[:, : disc.N], q) for q in q_list},
         alias_indicator=alias, blowup_tau=blowup_tau,
     )
 

@@ -11,6 +11,7 @@ and psi(tau, rho) = (T e^{-tau})^{(d-2)/2} u(T - T e^{-tau}, T e^{-tau} rho)
 turns u^T into the constant c_d.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -103,17 +104,20 @@ def psi_pair_from_u(d: int, T: float, u, u_t, tau, rho):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _nonlinear_constants(d):
+    """(c_d, 4/(d-2), c_d^{(d+2)/(d-2)}, (2d+d^2)/4), d checked once."""
+    check_dimension(d, nonlinear=True)
+    c = c_d(d)
+    return c, 4.0 / (d - 2), c ** ((d + 2.0) / (d - 2.0)), (2.0 * d + d * d) / 4.0
+
+
 def nonlinearity(d: int, x):
     """N(x) = |c_d + x|^{4/(d-2)} (c_d + x) - c_d^{(d+2)/(d-2)} - (2d+d^2)/4 x."""
-    check_dimension(d, nonlinear=True)
+    c, p, c_pow, beta = _nonlinear_constants(d)
     x = np.asarray(x, dtype=float)
-    c = c_d(d)
-    p = 4.0 / (d - 2)
-    return (
-        np.abs(c + x) ** p * (c + x)
-        - c ** ((d + 2.0) / (d - 2.0))
-        - (2.0 * d + d * d) / 4.0 * x
-    )
+    y = c + x
+    return np.abs(y) ** p * y - c_pow - beta * x
 
 
 def nonlinearity_pair(d: int, pair):

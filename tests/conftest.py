@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conewave import blowup as bl
+from conewave import evolve as ev
 
 
 @pytest.fixture
@@ -13,10 +14,14 @@ def never_linear(monkeypatch):
     """
     def evolve(disc, phi0, tau_max, dtau, mode):
         n = int(round(tau_max / dtau)) + 1
+        taus = np.arange(n) * dtau
+        if np.ndim(phi0) == 2:
+            return ev.TrajectoryStack(
+                [evolve(disc, u, tau_max, dtau, mode) for u in phi0], taus)
         c = 0.5 if phi0[0] > 0.01 else -0.5
         return bl.EvolutionTrajectory(
-            disc=disc, dtau=dtau, mode=mode, taus=np.arange(n) * dtau,
+            disc=disc, dtau=dtau, mode=mode, taus=taus,
             states=np.zeros((n, 2 * disc.N)), mode_coeffs=np.full(n, c),
-            energy_norms=np.zeros(n), lq_norms={}, alias_indicator=0.0)
+            lq_norms={}, alias_indicator=0.0)
 
     monkeypatch.setattr(bl, "evolve", evolve)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conewave import collocation as co
-from conewave.errors import DomainError
+from conewave.errors import DegenerateEigenvalueError, DomainError
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,37 @@ class TestSpectrum:
         moved = sum(1 for z in spurious[:20]
                     if np.min(np.abs(raw_fine - z)) > 1e-4)
         assert moved >= len(spurious[:20]) * 3 // 4
+
+
+class TestKernelGap:
+    @pytest.mark.parametrize("d, N", [(d, N) for N in (144, 512)
+                                      for d in (3, 4, 5, 6)] + [(4, 256)])
+    def test_large_grids_build(self, d, N):
+        disc = co.build(d, N)
+        y, lm = disc.adjoint_functional, disc.L_mat
+        assert np.max(np.abs(y @ lm - y)) <= 1e-8 * np.max(np.abs(y))
+        assert disc.mode_coefficient(disc.g_disc) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(disc.P_mat @ disc.g_disc - disc.g_disc)) <= 1e-12
+
+    @staticmethod
+    def _conjugated(eigenvalues):
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((40, 40)))
+        return q @ np.diag(eigenvalues) @ q.T
+
+    def test_double_kernel_raises(self):
+        lm = self._conjugated(np.r_[1.0, 1.0, np.linspace(2.0, 40.0, 38)])
+        with pytest.raises(DegenerateEigenvalueError, match="not one-dim"):
+            co._gauge_projection(lm, np.ones(40))
+
+    def test_no_kernel_raises(self):
+        lm = self._conjugated(np.linspace(2.0, 41.0, 40))
+        with pytest.raises(DegenerateEigenvalueError):
+            co._gauge_projection(lm, np.ones(40))
+
+    def test_simple_kernel_passes(self):
+        lm = self._conjugated(np.r_[1.0, np.linspace(2.0, 40.0, 39)])
+        y, _ = co._gauge_projection(lm, np.ones(40))
+        assert np.max(np.abs(y @ lm - y)) <= 1e-10 * np.max(np.abs(y))
 
 
 class TestProjection:

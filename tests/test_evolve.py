@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conewave import blowup as bl
 from conewave import collocation as co
 from conewave import evolve as ev
 from conewave.errors import DomainError, NotConvergedWarning
+from conewave.model import nonlinearity
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +151,7 @@ class TestStrichartzNorm:
         states = np.tile(state, (n + 1, 1))
         return ev.EvolutionTrajectory(
             disc=disc, dtau=0.1, mode="linear-free", taus=taus, states=states,
-            mode_coeffs=np.zeros(n + 1), energy_norms=np.ones(n + 1),
-            lq_norms={}, alias_indicator=0.0)
+            mode_coeffs=np.zeros(n + 1), lq_norms={}, alias_indicator=0.0)
 
     def test_constant_trajectory(self, disc):
         u1 = np.cos(disc.nodes)
@@ -178,8 +179,8 @@ class TestStrichartzNorm:
         states = np.exp(-taus)[:, None] * state[None, :]
         traj = ev.EvolutionTrajectory(
             disc=disc, dtau=0.01, mode="linear-free", taus=taus, states=states,
-            mode_coeffs=np.zeros(len(taus)), energy_norms=np.exp(-taus),
-            lq_norms={}, alias_indicator=0.0)
+            mode_coeffs=np.zeros(len(taus)), lq_norms={},
+            alias_indicator=0.0)
         val = ev.strichartz_norm(traj, 2.0, 8.0)
         ref = ev.lq_norm(disc, u1, 8.0) / math.sqrt(2.0)
         assert val == pytest.approx(ref, rel=1e-3)
@@ -225,3 +226,79 @@ class TestDump:
         import json
         side = json.loads(json_path.read_text())
         assert "mode_coefficients" in side and "lq_norms" in side
+
+
+def _lawson_rk4(eh, d, dt, u):
+    """Textbook Lawson RK4: full-width stages (0, N(v1)), e^{dt L/2} only."""
+    n = len(u) // 2
+
+    def f(v):
+        out = np.zeros_like(v)
+        out[n:] = nonlinearity(d, v[:n])
+        return out
+
+    k1 = f(u)
+    k2 = f(eh @ u + 0.5 * dt * (eh @ k1))
+    k3 = f(eh @ u + 0.5 * dt * k2)
+    k4 = f(eh @ (eh @ u) + dt * (eh @ k3))
+    return eh @ (eh @ u) + dt / 6.0 * (
+        eh @ (eh @ k1) + 2.0 * (eh @ k2) + 2.0 * (eh @ k3) + k4)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_lawson_step_matches_textbook(d):
+    # p = 4/(d-2) = 4, 2, 4/3, 1
+    disc = co.build(d, 48)
+    prop = ev._propagator(disc, 0.01, "nonlinear")
+    v = bl.bump_perturbation(delta=0.1, amplitude=0.05)
+    block = np.array([bl.initial_data(disc, T, v)
+                      for T in np.linspace(0.9, 1.1, 5)]).T.copy()
+    for u in (block[:, 1].copy(), block):
+        ref = _lawson_rk4(prop.E_half, d, 0.01, u)
+        assert np.max(np.abs(prop.step(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestStack:
+    """The fit grid of the evolution benchmark (d 4, N 96, seed 1)."""
+
+    @pytest.fixture(scope="class")
+    def grid_data(self, disc):
+        v = bl.bump_perturbation(delta=0.1, amplitude=0.028359106102810033)
+        return np.array([bl.initial_data(disc, T, v)
+                         for T in np.linspace(0.9, 1.1, 5)])
+
+    def test_members_match_single_runs(self, disc, grid_data):
+        stack = ev.evolve(disc, grid_data, 12.0, 0.01, "nonlinear")
+        singles = [ev.evolve(disc, u, 12.0, 0.01, "nonlinear")
+                   for u in grid_data]
+        assert len(stack) == 5
+        assert [m.blowup_tau for m in stack] == [s.blowup_tau for s in singles]
+        # T = 1.0, 1.05 and 1.1 blow up; the block goes on to tau_max
+        assert [s.blowup_tau is None for s in singles] == [True, True] + [False] * 3
+        assert stack.blowup_tau is None and stack.taus[-1] == 12.0
+        for m, s in zip(stack, singles):
+            assert len(m.taus) == len(s.taus)
+            if s.blowup_tau is None:
+                assert np.max(np.abs(m.mode_coeffs - s.mode_coeffs)) <= 1e-11
+
+    def test_stack_of_one_is_the_single_run(self, disc, grid_data):
+        (one,) = ev.evolve(disc, grid_data[1:2], 12.0, 0.01, "nonlinear")
+        single = ev.evolve(disc, grid_data[1], 12.0, 0.01, "nonlinear")
+        assert np.array_equal(one.states, single.states)
+        assert np.array_equal(one.mode_coeffs, single.mode_coeffs)
+        assert one.alias_indicator == single.alias_indicator
+
+    def test_stops_when_every_member_blew_up(self, disc, grid_data):
+        stack = ev.evolve(disc, grid_data[3:], 12.0, 0.01, "nonlinear")
+        taus = [m.blowup_tau for m in stack]
+        assert None not in taus
+        assert stack.blowup_tau == max(taus) == stack.taus[-1] < 12.0
+        assert len(stack.taus) == len(stack[0].taus)
+
+
+def test_energy_norms_on_first_read(disc):
+    rng = np.random.default_rng(2)
+    traj = ev.evolve(disc, co.random_smooth_pair(disc, rng), 0.1, 0.01,
+                     "linear-perturbed")
+    assert "energy_norms" not in vars(traj)
+    assert np.array_equal(traj.energy_norms, co.energy_norm(disc, traj.states))

@@ -12,10 +12,22 @@ dimension ``d`` beside a discretization ``disc`` (which carries
 ``disc.d``), ``radialode.integrate`` is the only caller of
 ``_rk45.solve``, and the Frobenius seeds are built for a whole batch of
 lam, never one lam per loop pass.
+
+The last checks keep work done once: the blowup fit's independent runs
+(its T grid, each error-bar re-fit's start pair, the detuned pair of the
+instability demo) are one stacked evolution each, and the nonlinearity
+checks its dimension only on the first call for a d.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conewave import blowup as bl
+from conewave import collocation as co
+from conewave import model
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "conewave"
@@ -154,3 +166,56 @@ def test_seeds_are_not_built_per_lambda():
             per_lambda += [f"{stem}:{node.lineno}" for node in ast.walk(loop)
                            if _called_name(node) in ("seed_origin", "seed_one")]
     assert per_lambda == []
+
+
+@pytest.fixture
+def evolve_calls(monkeypatch):
+    """The number of states of each call of ``blowup.evolve``."""
+    calls = []
+
+    def counted(disc, phi0, *args, **kwargs):
+        calls.append(1 if np.ndim(phi0) == 1 else len(phi0))
+        return evolve(disc, phi0, *args, **kwargs)
+
+    evolve = bl.evolve
+    monkeypatch.setattr(bl, "evolve", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def small_fit():
+    return bl.fit_blowup_time(
+        co.build(4, 32), bl.bump_perturbation(delta=0.1, amplitude=0.05),
+        tau_max=4.0)
+
+
+def test_fit_grid_is_one_evolution(evolve_calls):
+    fit = bl.fit_blowup_time(
+        co.build(4, 32), bl.bump_perturbation(delta=0.1, amplitude=0.05),
+        tau_max=4.0)
+    # the 5-point grid, then one run per secant step
+    assert evolve_calls == [5] + [1] * (fit.n_evolutions - 5)
+
+
+def test_refit_start_pair_is_one_evolution(small_fit, evolve_calls):
+    err = bl.refinement_error(small_fit)
+    starts = [i for i, m in enumerate(evolve_calls) if m == 2]
+    assert len(starts) == 2 and starts[0] == 0
+    assert set(evolve_calls) <= {1, 2}
+    assert sum(evolve_calls) == err["n_evolutions_err"]
+
+
+def test_instability_pair_is_one_evolution(evolve_calls):
+    bl.instability_demo(co.build(4, 32), tau_max=1.0)
+    assert evolve_calls == [2, 1]  # the detuned pair, then T = 1
+
+
+def test_nonlinearity_checks_d_once(monkeypatch):
+    x = np.linspace(-0.5, 0.5, 7)
+    first = model.nonlinearity(5, x)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("check_dimension called again")
+
+    monkeypatch.setattr(model, "check_dimension", fail)
+    assert np.array_equal(model.nonlinearity(5, x), first)
