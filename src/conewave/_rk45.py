@@ -2,16 +2,16 @@
 
 The spectral ODEs are integrated for many spectral parameters at once:
 the state has shape (batch, n) and a single step size is controlled by
-the worst batch member.  Steps optionally clip onto a sorted list of
-checkpoints (quadrature nodes, output grids) where the state is recorded
-(after a clipped step the controller resumes from the step it proposed
-before clipping).  The seven stages of a step live in one (7, batch, n)
-buffer: each stage increment and the error estimate is one real matrix
-product of an h-scaled tableau row with the buffer's float view.  All
-accepted steps can be kept for quintic-Hermite dense output.  No
-conewave path reads it (its values are good to ~2e-10 relative, against
-5e-13 for checkpoint landing at rtol 1e-10); it stays because the
-benchmark's self-test (conebench) drives it.
+the worst batch member.  A step is clipped onto the last checkpoint
+(quadrature node, output grid point) it reaches; the checkpoints it
+passed get their values from one batched RK5 sub-step from its start, no
+longer than the step and so no less accurate (after a clipped step the
+controller resumes from the step it proposed before clipping).  The
+seven stages of a step live in one (7, batch, n) buffer: each stage
+increment and the error estimate is one real matrix product of an
+h-scaled tableau row with the buffer's float view.  Dense output
+(quintic Hermite on the accepted steps, ~2e-10 relative) has no conewave
+caller; it stays because the benchmark's self-test (conebench) drives it.
 """
 
 import numpy as np
@@ -99,6 +99,21 @@ class DenseSegments:
         return u, du
 
 
+def _substep(f, x, y, k1, xs):
+    """RK5 values at the m points xs from the accepted state (x, y, k1):
+    one (m, batch, n) state with step xs - x per row and abscissae of shape
+    (m, 1); the value needs no FSAL stage, so this is five RHS calls."""
+    h = (xs - x)[:, None]
+    shape = (len(xs),) + y.shape
+    stages = np.empty((6,) + shape, dtype=complex)
+    flat = stages.view(float).reshape(6, -1)
+    stages[0] = k1
+    for i in range(1, 6):
+        incr = (_ROWS[i] @ flat[:i]).view(complex).reshape(shape)
+        stages[i] = f(x + _C[i] * h, y + h[..., None] * incr)
+    return y + h[..., None] * (_A[6, :6] @ flat).view(complex).reshape(shape)
+
+
 def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
           dense=False, h0=None, max_steps=_MAX_STEPS):
     """Integrate y' = f(x, y) from x0 to x_end.
@@ -106,9 +121,12 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
     Parameters
     ----------
     f : callable(x, y) -> array like y, vectorized over the batch axis.
+        For a sub-step batch it is called with x of shape (m, 1) and y of
+        shape (m, batch, n); x broadcasts against each component y[..., k].
     y0 : array (batch, n) or (n,).
     checkpoints : optional sorted array of x values (monotone toward x_end);
-        the integrator lands on each exactly and records the state there.
+        a step lands on the last one it reaches, `_substep` fills the ones
+        it passed, and the state is recorded at each.
     dense : keep all accepted steps for later Hermite evaluation.
 
     Returns
@@ -129,6 +147,7 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
     next_cp = 0
     if checkpoints is not None:
         cps = np.asarray(checkpoints, dtype=float)
+        toward = direction * cps  # ascending
         cp_vals = np.empty((len(cps),) + y.shape, dtype=complex)
 
     if h0 is None:
@@ -149,10 +168,14 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
             raise StepFailure(f"step budget exceeded ({max_steps})")
         if abs(h) < hmin:
             raise StepFailure(f"step size underflow at x={x}")
-        # clip onto the next checkpoint / the endpoint
-        x_stop = x_end
-        if cps is not None and next_cp < len(cps):
-            x_stop = cps[next_cp]
+        # clip onto the last checkpoint reached, else onto the endpoint;
+        # the passed checkpoints [next_cp, first) are sub-stepped
+        x_stop, first = x_end, next_cp
+        if cps is not None:
+            last = np.searchsorted(toward, direction * (x + h), side="right")
+            if last > next_cp:
+                x_stop = cps[last - 1]
+                first = np.searchsorted(toward, toward[last - 1])
         h_free = h
         clipped = direction * (x + h - x_stop) > 0
         if clipped:
@@ -179,6 +202,10 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
                 seg_fa.append(stages[0, 0].copy())
                 seg_yb.append(y5[0].copy())
                 seg_fb.append(stages[6, 0].copy())
+            if first > next_cp:
+                cp_vals[next_cp:first] = _substep(f, x, y, stages[0],
+                                                  cps[next_cp:first])
+                next_cp = first
             x = x + h
             y, abs_y = y5, abs_y5
             stages[0] = stages[6]

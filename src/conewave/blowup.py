@@ -209,7 +209,7 @@ def refinement_error(fit: FitResult) -> dict:
     from the pair (T*, T* + REFIT_OFFSET); T* moves to the secant's final
     proposal, so shifts below SECANT_STEP count.  Lawson RK4 is fourth
     order, so the 2 dtau change bounds the dtau error of T* from above (by
-    ~15x); S_phys is integrated in tau at second order (~3x).  Each error
+    ~15x); S_phys is integrated in tau at fourth order too.  Each error
     is the largest change over the two re-fits; tau_max must be a multiple
     of 2 dtau (DomainError otherwise).
     """
@@ -240,6 +240,32 @@ def refinement_error(fit: FitResult) -> dict:
             "n_evolutions_err": n_ev}
 
 
+def _simpson_weights(n):
+    """Composite Simpson weights for n unit intervals; an odd n ends with
+    Simpson's 3/8 rule on its last three, n = 1 is the trapezoid rule."""
+    if n == 1:
+        return np.full(2, 0.5)
+    m = n - 3 * (n % 2)  # Simpson on [0, m], the 3/8 rule on [m, n]
+    w = np.zeros(n + 1)
+    if m:
+        w[1:m:2], w[2:m:2], w[[0, m]] = 4.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0
+    if m < n:
+        w[m:] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
+    return w
+
+
+def _lagrange4(values, s):
+    """values on the grid 0, 1, 2, ... at positions s, by Lagrange
+    interpolation through the 4 nodes around each s."""
+    k = min(4, len(values))
+    j = np.clip(np.floor(s).astype(int) - 1, 0, len(values) - k)
+    out = 0.0
+    for a in range(k):
+        w = np.prod([(s - j - b) / (a - b) for b in range(k) if b != a], axis=0)
+        out = out + w * values[j + a]
+    return out
+
+
 def stability_report(fit: FitResult, tau_eval: float = 10.0) -> dict:
     """Similarity/physical spacetime norms of the fitted solution.
 
@@ -247,29 +273,26 @@ def stability_report(fit: FitResult, tau_eval: float = 10.0) -> dict:
     S_phys = int_0^{T - T e^{-tau_max}} || u - u^T ||^2_{L^q(B_{T-t})} dt
     with q = 2d/(d-3); the two agree by the change of variables
     t = T - T e^{-tau} under which the L^q norm scales as (T-t)^{-1/2}.
-    S_phys is integrated on a geometric t-grid with the per-snapshot
-    norms interpolated in tau, so the identity is checked through an
-    independent integration path.
+    S_sim is a Simpson sum of the per-snapshot norms; S_phys is integrated
+    by Gauss-Legendre on the geometric t-grid of the tau steps with the
+    norms interpolated in tau by 4-point Lagrange, so the identity is
+    checked through an independent path, fourth order in dtau like S_sim.
     """
     traj = fit.trajectory
     disc, d, delta = traj.disc, traj.disc.d, fit.v.delta
     T = fit.T_star
     q = 2.0 * d / (d - 3.0) if d > 3 else math.inf
     norms = lq_norm(disc, traj.states[:, : disc.N], q)
-    s_sim = float(np.trapezoid(norms**2, traj.taus))
+    s_sim = float(_simpson_weights(len(norms) - 1) @ norms**2) * traj.dtau
 
     tau_max = traj.tau_max
-    n_pan = max(24, int(2 * tau_max))
-    tau_edges = np.linspace(0.0, tau_max, n_pan + 1)
-    t_edges = T - T * np.exp(-tau_edges)  # geometric refinement toward t_end
-    gx, gw = np.polynomial.legendre.leggauss(12)
-    s_phys = 0.0
-    for ta, tb in zip(t_edges[:-1], t_edges[1:]):
-        tm = 0.5 * (ta + tb) + 0.5 * (tb - ta) * gx
-        wt = 0.5 * (tb - ta) * gw
-        tau_t = np.log(T / (T - tm))
-        nq = np.interp(tau_t, traj.taus, norms)
-        s_phys += float(np.sum(wt * nq**2 / (T - tm)))
+    # one t-panel per tau step, where the interpolant is one cubic in tau
+    t_edges = T - T * np.exp(-traj.taus)  # geometric refinement toward t_end
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    ta, tb = t_edges[:-1, None], t_edges[1:, None]
+    tm = 0.5 * (ta + tb) + 0.5 * (tb - ta) * gx
+    nq = _lagrange4(norms, np.log(T / (T - tm)) / traj.dtau)
+    s_phys = float(np.sum(0.5 * (tb - ta) * gw * nq**2 / (T - tm)))
 
     sup_dev = float(np.max(np.abs(traj.state_at(tau_eval)[: disc.N]))) \
         if tau_eval <= tau_max else None

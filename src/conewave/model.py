@@ -85,20 +85,6 @@ def psi_from_u(d: int, T: float, u, tau, rho):
     return (T * np.exp(-tau)) ** ((d - 2) / 2.0) * u(t, r)
 
 
-def psi_pair_from_u(d: int, T: float, u, u_t, tau, rho):
-    """Both similarity components from (u, d_t u).
-
-    psi_1 = (T e^{-tau})^{(d-2)/2} u(t, r) and the chain rule collapses
-    psi_2 = d_tau psi + rho d_rho psi + (d-2)/2 psi to
-    psi_2 = (T e^{-tau})^{d/2} d_t u(t, r).
-    """
-    check_dimension(d)
-    tau = np.asarray(tau, dtype=float)
-    t, r = from_similarity(T, tau, rho)
-    mu = T * np.exp(-tau)
-    return mu ** ((d - 2) / 2.0) * u(t, r), mu ** (d / 2.0) * u_t(t, r)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearity around the blowup profile
 # ---------------------------------------------------------------------------
@@ -118,12 +104,6 @@ def nonlinearity(d: int, x):
     x = np.asarray(x, dtype=float)
     y = c + x
     return np.abs(y) ** p * y - c_pow - beta * x
-
-
-def nonlinearity_pair(d: int, pair):
-    """Vector form (0, N(u_1)) acting on a stacked pair (u_1, u_2)."""
-    u1, u2 = pair
-    return np.zeros_like(np.asarray(u1, dtype=float)), nonlinearity(d, u1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +131,6 @@ def admissible(d: int, p: float, q: float) -> bool:
     return abs(inv_p + d / q - (d / 2.0 - 1.0)) <= tol
 
 
-def strichartz_x_pairs(d: int):
-    """The two exponent pairs of the Strichartz space norm."""
-    check_dimension(d, nonlinear=True)
-    return (
-        (2.0, 2.0 * d / (d - 3.0) if d > 3 else math.inf),
-        ((d + 2.0) / (d - 2.0), (2.0 * d + 4.0) / (d - 2.0)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Liouville-Green machinery shared with the ODE analysis
 # ---------------------------------------------------------------------------
@@ -183,13 +154,3 @@ def liouville_green_potential(rho):
     if np.any(rho < 0) or np.any(rho >= 1):
         raise DomainError("potential defined on [0, 1)")
     return (1.0 - rho**2) ** -2.0
-
-
-def liouville_green_potential_from_derivatives(rho):
-    """Q_phi from its defining combination -3/4 (phi''/phi')^2 + 1/2 phi'''/phi'."""
-    rho = np.asarray(rho, dtype=float)
-    om = 1.0 - rho**2
-    phi1 = 1.0 / om
-    phi2 = 2.0 * rho / om**2
-    phi3 = 2.0 / om**2 + 8.0 * rho**2 / om**3
-    return -0.75 * (phi2 / phi1) ** 2 + 0.5 * (phi3 / phi1)

@@ -74,6 +74,8 @@ class SpectralODE:
 
 
 def _batch_rhs(d: int, lam_arr, variant: str):
+    """RK45 right-hand side f(rho, y), y = (u, u') of shape (..., n_lam, 2);
+    rho is a scalar or, for an RK45 checkpoint sub-step, an (m, 1) array."""
     lam_arr = np.asarray(lam_arr, dtype=complex)
     c0 = zero_order_coeff(d, lam_arr, variant)
     two_ld = 2.0 * lam_arr + d
@@ -561,7 +563,7 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
 
 
 # ---------------------------------------------------------------------------
-# closed forms at lam = 1 and near rho = 1
+# closed form at lam = 1
 # ---------------------------------------------------------------------------
 
 
@@ -632,66 +634,3 @@ class ExplicitLambda1:
     def h1_deriv(self, rho):
         rho = np.asarray(rho, dtype=float)
         return rho ** (1.0 - self.d) * (1.0 - rho**2) ** -1.5
-
-
-class NearOneModel:
-    """Model fundamental system near rho=1 before the potential correction.
-
-    w1 = (1+rho)^{3/4-lam/2} (1-rho)^{1/4+lam/2} / sqrt(a(lam)),
-    w2 = (1+rho)^{1/4+lam/2} (1-rho)^{3/4-lam/2} / sqrt(a(lam)),
-    W(w1, w2) = 2i exactly.  The exponent swap lam -> 1-lam maps w1 to w2
-    up to the constant sqrt(a(1-lam))/sqrt(a(lam)) (a unit modulus branch
-    factor, since a(1-lam) = -a(lam)).
-    """
-
-    def __init__(self, lam: complex):
-        lam = complex(lam)
-        if abs(lam - 0.5) < 1e-12:
-            raise IndexCollisionError("model degenerate at lam=1/2")
-        self.lam = lam
-        self.a = 1j * (0.5 - lam)
-
-    def _w(self, rho, ex_plus, ex_minus):
-        rho = np.asarray(rho, dtype=float)
-        return (1.0 + rho) ** ex_plus * (1.0 - rho) ** ex_minus / np.sqrt(self.a)
-
-    def w1(self, rho):
-        return self._w(rho, 0.75 - self.lam / 2.0, 0.25 + self.lam / 2.0)
-
-    def w1_deriv(self, rho):
-        ex1, ex2 = 0.75 - self.lam / 2.0, 0.25 + self.lam / 2.0
-        rho = np.asarray(rho, dtype=float)
-        return self._w(rho, ex1, ex2) * (ex1 / (1.0 + rho) - ex2 / (1.0 - rho))
-
-    def w2(self, rho):
-        return self._w(rho, 0.25 + self.lam / 2.0, 0.75 - self.lam / 2.0)
-
-    def w2_deriv(self, rho):
-        ex1, ex2 = 0.25 + self.lam / 2.0, 0.75 - self.lam / 2.0
-        rho = np.asarray(rho, dtype=float)
-        return self._w(rho, ex1, ex2) * (ex1 / (1.0 + rho) - ex2 / (1.0 - rho))
-
-    def swapped_w1(self, rho):
-        """w1 with lam -> 1-lam, for the symmetry check (proportional to w2)."""
-        lam2 = 1.0 - self.lam
-        a2 = 1j * (0.5 - lam2)
-        rho = np.asarray(rho, dtype=float)
-        ex1, ex2 = 0.75 - lam2 / 2.0, 0.25 + lam2 / 2.0
-        return (1.0 + rho) ** ex1 * (1.0 - rho) ** ex2 / np.sqrt(a2)
-
-
-def generalized_eigen_check(d: int) -> dict:
-    """int_0^1 s^{d-1} sqrt(1-s^2) ds and its positivity.
-
-    A Jordan block above the gauge eigenvalue would force this integral
-    to vanish; positivity certifies algebraic multiplicity one.
-    """
-    if d < 3:
-        raise DomainError("dimension must be >= 3")
-    # substitute s = sin(theta): the integrand becomes smooth on [0, pi/2]
-    nodes, weights = np.polynomial.legendre.leggauss(80)
-    th = 0.25 * math.pi * (nodes + 1.0)
-    f = np.sin(th) ** (d - 1.0) * np.cos(th) ** 2
-    val = 0.25 * math.pi * float(np.dot(weights, f))
-    closed = math.gamma(d / 2.0) * math.gamma(1.5) / (2.0 * math.gamma(d / 2.0 + 1.5))
-    return {"d": d, "value": val, "closed_form": closed, "positive": val > 0.0}

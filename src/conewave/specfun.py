@@ -258,24 +258,3 @@ def c3_connection(d: int, lam, variant: str) -> complex:
     a, b, c = hypergeo_params(d, lam, variant)
     num = gamma_c(c) * gamma_c(complex(lam) + 0.5)  # PoleError propagates
     return num * rgamma(a) * rgamma(b)
-
-
-def c3_zero_candidates(d: int, variant: str, re_min: float, re_max: float,
-                       im_max: float):
-    """Analytic zero set of c3 in the window, from the Gamma pole lattice.
-
-    Zeros of c3 occur where a or b is a nonpositive integer and the
-    numerator is regular.  All candidates are real.
-    """
-    out = []
-    for n in range(0, 200):
-        if variant == "perturbed":
-            cands = (1.0 - 2.0 * n, float(-d - 2 * n))
-        else:
-            cands = ((2.0 - d) / 2.0 - 2.0 * n, -d / 2.0 - 2.0 * n)
-        for lam in cands:
-            if re_min <= lam <= re_max and abs(lam) <= max(im_max, abs(re_max)) + 1:
-                # discard if the numerator Gamma(lam + 1/2) has a pole there
-                if not _near_nonpositive_int(complex(lam + 0.5), 1e-9):
-                    out.append(complex(lam))
-    return sorted(set(out), key=lambda z: (-z.real, z.imag))

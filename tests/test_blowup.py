@@ -107,6 +107,18 @@ class TestFit:
         assert 0.0 < err["S_phys_err"] <= 1e-3 * s_phys
         assert 4 <= err["n_evolutions_err"] <= 8
 
+    def test_s_phys_tau_quadrature(self):
+        # S_phys is fourth order in dtau: re-fits at 2 dtau and dtau/2
+        # move it by <= 1e-6 relative (the second-order rule moved it by
+        # 6.4e-4 and 3.3e-5 here)
+        small, v = co.build(4, 32), bl.bump_perturbation(delta=0.1,
+                                                         amplitude=0.05)
+        s_phys = {dtau: bl.stability_report(bl.fit_blowup_time(
+            small, v, tau_max=4.0, dtau=dtau), 4.0)["S_phys"]
+            for dtau in (0.005, 0.01, 0.02)}
+        for dtau in (0.005, 0.02):
+            assert abs(s_phys[dtau] - s_phys[0.01]) <= 1e-6 * s_phys[0.01]
+
     def test_refinement_error_needs_even_steps(self, disc):
         v = bl.zero_perturbation()
         traj = bl.evolve(disc, bl.initial_data(disc, 1.0, v), 0.03, 0.01,

@@ -170,9 +170,12 @@ class TestSpectrum:
         assert abs(l1 - l2) <= 1e-10
 
     def test_simple_kernel(self, disc4):
-        sv = scipy.linalg.svdvals(disc4.L_mat - np.eye(128))
-        null = np.sum(sv <= sv[0] * 128 * np.finfo(float).eps)
-        assert null == 1
+        # the gap rule of collocation._gauge_projection: the smallest
+        # singular value of L - 1 lies KERNEL_GAP below the next one
+        for disc in (disc4, co.build(4, 144)):
+            n2 = 2 * disc.N
+            sv = scipy.linalg.svdvals(disc.L_mat - np.eye(n2))
+            assert sv[-1] * co.KERNEL_GAP <= sv[-2], (disc.N, sv[-2:])
 
     def test_spurious_modes_move(self, disc4, disc4_fine):
         physical, raw = co.discrete_spectrum(disc4, disc4_fine)

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from conewave import cli
 from conewave import collocation as co
 from conewave import green as gr
+from conewave import radialode as ro
 from conewave import specfun as sf
 from conewave.errors import (DomainError, NearEigenvalueError,
                              TruncationWarning)
@@ -191,6 +193,63 @@ class TestResolvent:
         rhs = (mu - lam) * r_both.u1
         scale = np.max(np.abs(r_lam.u1))
         assert np.max(np.abs(lhs - rhs)) <= 1e-5 * scale
+
+
+GREEN_CHECK_LAMS = [2.0, 0.5 + 3.0j, 0.1 + 10.0j]
+
+
+@pytest.fixture(scope="module")
+def green_check_run():
+    """The CLI's green-check at N 96: its residuals, the RHS calls of its
+    RK45 solves and the (endpoint, pts) of each integrate call."""
+    disc = co.build(4, 96)
+    src, _ = cli._smooth_test_source(cli.RunConfig(), disc,
+                                     remove_projection=False)
+    rho_test = disc.nodes[(disc.nodes >= 0.05) & (disc.nodes <= 0.95)]
+    calls, layouts = [0], []
+    batch_rhs, integrate = ro._batch_rhs, gr.integrate
+
+    def counted_rhs(*args):
+        f = batch_rhs(*args)
+
+        def counted(x, y):
+            calls[0] += 1
+            return f(x, y)
+        return counted
+
+    def recorded(d, lam_arr, variant, endpoint, pts, rtol):
+        layouts.append((endpoint, pts))
+        return integrate(d, lam_arr, variant, endpoint, pts, rtol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ro, "_batch_rhs", counted_rhs)
+        mp.setattr(gr, "integrate", recorded)
+        out = gr.residual_checks(4, GREEN_CHECK_LAMS, "perturbed", src,
+                                 rho_test)
+    assert len(rho_test) == 72
+    return out, calls[0], layouts
+
+
+class TestGreenCheckLayout:
+    def test_rhs_calls(self, green_check_run):
+        # ~5,000 checkpoints per solve: a step lands on the last one it
+        # reaches and fills the passed ones by one sub-step batch
+        # (landing on each one cost 77,180 RHS calls)
+        out, calls, _ = green_check_run
+        assert calls <= 40_000
+        assert all(o["ode_residual"] <= 1e-6 and o["round_trip"] <= 1e-6
+                   for o in out)
+
+    def test_integrate_matches_a_tight_reference(self, green_check_run):
+        _, _, layouts = green_check_run
+        assert [e for e, _ in layouts] == ["origin", "one"]
+        for endpoint, pts in layouts:
+            u, _ = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", endpoint,
+                                pts, 1e-10)
+            ref, _ = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", endpoint,
+                                  pts, 1e-13)
+            rel = np.max(np.abs(u - ref), axis=1) / np.max(np.abs(ref), axis=1)
+            assert np.all(rel <= 1e-9), (endpoint, rel)
 
 
 class TestKernelDecay:

