@@ -333,6 +333,4 @@ def instability_demo(disc: SpectralDiscretization, tau_max: float = 10.0,
             slope = math.nan
         out["slopes"][T] = slope
         out["signs"][T] = float(np.sign(c[np.where(np.abs(c) > 0)[0][-1]]))
-    traj = _evolve_at(disc, 1.0, v0, min(tau_max, 5.0), dtau)
-    out["tuned_max_coeff"] = float(np.max(np.abs(traj.mode_coeffs)))
     return out

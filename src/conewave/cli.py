@@ -34,7 +34,7 @@ from . import evolve as ev
 from . import green as gr
 from . import radialode as ro
 from .errors import NumericsError
-from .model import admissible
+from .model import strichartz_pairs
 
 EXIT_OK = 0
 EXIT_DISAGREE = 2
@@ -55,7 +55,6 @@ class RunConfig:
     omega_scan: float = 50.0
     delta: float = 0.1
     amplitude: float = 0.05
-    pairs: tuple = ((2.0, 8.0), (math.inf, 4.0))
     seed: int = 0
     out_dir: str = "out"
 
@@ -83,15 +82,6 @@ class RunConfig:
         return self
 
 
-def _parse_pairs(text: str):
-    out = []
-    for item in text.split(";"):
-        p, q = item.split(",")
-        out.append((math.inf if p.strip() in ("inf", "Inf") else float(p),
-                    float(q)))
-    return tuple(out)
-
-
 def load_config(path=None, overrides=None) -> RunConfig:
     cfg = RunConfig()
     values = {}
@@ -110,9 +100,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if not hasattr(cfg, key):
             raise ValueError(f"unknown config key {key!r}")
         cur = getattr(cfg, key)
-        if key == "pairs":
-            setattr(cfg, key, _parse_pairs(val) if isinstance(val, str) else val)
-        elif isinstance(cur, int) and not isinstance(cur, bool):
+        if isinstance(cur, int) and not isinstance(cur, bool):
             setattr(cfg, key, int(val))
         elif isinstance(cur, float):
             setattr(cfg, key, float(val))
@@ -144,8 +132,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
                     wall: float, extra=None):
     manifest = {
         "command": command,
-        "config": {k: (str(v) if isinstance(v, tuple) else v)
-                   for k, v in dataclasses.asdict(cfg).items()},
+        "config": dataclasses.asdict(cfg),
         "config_sha256": _config_hash(cfg),
         "versions": {
             "conewave": __version__,
@@ -214,7 +201,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK if ok else EXIT_DISAGREE
 
 
-def _smooth_test_source(cfg, disc, remove_projection=True):
+def _smooth_test_source(disc, remove_projection=True):
     f1 = lambda r: np.exp(-2.0 * np.asarray(r) ** 2) * (1.0 - np.asarray(r) ** 2)
     f1p = lambda r: np.exp(-2.0 * np.asarray(r) ** 2) * (
         -4.0 * np.asarray(r) * (1.0 - np.asarray(r) ** 2) - 2.0 * np.asarray(r))
@@ -224,14 +211,14 @@ def _smooth_test_source(cfg, disc, remove_projection=True):
         return gr.SourceTerm(f1, f1p, f2), fgrid
     c = float(np.real(disc.mode_coefficient(fgrid)))
     src = gr.SourceTerm(
-        lambda r: f1(r) - 2.0 * c, f1p, lambda r: f2(r) - cfg.d * c)
+        lambda r: f1(r) - 2.0 * c, f1p, lambda r: f2(r) - disc.d * c)
     return src, fgrid - disc.P_mat @ fgrid
 
 
 def cmd_green_check(cfg: RunConfig, out_dir: Path) -> int:
     d = cfg.d
     disc = co.build(d, cfg.N)
-    src, _ = _smooth_test_source(cfg, disc, remove_projection=False)
+    src, _ = _smooth_test_source(disc, remove_projection=False)
     rho_test = disc.nodes[(disc.nodes >= 0.05) & (disc.nodes <= 0.95)]
     rows = []
     ok = True
@@ -249,7 +236,7 @@ def cmd_green_check(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_laplace_compare(cfg: RunConfig, out_dir: Path) -> int:
     d = cfg.d
     disc = co.build(d, cfg.N)
-    src, phi0 = _smooth_test_source(cfg, disc)
+    src, phi0 = _smooth_test_source(disc)
     tau = 1.0
     traj = ev.evolve(disc, phi0, tau, cfg.dtau, "linear-perturbed")
     ts = np.real(traj.states[-1][: disc.N])
@@ -274,8 +261,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, mode: str) -> int:
     rng = np.random.default_rng(cfg.seed)
     f = co.random_smooth_pair(disc, rng)
     phi0 = f - disc.P_mat @ f
-    qs = tuple(q for _, q in cfg.pairs if not math.isinf(q))
-    traj = ev.evolve(disc, phi0, cfg.tau_max, cfg.dtau, mode, q_list=qs)
+    traj = ev.evolve(disc, phi0, cfg.tau_max, cfg.dtau, mode)
     stride = max(1, len(traj.taus) // 200)
     ev.dump_trajectory(traj, out_dir / "trajectory.csv",
                        out_dir / "trajectory_norms.json", stride=stride)
@@ -284,11 +270,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, mode: str) -> int:
 
 def cmd_strichartz(cfg: RunConfig, out_dir: Path) -> int:
     disc = co.build(cfg.d, cfg.N)
-    for p, q in cfg.pairs:
-        if not admissible(cfg.d, p, q):
-            raise ValueError(f"pair ({p},{q}) not admissible for d={cfg.d}")
-    report = ev.strichartz_suite(
-        disc, cfg.pairs, tau_max=cfg.tau_max, dtau=cfg.dtau, seed=cfg.seed)
+    report = ev.strichartz_suite(disc, strichartz_pairs(cfg.d),
+                                 tau_max=cfg.tau_max, dtau=cfg.dtau,
+                                 seed=cfg.seed)
     rows = []
     ok = True
     for j, (p, q) in enumerate(report["pairs"]):

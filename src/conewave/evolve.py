@@ -8,8 +8,10 @@ e^{dt L} alone, which is exact in time.
 
 ``evolve`` steps one state or a stack of states as one block of columns.
 A member that passes BLOWUP_SUP leaves the block with its own blowup
-time; the others go on to tau_max.  Energy norms are computed on first
-read, so a stack holds only its states and mode coefficients.
+time; the others go on to tau_max.  A trajectory holds its states, mode
+coefficients and alias indicator; norms are computed where they are
+read: ``energy_norms`` on first read, the L^q norms by ``lq_norm`` in
+the Strichartz suite, the trajectory dump and the blowup report.
 
 Modes: "linear-free" (L0), "linear-perturbed" (L), "nonlinear" (L plus
 pointwise collocation of the nonlinearity, no dealiasing; the top
@@ -29,7 +31,7 @@ import scipy.linalg
 from .collocation import (SpectralDiscretization, energy_norm, even_cheb_coeffs,
                           random_smooth_pair, sobolev_norm)
 from .errors import DomainError, NotConvergedWarning, ParamError
-from .model import nonlinearity, sphere_area
+from .model import nonlinearity, sphere_area, strichartz_pairs
 
 BLOWUP_SUP = 1e8
 
@@ -103,7 +105,6 @@ class EvolutionTrajectory:
     taus: np.ndarray
     states: np.ndarray          # (n_snap, 2N)
     mode_coeffs: np.ndarray     # <Phi, w>_E per snapshot
-    lq_norms: dict              # q -> per-snapshot array (first component)
     alias_indicator: float      # max top Chebyshev coefficient of Phi_1
     blowup_tau: float = None    # set if the run left the resolvable regime
 
@@ -135,7 +136,7 @@ class TrajectoryStack(list):
 
 
 def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
-           mode: str, q_list=()):
+           mode: str):
     """Integrate to tau_max recording every step.
 
     phi0 is one state (2N,), which gives an EvolutionTrajectory, or a stack
@@ -144,8 +145,8 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
     (or is not finite) leaves the block there with its own blowup_tau; the
     others go on to tau_max.
 
-    Diagnostics per snapshot: mode coefficient <Phi, w>_E and L^q norms of
-    the first component for each q in q_list; the energy norm on first read.
+    Diagnostics per snapshot: the mode coefficient <Phi, w>_E; the energy
+    norm on first read.
     """
     if tau_max > 50.0:
         raise DomainError("tau_max must be <= 50")
@@ -179,7 +180,7 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
             break
         u = u[:, ~gone]
     trajs = [_trajectory(disc, dtau, mode, taus[: e + 1], states[j, : e + 1],
-                         blowup[j], q_list)
+                         blowup[j])
              for j, e in enumerate(ends)]
     if single:
         return trajs[0]
@@ -187,7 +188,7 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
                            None if None in blowup else max(blowup))
 
 
-def _trajectory(disc, dtau, mode, taus, states, blowup_tau, q_list):
+def _trajectory(disc, dtau, mode, taus, states, blowup_tau):
     """One member's trajectory and its per-snapshot diagnostics."""
     alias = 0.0
     if mode == "nonlinear":
@@ -198,7 +199,6 @@ def _trajectory(disc, dtau, mode, taus, states, blowup_tau, q_list):
     return EvolutionTrajectory(
         disc=disc, dtau=dtau, mode=mode, taus=taus, states=states,
         mode_coeffs=disc.mode_coefficient(states),
-        lq_norms={q: lq_norm(disc, states[:, : disc.N], q) for q in q_list},
         alias_indicator=alias, blowup_tau=blowup_tau,
     )
 
@@ -227,13 +227,6 @@ def lq_norm(disc: SpectralDiscretization, u1, q: float):
 TAIL_SHARE = 0.05  # largest share of the L^p integral the last 10% may carry
 
 
-def _norm_series(traj: EvolutionTrajectory, q: float):
-    """Per-snapshot L^q norms of the first component, recorded or computed."""
-    if q in traj.lq_norms:
-        return traj.lq_norms[q]
-    return lq_norm(traj.disc, traj.states[:, : traj.disc.N], q)
-
-
 def _strichartz_with_tail(g, taus, p: float):
     """(L^p_tau norm of g on taus, share of its p-th power in the last 10%)."""
     if math.isinf(p):
@@ -256,19 +249,6 @@ def _warn_tail(share, p, q, tau_max):
         )
 
 
-def strichartz_norm(traj: EvolutionTrajectory, p: float, q: float) -> float:
-    """L^p_tau L^q_rho norm of the first component over the trajectory.
-
-    Composite trapezoid in tau of lq_norm^p; p=inf is the max over
-    snapshots (a grid-level lower bound of the true sup).  Warns when the
-    trailing 10% of the horizon contributes more than TAIL_SHARE of the
-    total (horizon likely too short).
-    """
-    norm, share = _strichartz_with_tail(_norm_series(traj, q), traj.taus, p)
-    _warn_tail(share, p, q, traj.tau_max)
-    return norm
-
-
 def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
                      dtau: float = 0.01, n_samples: int = 10, seed: int = 0):
     """Empirical homogeneous Strichartz ratios for random smooth data.
@@ -283,7 +263,6 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
     "spread": per-pair max/min}.
     """
     rng = np.random.default_rng(seed)
-    qs = sorted({q for _, q in pairs if not math.isinf(q)})
     ratios = np.empty((n_samples, len(pairs)))
     ratios_half = np.empty((n_samples, len(pairs)))
     worst = (0.0, None, None, None)
@@ -295,11 +274,11 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
             ratios[i] = 0.0
             ratios_half[i] = 0.0
             continue
-        traj = evolve(disc, phi0, tau_max, dtau, "linear-perturbed", q_list=qs)
+        traj = evolve(disc, phi0, tau_max, dtau, "linear-perturbed")
         # the half horizon is a prefix of the same run
         half = len(traj.taus) // 2 + 1
         for j, (p, q) in enumerate(pairs):
-            g = _norm_series(traj, q)
+            g = lq_norm(disc, traj.states[:, : disc.N], q)
             for out, n in ((ratios, len(g)), (ratios_half, half)):
                 norm, share = _strichartz_with_tail(g[:n], traj.taus[:n], p)
                 out[i, j] = norm / denom
@@ -323,7 +302,11 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
 
 def dump_trajectory(traj: EvolutionTrajectory, csv_path, json_path,
                     stride: int = 1):
-    """CSV columns tau, rho-index, Phi1, Phi2 plus a JSON norm sidecar."""
+    """CSV columns tau, rho-index, Phi1, Phi2 plus a JSON norm sidecar.
+
+    The sidecar's L^q norms are those of the finite q of the Strichartz
+    pairs of disc.d (``model.strichartz_pairs``).
+    """
     disc = traj.disc
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -346,8 +329,9 @@ def dump_trajectory(traj: EvolutionTrajectory, csv_path, json_path,
             [float(c.real), float(c.imag)] for c in traj.mode_coeffs[::stride]
         ],
         "lq_norms": {
-            str(q): [float(x) for x in v[::stride]]
-            for q, v in traj.lq_norms.items()
+            str(q): [float(x) for x in
+                     lq_norm(disc, traj.states[:, : disc.N], q)[::stride]]
+            for _, q in strichartz_pairs(disc.d) if not math.isinf(q)
         },
     }
     with open(json_path, "w") as fh:

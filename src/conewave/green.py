@@ -18,9 +18,11 @@ with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 point set for an array of lam; the resolvent, `green_eval` and the
 kernel-decay scan all read them from there.  Near rho = 1 u0 is the
 Frobenius pair a u_analytic + b u_singular (`radialode.match_at_one`),
-and the rho = 1 trace reads b from the same helper.  `residual_checks`
-verifies several lam from one batched resolvent solve, each lam by its
-own finite-difference residual and round trip.
+and the rho = 1 trace reads b from the same helper.  The resolvent is
+applied for an array of lam at once (`_resolvent_batch`, its one path),
+and `residual_checks` verifies all lam of one such solve together:
+its finite-difference residuals and round trips are (n_lam, n_test)
+arrays.
 
 Quadrature uses Gauss-Legendre panels refined geometrically (ratio 1/2,
 GEO_DEPTH = 24 levels) toward both endpoints; the panel at each end has width
@@ -52,8 +54,8 @@ from .errors import (DomainError, NearEigenvalueError, QuadratureError,
 from .model import varphi
 # `integrate` is bound here by name: the benchmark's tracer patches
 # conewave.green:integrate and conewave.green:build_kernel
-from .radialode import (ONE_START, SpectralODE, integrate, match_at_one,
-                        matching_wronskian)
+from .radialode import (ONE_START, integrate, match_at_one,
+                        matching_wronskian, ode_residual)
 from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 
 GEO_DEPTH = 24
@@ -84,8 +86,10 @@ class SourceTerm:
         )
 
     def F_lambda(self, s, lam, d):
+        """F_lam(s) for a scalar lam, or an array of lam broadcast against s."""
         s = np.asarray(s, dtype=float)
-        return s * self.f1p(s) + (complex(lam) + d / 2.0) * self.f1(s) + self.f2(s)
+        lam = np.asarray(lam, dtype=complex)
+        return s * self.f1p(s) + (lam + d / 2.0) * self.f1(s) + self.f2(s)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +184,6 @@ def green_eval(d: int, lam, variant: str, rho, s, rtol: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ResolventSolution:
-    rho: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    u1_deriv: np.ndarray
-
-
 def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
     """[R(lam) f] on rho_out for each lam; arrays (n_lam, n_out).
 
@@ -260,15 +256,6 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
     return uo, u2, uop
 
 
-def resolvent_apply(d: int, lam, variant: str, src: SourceTerm, rho_out,
-                    rtol: float = 1e-9) -> ResolventSolution:
-    """Solve (lam - L) u = f through the Green function on rho_out."""
-    rho_out = np.asarray(rho_out, dtype=float)
-    u1, u2, u1p = _resolvent_batch(d, [complex(lam)], variant, src, rho_out,
-                                   rtol=rtol)
-    return ResolventSolution(rho=rho_out, u1=u1[0], u2=u2[0], u1_deriv=u1p[0])
-
-
 def residual_checks(d: int, lams, variant: str, src: SourceTerm,
                     rho_test) -> list:
     """Independent verification that (lam - L) R(lam) f = f at rho_test,
@@ -296,28 +283,25 @@ def residual_checks(d: int, lams, variant: str, src: SourceTerm,
     f1_true = src.f1(r)
     f2_true = src.f2(r)
     fnorm = max(float(np.max(np.abs(f1_true))), float(np.max(np.abs(f2_true))))
-    out = []
-    for lam, s_u1, s_u2, s_u1p in zip(lams, sol_u1, sol_u2, sol_u1p):
-        lam = complex(lam)
-        u1 = s_u1[ix[:, 2]]
-        u1p = s_u1p[ix[:, 2]]
-        u2 = s_u2[ix[:, 2]]
-        u1pp = (s_u1p[ix] * w_fd[None, :]).sum(axis=1)
-        u2p = (s_u2[ix] * w_fd[None, :]).sum(axis=1)
+    # (n_lam, n_test) arrays; the FD stencils are the last axis of [:, ix]
+    lam = lams[:, None]
+    u1 = sol_u1[:, ix[:, 2]]
+    u1p = sol_u1p[:, ix[:, 2]]
+    u2 = sol_u2[:, ix[:, 2]]
+    u1pp = (sol_u1p[:, ix] * w_fd).sum(axis=2)
+    u2p = (sol_u2[:, ix] * w_fd).sum(axis=2)
 
-        flam = src.F_lambda(r, lam, d)
-        ode_res = SpectralODE(d, lam, variant).residual(r, u1, u1p, u1pp) + flam
-        fscale = float(np.max(np.abs(flam))) + 1e-300
-        f1_back = lam * u1 + r * u1p + (d - 2.0) / 2.0 * u1 - u2
-        f2_back = (lam * u2 - u1pp - (d - 1.0) / r * u1p
-                   + r * u2p + d / 2.0 * u2 - beta * u1)
-        rt = max(float(np.max(np.abs(f1_back - f1_true))),
-                 float(np.max(np.abs(f2_back - f2_true)))) / (fnorm + 1e-300)
-        out.append({
-            "ode_residual": float(np.max(np.abs(ode_res))) / fscale,
-            "round_trip": rt,
-        })
-    return out
+    flam = src.F_lambda(r, lam, d)
+    ode_res = ode_residual(d, lam, variant, r, u1, u1p, u1pp) + flam
+    fscale = np.max(np.abs(flam), axis=1) + 1e-300
+    f1_back = lam * u1 + r * u1p + (d - 2.0) / 2.0 * u1 - u2
+    f2_back = (lam * u2 - u1pp - (d - 1.0) / r * u1p
+               + r * u2p + d / 2.0 * u2 - beta * u1)
+    rt = np.maximum(np.max(np.abs(f1_back - f1_true), axis=1),
+                    np.max(np.abs(f2_back - f2_true), axis=1)) / (fnorm + 1e-300)
+    ode = np.max(np.abs(ode_res), axis=1) / fscale
+    return [{"ode_residual": float(o), "round_trip": float(t)}
+            for o, t in zip(ode, rt)]
 
 
 # ---------------------------------------------------------------------------

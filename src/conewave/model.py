@@ -118,6 +118,12 @@ def q_bounds(d: int):
     return 2.0 * d / (d - 2.0), hi
 
 
+def strichartz_pairs(d: int):
+    """The ends (2, q_hi) and (inf, q_lo) of the admissible line."""
+    q_lo, q_hi = q_bounds(d)
+    return (2.0, q_hi), (math.inf, q_lo)
+
+
 def admissible(d: int, p: float, q: float) -> bool:
     """True iff 1/p + d/q = d/2 - 1 (to 1e-12) with p in [2, inf], q in range."""
     check_dimension(d)

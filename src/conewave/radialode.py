@@ -9,12 +9,14 @@ with c0 = lam(lam+d-1) + d(d-2)/4 for the free variant and
 c0 = lam(lam+d-1) - d for the perturbed one (the potential shifts the
 zero-order coefficient by (2d+d^2)/4).  Both endpoints are regular
 singular points: Frobenius indices {0, (2-d)/2} at rho=0 and
-{0, 1/2-lam} at rho=1.  `integrate` evaluates the origin-regular and the
-analytic-at-one branches on point sets, batched over lam; it is the one
-place where the Frobenius series bridges the seed gap next to each
-endpoint (the origin branch continues across [ONE_START, 1) in the
-Frobenius pair at 1, `match_at_one`), and every shoot of the ODE
-(indicator, resolvent kernel, the closed-form checks) goes through it.
+{0, 1/2-lam} at rho=1.  `ode_residual` is its left side for given
+(u, u', u''), broadcast over lam.  `integrate` evaluates the
+origin-regular and the analytic-at-one branches on point sets, batched
+over lam; it is the one place where the Frobenius series bridges the
+seed gap next to each endpoint (the origin branch continues across
+[ONE_START, 1) in the Frobenius pair at 1, `match_at_one`), and every
+shoot of the ODE (indicator, resolvent kernel, the closed-form checks)
+goes through it.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
 Green kernel), counted by the argument principle on bands, located by
@@ -30,6 +32,7 @@ import numpy as np
 from . import _rk45
 from .errors import (ContourTooCloseError, DomainError, IndexCollisionError,
                      ParamError, QuadratureError)
+from .model import check_dimension
 from .specfun import c3_connection
 
 ORIGIN_START = 1e-3      # integration starts here (series below)
@@ -42,8 +45,7 @@ EDGE_MAX_DEPTH = 12      # bisection rounds before an edge counts as unresolved
 
 def zero_order_coeff(d: int, lam, variant: str):
     """c0(lam) for a scalar or an array of lam."""
-    if d < 3 or int(d) != d:
-        raise DomainError("dimension must be an integer >= 3")
+    check_dimension(d)
     lam = np.asarray(lam, dtype=complex)
     base = lam * (lam + d - 1.0)
     if variant == "free":
@@ -53,24 +55,12 @@ def zero_order_coeff(d: int, lam, variant: str):
     raise ParamError(f"unknown variant {variant!r}")
 
 
-@dataclass(frozen=True)
-class SpectralODE:
-    d: int
-    lam: complex
-    variant: str  # "free" | "perturbed"
-
-    def __post_init__(self):
-        zero_order_coeff(self.d, self.lam, self.variant)  # validates d, variant
-
-    @property
-    def c0(self) -> complex:
-        return zero_order_coeff(self.d, self.lam, self.variant)
-
-    def residual(self, rho, u, up, upp):
-        """(1-rho^2) u'' + ((d-1)/rho - (2 lam + d) rho) u' - c0 u."""
-        d, lam = self.d, complex(self.lam)
-        b = (d - 1.0) / rho - (2.0 * lam + d) * rho
-        return (1.0 - rho**2) * upp + b * up - self.c0 * u
+def ode_residual(d: int, lam, variant: str, rho, u, up, upp):
+    """(1-rho^2) u'' + ((d-1)/rho - (2 lam + d) rho) u' - c0(lam) u,
+    elementwise over the broadcast of lam, rho and (u, u', u'')."""
+    lam = np.asarray(lam, dtype=complex)
+    b = (d - 1.0) / rho - (2.0 * lam + d) * rho
+    return (1.0 - rho**2) * upp + b * up - zero_order_coeff(d, lam, variant) * u
 
 
 def _batch_rhs(d: int, lam_arr, variant: str):
@@ -577,9 +567,7 @@ class ExplicitLambda1:
     """
 
     def __init__(self, d: int):
-        if d < 3:
-            raise DomainError("dimension must be >= 3")
-        self.d = d
+        self.d = check_dimension(d)
 
     def u0(self, rho):
         rho = np.asarray(rho, dtype=float)

@@ -25,6 +25,7 @@ import math
 
 
 from .errors import DomainError, ParamError, PoleError
+from .model import check_dimension
 
 # Lanczos coefficients, g = 607/128, n = 15 (Godfrey's set).  Relative
 # error of the approximation is below 1e-14 on Re z >= 1/2.
@@ -253,8 +254,7 @@ def c3_connection(d: int, lam, variant: str) -> complex:
     exact 0 there.  For both variants a+b-c+1 = lam + 1/2, so numerator
     poles sit at lam = -1/2 - n and raise PoleError.
     """
-    if d < 3:
-        raise DomainError("dimension must be >= 3")
+    check_dimension(d)
     a, b, c = hypergeo_params(d, lam, variant)
     num = gamma_c(c) * gamma_c(complex(lam) + 0.5)  # PoleError propagates
     return num * rgamma(a) * rgamma(b)

@@ -22,6 +22,6 @@ def never_linear(monkeypatch):
         return bl.EvolutionTrajectory(
             disc=disc, dtau=dtau, mode=mode, taus=taus,
             states=np.zeros((n, 2 * disc.N)), mode_coeffs=np.full(n, c),
-            lq_norms={}, alias_indicator=0.0)
+            alias_indicator=0.0)
 
     monkeypatch.setattr(bl, "evolve", evolve)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conewave import cli
+from conewave import cli, model
 from conewave.errors import (NotConvergedWarning, StepFailure,
                              TruncationWarning)
 
@@ -19,12 +19,11 @@ class TestConfig:
 
     def test_file_and_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("d = 5\ntau_max = 8.0  # horizon\npairs = 2,5;inf,3.5\n")
+        p.write_text("d = 5\ntau_max = 8.0  # horizon\n")
         cfg = cli.load_config(p, {"seed": 7, "N": None})
         assert cfg.d == 5
         assert cfg.tau_max == 8.0
         assert cfg.seed == 7
-        assert cfg.pairs[1] == (math.inf, 3.5)
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -213,6 +212,17 @@ class TestCommands:
         # one warning per run, naming the worst tail share and its pair
         assert len(caught) == 1
         assert "L^2.0 L^8.0" in caught[0]["message"]
+
+    @pytest.mark.parametrize("d", [3, 5, 6])
+    def test_strichartz_pairs_follow_d(self, tmp_path, d):
+        # the pairs are the ends of the admissible line of d
+        code = cli.main(["strichartz", "--d", str(d), "--N", "32",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        q_lo, q_hi = model.q_bounds(d)
+        rows = (tmp_path / "strichartz.csv").read_text().splitlines()[1:]
+        pq = {tuple(float(x) for x in row.split(",")[1:3]) for row in rows}
+        assert pq == {(2.0, q_hi), (math.inf, q_lo)}
 
     def test_strichartz_zero_spread_guard(self, tmp_path):
         code = cli.main(["strichartz", "--N", "48", "--tau-max", "16.0",

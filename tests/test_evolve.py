@@ -143,6 +143,15 @@ class TestAliasMonitor:
         assert traj.alias_indicator == pytest.approx(ref, rel=1e-14)
 
 
+def _strichartz_norm(traj, p, q):
+    """The suite's L^p_tau L^q_rho norm of one trajectory and its tail
+    warning, from ``_strichartz_with_tail`` and ``_warn_tail``."""
+    g = ev.lq_norm(traj.disc, traj.states[:, : traj.disc.N], q)
+    norm, share = ev._strichartz_with_tail(g, traj.taus, p)
+    ev._warn_tail(share, p, q, traj.tau_max)
+    return norm
+
+
 class TestStrichartzNorm:
     def _constant_traj(self, disc, u1, tau_max=2.0):
         state = disc.stack(u1, np.zeros_like(u1))
@@ -151,25 +160,25 @@ class TestStrichartzNorm:
         states = np.tile(state, (n + 1, 1))
         return ev.EvolutionTrajectory(
             disc=disc, dtau=0.1, mode="linear-free", taus=taus, states=states,
-            mode_coeffs=np.zeros(n + 1), lq_norms={}, alias_indicator=0.0)
+            mode_coeffs=np.zeros(n + 1), alias_indicator=0.0)
 
     def test_constant_trajectory(self, disc):
         u1 = np.cos(disc.nodes)
         traj = self._constant_traj(disc, u1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
-            val = ev.strichartz_norm(traj, 2.0, 8.0)
+            val = _strichartz_norm(traj, 2.0, 8.0)
         ref = math.sqrt(2.0) * ev.lq_norm(disc, u1, 8.0)
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_zero_trajectory(self, disc):
         traj = self._constant_traj(disc, np.zeros(96))
-        assert ev.strichartz_norm(traj, 2.0, 8.0) == 0.0
+        assert _strichartz_norm(traj, 2.0, 8.0) == 0.0
 
     def test_not_converged_warning(self, disc):
         traj = self._constant_traj(disc, np.ones(96))
         with pytest.warns(NotConvergedWarning):
-            ev.strichartz_norm(traj, 2.0, 8.0)
+            _strichartz_norm(traj, 2.0, 8.0)
 
     def test_geometric_decay(self, disc):
         # e^{-tau} profile: L^2_tau norm = lq / sqrt(2) at tau_max >> 1
@@ -179,16 +188,15 @@ class TestStrichartzNorm:
         states = np.exp(-taus)[:, None] * state[None, :]
         traj = ev.EvolutionTrajectory(
             disc=disc, dtau=0.01, mode="linear-free", taus=taus, states=states,
-            mode_coeffs=np.zeros(len(taus)), lq_norms={},
-            alias_indicator=0.0)
-        val = ev.strichartz_norm(traj, 2.0, 8.0)
+            mode_coeffs=np.zeros(len(taus)), alias_indicator=0.0)
+        val = _strichartz_norm(traj, 2.0, 8.0)
         ref = ev.lq_norm(disc, u1, 8.0) / math.sqrt(2.0)
         assert val == pytest.approx(ref, rel=1e-3)
 
     def test_sup_in_time(self, disc):
         u1 = np.cos(disc.nodes)
         traj = self._constant_traj(disc, u1)
-        val = ev.strichartz_norm(traj, math.inf, 4.0)
+        val = _strichartz_norm(traj, math.inf, 4.0)
         assert val == pytest.approx(ev.lq_norm(disc, u1, 4.0), rel=1e-12)
 
 
@@ -203,7 +211,7 @@ class TestSuite:
         traj = ev.evolve(disc, phi0, 1.0, 0.01, "linear-perturbed")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
-            assert ev.strichartz_norm(traj, 2.0, 8.0) <= 1e-12
+            assert _strichartz_norm(traj, 2.0, 8.0) <= 1e-12
 
     def test_small_suite(self, disc):
         report = ev.strichartz_suite(disc, [(2.0, 8.0), (math.inf, 4.0)],
@@ -216,8 +224,7 @@ class TestSuite:
 
 class TestDump:
     def test_files_written(self, disc, tmp_path):
-        traj = ev.evolve(disc, disc.g_disc, 0.1, 0.01, "linear-perturbed",
-                         q_list=(8.0,))
+        traj = ev.evolve(disc, disc.g_disc, 0.1, 0.01, "linear-perturbed")
         csv_path = tmp_path / "t.csv"
         json_path = tmp_path / "t.json"
         ev.dump_trajectory(traj, csv_path, json_path, stride=2)
@@ -225,7 +232,12 @@ class TestDump:
         assert header == "tau,rho_index,phi1,phi2"
         import json
         side = json.loads(json_path.read_text())
-        assert "mode_coefficients" in side and "lq_norms" in side
+        assert "mode_coefficients" in side
+        # the finite q of the pairs of d = 4, computed from the states
+        assert list(side["lq_norms"]) == ["8.0", "4.0"]
+        for q in (8.0, 4.0):
+            ref = ev.lq_norm(disc, traj.states[:, : disc.N], q)[::2]
+            assert side["lq_norms"][str(q)] == [float(x) for x in ref]
 
 
 def _lawson_rk4(eh, d, dt, u):

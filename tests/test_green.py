@@ -115,15 +115,16 @@ class TestResolvent:
     def test_forward_operator_oracle(self):
         src, u1e, u2e = _poly_pair_source(4, 2.0)
         rho = np.linspace(0.0, 1.0, 21)
-        sol = gr.resolvent_apply(4, 2.0, "perturbed", src, rho, rtol=1e-10)
-        assert np.max(np.abs(sol.u1 - u1e(rho))) <= 1e-6
-        assert np.max(np.abs(sol.u2 - u2e(rho))) <= 1e-6
+        u1, u2, _ = gr._resolvent_batch(4, [2.0], "perturbed", src, rho,
+                                        rtol=1e-10)
+        assert np.max(np.abs(u1[0] - u1e(rho))) <= 1e-6
+        assert np.max(np.abs(u2[0] - u2e(rho))) <= 1e-6
 
     def test_zero_source(self):
         z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        sol = gr.resolvent_apply(4, 2.0, "perturbed", gr.SourceTerm(z, z, z),
-                                 np.linspace(0.1, 0.9, 5))
-        assert np.max(np.abs(sol.u1)) == 0.0
+        u1 = gr._resolvent_batch(4, [2.0], "perturbed", gr.SourceTerm(z, z, z),
+                                 np.linspace(0.1, 0.9, 5), rtol=1e-9)[0][0]
+        assert np.max(np.abs(u1)) == 0.0
 
     def test_residual_checks(self):
         src, _, _ = _poly_pair_source(4, 2.0)
@@ -148,6 +149,39 @@ class TestResolvent:
         assert len(out) == 2
         assert all(o["ode_residual"] <= 1e-6 and o["round_trip"] <= 1e-6
                    for o in out)
+
+    def test_residual_checks_match_a_loop_over_lambda(self):
+        # reference: the same batched solve, checked one lam per loop pass
+        d, variant = 4, "perturbed"
+        lams = np.array([2.0, 0.5 + 3.0j, 0.1 + 10.0j])
+        src, _, _ = _poly_pair_source(d, 2.0)
+        r = np.linspace(0.08, 0.92, 15)
+        h = 2e-4
+        stencil = r[:, None] + np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
+        pts = np.unique(stencil.ravel())
+        ix = np.searchsorted(pts, stencil)
+        w_fd = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+        beta = (2.0 * d + d * d) / 4.0
+        fnorm = max(float(np.max(np.abs(src.f1(r)))),
+                    float(np.max(np.abs(src.f2(r)))))
+        ref = []
+        for lam, s_u1, s_u2, s_u1p in zip(lams, *gr._resolvent_batch(
+                d, lams, variant, src, pts, rtol=1e-10)):
+            lam = complex(lam)
+            u1, u1p, u2 = s_u1[ix[:, 2]], s_u1p[ix[:, 2]], s_u2[ix[:, 2]]
+            u1pp = (s_u1p[ix] * w_fd[None, :]).sum(axis=1)
+            u2p = (s_u2[ix] * w_fd[None, :]).sum(axis=1)
+            flam = src.F_lambda(r, lam, d)
+            ode = ro.ode_residual(d, lam, variant, r, u1, u1p, u1pp) + flam
+            f1 = lam * u1 + r * u1p + (d - 2.0) / 2.0 * u1 - u2
+            f2 = (lam * u2 - u1pp - (d - 1.0) / r * u1p
+                  + r * u2p + d / 2.0 * u2 - beta * u1)
+            rt = max(float(np.max(np.abs(f1 - src.f1(r)))),
+                     float(np.max(np.abs(f2 - src.f2(r))))) / (fnorm + 1e-300)
+            ref.append({"ode_residual": float(np.max(np.abs(ode)))
+                        / (float(np.max(np.abs(flam))) + 1e-300),
+                        "round_trip": rt})
+        assert gr.residual_checks(d, lams, variant, src, r) == ref
 
     def test_high_frequency_at_tight_tolerance(self):
         # at lam = 0.4 + 200i the branch (1-rho)^{1/2-lam} oscillates like
@@ -185,13 +219,17 @@ class TestResolvent:
         lam, mu = 2.0, 1.4  # lam - 1/2 nonintegral keeps both traces regular
         src, _, _ = _poly_pair_source(d, 2.0)
         rho = disc.nodes
-        r_lam = gr.resolvent_apply(d, lam, "perturbed", src, rho, rtol=1e-10)
-        r_mu = gr.resolvent_apply(d, mu, "perturbed", src, rho, rtol=1e-10)
-        inner = gr.SourceTerm.from_grid(disc, (np.real(r_mu.u1), np.real(r_mu.u2)))
-        r_both = gr.resolvent_apply(d, lam, "perturbed", inner, rho, rtol=1e-10)
-        lhs = r_lam.u1 - r_mu.u1
-        rhs = (mu - lam) * r_both.u1
-        scale = np.max(np.abs(r_lam.u1))
+        r_lam = gr._resolvent_batch(d, [lam], "perturbed", src, rho,
+                                    rtol=1e-10)[0][0]
+        mu_u1, mu_u2, _ = gr._resolvent_batch(d, [mu], "perturbed", src, rho,
+                                              rtol=1e-10)
+        inner = gr.SourceTerm.from_grid(disc, (np.real(mu_u1[0]),
+                                               np.real(mu_u2[0])))
+        r_both = gr._resolvent_batch(d, [lam], "perturbed", inner, rho,
+                                     rtol=1e-10)[0][0]
+        lhs = r_lam - mu_u1[0]
+        rhs = (mu - lam) * r_both
+        scale = np.max(np.abs(r_lam))
         assert np.max(np.abs(lhs - rhs)) <= 1e-5 * scale
 
 
@@ -203,8 +241,7 @@ def green_check_run():
     """The CLI's green-check at N 96: its residuals, the RHS calls of its
     RK45 solves and the (endpoint, pts) of each integrate call."""
     disc = co.build(4, 96)
-    src, _ = cli._smooth_test_source(cli.RunConfig(), disc,
-                                     remove_projection=False)
+    src, _ = cli._smooth_test_source(disc, remove_projection=False)
     rho_test = disc.nodes[(disc.nodes >= 0.05) & (disc.nodes <= 0.95)]
     calls, layouts = [0], []
     batch_rhs, integrate = ro._batch_rhs, gr.integrate

@@ -29,20 +29,18 @@ class TestSeeds:
     @pytest.mark.parametrize("variant", ["free", "perturbed"])
     @pytest.mark.parametrize("lam", [1.0, 0.3 + 2.0j, 0.1 + 20.0j, 2.0])
     def test_origin_residual(self, variant, lam):
-        ode = ro.SpectralODE(4, lam, variant)
         seed = ro.seed_origin(4, [lam], variant)
         [u], [up], [upp] = seed.eval2(np.asarray(ro.ORIGIN_START))
-        res = ode.residual(ro.ORIGIN_START, u, up, upp)
+        res = ro.ode_residual(4, lam, variant, ro.ORIGIN_START, u, up, upp)
         assert abs(res) <= 1e-12 * (abs(u) + abs(upp))
 
     @pytest.mark.parametrize("branch", ["analytic", "singular"])
     def test_one_residual(self, branch):
         for lam in (1.0, 0.3 + 2.0j, 0.1 + 20.0j):
-            ode = ro.SpectralODE(5, lam, "perturbed")
             seed = ro.seed_one(5, [lam], "perturbed", branch)
             x = np.asarray(1.0 - 1e-3)
             [u], [up], [upp] = seed.eval2(x)
-            res = ode.residual(float(x), u, up, upp)
+            res = ro.ode_residual(5, lam, "perturbed", float(x), u, up, upp)
             assert abs(res) <= 1e-9 * (abs(u) + abs(upp) + 1.0)
 
     def test_gauge_series_is_constant(self):
@@ -167,14 +165,13 @@ class TestIntegration:
     def test_dense_output_residual(self):
         # u'' by central differences of u' on a three-point stencil
         lam = 0.4 + 3.0j
-        ode = ro.SpectralODE(4, lam, "perturbed")
         h = 1e-5
         rr = np.linspace(0.05, 0.95, 10)
         u, up = _origin(4, lam, "perturbed",
                         (rr[:, None] + np.array([-h, 0.0, h])).ravel(), 1e-10)
         u, up = u.reshape(-1, 3)[:, 1], up.reshape(-1, 3)
         upp = (up[:, 2] - up[:, 0]) / (2 * h)
-        res = ode.residual(rr, u, up[:, 1], upp)
+        res = ro.ode_residual(4, lam, "perturbed", rr, u, up[:, 1], upp)
         scale = np.abs(u) + np.abs(up[:, 1]) + np.abs(upp)
         assert np.all(np.abs(res) <= 1e-8 * scale)
 
@@ -277,12 +274,12 @@ class TestExplicitLambda1:
         assert fd == pytest.approx(ex.h1_deriv(0.6), rel=1e-9)
 
     def test_solves_free_lambda1_equation(self):
-        ode = ro.SpectralODE(5, 1.0, "free")
         ex = ro.ExplicitLambda1(5)
         h = 1e-5
         for r in (0.2, 0.5, 0.8):
             upp = (ex.u0(r + h) - 2 * ex.u0(r) + ex.u0(r - h)) / h**2
-            res = ode.residual(r, ex.u0(r), ex.u0_deriv(r), upp)
+            res = ro.ode_residual(5, 1.0, "free", r, ex.u0(r), ex.u0_deriv(r),
+                                  upp)
             assert abs(res) <= 1e-5 * abs(upp)
 
 

@@ -18,6 +18,11 @@ The last checks keep work done once: the blowup fit's independent runs
 (its T grid, each error-bar re-fit's start pair, the detuned pair of the
 instability demo) are one stacked evolution each, and the nonlinearity
 checks its dimension only on the first call for a d.
+
+Finally, the library surface that only tests use is an explicit list
+(``TEST_ONLY``): a top-level function or class of ``src/conewave`` that
+no code in ``src/`` or ``scripts/`` names must be on it, so a single-lam
+or test-only copy of a library path cannot come back unnoticed.
 """
 
 import ast
@@ -37,6 +42,17 @@ CALLER_DIRS = ("src", "scripts", "tests")
 # _rk45.solve(max_steps) is set only by the benchmark's self-test, which
 # checks the step budget; the benchmark directory is not a caller here.
 ALLOWED = {("_rk45", "solve", "max_steps")}
+
+# Oracles of the paper's closed forms and checks of its statements; only
+# tests call them.  A new test-only helper in src/ is added here on purpose.
+TEST_ONLY = {
+    "collocation.dissipativity_check", "collocation.gauge_residual",
+    "collocation.norm_equivalence_check", "green.kernel_decay_scan",
+    "green.perturbed_bessel_check", "model.admissible",
+    "model.liouville_green_potential", "model.ode_blowup",
+    "model.psi_from_u", "model.to_similarity", "model.varphi_inverse",
+    "radialode.ExplicitLambda1", "specfun.hyp2f1_deriv",
+}
 
 
 def _defaulted_params(tree):
@@ -214,7 +230,7 @@ def test_refit_start_pair_is_one_evolution(small_fit, evolve_calls):
 
 def test_instability_pair_is_one_evolution(evolve_calls):
     bl.instability_demo(co.build(4, 32), tau_max=1.0)
-    assert evolve_calls == [2, 1]  # the detuned pair, then T = 1
+    assert evolve_calls == [2]  # the detuned pair
 
 
 def test_nonlinearity_checks_d_once(monkeypatch):
@@ -226,3 +242,27 @@ def test_nonlinearity_checks_d_once(monkeypatch):
 
     monkeypatch.setattr(model, "check_dimension", fail)
     assert np.array_equal(model.nonlinearity(5, x), first)
+
+
+def _names_in_library_code():
+    """Every name, attribute and imported name in src/ and scripts/."""
+    names = set()
+    for sub in ("src", "scripts"):
+        for path in sorted((ROOT / sub).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+    return names
+
+
+def test_test_only_surface_is_listed():
+    used = _names_in_library_code()
+    unused = {f"{stem}.{node.name}" for stem, tree in _package_trees()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used}
+    assert unused == TEST_ONLY
