@@ -16,9 +16,14 @@ and
 with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 `build_kernel` returns the normalized u0, u1 and their derivatives on a
 point set for an array of lam; the resolvent, `green_eval` and the
-kernel-decay scan all read them from there.  Near rho = 1 u0 is the
-Frobenius pair a u_analytic + b u_singular (`radialode.match_at_one`),
-and the rho = 1 trace reads b from the same helper.  The resolvent is
+kernel-decay scan all read them from there.  Above RHO_MID u0 is
+a u_analytic + b u_singular, with the singular Frobenius branch at 1
+integrated in the gauge u_singular = (1-rho)^{1/2-lam} w (within
+INDEX_GAP of the index resonance: the Frobenius pair at ONE_START,
+`radialode.match_at_one`).  The rho = 1 trace reads b from
+`match_at_one`, which raises IndexCollisionError where the singular
+branch is no pure Frobenius series (|lam - 1/2| < 1e-8, lam = 3/2,
+5/2, ...).  The resolvent is
 applied for an array of lam at once (`_resolvent_batch`, its one path),
 and `residual_checks` verifies all lam of one such solve together:
 its finite-difference residuals and round trips are (n_lam, n_test)

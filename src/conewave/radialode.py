@@ -13,10 +13,15 @@ singular points: Frobenius indices {0, (2-d)/2} at rho=0 and
 (u, u', u''), broadcast over lam.  `integrate` evaluates the
 origin-regular and the analytic-at-one branches on point sets, batched
 over lam; it is the one place where the Frobenius series bridges the
-seed gap next to each endpoint (the origin branch continues across
-[ONE_START, 1) in the Frobenius pair at 1, `match_at_one`), and every
-shoot of the ODE (indicator, resolvent kernel, the closed-form checks)
-goes through it.
+seed gap next to each endpoint, and every shoot of the ODE (indicator,
+resolvent kernel, the closed-form checks) goes through it.  Above
+RHO_MID the origin branch is a u_analytic + b (1-rho)^{1/2-lam} w: the
+singular Frobenius branch at 1 in the gauge u = (1-rho)^{1/2-lam} w is
+smooth there, so RK45 does not step through its oscillation.  Within
+INDEX_GAP of the index resonance (1/2 - lam an integer) that pair is
+ill-conditioned, and the origin branch is integrated to ONE_START and
+continued in the Frobenius pair at 1 (`match_at_one`), which raises
+IndexCollisionError where the pair does not exist.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
 Green kernel), counted by the argument principle on bands, located by
@@ -39,6 +44,12 @@ ORIGIN_START = 1e-3      # integration starts here (series below)
 ONE_START = 1.0 - 1e-3
 SEED_ORDER = 8
 RHO_MID = 0.5            # Wronskian matching point for the indicator
+# dist(1/2 - lam, Z) below which the origin-regular solution is not
+# continued from RHO_MID in the gauge pair at 1: at rtol 1e-10 that pair
+# loses ~4e-12 / dist relative to a direct rtol 1e-13 solve (measured at
+# lam = 3/2 and 5/2, real and imaginary offsets, d 4), so 5e-3 keeps it
+# below 1e-9.
+INDEX_GAP = 5e-3
 EDGE_DENSITY = 10.0      # initial samples per unit length of a scan edge
 EDGE_MAX_DEPTH = 12      # bisection rounds before an edge counts as unresolved
 
@@ -63,22 +74,43 @@ def ode_residual(d: int, lam, variant: str, rho, u, up, upp):
     return (1.0 - rho**2) * upp + b * up - zero_order_coeff(d, lam, variant) * u
 
 
-def _batch_rhs(d: int, lam_arr, variant: str):
+def _batch_rhs(d: int, lam_arr, variant: str, sigma=None):
     """RK45 right-hand side f(rho, y), y = (u, u') of shape (..., n_lam, 2);
-    rho is a scalar or, for an RK45 checkpoint sub-step, an (m, 1) array."""
+    rho is a scalar or, for an RK45 checkpoint sub-step, an (m, 1) array.
+
+    With sigma (one per lam) y = (w, w') of the gauge u = (1-rho)^sigma w,
+    sigma = 1/2 - lam or 0, which solves
+    (1-rho^2) w'' + (b - 2 sigma (1+rho)) w' - (c0 + sigma (d - 1/2 + lam)
+    + sigma (d-1)/rho) w = 0 with b = (d-1)/rho - (2 lam + d) rho.
+    """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     c0 = zero_order_coeff(d, lam_arr, variant)
     two_ld = 2.0 * lam_arr + d
 
-    def f(rho, y):
-        u, up = y[..., 0], y[..., 1]
-        b = (d - 1.0) / rho - two_ld * rho
+    if sigma is None:
+        def f(rho, y):
+            u, up = y[..., 0], y[..., 1]
+            b = (d - 1.0) / rho - two_ld * rho
+            out = np.empty_like(y)
+            out[..., 0] = up
+            out[..., 1] = (c0 * u - b * up) / (1.0 - rho * rho)
+            return out
+        return f
+
+    c_sig = c0 + sigma * (d - 0.5 + lam_arr)
+    s_d1 = sigma * (d - 1.0)
+    two_ls = two_ld + 2.0 * sigma
+
+    def f_gauged(rho, y):
+        w, wp = y[..., 0], y[..., 1]
+        # b - 2 sigma (1 + rho) = (d-1)/rho - 2 sigma - (2 lam + d + 2 sigma) rho
+        b = (d - 1.0) / rho - two_ls * rho - 2.0 * sigma
         out = np.empty_like(y)
-        out[..., 0] = up
-        out[..., 1] = (c0 * u - b * up) / (1.0 - rho * rho)
+        out[..., 0] = wp
+        out[..., 1] = ((c_sig + s_d1 / rho) * w - b * wp) / (1.0 - rho * rho)
         return out
 
-    return f
+    return f_gauged
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +247,14 @@ def seed_one(d: int, lam_arr, variant: str, branch: str) -> FrobeniusSeed:
     return FrobeniusSeed("one", sig, coeffs)
 
 
+def _pair_coefficients(u, up, first, second):
+    """(a, b) with (u, u') = a first + b second for (u, u') pairs given at
+    one point, elementwise: Cramer's rule through `matching_wronskian`."""
+    det, _ = matching_wronskian(first, second)
+    return (matching_wronskian((u, up), second)[0] / det,
+            matching_wronskian(first, (u, up))[0] / det)
+
+
 def match_at_one(d: int, lam_arr, variant: str, u, up):
     """Coefficients in the Frobenius pair at rho=1 of the solutions with
     data (u, u') at ONE_START, one per lam.
@@ -226,10 +266,16 @@ def match_at_one(d: int, lam_arr, variant: str, u, up):
     """
     sa = seed_one(d, lam_arr, variant, "analytic")
     ss = seed_one(d, lam_arr, variant, "singular")
-    ua, upa = sa.eval(ONE_START)
-    us, ups = ss.eval(ONE_START)
-    det = ua * ups - upa * us
-    return (u * ups - up * us) / det, (ua * up - upa * u) / det, (sa, ss)
+    a, b = _pair_coefficients(u, up, sa.eval(ONE_START), ss.eval(ONE_START))
+    return a, b, (sa, ss)
+
+
+def _ungauge(sig, rho, w, wp):
+    """(u, u') of u = (1-rho)^sig w from (w, w'); sig broadcasts against w
+    and rho against its last axis."""
+    x = 1.0 - rho
+    xs = np.exp(sig * np.log(x))
+    return xs * w, xs * (wp - (sig / x) * w)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +291,23 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
     the analytic one, both with unit leading seed coefficient.  Points
     inside the seed gap [0, ORIGIN_START] or [ONE_START, 1] are evaluated
     from the Frobenius series, the rest by landing RK45 checkpoints on
-    them (integrating toward 0 for the one-seeded solution).  RK45 never
-    steps into [ONE_START, 1), where the branch (1-rho)^{1/2-lam}
-    oscillates like e^{-i Im(lam) ln(1-rho)}: the origin-seeded solution
-    lands ONE_START and continues as a u_analytic + b u_singular in the
-    Frobenius pair at 1 (`match_at_one`).  That pair does not exist at
-    the index resonance |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ..., so
-    there the origin-seeded solution raises IndexCollisionError on points
-    in [ONE_START, 1) and works below.  This is the only RK45 entry of
-    the package.
+    them (integrating toward 0 for the one-seeded solution).
+
+    The origin-seeded solution holds the singular branch (1-rho)^sigma,
+    sigma = 1/2 - lam, of the Frobenius pair at 1, which oscillates like
+    e^{-i Im(lam) ln(1-rho)}.  RK45 carries it only up to RHO_MID.  Above
+    RHO_MID it is a u_a + b (1-rho)^sigma w: u_a is the analytic-at-one
+    solution and w the singular branch in the gauge of `_batch_rhs`
+    (sigma), both smooth at 1, integrated as one RK45 batch of 2 n_lam
+    members from ONE_START down to RHO_MID (series on [ONE_START, 1)),
+    and (a, b) match the origin-seeded (u, u') at RHO_MID.  Near the
+    index resonance the pair is ill-conditioned: if any lam of the batch
+    has dist(1/2 - lam, Z) < INDEX_GAP, RK45 carries the origin-seeded
+    solution to ONE_START and it continues in the Frobenius pair at 1
+    (`match_at_one`).  That pair does not exist at |lam - 1/2| < 1e-8 or
+    lam = 3/2, 5/2, ..., so there the origin-seeded solution raises
+    IndexCollisionError for points in (ONE_START, 1) and works below.
+    This is the only RK45 entry of the package.
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     pts = np.asarray(pts, dtype=float)
@@ -262,46 +316,82 @@ def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
     n_lam, n_pts = len(lam_arr), len(pts)
     u = np.empty((n_lam, n_pts), dtype=complex)
     up = np.empty((n_lam, n_pts), dtype=complex)
+    if not n_lam:
+        return u, up
+    sig = 0.5 - lam_arr
 
     if endpoint == "origin":
         seed = seed_origin(d, lam_arr, variant)
-        start = ORIGIN_START
-        gap = pts <= start
-        near_one = pts >= ONE_START
-        cps = pts[~gap & ~near_one]
-        if np.any(near_one):
-            cps = np.append(cps, ONE_START)
+        start, gap = ORIGIN_START, pts <= ORIGIN_START
+        stop = (RHO_MID if np.min(np.abs(sig - np.round(sig.real))) >= INDEX_GAP
+                else ONE_START)
+        far = pts > stop   # continued in the pair at 1, matched at stop
+        cps = pts[~gap & ~far]
+        if np.any(far):
+            cps = np.append(cps, stop)
     else:
         seed = seed_one(d, lam_arr, variant, "analytic")
-        start = ONE_START
-        gap = pts >= start
-        near_one = np.zeros(n_pts, dtype=bool)
+        start, gap = ONE_START, pts >= ONE_START
+        far = np.zeros(n_pts, dtype=bool)
         cps = pts[~gap][::-1]  # descending toward 0
     if np.any(gap):
         u[:, gap], up[:, gap] = seed.eval(pts[gap])
-    if len(cps) and n_lam:
-        y0 = np.stack(seed.eval(start), axis=-1)
-        # initial step resolving the batch's fastest oscillation e^{a phi}
-        h0 = 0.5 / (20.0 + float(np.max(np.abs(1j * (0.5 - lam_arr)))))
-        _, cp_vals, _ = _rk45.solve(
-            _batch_rhs(d, lam_arr, variant), start, float(cps[-1]), y0,
-            rtol=rtol, atol=1e-300, checkpoints=cps, h0=h0,
-        )
-        if not np.all(np.isfinite(cp_vals)):
-            raise QuadratureError("fundamental solution overflowed on nodes")
-        if endpoint == "one":
-            cp_vals = cp_vals[::-1]
-        mid = ~gap & ~near_one
-        n_mid = np.count_nonzero(mid)
-        u[:, mid] = cp_vals[:n_mid, :, 0].T
-        up[:, mid] = cp_vals[:n_mid, :, 1].T
-        if np.any(near_one):
-            a, b, (sa, ss) = match_at_one(d, lam_arr, variant,
-                                          cp_vals[-1, :, 0], cp_vals[-1, :, 1])
-            ua, upa = sa.eval(pts[near_one])
-            us, ups = ss.eval(pts[near_one])
-            u[:, near_one] = a[:, None] * ua + b[:, None] * us
-            up[:, near_one] = a[:, None] * upa + b[:, None] * ups
+    runs = [(_batch_rhs(d, lam_arr, variant), start,
+             np.stack(seed.eval(start), axis=-1), cps)]
+    if np.any(far):
+        sa = seed_one(d, lam_arr, variant, "analytic")
+        ss = seed_one(d, lam_arr, variant, "singular")
+        series = far & (pts >= ONE_START)
+        rk = far & ~series
+        if stop == RHO_MID:
+            # u_a and w, both Taylor series at 1, as one batch (u_a first)
+            w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
+                                   ss.coefficients)
+            runs.append((
+                _batch_rhs(d, np.tile(lam_arr, 2), variant,
+                           np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
+                ONE_START,
+                np.concatenate([np.stack(s.eval(ONE_START), axis=-1)
+                                for s in (sa, w_seed)]),
+                np.append(pts[rk][::-1], RHO_MID)))
+    # initial step resolving the batch's fastest oscillation e^{a phi}
+    h0 = 0.5 / (20.0 + float(np.max(np.abs(sig))))
+    vals = []
+    for rhs, x0, y0, run_cps in runs:
+        if len(run_cps):
+            _, cp_vals, _ = _rk45.solve(rhs, x0, float(run_cps[-1]), y0,
+                                        rtol=rtol, atol=1e-300,
+                                        checkpoints=run_cps, h0=h0)
+            if not np.all(np.isfinite(cp_vals)):
+                raise QuadratureError("fundamental solution overflowed on nodes")
+            vals.append(cp_vals)
+    if not len(cps):
+        return u, up
+
+    cp_vals = vals.pop(0)
+    if endpoint == "one":
+        cp_vals = cp_vals[::-1]
+    mid = ~gap & ~far
+    n_mid = np.count_nonzero(mid)
+    u[:, mid] = cp_vals[:n_mid, :, 0].T
+    up[:, mid] = cp_vals[:n_mid, :, 1].T
+    if not np.any(far):
+        return u, up
+    at_stop = cp_vals[-1].T.copy()
+    del cp_vals   # freed before the pair's (n_lam, n_pts) temporaries
+    if stop == RHO_MID:
+        pair = vals.pop()   # (u_a, w) from ONE_START down to RHO_MID
+        a, b = _pair_coefficients(*at_stop, pair[-1, :n_lam].T,
+                                  _ungauge(sig, RHO_MID, *pair[-1, n_lam:].T))
+        yu, yp = pair[:-1][::-1].T
+        us, ups = _ungauge(sig[:, None], pts[rk], yu[n_lam:], yp[n_lam:])
+        u[:, rk] = a[:, None] * yu[:n_lam] + b[:, None] * us
+        up[:, rk] = a[:, None] * yp[:n_lam] + b[:, None] * ups
+    else:
+        a, b, _ = match_at_one(d, lam_arr, variant, *at_stop)
+    (ua, upa), (us, ups) = sa.eval(pts[series]), ss.eval(pts[series])
+    u[:, series] = a[:, None] * ua + b[:, None] * us
+    up[:, series] = a[:, None] * upa + b[:, None] * ups
     return u, up
 
 
@@ -550,75 +640,3 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
             out.append((z, w))
     out.sort(key=lambda t: (-t[0].real, t[0].imag))
     return out
-
-
-# ---------------------------------------------------------------------------
-# closed form at lam = 1
-# ---------------------------------------------------------------------------
-
-
-class ExplicitLambda1:
-    """Fundamental system of the free equation at lam=1, in closed form.
-
-    u0 = ((1+s)^{d/2-1} s)^{-1}, u1 = ((1-s)^{d/2-1}-(1+s)^{d/2-1})/(rho^{d-2} s)
-    with s = sqrt(1-rho^2); their Wronskian is (d-2) rho^{1-d} (1-rho^2)^{-3/2}.
-    h1 is the second solution of the perturbed equation at lam=1 used in the
-    multiplicity argument, h1(rho) = int_{1/2}^rho t^{1-d} (1-t^2)^{-3/2} dt.
-    """
-
-    def __init__(self, d: int):
-        self.d = check_dimension(d)
-
-    def u0(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        s = np.sqrt(1.0 - rho**2)
-        return 1.0 / ((1.0 + s) ** (self.d / 2.0 - 1.0) * s)
-
-    def u0_deriv(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        d = self.d
-        s = np.sqrt(1.0 - rho**2)
-        return rho * (1.0 + d / 2.0 * s) / ((1.0 + s) ** (d / 2.0) * s**3)
-
-    def u1(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        d = self.d
-        s = np.sqrt(1.0 - rho**2)
-        return ((1.0 - s) ** (d / 2.0 - 1.0) - (1.0 + s) ** (d / 2.0 - 1.0)) / (
-            rho ** (d - 2.0) * s
-        )
-
-    def u1_deriv(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        d = self.d
-        s = np.sqrt(1.0 - rho**2)
-        a = (1.0 - s) ** (d / 2.0 - 1.0)
-        b = (1.0 + s) ** (d / 2.0 - 1.0)
-        dab = (d / 2.0 - 1.0) * (rho / s) * (
-            (1.0 - s) ** (d / 2.0 - 2.0) + (1.0 + s) ** (d / 2.0 - 2.0)
-        )
-        return dab / (rho ** (d - 2.0) * s) - (a - b) * (
-            (d - 2.0) * s**2 - rho**2
-        ) / (rho ** (d - 1.0) * s**3)
-
-    def wronskian(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return (self.d - 2.0) * rho ** (1.0 - self.d) * (1.0 - rho**2) ** -1.5
-
-    def h1(self, rho):
-        """int_{1/2}^rho t^{1-d} (1-t^2)^{-3/2} dt by Gauss-Legendre."""
-        rho = np.asarray(rho, dtype=float)
-        nodes, weights = np.polynomial.legendre.leggauss(60)
-        scalar = rho.ndim == 0
-        rho = np.atleast_1d(rho)
-        out = np.empty(rho.shape)
-        for i, r in enumerate(rho):
-            a, b = 0.5, float(r)
-            t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            f = t ** (1.0 - self.d) * (1.0 - t**2) ** -1.5
-            out[i] = 0.5 * (b - a) * np.dot(weights, f)
-        return out[0] if scalar else out
-
-    def h1_deriv(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return rho ** (1.0 - self.d) * (1.0 - rho**2) ** -1.5

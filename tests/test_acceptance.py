@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from closed_forms import ExplicitLambda1
 from conewave import blowup as bl
 from conewave import collocation as co
 from conewave import evolve as ev
@@ -82,7 +83,7 @@ def test_criterion_3_lambda1_closed_forms():
     rr = np.linspace(0.1, 0.9, 17)
     mid = 8  # rr[8] = 1/2, where the integrated solutions are scaled
     for d in (3, 4, 5, 6):
-        ex = ro.ExplicitLambda1(d)
+        ex = ExplicitLambda1(d)
         u0, u0p = ro.integrate(d, [1.0], "free", "origin", rr, 1e-11)
         u1, u1p = ro.integrate(d, [1.0], "free", "one", rr, 1e-11)
         ref = ex.u0(rr)

@@ -277,6 +277,13 @@ class TestGreenCheckLayout:
         assert all(o["ode_residual"] <= 1e-6 and o["round_trip"] <= 1e-6
                    for o in out)
 
+    def test_rhs_calls_with_the_gauge_pair(self, green_check_run):
+        # above RHO_MID u0 is the gauge pair integrated from ONE_START,
+        # smooth at rho = 1: 20,731 RHS calls, against 29,492 when RK45
+        # carried u0 itself to ONE_START
+        _, calls, _ = green_check_run
+        assert calls <= 22_000
+
     def test_integrate_matches_a_tight_reference(self, green_check_run):
         _, _, layouts = green_check_run
         assert [e for e, _ in layouts] == ["origin", "one"]

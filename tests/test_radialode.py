@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from closed_forms import ExplicitLambda1
+from conewave import _rk45
 from conewave import collocation as co
 from conewave import radialode as ro
 from conewave import specfun as sf
@@ -149,6 +151,17 @@ def _origin(d, lam, variant, pts, rtol=1e-11):
     return u[0], up[0]
 
 
+def _direct_origin(d, lams, variant, pts):
+    """(u, u') of the origin-regular solution by one RK45 run of the plain
+    equation from its seed to pts[-1] at rtol 1e-13, with no continuation
+    in a pair at rho = 1; arrays (n_lam, n_pts)."""
+    seed = ro.seed_origin(d, lams, variant)
+    _, cp, _ = _rk45.solve(ro._batch_rhs(d, lams, variant), ro.ORIGIN_START,
+                           pts[-1], np.stack(seed.eval(ro.ORIGIN_START), axis=-1),
+                           rtol=1e-13, atol=1e-300, checkpoints=pts)
+    return cp[:, :, 0].T, cp[:, :, 1].T
+
+
 class TestIntegration:
     def test_gauge_constant_flow(self):
         u, up = _origin(5, 1.0, "perturbed", np.linspace(0.05, 0.9, 9))
@@ -206,7 +219,7 @@ class TestIntegration:
         # the singular branch (1-rho)^{-1/2} of the pair at 1 dominates
         pts = np.array([0.5, 0.9991, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
         for d in (3, 4, 5, 6):
-            ex = ro.ExplicitLambda1(d)
+            ex = ExplicitLambda1(d)
             u, up = ro.integrate(d, [1.0], "free", "origin", pts, 1e-11)
             c = u[0, 0] / ex.u0(0.5)
             ref_u, ref_up = ex.u0(pts), ex.u0_deriv(pts)
@@ -224,6 +237,42 @@ class TestIntegration:
         assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
         with pytest.raises(IndexCollisionError):
             _origin(4, lam, "free", [0.5, 0.9995])
+
+    @pytest.mark.parametrize("base", [0.5, 1.5])
+    @pytest.mark.parametrize("offset", [1.0, 1.0j])
+    @pytest.mark.parametrize("side", [0.8, 1.25])
+    def test_index_gap(self, monkeypatch, base, offset, side):
+        # inside INDEX_GAP of the index resonance RK45 carries u0 to
+        # ONE_START; outside it RK45 stops at RHO_MID and the gauge pair,
+        # one more RK45 run of the gauged equation, continues u0.  Both
+        # stay within 1e-9 of a direct solve; the pair's error is
+        # ~4e-12 / dist at lam 3/2.
+        lam = base + side * ro.INDEX_GAP * offset
+        pts = np.linspace(0.01, 0.998, 120)
+        ref, ref_p = _direct_origin(4, [lam], "perturbed", pts)
+        gauged, batch_rhs = [], ro._batch_rhs
+
+        def recorded(*args):
+            gauged.append(len(args) > 3)   # sigma given
+            return batch_rhs(*args)
+
+        monkeypatch.setattr(ro, "_batch_rhs", recorded)
+        u, up = ro.integrate(4, [lam], "perturbed", "origin", pts, 1e-10)
+        assert gauged == ([False] if side < 1.0 else [False, True])
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(up - ref_p)) <= 1e-9 * np.max(np.abs(ref_p))
+
+    def test_high_frequency_continuation(self):
+        # at omega 100 and 200 the singular branch at 1 oscillates like
+        # e^{-i omega ln(1-rho)}; continued from RHO_MID in the gauge pair,
+        # u0' stays within 2e-9 of a direct solve (6.2e-10 at omega 200,
+        # against 5.5e-9 when RK45 carried u0 itself up to 0.998)
+        lams = [0.4 + 100.0j, 0.4 + 200.0j]
+        pts = np.linspace(0.01, 0.998, 300)
+        _, up = ro.integrate(4, lams, "perturbed", "origin", pts, 1e-10)
+        _, ref = _direct_origin(4, lams, "perturbed", pts)
+        rel = np.max(np.abs(up - ref), axis=1) / np.max(np.abs(ref), axis=1)
+        assert np.all(rel <= 2e-9), rel
 
     def test_empty_batch(self):
         # no lam: empty arrays, also where RK45 would land checkpoints
@@ -252,7 +301,7 @@ class TestWronskian:
         # the integrated free fundamental system at lam=1 reproduces the
         # closed-form Wronskian (d-2) rho^{1-d} (1-rho^2)^{-3/2}
         for d in (3, 4, 5):
-            ex = ro.ExplicitLambda1(d)
+            ex = ExplicitLambda1(d)
             r = np.linspace(0.15, 0.85, 8)
             w = ex.u0(r) * ex.u1_deriv(r) - ex.u0_deriv(r) * ex.u1(r)
             assert np.max(np.abs(w - ex.wronskian(r)) / np.abs(w)) <= 1e-11
@@ -260,21 +309,21 @@ class TestWronskian:
 
 class TestExplicitLambda1:
     def test_u0_at_origin(self):
-        assert ro.ExplicitLambda1(4).u0(0.0) == pytest.approx(0.5, abs=1e-14)
+        assert ExplicitLambda1(4).u0(0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_wronskian_value(self):
-        assert ro.ExplicitLambda1(3).wronskian(0.5) == pytest.approx(
+        assert ExplicitLambda1(3).wronskian(0.5) == pytest.approx(
             W_D3_HALF, abs=1e-12)
 
     def test_h1_basepoint_and_derivative(self):
-        ex = ro.ExplicitLambda1(4)
+        ex = ExplicitLambda1(4)
         assert ex.h1(0.5) == 0.0
         h = 1e-6
         fd = (ex.h1(0.6 + h) - ex.h1(0.6 - h)) / (2 * h)
         assert fd == pytest.approx(ex.h1_deriv(0.6), rel=1e-9)
 
     def test_solves_free_lambda1_equation(self):
-        ex = ro.ExplicitLambda1(5)
+        ex = ExplicitLambda1(5)
         h = 1e-5
         for r in (0.2, 0.5, 0.8):
             upp = (ex.u0(r + h) - 2 * ex.u0(r) + ex.u0(r - h)) / h**2

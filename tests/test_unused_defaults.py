@@ -51,7 +51,7 @@ TEST_ONLY = {
     "green.perturbed_bessel_check", "model.admissible",
     "model.liouville_green_potential", "model.ode_blowup",
     "model.psi_from_u", "model.to_similarity", "model.varphi_inverse",
-    "radialode.ExplicitLambda1", "specfun.hyp2f1_deriv",
+    "specfun.hyp2f1_deriv",
 }
 
 
