@@ -15,15 +15,17 @@ and
     F_lam(s) = s f1'(s) + (lam + d/2) f1(s) + f2(s),
 with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 `build_kernel` returns the normalized u0, u1 and their derivatives on a
-point set for an array of lam; the resolvent, `green_eval` and the
-kernel-decay scan all read them from there.  Above RHO_MID u0 is
-a u_analytic + b u_singular, with the singular Frobenius branch at 1
-integrated in the gauge u_singular = (1-rho)^{1/2-lam} w (within
-INDEX_GAP of the index resonance: the Frobenius pair at ONE_START,
-`radialode.match_at_one`).  The rho = 1 trace reads b from
-`match_at_one`, which raises IndexCollisionError where the singular
-branch is no pure Frobenius series (|lam - 1/2| < 1e-8, lam = 3/2,
-5/2, ...).  The resolvent is
+point set for an array of lam, from one `radialode.integrate` call; the
+resolvent, `green_eval` and the kernel-decay scan all read them from
+there.  Above RHO_MID u0 is a u1 + b u_singular, with the singular
+Frobenius branch at 1 integrated in the gauge u_singular =
+(1-rho)^{1/2-lam} w in one batch with u1 (within INDEX_GAP of the index
+resonance: the Frobenius pair at ONE_START, `radialode.match_at_one`).
+u1 is carried down to ORIGIN_START only; on the quadrature nodes below
+it (down to ~2.7e-10) it is u0 q by reduction of order on the origin
+series.  The rho = 1 trace reads b from `match_at_one`, which raises
+IndexCollisionError where the singular branch is no pure Frobenius
+series (|lam - 1/2| < 1e-8, lam = 3/2, 5/2, ...).  The resolvent is
 applied for an array of lam at once (`_resolvent_batch`, its one path),
 and `residual_checks` verifies all lam of one such solve together:
 its finite-difference residuals and round trips are (n_lam, n_test)
@@ -158,10 +160,11 @@ def build_kernel(d: int, lam_arr, variant: str, pts, rtol: float):
     matched at the point of pts nearest 1/2.  The origin series starts at
     1, so c is also u0(0).
     """
-    u0, u0p = integrate(d, lam_arr, variant, "origin", pts, rtol)
-    u1, u1p = integrate(d, lam_arr, variant, "one", pts, rtol)
+    u0, u0p, u1, u1p = integrate(d, lam_arr, variant, pts, rtol)
     c = _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts)
-    return u0 * c, u0p * c, u1, u1p, c
+    u0 *= c
+    u0p *= c
+    return u0, u0p, u1, u1p, c
 
 
 def _kernel_weight(d, lam_arr, s):
@@ -449,7 +452,7 @@ def perturbed_bessel_check(d: int, lam, rho_grid) -> dict:
     # transformed origin-regular solution against b1
     rho_ref = 1e-3
     pts = np.unique(np.append(rho_grid, rho_ref))
-    u0, _ = integrate(d, [lam], "perturbed", "origin", pts, 1e-11)
+    u0 = integrate(d, [lam], "perturbed", pts, 1e-11)[0]
     u0r = u0[0, np.searchsorted(pts, rho_ref)]
     u0 = u0[0, np.searchsorted(pts, rho_grid)]
     v = rho_grid ** ((d - 1.0) / 2.0) * np.exp(

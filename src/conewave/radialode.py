@@ -9,19 +9,23 @@ with c0 = lam(lam+d-1) + d(d-2)/4 for the free variant and
 c0 = lam(lam+d-1) - d for the perturbed one (the potential shifts the
 zero-order coefficient by (2d+d^2)/4).  Both endpoints are regular
 singular points: Frobenius indices {0, (2-d)/2} at rho=0 and
-{0, 1/2-lam} at rho=1.  `ode_residual` is its left side for given
-(u, u', u''), broadcast over lam.  `integrate` evaluates the
-origin-regular and the analytic-at-one branches on point sets, batched
-over lam; it is the one place where the Frobenius series bridges the
-seed gap next to each endpoint, and every shoot of the ODE (indicator,
-resolvent kernel, the closed-form checks) goes through it.  Above
-RHO_MID the origin branch is a u_analytic + b (1-rho)^{1/2-lam} w: the
-singular Frobenius branch at 1 in the gauge u = (1-rho)^{1/2-lam} w is
-smooth there, so RK45 does not step through its oscillation.  Within
-INDEX_GAP of the index resonance (1/2 - lam an integer) that pair is
-ill-conditioned, and the origin branch is integrated to ONE_START and
-continued in the Frobenius pair at 1 (`match_at_one`), which raises
-IndexCollisionError where the pair does not exist.
+{0, 1/2-lam} at rho=1 (the series are in `frobenius`).  `ode_residual`
+is its left side for given (u, u', u''), broadcast over lam.
+`integrate` evaluates the fundamental system (u0, u0', u1, u1') on a
+point set, u0 origin-regular and u1 analytic at 1, batched over lam; it
+is the one place where the series bridge the seed gap next to each
+endpoint, and every shoot of the ODE (indicator, resolvent kernel, the
+closed-form checks) goes through it.
+Above RHO_MID u0 is a u1 + b (1-rho)^{1/2-lam} w: the singular Frobenius
+branch at 1 in the gauge u = (1-rho)^{1/2-lam} w is smooth there, so
+RK45 does not step through its oscillation, and u1 is the other half of
+that batch.  Below ORIGIN_START u1 ~ rho^{2-d} is u0 q by reduction of
+order on the origin series (`_reduce_at_origin`), the origin's
+counterpart of the pair at 1.  Within INDEX_GAP of the index resonance
+(1/2 - lam an integer) the gauge pair is ill-conditioned, and u0 is
+integrated to ONE_START and continued in the Frobenius pair at 1
+(`match_at_one`), which raises IndexCollisionError where the pair does
+not exist.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
 Green kernel), counted by the argument principle on bands, located by
@@ -30,19 +34,17 @@ the contour moments of the same samples and polished by Newton.
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _rk45
-from .errors import (ContourTooCloseError, DomainError, IndexCollisionError,
-                     ParamError, QuadratureError)
-from .model import check_dimension
+from .errors import (ContourTooCloseError, DomainError, ParamError,
+                     QuadratureError)
+from .frobenius import (ONE_START, ORIGIN_START, FrobeniusSeed,
+                        reduction_series, seed_one, seed_origin,
+                        zero_order_coeff)
 from .specfun import c3_connection
 
-ORIGIN_START = 1e-3      # integration starts here (series below)
-ONE_START = 1.0 - 1e-3
-SEED_ORDER = 8
 RHO_MID = 0.5            # Wronskian matching point for the indicator
 # dist(1/2 - lam, Z) below which the origin-regular solution is not
 # continued from RHO_MID in the gauge pair at 1: at rtol 1e-10 that pair
@@ -52,18 +54,6 @@ RHO_MID = 0.5            # Wronskian matching point for the indicator
 INDEX_GAP = 5e-3
 EDGE_DENSITY = 10.0      # initial samples per unit length of a scan edge
 EDGE_MAX_DEPTH = 12      # bisection rounds before an edge counts as unresolved
-
-
-def zero_order_coeff(d: int, lam, variant: str):
-    """c0(lam) for a scalar or an array of lam."""
-    check_dimension(d)
-    lam = np.asarray(lam, dtype=complex)
-    base = lam * (lam + d - 1.0)
-    if variant == "free":
-        return base + d * (d - 2.0) / 4.0
-    if variant == "perturbed":
-        return base - d
-    raise ParamError(f"unknown variant {variant!r}")
 
 
 def ode_residual(d: int, lam, variant: str, rho, u, up, upp):
@@ -113,140 +103,6 @@ def _batch_rhs(d: int, lam_arr, variant: str, sigma=None):
     return f_gauged
 
 
-# ---------------------------------------------------------------------------
-# Frobenius seeds
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrobeniusSeed:
-    """Truncated Frobenius series at a singular endpoint, one per lam.
-
-    origin: u(rho) = sum_k a_k rho^{2k} (index 0, the H^1 branch);
-    one:    u(rho) = x^sigma sum_k b_k x^k with x = 1 - rho and
-            sigma = 0 (analytic) or 1/2 - lam (singular).
-    coefficients is (n_lam, K) and index (n_lam,); a member whose series
-    stopped below order K - 1 has zero coefficients above its order.
-    """
-
-    endpoint: str                   # "origin" | "one"
-    index: np.ndarray
-    coefficients: np.ndarray = field(repr=False)
-
-    def eval(self, rho):
-        """(u, du/drho) at rho (scalar or array), shape (n_lam,) + rho.shape."""
-        u, up, _ = self.eval2(rho)
-        return u, up
-
-    def eval2(self, rho):
-        """(u, u', u'') at rho, all from the truncated series by Horner
-        over the coefficient axis."""
-        rho = np.asarray(rho, dtype=float)
-        # column k broadcasts against rho: b[k] has shape (n_lam, 1, ...)
-        b = self.coefficients.T.reshape(
-            self.coefficients.shape[::-1] + (1,) * rho.ndim)
-        zero = np.zeros(b.shape[1:2] + rho.shape, dtype=complex)
-        if self.endpoint == "origin":
-            u = up = upp = zero
-            r2 = rho * rho
-            for k in range(len(b) - 1, 0, -1):
-                u = u * r2 + b[k]
-                up = up * r2 + 2 * k * b[k]
-                upp = upp * r2 + 2 * k * (2 * k - 1) * b[k]
-            u = u * r2 + b[0]
-            return u, up * rho, upp
-        x = 1.0 - rho
-        s = sp = spp = zero
-        for k in range(len(b) - 1, 1, -1):
-            s = s * x + b[k]
-            sp = sp * x + k * b[k]
-            spp = spp * x + k * (k - 1) * b[k]
-        s = s * x + b[1]
-        sp = sp * x + b[1]
-        s = s * x + b[0]
-        if not np.any(self.index):
-            y, yp, ypp = s, sp, spp
-        else:
-            sig = self.index.reshape(b.shape[1:])
-            xs = np.exp(sig * np.log(x))
-            y = xs * s
-            yp = xs * (sp + sig * s / x)
-            ypp = xs * (spp + 2.0 * sig * sp / x + sig * (sig - 1.0) * s / x**2)
-        return y, -yp, ypp
-
-
-def _series(n_lam, next_coeff, x0, power):
-    """(n_lam, K) coefficients c_0 = 1, c_{m+1} = next_coeff(m, cs, active).
-
-    Each member takes at least SEED_ORDER steps and stops once its last
-    coefficient is below 1e-17 at x0 (|c_m| x0^{power m}), or at order 80;
-    its coefficients above its own stopping order are zero.
-    """
-    cs = [np.ones(n_lam, dtype=complex)]
-    active = np.ones(n_lam, dtype=bool)
-    for m in range(80):
-        if m >= SEED_ORDER:
-            active &= np.abs(cs[-1]) * x0 ** (power * m) > 1e-17
-            if not active.any():
-                break
-        cs.append(np.where(active, next_coeff(m, cs, active), 0.0))
-    return np.stack(cs, axis=1)
-
-
-def seed_origin(d: int, lam_arr, variant: str) -> FrobeniusSeed:
-    """Index-0 even series at rho=0 for each lam: a_{k+1}/a_k from the ODE
-    recurrence."""
-    lam = np.asarray(lam_arr, dtype=complex)
-    c0 = zero_order_coeff(d, lam, variant)
-
-    def next_coeff(k, a, active):
-        num = 4.0 * k * k + 2.0 * k * (2.0 * lam + d - 1.0) + c0
-        return a[-1] * num / ((2.0 * k + 2.0) * (2.0 * k + d))
-
-    coeffs = _series(len(lam), next_coeff, ORIGIN_START, 2)
-    return FrobeniusSeed("origin", np.zeros(len(lam), dtype=complex), coeffs)
-
-
-def seed_one(d: int, lam_arr, variant: str, branch: str) -> FrobeniusSeed:
-    """Frobenius series at rho=1 for each lam; indices {0, 1/2-lam}.
-
-    analytic: Taylor in x = 1-rho with leading coefficient 1;
-    singular: x^{1/2-lam} (series), unavailable for lam near 1/2.
-
-    The recurrence comes from multiplying the ODE by (1-x) to clear the
-    1/(1-x) coefficient: with y(x) = u(1-x),
-    P y'' + Q y' + R y = 0,  P = 2x - 3x^2 + x^3,
-    Q = (2 lam + 1) - 2(2 lam + d) x + (2 lam + d) x^2,  R = -c0 + c0 x.
-    """
-    lam = np.asarray(lam_arr, dtype=complex)
-    c0 = zero_order_coeff(d, lam, variant)
-    if branch == "analytic":
-        sig = np.zeros(len(lam), dtype=complex)
-    elif branch == "singular":
-        sig = 0.5 - lam
-        if np.any(np.abs(sig) < 1e-8):
-            raise IndexCollisionError("Frobenius indices collide at lam=1/2")
-    else:
-        raise ParamError(f"unknown branch {branch!r}")
-    two_ld = 2.0 * lam + d
-
-    def next_coeff(m, b, active):
-        ms = m + sig
-        c_m = (ms + 1.0) * (2.0 * ms + 2.0 * lam + 1.0)
-        bad = active & (np.abs(c_m) < 1e-12)
-        if np.any(bad):
-            raise IndexCollisionError(
-                f"recurrence degenerate at order {m + 1} for lam={lam[bad]}"
-            )
-        a_m = -3.0 * ms * (ms - 1.0) - 2.0 * two_ld * ms - c0
-        b_m = (ms - 1.0) * (ms - 2.0) + two_ld * (ms - 1.0) + c0
-        prev2 = b[m - 1] if m >= 1 else 0.0
-        return -(a_m * b[m] + b_m * prev2) / np.where(active, c_m, 1.0)
-
-    coeffs = _series(len(lam), next_coeff, 1.0 - ONE_START, 1)
-    return FrobeniusSeed("one", sig, coeffs)
-
-
 def _pair_coefficients(u, up, first, second):
     """(a, b) with (u, u') = a first + b second for (u, u') pairs given at
     one point, elementwise: Cramer's rule through `matching_wronskian`."""
@@ -278,121 +134,155 @@ def _ungauge(sig, rho, w, wp):
     return xs * w, xs * (wp - (sig / x) * w)
 
 
+def _reduce_at_origin(d, lam_arr, seed, rho, u0, u0p, star):
+    """(u, u') on rho <= ORIGIN_START of the solution with data star = (u,
+    u') at ORIGIN_START, by reduction of order on u0 = U(rho^2) (the seed's
+    values (u0, u0') at rho, arrays (n_lam, n_rho)).
+
+    Abel: W(u, u0) = C rho^{1-d} (1-rho^2)^{-1/2-lam}, so u = u0 q with
+    q' = -C rho^{1-d} sum_k h_k rho^{2k} (`reduction_series`), integrated
+    termwise from ORIGIN_START; e_k = 2 - d + 2k = 0 is the log branch.
+    """
+    r0 = ORIGIN_START
+    u0s, u0ps = seed.eval(r0)
+    c = (matching_wronskian(star, (u0s, u0ps))[0]
+         * r0 ** (d - 1.0) * np.exp((0.5 + lam_arr) * math.log1p(-r0 * r0)))
+    h = reduction_series(lam_arr, seed)
+    e = 2.0 - d + 2.0 * np.arange(h.shape[1])[:, None]
+    log_ratio = np.log(rho / r0)
+    # (r0^e - rho^e) / e, and ln(r0 / rho) for e = 0
+    g = np.where(e == 0.0, -log_ratio,
+                 -np.expm1(e * log_ratio) / np.where(e == 0.0, 1.0, e)) * r0 ** e
+    q = (star[0] / u0s)[:, None] + c[:, None] * (h @ g)
+    w = c[:, None] * rho ** (1.0 - d) * np.exp(
+        -(0.5 + lam_arr[:, None]) * np.log1p(-rho * rho))
+    return u0 * q, u0p * q - w / u0
+
+
 # ---------------------------------------------------------------------------
 # fundamental solutions by adaptive integration
 # ---------------------------------------------------------------------------
 
 
-def integrate(d: int, lam_arr, variant: str, endpoint: str, pts, rtol: float):
-    """(u, u') of the solution seeded at `endpoint` on ascending pts in
-    (0, 1), batched over lam; arrays (n_lam, n_pts).
+def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
+    """(u0, u0', u1, u1') on ascending pts in (0, 1), batched over lam;
+    arrays (n_lam, n_pts).
 
-    The origin-seeded solution is the regular one, the one-seeded solution
-    the analytic one, both with unit leading seed coefficient.  Points
-    inside the seed gap [0, ORIGIN_START] or [ONE_START, 1] are evaluated
-    from the Frobenius series, the rest by landing RK45 checkpoints on
-    them (integrating toward 0 for the one-seeded solution).
+    u0 is the origin-regular and u1 the analytic-at-one solution, both
+    with unit leading seed coefficient.  This is the one place where the
+    Frobenius series bridge the seed gap next to each endpoint: u0 on
+    [0, ORIGIN_START] and u1 on [ONE_START, 1) are the series, and the
+    rest is read off RK45 checkpoints landed on pts.  RK45 carries u0 up
+    from ORIGIN_START and u1 down from ONE_START.
 
-    The origin-seeded solution holds the singular branch (1-rho)^sigma,
-    sigma = 1/2 - lam, of the Frobenius pair at 1, which oscillates like
-    e^{-i Im(lam) ln(1-rho)}.  RK45 carries it only up to RHO_MID.  Above
-    RHO_MID it is a u_a + b (1-rho)^sigma w: u_a is the analytic-at-one
-    solution and w the singular branch in the gauge of `_batch_rhs`
-    (sigma), both smooth at 1, integrated as one RK45 batch of 2 n_lam
-    members from ONE_START down to RHO_MID (series on [ONE_START, 1)),
-    and (a, b) match the origin-seeded (u, u') at RHO_MID.  Near the
-    index resonance the pair is ill-conditioned: if any lam of the batch
-    has dist(1/2 - lam, Z) < INDEX_GAP, RK45 carries the origin-seeded
-    solution to ONE_START and it continues in the Frobenius pair at 1
-    (`match_at_one`).  That pair does not exist at |lam - 1/2| < 1e-8 or
-    lam = 3/2, 5/2, ..., so there the origin-seeded solution raises
-    IndexCollisionError for points in (ONE_START, 1) and works below.
-    This is the only RK45 entry of the package.
+    u0 holds the singular branch (1-rho)^sigma, sigma = 1/2 - lam, of the
+    Frobenius pair at 1, which oscillates like e^{-i Im(lam) ln(1-rho)}.
+    RK45 carries u0 only up to RHO_MID.  Above RHO_MID u0 is
+    a u1 + b (1-rho)^sigma w, with w the singular branch in the gauge of
+    `_batch_rhs` (sigma), smooth at 1 like u1: u1 and w are one RK45 batch
+    of 2 n_lam members from ONE_START down to RHO_MID, and (a, b) match u0
+    at RHO_MID.  An n_lam-wide run continues u1 from RHO_MID down.  Near
+    the index resonance the pair is ill-conditioned: if any lam of the
+    batch has dist(1/2 - lam, Z) < INDEX_GAP, RK45 carries u0 to ONE_START
+    and it continues in the Frobenius pair at 1 (`match_at_one`), and u1
+    is one run from ONE_START.  That pair does not exist at
+    |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ..., so there IndexCollisionError
+    is raised for points in (ONE_START, 1).
+
+    The descent of u1 stops at ORIGIN_START: below it u1 ~ rho^{2-d} and
+    `_reduce_at_origin` gives it in closed form from u0's series and
+    Abel's identity.  This is the only RK45 entry of the package.
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     pts = np.asarray(pts, dtype=float)
     if len(pts) and (pts[0] <= 0.0 or pts[-1] >= 1.0 or np.any(np.diff(pts) < 0.0)):
         raise DomainError("points must be ascending in (0, 1)")
     n_lam, n_pts = len(lam_arr), len(pts)
-    u = np.empty((n_lam, n_pts), dtype=complex)
-    up = np.empty((n_lam, n_pts), dtype=complex)
-    if not n_lam:
-        return u, up
+    u0, u0p, u1, u1p = (np.empty((n_lam, n_pts), dtype=complex) for _ in range(4))
+    if not n_lam or not n_pts:
+        return u0, u0p, u1, u1p
     sig = 0.5 - lam_arr
+    so = seed_origin(d, lam_arr, variant)
+    sa = seed_one(d, lam_arr, variant, "analytic")
+    plain = _batch_rhs(d, lam_arr, variant)
+    # initial step resolving the batch's fastest oscillation e^{a phi}
+    h0 = 0.5 / (20.0 + float(np.max(np.abs(sig))))
+    land = lambda rhs, x0, y0, cps: _rk45.solve(
+        rhs, x0, float(cps[-1]), y0, rtol=rtol, atol=1e-300, checkpoints=cps,
+        h0=h0)[1]
 
-    if endpoint == "origin":
-        seed = seed_origin(d, lam_arr, variant)
-        start, gap = ORIGIN_START, pts <= ORIGIN_START
-        stop = (RHO_MID if np.min(np.abs(sig - np.round(sig.real))) >= INDEX_GAP
-                else ONE_START)
-        far = pts > stop   # continued in the pair at 1, matched at stop
-        cps = pts[~gap & ~far]
-        if np.any(far):
-            cps = np.append(cps, stop)
-    else:
-        seed = seed_one(d, lam_arr, variant, "analytic")
-        start, gap = ONE_START, pts >= ONE_START
-        far = np.zeros(n_pts, dtype=bool)
-        cps = pts[~gap][::-1]  # descending toward 0
-    if np.any(gap):
-        u[:, gap], up[:, gap] = seed.eval(pts[gap])
-    runs = [(_batch_rhs(d, lam_arr, variant), start,
-             np.stack(seed.eval(start), axis=-1), cps)]
+    near, at_one = pts <= ORIGIN_START, pts >= ONE_START
+    u0[:, near], u0p[:, near] = so.eval(pts[near])
+    u1[:, at_one], u1p[:, at_one] = sa.eval(pts[at_one])
+    stop = (RHO_MID if np.min(np.abs(sig - np.round(sig.real))) >= INDEX_GAP
+            else ONE_START)
+    far = pts > stop   # u0 continued in a pair at 1, matched at stop
+
+    # u0 up from the origin series to stop
+    mid = ~near & ~far
+    cps = pts[mid]
     if np.any(far):
-        sa = seed_one(d, lam_arr, variant, "analytic")
-        ss = seed_one(d, lam_arr, variant, "singular")
-        series = far & (pts >= ONE_START)
-        rk = far & ~series
+        cps = np.append(cps, stop)
+    if len(cps):
+        vals = land(plain, ORIGIN_START, np.stack(so.eval(ORIGIN_START), axis=-1), cps)
+        n_mid = np.count_nonzero(mid)
+        u0[:, mid], u0p[:, mid] = vals[:n_mid, :, 0].T, vals[:n_mid, :, 1].T
+        at_stop = vals[-1].T.copy()
+        del vals   # freed before the next run's checkpoint values
+
+    # u1 down from the series at 1: above RHO_MID the u_a half of the pair
+    x1, y1 = ONE_START, np.stack(sa.eval(ONE_START), axis=-1)
+    if np.any(far):
         if stop == RHO_MID:
+            ss = seed_one(d, lam_arr, variant, "singular")
+            upper = (pts >= RHO_MID) & ~at_one
+            rk = far & ~at_one
+            cps = np.append(pts[upper][::-1], RHO_MID)
             # u_a and w, both Taylor series at 1, as one batch (u_a first)
             w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
                                    ss.coefficients)
-            runs.append((
+            pair = land(
                 _batch_rhs(d, np.tile(lam_arr, 2), variant,
                            np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
-                ONE_START,
-                np.concatenate([np.stack(s.eval(ONE_START), axis=-1)
-                                for s in (sa, w_seed)]),
-                np.append(pts[rk][::-1], RHO_MID)))
-    # initial step resolving the batch's fastest oscillation e^{a phi}
-    h0 = 0.5 / (20.0 + float(np.max(np.abs(sig))))
-    vals = []
-    for rhs, x0, y0, run_cps in runs:
-        if len(run_cps):
-            _, cp_vals, _ = _rk45.solve(rhs, x0, float(run_cps[-1]), y0,
-                                        rtol=rtol, atol=1e-300,
-                                        checkpoints=run_cps, h0=h0)
-            if not np.all(np.isfinite(cp_vals)):
-                raise QuadratureError("fundamental solution overflowed on nodes")
-            vals.append(cp_vals)
-    if not len(cps):
-        return u, up
+                ONE_START, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
+                                                        axis=-1)]), cps)
+            x1, y1 = RHO_MID, pair[-1, :n_lam].copy()
+            a, b = _pair_coefficients(*at_stop, y1.T,
+                                      _ungauge(sig, RHO_MID, *pair[-1, n_lam:].T))
+            n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk)
+            u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
+            u1p[:, upper] = pair[:n_up, :n_lam, 1][::-1].T
+            us, ups = _ungauge(sig[:, None], pts[rk],
+                               *pair[:n_rk, n_lam:][::-1].T)
+            del pair
+            u0[:, rk] = a[:, None] * u1[:, rk] + b[:, None] * us
+            u0p[:, rk] = a[:, None] * u1p[:, rk] + b[:, None] * ups
+            del us, ups
+        else:
+            a, b, (_, ss) = match_at_one(d, lam_arr, variant, *at_stop)
+        series = far & at_one
+        us, ups = ss.eval(pts[series])
+        u0[:, series] = a[:, None] * u1[:, series] + b[:, None] * us
+        u0p[:, series] = a[:, None] * u1p[:, series] + b[:, None] * ups
 
-    cp_vals = vals.pop(0)
-    if endpoint == "one":
-        cp_vals = cp_vals[::-1]
-    mid = ~gap & ~far
-    n_mid = np.count_nonzero(mid)
-    u[:, mid] = cp_vals[:n_mid, :, 0].T
-    up[:, mid] = cp_vals[:n_mid, :, 1].T
-    if not np.any(far):
-        return u, up
-    at_stop = cp_vals[-1].T.copy()
-    del cp_vals   # freed before the pair's (n_lam, n_pts) temporaries
-    if stop == RHO_MID:
-        pair = vals.pop()   # (u_a, w) from ONE_START down to RHO_MID
-        a, b = _pair_coefficients(*at_stop, pair[-1, :n_lam].T,
-                                  _ungauge(sig, RHO_MID, *pair[-1, n_lam:].T))
-        yu, yp = pair[:-1][::-1].T
-        us, ups = _ungauge(sig[:, None], pts[rk], yu[n_lam:], yp[n_lam:])
-        u[:, rk] = a[:, None] * yu[:n_lam] + b[:, None] * us
-        up[:, rk] = a[:, None] * yp[:n_lam] + b[:, None] * ups
-    else:
-        a, b, _ = match_at_one(d, lam_arr, variant, *at_stop)
-    (ua, upa), (us, ups) = sa.eval(pts[series]), ss.eval(pts[series])
-    u[:, series] = a[:, None] * ua + b[:, None] * us
-    up[:, series] = a[:, None] * upa + b[:, None] * ups
-    return u, up
+    # u1 on down to ORIGIN_START, and below it by reduction of order
+    low = ~near & (pts < x1)
+    cps = pts[low][::-1]
+    if np.any(near):
+        cps = np.append(cps, ORIGIN_START)
+    if len(cps):
+        vals = land(plain, x1, y1, cps)
+        n_low = np.count_nonzero(low)
+        u1[:, low] = vals[:n_low, :, 0][::-1].T
+        u1p[:, low] = vals[:n_low, :, 1][::-1].T
+        star = vals[-1].T.copy()
+        del vals
+    if np.any(near):
+        u1[:, near], u1p[:, near] = _reduce_at_origin(
+            d, lam_arr, so, pts[near], u0[:, near], u0p[:, near], star)
+    if not all(np.all(np.isfinite(v)) for v in (u0, u0p, u1, u1p)):
+        raise QuadratureError("fundamental solution overflowed on nodes")
+    return u0, u0p, u1, u1p
 
 
 def matching_wronskian(first, second):
@@ -416,9 +306,8 @@ def matching_wronskian(first, second):
 
 def _mid_wronskian(d, lam_arr, variant, rtol):
     """(mu, scale) at RHO_MID for an array of lam, arrays (n_lam,)."""
-    mu, scale = matching_wronskian(
-        integrate(d, lam_arr, variant, "origin", [RHO_MID], rtol),
-        integrate(d, lam_arr, variant, "one", [RHO_MID], rtol))
+    u0, u0p, u1, u1p = integrate(d, lam_arr, variant, [RHO_MID], rtol)
+    mu, scale = matching_wronskian((u0, u0p), (u1, u1p))
     return mu[:, 0], scale[:, 0]
 
 

@@ -37,7 +37,8 @@ class ExplicitLambda1:
         rho = np.asarray(rho, dtype=float)
         d = self.d
         s = np.sqrt(1.0 - rho**2)
-        return ((1.0 - s) ** (d / 2.0 - 1.0) - (1.0 + s) ** (d / 2.0 - 1.0)) / (
+        one_minus_s = rho**2 / (1.0 + s)   # 1 - s without cancellation
+        return (one_minus_s ** (d / 2.0 - 1.0) - (1.0 + s) ** (d / 2.0 - 1.0)) / (
             rho ** (d - 2.0) * s
         )
 
@@ -45,10 +46,11 @@ class ExplicitLambda1:
         rho = np.asarray(rho, dtype=float)
         d = self.d
         s = np.sqrt(1.0 - rho**2)
-        a = (1.0 - s) ** (d / 2.0 - 1.0)
+        one_minus_s = rho**2 / (1.0 + s)
+        a = one_minus_s ** (d / 2.0 - 1.0)
         b = (1.0 + s) ** (d / 2.0 - 1.0)
         dab = (d / 2.0 - 1.0) * (rho / s) * (
-            (1.0 - s) ** (d / 2.0 - 2.0) + (1.0 + s) ** (d / 2.0 - 2.0)
+            one_minus_s ** (d / 2.0 - 2.0) + (1.0 + s) ** (d / 2.0 - 2.0)
         )
         return dab / (rho ** (d - 2.0) * s) - (a - b) * (
             (d - 2.0) * s**2 - rho**2

@@ -79,13 +79,13 @@ def test_criterion_2_spectral_gap_three_methods():
 
 def test_criterion_3_lambda1_closed_forms():
     t0 = time.time()
-    worst_sol = worst_w = 0.0
+    worst_sol = worst_w = worst_small = 0.0
     rr = np.linspace(0.1, 0.9, 17)
     mid = 8  # rr[8] = 1/2, where the integrated solutions are scaled
+    small = np.array([3e-10, 1e-8, 1e-6, 1e-4, 5e-4, 0.5])
     for d in (3, 4, 5, 6):
         ex = ExplicitLambda1(d)
-        u0, u0p = ro.integrate(d, [1.0], "free", "origin", rr, 1e-11)
-        u1, u1p = ro.integrate(d, [1.0], "free", "one", rr, 1e-11)
+        u0, u0p, u1, u1p = ro.integrate(d, [1.0], "free", rr, 1e-11)
         ref = ex.u0(rr)
         scale0 = complex(u0[0, mid]) / ref[mid]
         worst_sol = max(worst_sol, float(np.max(np.abs(u0[0] / scale0 - ref)
@@ -98,9 +98,17 @@ def test_criterion_3_lambda1_closed_forms():
         w_ref = ex.wronskian(rr)
         worst_w = max(worst_w, float(np.max(
             np.abs(w_int / (scale0 * scale1) - w_ref) / np.abs(w_ref))))
-    ok = worst_sol <= 1e-8 and worst_w <= 1e-8
+        # below ORIGIN_START, at the resolvent's rtol 1e-10: u1 ~ rho^{2-d}
+        # and u1' pointwise, scaled at rho = 1/2 (the last point)
+        _, _, u1, u1p = ro.integrate(d, [1.0], "free", small, 1e-10)
+        scale1 = complex(u1[0, -1]) / ex.u1(0.5)
+        for got, ref in ((u1[0], ex.u1(small)), (u1p[0], ex.u1_deriv(small))):
+            worst_small = max(worst_small, float(np.max(
+                np.abs(got / scale1 - ref) / np.abs(ref))))
+    ok = worst_sol <= 1e-8 and worst_w <= 1e-8 and worst_small <= 1e-9
     _report(3, ok, f"solution mismatch {worst_sol:.2e}, "
-            f"Wronskian mismatch {worst_w:.2e}", t0, 10.0)
+            f"Wronskian mismatch {worst_w:.2e}, "
+            f"rho <= 5e-4 mismatch {worst_small:.2e}", t0, 10.0)
 
 
 def test_criterion_4_resolvent_correctness():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,11 +240,12 @@ GREEN_CHECK_LAMS = [2.0, 0.5 + 3.0j, 0.1 + 10.0j]
 @pytest.fixture(scope="module")
 def green_check_run():
     """The CLI's green-check at N 96: its residuals, the RHS calls of its
-    RK45 solves and the (endpoint, pts) of each integrate call."""
+    RK45 solves and their lowest abscissa, and the pts of each integrate
+    call."""
     disc = co.build(4, 96)
     src, _ = cli._smooth_test_source(disc, remove_projection=False)
     rho_test = disc.nodes[(disc.nodes >= 0.05) & (disc.nodes <= 0.95)]
-    calls, layouts = [0], []
+    calls, lowest, layouts = [0], [1.0], []
     batch_rhs, integrate = ro._batch_rhs, gr.integrate
 
     def counted_rhs(*args):
@@ -251,12 +253,13 @@ def green_check_run():
 
         def counted(x, y):
             calls[0] += 1
+            lowest[0] = min(lowest[0], float(np.min(x)))
             return f(x, y)
         return counted
 
-    def recorded(d, lam_arr, variant, endpoint, pts, rtol):
-        layouts.append((endpoint, pts))
-        return integrate(d, lam_arr, variant, endpoint, pts, rtol)
+    def recorded(d, lam_arr, variant, pts, rtol):
+        layouts.append(pts)
+        return integrate(d, lam_arr, variant, pts, rtol)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ro, "_batch_rhs", counted_rhs)
@@ -264,7 +267,8 @@ def green_check_run():
         out = gr.residual_checks(4, GREEN_CHECK_LAMS, "perturbed", src,
                                  rho_test)
     assert len(rho_test) == 72
-    return out, calls[0], layouts
+    return SimpleNamespace(out=out, calls=calls[0], lowest=lowest[0],
+                           layouts=layouts)
 
 
 class TestGreenCheckLayout:
@@ -272,28 +276,35 @@ class TestGreenCheckLayout:
         # ~5,000 checkpoints per solve: a step lands on the last one it
         # reaches and fills the passed ones by one sub-step batch
         # (landing on each one cost 77,180 RHS calls)
-        out, calls, _ = green_check_run
-        assert calls <= 40_000
+        run = green_check_run
+        assert run.calls <= 40_000
         assert all(o["ode_residual"] <= 1e-6 and o["round_trip"] <= 1e-6
-                   for o in out)
+                   for o in run.out)
 
     def test_rhs_calls_with_the_gauge_pair(self, green_check_run):
         # above RHO_MID u0 is the gauge pair integrated from ONE_START,
         # smooth at rho = 1: 20,731 RHS calls, against 29,492 when RK45
         # carried u0 itself to ONE_START
-        _, calls, _ = green_check_run
-        assert calls <= 22_000
+        assert green_check_run.calls <= 22_000
+
+    def test_one_analytic_descent(self, green_check_run):
+        # u1 is the u_a half of the gauge pair above RHO_MID, one run from
+        # there to ORIGIN_START, and reduction of order below it: 9,587
+        # RHS calls, against 20,731 when u1 was a second descent from
+        # ONE_START to the smallest node, 2.7e-10
+        run = green_check_run
+        assert run.calls <= 11_000
+        assert min(run.layouts[0]) < 1e-9
+        # no RK45 run goes below ORIGIN_START: no RHS call is made there
+        assert run.lowest == ro.ORIGIN_START
 
     def test_integrate_matches_a_tight_reference(self, green_check_run):
-        _, _, layouts = green_check_run
-        assert [e for e, _ in layouts] == ["origin", "one"]
-        for endpoint, pts in layouts:
-            u, _ = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", endpoint,
-                                pts, 1e-10)
-            ref, _ = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", endpoint,
-                                  pts, 1e-13)
-            rel = np.max(np.abs(u - ref), axis=1) / np.max(np.abs(ref), axis=1)
-            assert np.all(rel <= 1e-9), (endpoint, rel)
+        [pts] = green_check_run.layouts
+        out = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", pts, 1e-10)
+        ref = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", pts, 1e-13)
+        for name, u, r in zip(("u0", "u1"), out[::2], ref[::2]):
+            rel = np.max(np.abs(u - r), axis=1) / np.max(np.abs(r), axis=1)
+            assert np.all(rel <= 1e-9), (name, rel)
 
 
 class TestKernelDecay:

@@ -7,6 +7,8 @@ import pytest
 from closed_forms import ExplicitLambda1
 from conewave import _rk45
 from conewave import collocation as co
+from conewave import frobenius as fr
+from conewave import green as gr
 from conewave import radialode as ro
 from conewave import specfun as sf
 from conewave.errors import (ContourTooCloseError, DomainError,
@@ -119,7 +121,7 @@ def _scalar_origin(d, lam, variant):
     c0 = complex(ro.zero_order_coeff(d, lam, variant))
     a = [1.0 + 0.0j]
     k = 0
-    while k < ro.SEED_ORDER or (abs(a[-1]) * ro.ORIGIN_START ** (2 * k) > 1e-17
+    while k < fr.SEED_ORDER or (abs(a[-1]) * ro.ORIGIN_START ** (2 * k) > 1e-17
                                 and k < 80):
         num = 4.0 * k * k + 2.0 * k * (2.0 * lam + d - 1.0) + c0
         a.append(a[-1] * num / ((2.0 * k + 2.0) * (2.0 * k + d)))
@@ -134,7 +136,7 @@ def _scalar_one(d, lam, variant, branch):
     two_ld = 2.0 * lam + d
     b = [1.0 + 0.0j]
     m = 0
-    while m < ro.SEED_ORDER or (abs(b[-1]) * (1.0 - ro.ONE_START) ** m > 1e-17
+    while m < fr.SEED_ORDER or (abs(b[-1]) * (1.0 - ro.ONE_START) ** m > 1e-17
                                 and m < 80):
         ms = m + sig
         c_m = (ms + 1.0) * (2.0 * ms + 2.0 * lam + 1.0)
@@ -147,7 +149,7 @@ def _scalar_one(d, lam, variant, branch):
 
 
 def _origin(d, lam, variant, pts, rtol=1e-11):
-    u, up = ro.integrate(d, [lam], variant, "origin", np.asarray(pts), rtol)
+    u, up, _, _ = ro.integrate(d, [lam], variant, np.asarray(pts), rtol)
     return u[0], up[0]
 
 
@@ -160,6 +162,17 @@ def _direct_origin(d, lams, variant, pts):
                            pts[-1], np.stack(seed.eval(ro.ORIGIN_START), axis=-1),
                            rtol=1e-13, atol=1e-300, checkpoints=pts)
     return cp[:, :, 0].T, cp[:, :, 1].T
+
+
+def _direct_one(d, lams, variant, pts):
+    """(u, u') of the analytic-at-one solution by one RK45 run of the plain
+    equation from its seed down to pts[0] at rtol 1e-13, with no pair
+    continuation and no closed form near 0; arrays (n_lam, n_pts)."""
+    seed = ro.seed_one(d, lams, variant, "analytic")
+    _, cp, _ = _rk45.solve(ro._batch_rhs(d, lams, variant), ro.ONE_START,
+                           pts[0], np.stack(seed.eval(ro.ONE_START), axis=-1),
+                           rtol=1e-13, atol=1e-300, checkpoints=pts[::-1])
+    return cp[::-1, :, 0].T, cp[::-1, :, 1].T
 
 
 class TestIntegration:
@@ -209,7 +222,8 @@ class TestIntegration:
         pts = start + np.array([-1e-6, -1e-9, 1e-9, 1e-6])
         seed = (ro.seed_origin(4, [lam], "perturbed") if endpoint == "origin"
                 else ro.seed_one(4, [lam], "perturbed", "analytic"))
-        u, up = ro.integrate(4, [lam], "perturbed", endpoint, pts, 1e-10)
+        u0, u0p, u1, u1p = ro.integrate(4, [lam], "perturbed", pts, 1e-10)
+        u, up = (u0, u0p) if endpoint == "origin" else (u1, u1p)
         [ref_u], [ref_up] = seed.eval(pts)
         assert np.max(np.abs(u[0] - ref_u) / np.abs(ref_u)) <= 1e-9
         assert np.max(np.abs(up[0] - ref_up)) <= 1e-9 * np.max(np.abs(ref_up))
@@ -220,7 +234,7 @@ class TestIntegration:
         pts = np.array([0.5, 0.9991, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
         for d in (3, 4, 5, 6):
             ex = ExplicitLambda1(d)
-            u, up = ro.integrate(d, [1.0], "free", "origin", pts, 1e-11)
+            u, up, _, _ = ro.integrate(d, [1.0], "free", pts, 1e-11)
             c = u[0, 0] / ex.u0(0.5)
             ref_u, ref_up = ex.u0(pts), ex.u0_deriv(pts)
             assert np.max(np.abs(u[0] / c - ref_u) / ref_u) <= 1e-8
@@ -257,7 +271,7 @@ class TestIntegration:
             return batch_rhs(*args)
 
         monkeypatch.setattr(ro, "_batch_rhs", recorded)
-        u, up = ro.integrate(4, [lam], "perturbed", "origin", pts, 1e-10)
+        u, up, _, _ = ro.integrate(4, [lam], "perturbed", pts, 1e-10)
         assert gauged == ([False] if side < 1.0 else [False, True])
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
         assert np.max(np.abs(up - ref_p)) <= 1e-9 * np.max(np.abs(ref_p))
@@ -269,21 +283,36 @@ class TestIntegration:
         # against 5.5e-9 when RK45 carried u0 itself up to 0.998)
         lams = [0.4 + 100.0j, 0.4 + 200.0j]
         pts = np.linspace(0.01, 0.998, 300)
-        _, up = ro.integrate(4, lams, "perturbed", "origin", pts, 1e-10)
+        _, up, _, _ = ro.integrate(4, lams, "perturbed", pts, 1e-10)
         _, ref = _direct_origin(4, lams, "perturbed", pts)
         rel = np.max(np.abs(up - ref), axis=1) / np.max(np.abs(ref), axis=1)
         assert np.all(rel <= 2e-9), rel
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_origin_continuation(self, d):
+        # on the Green layout's nodes below ORIGIN_START (down to 2.7e-10)
+        # u1 ~ rho^{2-d} is u0 q by reduction of order from ORIGIN_START;
+        # outside INDEX_GAP its descent continues the gauge pair from
+        # RHO_MID, inside it is one run from ONE_START
+        _, nodes, _ = gr._panel_layout([])
+        small = nodes <= ro.ORIGIN_START
+        for lams in ([0.4, 2.0, 0.3 + 5.0j], [1.5 + 0.8 * ro.INDEX_GAP]):
+            _, _, u1, u1p = ro.integrate(d, lams, "perturbed", nodes, 1e-10)
+            ref, ref_p = _direct_one(d, lams, "perturbed", nodes[small])
+            for got, want in ((u1[:, small], ref), (u1p[:, small], ref_p)):
+                rel = np.max(np.abs(got - want) / np.abs(want))
+                assert rel <= 1e-9, (lams, rel)
+
     def test_empty_batch(self):
         # no lam: empty arrays, also where RK45 would land checkpoints
-        u, up = ro.integrate(4, [], "free", "one", [0.2, 0.5, 0.9999], 1e-8)
-        assert u.shape == up.shape == (0, 3)
+        out = ro.integrate(4, [], "free", [0.2, 0.5, 0.9999], 1e-8)
+        assert [a.shape for a in out] == [(0, 3)] * 4
         assert ro._indicator_batch(4, [], "free").shape == (0,)
 
     def test_domain_errors(self):
         for pts in ([0.5, 1.0], [0.0, 0.5], [-0.1], [0.6, 0.4]):
             with pytest.raises(DomainError):
-                ro.integrate(4, [0.0], "free", "origin", pts, 1e-10)
+                ro.integrate(4, [0.0], "free", pts, 1e-10)
 
 
 class TestWronskian:
@@ -291,8 +320,7 @@ class TestWronskian:
         # W(rho) rho^{d-1} (1-rho^2)^{1/2+lam} is constant
         d, lam = 4, 0.3 + 2.0j
         r = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-        u0, u0p = ro.integrate(d, [lam], "perturbed", "origin", r, 1e-11)
-        u1, u1p = ro.integrate(d, [lam], "perturbed", "one", r, 1e-11)
+        u0, u0p, u1, u1p = ro.integrate(d, [lam], "perturbed", r, 1e-11)
         w = u0[0] * u1p[0] - u0p[0] * u1[0]
         vals = w * r ** (d - 1) * (1.0 - r * r) ** (0.5 + lam)
         assert np.max(np.abs(vals - vals[0])) <= 1e-8 * abs(vals[0])
@@ -555,8 +583,8 @@ class TestNearOneModel:
         xs = 1.0 - np.linspace(0.9, 0.998, 12)
         rr = 1.0 - xs
         r_ref = 1.0 - 1e-4
-        u, _ = ro.integrate(d, [lam], "perturbed", "one",
-                            np.append(rr, r_ref), 1e-11)
+        _, _, u, _ = ro.integrate(d, [lam], "perturbed", np.append(rr, r_ref),
+                                  1e-11)
         u, u_ref = u[0, :-1], u[0, -1]
         v = rr ** ((d - 1) / 2.0) * (1.0 - rr**2) ** (0.25 + lam / 2.0) * u
         ratio = v / nm.w1(rr)
