@@ -309,7 +309,7 @@ def dump_trajectory(traj: EvolutionTrajectory, csv_path, json_path,
     """
     disc = traj.disc
     with open(csv_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
+        wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["tau", "rho_index", "phi1", "phi2"])
         for k in range(0, len(traj.taus), stride):
             s = traj.states[k]

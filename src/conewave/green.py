@@ -17,19 +17,16 @@ with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 `build_kernel` returns the normalized u0, u1 and their derivatives on a
 point set for an array of lam, from one `radialode.integrate` call; the
 resolvent, `green_eval` and the kernel-decay scan all read them from
-there.  Above RHO_MID u0 is a u1 + b u_singular, with the singular
-Frobenius branch at 1 integrated in the gauge u_singular =
-(1-rho)^{1/2-lam} w in one batch with u1 (within INDEX_GAP of the index
-resonance: the Frobenius pair at ONE_START, `radialode.match_at_one`).
-u1 is carried down to ORIGIN_START only; on the quadrature nodes below
-it (down to ~2.7e-10) it is u0 q by reduction of order on the origin
-series.  The rho = 1 trace reads b from `match_at_one`, which raises
-IndexCollisionError where the singular branch is no pure Frobenius
-series (|lam - 1/2| < 1e-8, lam = 3/2, 5/2, ...).  The resolvent is
-applied for an array of lam at once (`_resolvent_batch`, its one path),
-and `residual_checks` verifies all lam of one such solve together:
-its finite-difference residuals and round trips are (n_lam, n_test)
-arrays.
+there, and only `integrate` knows the Frobenius pairs at 0 and 1 (it
+raises IndexCollisionError on nodes near 1 where the pair at 1 does not
+exist: |lam - 1/2| < 1e-8, lam = 3/2, 5/2, ...).  The resolvent output
+is smooth at rho = 1: u1(1) = 1 and u0 int_rho^1 K u1 -> 0, so the
+trace there is int_0^1 K u0, and the equation at rho = 1, where the u''
+coefficient 1 - rho^2 vanishes, gives the derivative trace
+(2 lam + 1) u'(1) = F_lam(1) - c0(lam) u(1).  The resolvent is applied
+for an array of lam at once (`_resolvent_batch`, its one path), and
+`residual_checks` verifies all lam of one such solve together: its
+finite-difference residuals and round trips are (n_lam, n_test) arrays.
 
 Quadrature uses Gauss-Legendre panels refined geometrically (ratio 1/2,
 GEO_DEPTH = 24 levels) toward both endpoints; the panel at each end has width
@@ -61,8 +58,7 @@ from .errors import (DomainError, NearEigenvalueError, QuadratureError,
 from .model import varphi
 # `integrate` is bound here by name: the benchmark's tracer patches
 # conewave.green:integrate and conewave.green:build_kernel
-from .radialode import (ONE_START, integrate, match_at_one,
-                        matching_wronskian, ode_residual)
+from .radialode import integrate, matching_wronskian, ode_residual
 from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 
 GEO_DEPTH = 24
@@ -192,29 +188,26 @@ def green_eval(d: int, lam, variant: str, rho, s, rtol: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
-    """[R(lam) f] on rho_out for each lam; arrays (n_lam, n_out).
+def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol):
+    """[R(lam) f] as (u1, u2, u1') on rho_out for each lam; arrays
+    (n_lam, n_out).
 
     Endpoints are allowed: at rho=0 only the regular branch contributes,
-    at rho=1 the trace is u1(1) int_0^1 K u0 and the derivative trace
-    picks up the finite limit of u0' int_rho^1 K u1 through the singular
-    Frobenius coefficient of u0 at rho=1.
+    and at rho=1 the trace is int_0^1 K u0 and the derivative trace comes
+    from the equation there (module docstring).
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     rho_out = np.asarray(rho_out, dtype=float)
     if np.any(rho_out < 0.0) or np.any(rho_out > 1.0):
         raise DomainError("output points must lie in [0, 1]")
     interior = (rho_out > 0.0) & (rho_out < 1.0)
-    at_one = rho_out == 1.0
     bps, nodes, wts = _panel_layout(rho_out[interior])
 
-    pos = interior
-    eval_pts = np.unique(np.concatenate(
-        [nodes, rho_out[pos], [ONE_START]]))
+    eval_pts = np.unique(np.concatenate([nodes, rho_out[interior]]))
     u0, u0p, u1, u1p, scale0 = build_kernel(d, lam_arr, variant, eval_pts, rtol)
 
     node_ix = np.searchsorted(eval_pts, nodes)
-    out_ix = np.searchsorted(eval_pts, rho_out)
+    out_ix = np.searchsorted(eval_pts, rho_out[interior])
 
     flam = src.F_lambda(nodes, 0.0, d)[None, :] + lam_arr[:, None] * src.f1(nodes)[None, :]
     kern = wts[None, :] * _kernel_weight(d, lam_arr, nodes) * flam
@@ -236,27 +229,19 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol=1e-8):
 
     uo = np.zeros((len(lam_arr), len(rho_out)), dtype=complex)
     uop = np.zeros_like(uo)
-    uo[:, pos] = u0[:, out_ix[pos]] * i1[:, pos] + u1[:, out_ix[pos]] * i0[:, pos]
-    uop[:, pos] = u0p[:, out_ix[pos]] * i1[:, pos] + u1p[:, out_ix[pos]] * i0[:, pos]
-    for jj in np.where(rho_out == 0.0)[0]:
-        # at rho = 0: I0 = 0 and u1 I0 -> 0, so only the regular branch
-        # acts; u0(0) is the kernel's scale, u0'(0) = 0
-        uo[:, jj] = scale0[:, 0] * cums1[:, -1]
-        uop[:, jj] = 0.0
-    if np.any(at_one):
-        i0_full = cums0[:, -1]
-        star_ix = int(np.searchsorted(eval_pts, ONE_START))
-        _, b_coef, (seed_a, _) = match_at_one(d, lam_arr, variant,
-                                              u0[:, star_ix], u0p[:, star_ix])
-        # u1 is the analytic seed: u1(1) = b_0 and u1'(1) = -b_1
-        u1_at1, u1p_at1 = seed_a.coefficients[:, 0], -seed_a.coefficients[:, 1]
-        one = np.asarray(1.0)
-        f_at1 = src.F_lambda(one, 0.0, d) + lam_arr * src.f1(one)
-        lim_coef = (-b_coef * (0.5 - lam_arr) * f_at1 * u1_at1
-                    * 2.0 ** (lam_arr - 0.5) / (2.0j * (lam_arr + 0.5)))
-        for jj in np.where(at_one)[0]:
-            uo[:, jj] = u1_at1 * i0_full
-            uop[:, jj] = u1p_at1 * i0_full + lim_coef
+    uo[:, interior] = u0[:, out_ix] * i1[:, interior] + u1[:, out_ix] * i0[:, interior]
+    uop[:, interior] = u0p[:, out_ix] * i1[:, interior] + u1p[:, out_ix] * i0[:, interior]
+    # at rho = 0: I0 = 0 and u1 I0 -> 0, so only the regular branch acts;
+    # u0(0) is the kernel's scale, u0'(0) = 0
+    uo[:, rho_out == 0.0] = scale0 * tot1
+    # at rho = 1 (module docstring): U(1) = I0(1), and (2 lam + 1) U'(1)
+    # = F_lam(1) - c0 U(1), where -c0 U is ode_residual with u' = u'' = 0
+    at_one = rho_out == 1.0
+    u_one = cums0[:, -1:]
+    rhs_one = src.F_lambda(1.0, lam_arr[:, None], d) + ode_residual(
+        d, lam_arr[:, None], variant, 1.0, u_one, 0.0, 0.0)
+    uo[:, at_one] = u_one
+    uop[:, at_one] = rhs_one / (2.0 * lam_arr[:, None] + 1.0)
     if not np.all(np.isfinite(uo)):
         raise QuadratureError("endpoint integral did not converge")
     u2 = (lam_arr[:, None] + (d - 2.0) / 2.0) * uo + rho_out[None, :] * uop \
@@ -274,6 +259,10 @@ def residual_checks(d: int, lams, variant: str, src: SourceTerm,
     local stencils, so the check does not reuse the Green-function
     algebra.  Returns one dict per lam with the relative sup of the
     reduced-ODE residual and of the full round trip (second component).
+    Both are blind to an error that solves the homogeneous equation: at
+    d 4, lam = 0.1 + 10i the resolvent of an exact polynomial pair is off
+    by 7.7e-4, all of it a multiple of u0 (the endpoint-panel share of the
+    quadrature), while both checks read below 1.3e-9.
     """
     lams = np.asarray(lams, dtype=complex)
     h = 2e-4
@@ -375,12 +364,9 @@ def semigroup_laplace(d: int, tau: float, src: SourceTerm, rho_out,
                                     rtol=LAPLACE_RTOL)
         u1 = u1 - f1_out[None, :] / lam[:, None]
         phases = np.exp((eps + 1j * ws) * tau)
-        contrib = (coef[:, None] * np.real(phases[:, None] * u1)).sum(axis=0)
-        total += contrib / math.pi
-        in_tail = ws >= omega_max / 2.0
-        if np.any(in_tail):
-            tail += (coef[in_tail, None]
-                     * np.real(phases[in_tail, None] * u1[in_tail])).sum(axis=0) / math.pi
+        terms = coef[:, None] * np.real(phases[:, None] * u1)
+        total += terms.sum(axis=0) / math.pi
+        tail += terms[ws >= omega_max / 2.0].sum(axis=0) / math.pi
     denom = float(np.linalg.norm(total)) + 1e-300
     tail_rel = float(np.linalg.norm(tail)) / denom
     if tail_rel > 0.01:

@@ -23,9 +23,9 @@ that batch.  Below ORIGIN_START u1 ~ rho^{2-d} is u0 q by reduction of
 order on the origin series (`_reduce_at_origin`), the origin's
 counterpart of the pair at 1.  Within INDEX_GAP of the index resonance
 (1/2 - lam an integer) the gauge pair is ill-conditioned, and u0 is
-integrated to ONE_START and continued in the Frobenius pair at 1
-(`match_at_one`), which raises IndexCollisionError where the pair does
-not exist.
+integrated to ONE_START and continued in the Frobenius pair at 1, whose
+singular seed raises IndexCollisionError where the pair does not exist.
+`integrate` is the only function that builds the Frobenius seeds.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
 Green kernel), counted by the argument principle on bands, located by
@@ -111,21 +111,6 @@ def _pair_coefficients(u, up, first, second):
             matching_wronskian(first, (u, up))[0] / det)
 
 
-def match_at_one(d: int, lam_arr, variant: str, u, up):
-    """Coefficients in the Frobenius pair at rho=1 of the solutions with
-    data (u, u') at ONE_START, one per lam.
-
-    Returns (a, b, (analytic, singular)): arrays with u = a u_analytic +
-    b u_singular on [ONE_START, 1) and the batched seeds of the pair.
-    Raises IndexCollisionError where the singular branch is no pure
-    Frobenius series: |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ...
-    """
-    sa = seed_one(d, lam_arr, variant, "analytic")
-    ss = seed_one(d, lam_arr, variant, "singular")
-    a, b = _pair_coefficients(u, up, sa.eval(ONE_START), ss.eval(ONE_START))
-    return a, b, (sa, ss)
-
-
 def _ungauge(sig, rho, w, wp):
     """(u, u') of u = (1-rho)^sig w from (w, w'); sig broadcasts against w
     and rho against its last axis."""
@@ -184,10 +169,11 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
     at RHO_MID.  An n_lam-wide run continues u1 from RHO_MID down.  Near
     the index resonance the pair is ill-conditioned: if any lam of the
     batch has dist(1/2 - lam, Z) < INDEX_GAP, RK45 carries u0 to ONE_START
-    and it continues in the Frobenius pair at 1 (`match_at_one`), and u1
-    is one run from ONE_START.  That pair does not exist at
-    |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ..., so there IndexCollisionError
-    is raised for points in (ONE_START, 1).
+    and it continues in the Frobenius pair at 1, and u1 is one run from
+    ONE_START.  Either way one Cramer solve matches u0 at the stop point
+    in its pair.  The Frobenius pair does not exist at |lam - 1/2| < 1e-8
+    or lam = 3/2, 5/2, ..., so there IndexCollisionError is raised for
+    points in (ONE_START, 1).
 
     The descent of u1 stops at ORIGIN_START: below it u1 ~ rho^{2-d} and
     `_reduce_at_origin` gives it in closed form from u0's series and
@@ -233,8 +219,11 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
     # u1 down from the series at 1: above RHO_MID the u_a half of the pair
     x1, y1 = ONE_START, np.stack(sa.eval(ONE_START), axis=-1)
     if np.any(far):
+        ss = seed_one(d, lam_arr, variant, "singular")
+        # u0's slots on far hold the singular branch until (a, b) are known
+        series = far & at_one
+        u0[:, series], u0p[:, series] = ss.eval(pts[series])
         if stop == RHO_MID:
-            ss = seed_one(d, lam_arr, variant, "singular")
             upper = (pts >= RHO_MID) & ~at_one
             rk = far & ~at_one
             cps = np.append(pts[upper][::-1], RHO_MID)
@@ -247,23 +236,18 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
                 ONE_START, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
                                                         axis=-1)]), cps)
             x1, y1 = RHO_MID, pair[-1, :n_lam].copy()
-            a, b = _pair_coefficients(*at_stop, y1.T,
-                                      _ungauge(sig, RHO_MID, *pair[-1, n_lam:].T))
+            basis = (y1.T, _ungauge(sig, RHO_MID, *pair[-1, n_lam:].T))
             n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk)
             u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
             u1p[:, upper] = pair[:n_up, :n_lam, 1][::-1].T
-            us, ups = _ungauge(sig[:, None], pts[rk],
-                               *pair[:n_rk, n_lam:][::-1].T)
+            u0[:, rk], u0p[:, rk] = _ungauge(sig[:, None], pts[rk],
+                                             *pair[:n_rk, n_lam:][::-1].T)
             del pair
-            u0[:, rk] = a[:, None] * u1[:, rk] + b[:, None] * us
-            u0p[:, rk] = a[:, None] * u1p[:, rk] + b[:, None] * ups
-            del us, ups
         else:
-            a, b, (_, ss) = match_at_one(d, lam_arr, variant, *at_stop)
-        series = far & at_one
-        us, ups = ss.eval(pts[series])
-        u0[:, series] = a[:, None] * u1[:, series] + b[:, None] * us
-        u0p[:, series] = a[:, None] * u1p[:, series] + b[:, None] * ups
+            basis = (sa.eval(ONE_START), ss.eval(ONE_START))
+        a, b = _pair_coefficients(*at_stop, *basis)
+        u0[:, far] = a[:, None] * u1[:, far] + b[:, None] * u0[:, far]
+        u0p[:, far] = a[:, None] * u1p[:, far] + b[:, None] * u0p[:, far]
 
     # u1 on down to ORIGIN_START, and below it by reduction of order
     low = ~near & (pts < x1)

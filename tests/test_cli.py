@@ -156,6 +156,7 @@ class TestCommands:
         csv_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
         csv_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert csv_a == csv_b
+        assert b"\r" not in csv_a   # "\n" line endings, like every other CSV
         side = json.loads((tmp_path / "a" / "trajectory_norms.json").read_text())
         assert side["mode"] == "linear-perturbed"
         manifest = json.loads(

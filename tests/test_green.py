@@ -114,12 +114,15 @@ class TestKernel:
 
 class TestResolvent:
     def test_forward_operator_oracle(self):
-        src, u1e, u2e = _poly_pair_source(4, 2.0)
         rho = np.linspace(0.0, 1.0, 21)
-        u1, u2, _ = gr._resolvent_batch(4, [2.0], "perturbed", src, rho,
-                                        rtol=1e-10)
-        assert np.max(np.abs(u1[0] - u1e(rho))) <= 1e-6
-        assert np.max(np.abs(u2[0] - u2e(rho))) <= 1e-6
+        for d in (3, 4, 6):
+            src, u1e, u2e = _poly_pair_source(d, 2.0)
+            u1, u2, u1p = gr._resolvent_batch(d, [2.0], "perturbed", src, rho,
+                                              rtol=1e-10)
+            assert np.max(np.abs(u1[0] - u1e(rho))) <= 1e-6
+            assert np.max(np.abs(u2[0] - u2e(rho))) <= 1e-6
+            # the rho = 1 derivative trace, from the equation there
+            assert abs(u1p[0, -1] + 0.8) <= 1e-10   # u1'(1) = -2 + 1.2
 
     def test_zero_source(self):
         z = lambda r: np.zeros_like(np.asarray(r, dtype=float))

@@ -7,12 +7,13 @@ matched to definitions by name (the called name or attribute), so a
 parameter counts as set when any call of that name passes it by keyword,
 by position, or through ``*args`` / ``**kwargs``.
 
-Three more checks keep each fact in one place: no function takes a
+More checks keep each fact in one place: no function takes a
 dimension ``d`` beside a discretization ``disc`` (which carries
 ``disc.d``), ``radialode.integrate`` is the only caller of
 ``_rk45.solve`` and ``_rk45.solve`` the only caller of its checkpoint
-sub-step ``_rk45._substep``, and the Frobenius seeds are built for a
-whole batch of lam, never one lam per loop pass.
+sub-step ``_rk45._substep``, ``radialode.integrate`` is the only
+builder of the Frobenius seeds, and it builds them for a whole batch of
+lam, never one lam per loop pass.
 
 The last checks keep work done once: the blowup fit's independent runs
 (its T grid, each error-bar re-fit's start pair, the detuned pair of the
@@ -146,14 +147,17 @@ def test_no_function_takes_d_beside_disc():
     assert both == []
 
 
-def _calls_rk45(call, name):
+def _calls(call, name, module):
+    """Whether call is ``name(...)`` or ``module.name(...)``."""
     func = call.func
     return (isinstance(func, ast.Name) and func.id == name
             or isinstance(func, ast.Attribute) and func.attr == name
-            and isinstance(func.value, ast.Name) and func.value.id == "_rk45")
+            and isinstance(func.value, ast.Name) and func.value.id == module)
 
 
-def _rk45_callers(name):
+def _callers(name, module):
+    """'module.function' of every call of name (bare or as module.name) in
+    src/conewave, one entry per call."""
     callers = []
 
     def visit(node, stem, owner):
@@ -161,7 +165,7 @@ def _rk45_callers(name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, stem, child.name)
                 continue
-            if isinstance(child, ast.Call) and _calls_rk45(child, name):
+            if isinstance(child, ast.Call) and _calls(child, name, module):
                 callers.append(f"{stem}.{owner}")
             visit(child, stem, owner)
 
@@ -171,9 +175,16 @@ def _rk45_callers(name):
 
 
 def test_rk45_solve_is_called_only_by_integrate():
-    assert _rk45_callers("solve") == ["radialode.integrate"]
+    assert _callers("solve", "_rk45") == ["radialode.integrate"]
     # one RK45 path: the checkpoint sub-step batch is part of solve
-    assert _rk45_callers("_substep") == ["_rk45.solve"]
+    assert _callers("_substep", "_rk45") == ["_rk45.solve"]
+
+
+def test_frobenius_seeds_are_built_only_by_integrate():
+    # the Frobenius pairs at 0 and 1 are known to one function; the
+    # resolvent's rho = 1 trace comes from the equation, not from them
+    for name in ("seed_one", "seed_origin"):
+        assert set(_callers(name, "frobenius")) == {"radialode.integrate"}
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
