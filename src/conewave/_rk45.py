@@ -8,18 +8,27 @@ passed get their values from one batched RK5 sub-step from its start, no
 longer than the step and so no less accurate (after a clipped step the
 controller resumes from the step it proposed before clipping).  The
 seven stages of a step live in one (7, batch, n) buffer: each stage
-increment and the error estimate is one real matrix product of an
-h-scaled tableau row with the buffer's float view.  Dense output
-(quintic Hermite on the accepted steps, ~2e-10 relative) has no conewave
-caller; it stays because the benchmark's self-test (conebench) drives it.
+increment and the error estimate is one real matrix product of a row of
+the h-scaled tableau, formed once per attempt, with the buffer's float
+view.  Beside its six RHS calls an attempt makes only the numpy calls
+its arithmetic needs: the error norm takes member maxima with
+elementwise np.maximum over the component columns, where a reduction
+over a length-2 axis costs over ten times as much, and checkpoints are
+found by bisect on a list.
+
+Dense output (quintic Hermite on the accepted steps, ~2e-10 relative)
+has no conewave caller; it stays because the benchmark's self-test
+(conebench) drives it.
 """
+
+import bisect
 
 import numpy as np
 
-from .errors import StepFailure
+from .errors import DomainError, StepFailure
 
-# lower-triangular stage matrix; its last row holds the 5th-order
-# weights (FSAL), and _ROWS[i] forms stage i from stages 0..i-1
+# lower-triangular stage matrix; row i forms stage i from stages 0..i-1,
+# row 6 holds the 5th-order weights (FSAL) and row 7 the error weights
 _A = np.array([row + (0.0,) * (7 - len(row)) for row in (
     (),
     (1 / 5,),
@@ -29,10 +38,9 @@ _A = np.array([row + (0.0,) * (7 - len(row)) for row in (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )])
-_ROWS = tuple(_A[i, :i] for i in range(7))
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_E = _A[6] - np.array(_B4)
+_AE = np.vstack([_A, _A[6] - np.array(_B4)])
 
 _MAX_STEPS = 2_000_000
 
@@ -109,9 +117,19 @@ def _substep(f, x, y, k1, xs):
     flat = stages.view(float).reshape(6, -1)
     stages[0] = k1
     for i in range(1, 6):
-        incr = (_ROWS[i] @ flat[:i]).view(complex).reshape(shape)
+        incr = (_A[i, :i] @ flat[:i]).view(complex).reshape(shape)
         stages[i] = f(x + _C[i] * h, y + h[..., None] * incr)
     return y + h[..., None] * (_A[6, :6] @ flat).view(complex).reshape(shape)
+
+
+def _member_max(a):
+    """Elementwise max over the last axis of a (batch, n) array by n - 1
+    np.maximum calls on the columns: ~2 us at batch 374 and n = 2, where
+    .max(axis=-1) takes ~28 us."""
+    m = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        m = np.maximum(m, a[..., k])
+    return m
 
 
 def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
@@ -124,10 +142,18 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
         For a sub-step batch it is called with x of shape (m, 1) and y of
         shape (m, batch, n); x broadcasts against each component y[..., k].
     y0 : array (batch, n) or (n,).
-    checkpoints : optional sorted array of x values (monotone toward x_end);
-        a step lands on the last one it reaches, `_substep` fills the ones
-        it passed, and the state is recorded at each.
+    checkpoints : optional array of x values in [x0, x_end], monotone
+        toward x_end (DomainError otherwise, before any step); a step
+        lands on the last one it reaches, `_substep` fills the ones it
+        passed, and the state is recorded at each.
     dense : keep all accepted steps for later Hermite evaluation.
+
+    The error norm is the max over members of max_k |err_k| / (atol +
+    rtol max(max_k |y_k|, max_k |y5_k|)): the components of one member
+    share a scale, so zero crossings of oscillatory components stay
+    benign.  Division by a member's one positive scale is monotone, so
+    |err| is reduced over the components before it is divided, and the
+    member max of |y5| is carried to the next step as that of |y|.
 
     Returns
     -------
@@ -136,31 +162,34 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
     y = np.atleast_2d(np.asarray(y0, dtype=complex))
     direction = 1.0 if x_end >= x0 else -1.0
     span = abs(x_end - x0)
-    if span == 0.0:
-        cp = None
-        if checkpoints is not None:
-            cp = np.repeat(y[None, :, :], len(checkpoints), axis=0)
-        return y, cp, None
-
-    cps = None
-    cp_vals = None
-    next_cp = 0
+    cps = toward = cp_vals = None
     if checkpoints is not None:
         cps = np.asarray(checkpoints, dtype=float)
-        toward = direction * cps  # ascending
+        t = direction * cps
+        if len(t) and not (direction * x0 <= t[0] and t[-1] <= direction * x_end
+                           and np.all(np.diff(t) >= 0.0)):
+            raise DomainError("checkpoints must lie in [x0, x_end], "
+                              "monotone toward x_end")
+        toward = t.tolist()  # ascending
         cp_vals = np.empty((len(cps),) + y.shape, dtype=complex)
+    if span == 0.0:
+        if cps is not None:
+            cp_vals[:] = y
+        return y, cp_vals, None
 
     if h0 is None:
         h0 = span / 100.0
     h = direction * min(abs(h0), span)
 
     x = x0
-    stages = np.empty((7,) + y.shape, dtype=complex)
+    shape = y.shape
+    stages = np.empty((7,) + shape, dtype=complex)
     flat = stages.view(float).reshape(7, -1)
     stages[0] = f(x, y)
-    abs_y = np.abs(y)
+    mag_y = _member_max(np.abs(y))
     seg_xa, seg_xb, seg_ya, seg_fa, seg_yb, seg_fb = [], [], [], [], [], []
     hmin = 1e-14 * max(1.0, abs(x0), abs(x_end))
+    next_cp = 0
     n_steps = 0
     while direction * (x_end - x) > 0:
         n_steps += 1
@@ -172,27 +201,24 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
         # the passed checkpoints [next_cp, first) are sub-stepped
         x_stop, first = x_end, next_cp
         if cps is not None:
-            last = np.searchsorted(toward, direction * (x + h), side="right")
+            last = bisect.bisect_right(toward, direction * (x + h))
             if last > next_cp:
-                x_stop = cps[last - 1]
-                first = np.searchsorted(toward, toward[last - 1])
+                x_stop = direction * toward[last - 1]
+                first = bisect.bisect_left(toward, toward[last - 1])
         h_free = h
         clipped = direction * (x + h - x_stop) > 0
         if clipped:
             h = x_stop - x
 
+        hA = h * _AE
         for i in range(1, 7):
-            incr = ((h * _ROWS[i]) @ flat[:i]).view(complex).reshape(y.shape)
-            y5 = y + incr
+            y5 = y + (hA[i, :i] @ flat[:i]).view(complex).reshape(shape)
             stages[i] = f(x + _C[i] * h, y5)
         # y5 is now the stage 7 state, the 5th-order solution (FSAL)
-        err = ((h * _E) @ flat).view(complex).reshape(y.shape)
-        # member-wise sup scale: components of one batch member share a
-        # scale so zero crossings of oscillatory components stay benign
-        abs_y5 = np.abs(y5)
-        mag = np.maximum(abs_y, abs_y5).max(axis=-1, keepdims=True)
-        scale = atol + rtol * mag
-        emax = np.max(np.abs(err) / scale)
+        err = (hA[7] @ flat).view(complex).reshape(shape)
+        mag_y5 = _member_max(np.abs(y5))
+        scale = atol + rtol * np.maximum(mag_y, mag_y5)
+        emax = (_member_max(np.abs(err)) / scale).max()
 
         if emax <= 1.0:
             if dense:
@@ -207,10 +233,12 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
                                                   cps[next_cp:first])
                 next_cp = first
             x = x + h
-            y, abs_y = y5, abs_y5
+            y, mag_y = y5, mag_y5
             stages[0] = stages[6]
             if cps is not None:
-                while next_cp < len(cps) and direction * (cps[next_cp] - x) <= 1e-15 * max(1.0, abs(x)):
+                # direction * (cp - x), exactly: negation commutes with rounding
+                tol = 1e-15 * max(1.0, abs(x))
+                while next_cp < len(toward) and toward[next_cp] - direction * x <= tol:
                     cp_vals[next_cp] = y
                     next_cp += 1
             fac = 2.0 if emax == 0.0 else min(2.0, max(0.25, 0.9 * emax ** -0.2))

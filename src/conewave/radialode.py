@@ -83,21 +83,26 @@ def _batch_rhs(d: int, lam_arr, variant: str, sigma=None):
             b = (d - 1.0) / rho - two_ld * rho
             out = np.empty_like(y)
             out[..., 0] = up
-            out[..., 1] = (c0 * u - b * up) / (1.0 - rho * rho)
+            num = c0 * u
+            num -= b * up
+            np.divide(num, 1.0 - rho * rho, out=out[..., 1])
             return out
         return f
 
     c_sig = c0 + sigma * (d - 0.5 + lam_arr)
     s_d1 = sigma * (d - 1.0)
-    two_ls = two_ld + 2.0 * sigma
+    two_sig = 2.0 * sigma
+    two_ls = two_ld + two_sig
 
     def f_gauged(rho, y):
         w, wp = y[..., 0], y[..., 1]
         # b - 2 sigma (1 + rho) = (d-1)/rho - 2 sigma - (2 lam + d + 2 sigma) rho
-        b = (d - 1.0) / rho - two_ls * rho - 2.0 * sigma
+        b = (d - 1.0) / rho - two_ls * rho - two_sig
         out = np.empty_like(y)
         out[..., 0] = wp
-        out[..., 1] = ((c_sig + s_d1 / rho) * w - b * wp) / (1.0 - rho * rho)
+        num = (c_sig + s_d1 / rho) * w
+        num -= b * wp
+        np.divide(num, 1.0 - rho * rho, out=out[..., 1])
         return out
 
     return f_gauged
@@ -347,12 +352,21 @@ def _trace_edges(ev, edges):
     """Sample f along each edge (z0, z1, n0) densely enough that arg
     increments stay below ~0.8.
 
-    The edges refine in lockstep: the initial samples of all edges are one
-    ev call, and each round evaluates the midpoints of every failing
-    interval of every edge in one more.  Returns [(pts, vals)] per edge.
+    Each distinct edge is traced once, from its lexicographically smaller
+    endpoint (real part, then imaginary), and handed back reversed where
+    it runs the other way: an edge that two bands share, the top of one
+    and the bottom of the next, gets the same points in both, and its
+    samples are evaluated once.  The edges refine in lockstep: the initial
+    samples of all edges are one ev call, and each round evaluates the
+    midpoints of every failing interval of every edge in one more.
+    Returns [(pts, vals)] per edge of `edges`.
     """
+    flips = [(z1.real, z1.imag) < (z0.real, z0.imag) for z0, z1, _ in edges]
+    keys = [(z1, z0, n0) if flip else (z0, z1, n0)
+            for (z0, z1, n0), flip in zip(edges, flips)]
+    distinct = list(dict.fromkeys(keys))
     pts = [list(z0 + (z1 - z0) * np.linspace(0.0, 1.0, max(n0, 3)))
-           for z0, z1, n0 in edges]
+           for z0, z1, n0 in distinct]
     flat = ev([p for ps in pts for p in ps])
     vals = [list(v) for v in
             np.split(flat, np.cumsum([len(ps) for ps in pts])[:-1])]
@@ -371,7 +385,10 @@ def _trace_edges(ev, edges):
             if new_pts:
                 refine.append((e, insert_at, new_pts))
         if not refine:
-            return list(zip(pts, vals))
+            at = {key: i for i, key in enumerate(distinct)}
+            return [(pts[at[key]][::-1], vals[at[key]][::-1]) if flip
+                    else (pts[at[key]], vals[at[key]])
+                    for key, flip in zip(keys, flips)]
         new_vals = iter(ev([p for _, _, new in refine for p in new]))
         for e, insert_at, new_pts in refine:
             chunk = [complex(next(new_vals)) for _ in new_pts]
@@ -379,7 +396,7 @@ def _trace_edges(ev, edges):
                                reversed(chunk)):
                 pts[e].insert(k + 1, p)
                 vals[e].insert(k + 1, v)
-    z0, z1, _ = edges[refine[0][0]]
+    z0, z1, _ = distinct[refine[0][0]]
     raise ContourTooCloseError(
         f"edge [{z0}, {z1}] not resolved after {EDGE_MAX_DEPTH} refinements"
     )

@@ -430,6 +430,8 @@ class TestEigenIndicator:
             assert [(round(z.real, 8) + round(z.imag, 8) * 1j, m)
                     for z, m in roots] == expected, variant
             assert len(calls) <= 10, variant
+            # a band's top edge is the next band's bottom, traced once
+            assert sum(calls) <= 1545, variant
 
     def test_indicator_tolerance_invariance(self):
         # zero location stable under doubling the integration tolerance
@@ -485,6 +487,33 @@ class TestLockstepTracing:
         # the near-root edges refine, and all edges share each round's call
         assert max(rounds) > 1
         assert len(calls) == max(rounds)
+
+    def test_shared_edge_is_traced_once(self):
+        # [0, 1] x [2, 2.95] under [0, 1] x [2.95, 4], edges as
+        # _winding_rect builds them; their shared edge passes 0.05 below
+        # ROOT2, so it refines
+        def trace(edges):
+            lams = []   # every lam that reaches the evaluator
+            ev = ro._CachedIndicator(
+                lambda z: lams.extend(z) or np.array([_poly(complex(l)) for l in z]))
+            return lams, ro._trace_edges(ev, edges)
+
+        edges = []
+        for im0, im1 in ((2.0, 2.95), (2.95, 4.0)):
+            corners = [complex(0.0, im0), complex(1.0, im0), complex(1.0, im1),
+                       complex(0.0, im1), complex(0.0, im0)]
+            edges += [(a, b, 11) for a, b in zip(corners[:-1], corners[1:])]
+        lams, traced = trace(edges)
+        (top, top_vals), (bottom, bottom_vals) = traced[2], traced[4]
+        assert len(bottom) > 11
+        assert top == bottom[::-1] and top_vals == bottom_vals[::-1]
+        # the shared edge's points are evaluated for one band only
+        lower, upper = trace(edges[:4])[0], trace(edges[4:])[0]
+        assert len(lams) == len(set(lams)) == len(lower) + len(upper) - len(bottom)
+        # each edge alone gives the same points
+        for edge, (pts, _) in zip(edges, traced):
+            [(alone, _)] = trace([edge])[1]
+            assert alone == pts
 
     def test_winding_numbers_of_rect_list(self):
         rects = [(0.0, 2.0, -1.0, 1.0),   # lam = 1, double

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conewave import _rk45
-from conewave.errors import StepFailure
+from conewave import radialode as ro
+from conewave.errors import DomainError, StepFailure
+from conewave.frobenius import ORIGIN_START, seed_origin
 
 
 def test_exponential_flow():
@@ -161,3 +163,182 @@ def test_results_are_not_views_of_the_stage_buffer():
     assert np.array_equal(y, y_copy)
     assert np.array_equal(vals, vals_copy)
     assert not np.shares_memory(y, vals)
+
+
+@pytest.mark.parametrize("x0, x_end, cps", [
+    (0.0, 1.0, [0.5, 2.0]),     # beyond x_end: its slot was never written
+    (0.0, 1.0, [0.7, 0.5]),     # not monotone: the steps never ended
+    (0.0, 1.0, [-0.1, 0.5]),    # before x0
+    (1.0, 0.0, [0.5, 0.7]),     # ascending on a descending run
+    (0.0, 1.0, [0.2, np.nan]),
+    (0.0, 0.0, [0.0, 0.1]),     # outside the empty interval
+])
+def test_checkpoints_are_checked_before_stepping(x0, x_end, cps):
+    def f(x, y):
+        f.calls += 1
+        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+    f.calls = 0
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j]])
+    with pytest.raises(DomainError):
+        _rk45.solve(f, x0, x_end, y0, checkpoints=np.array(cps))
+    assert f.calls == 0
+
+
+def test_checkpoints_may_repeat_and_touch_both_ends():
+    f = lambda x, y: np.stack([y[..., 1], -y[..., 0]], axis=-1)
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j]])
+    cps = np.array([1.0, 0.6, 0.6, 0.0])
+    _, vals, _ = _rk45.solve(f, 1.0, 0.0, y0, rtol=1e-11, checkpoints=cps)
+    assert np.array_equal(vals[0], y0)
+    assert np.max(np.abs(vals[1:, 0, 0] - np.sin(cps[1:] - 1.0))) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the step loop and spectral RHS as they were before their numpy calls were
+# trimmed: the kernel must do the same floating-point operations in the same
+# order, so its results are bit-identical
+# ---------------------------------------------------------------------------
+
+_ROWS = tuple(_rk45._A[i, :i] for i in range(7))
+_E = _rk45._A[6] - np.array(_rk45._B4)
+
+
+def _reference_substep(f, x, y, k1, xs):
+    h = (xs - x)[:, None]
+    shape = (len(xs),) + y.shape
+    stages = np.empty((6,) + shape, dtype=complex)
+    flat = stages.view(float).reshape(6, -1)
+    stages[0] = k1
+    for i in range(1, 6):
+        incr = (_ROWS[i] @ flat[:i]).view(complex).reshape(shape)
+        stages[i] = f(x + _rk45._C[i] * h, y + h[..., None] * incr)
+    return y + h[..., None] * (_rk45._A[6, :6] @ flat).view(complex).reshape(shape)
+
+
+def _reference_solve(f, x0, x_end, y0, rtol, atol, checkpoints, h0):
+    """(y_end, checkpoint values, dense segment arrays)."""
+    y = np.atleast_2d(np.asarray(y0, dtype=complex))
+    direction = 1.0 if x_end >= x0 else -1.0
+    span = abs(x_end - x0)
+    cps = np.asarray(checkpoints, dtype=float)
+    toward = direction * cps
+    cp_vals = np.empty((len(cps),) + y.shape, dtype=complex)
+    h = direction * min(abs(h0), span)
+    x = x0
+    stages = np.empty((7,) + y.shape, dtype=complex)
+    flat = stages.view(float).reshape(7, -1)
+    stages[0] = f(x, y)
+    abs_y = np.abs(y)
+    segs = ([], [], [], [], [], [])
+    next_cp = 0
+    while direction * (x_end - x) > 0:
+        x_stop, first = x_end, next_cp
+        last = np.searchsorted(toward, direction * (x + h), side="right")
+        if last > next_cp:
+            x_stop = cps[last - 1]
+            first = np.searchsorted(toward, toward[last - 1])
+        h_free = h
+        clipped = direction * (x + h - x_stop) > 0
+        if clipped:
+            h = x_stop - x
+        for i in range(1, 7):
+            incr = ((h * _ROWS[i]) @ flat[:i]).view(complex).reshape(y.shape)
+            y5 = y + incr
+            stages[i] = f(x + _rk45._C[i] * h, y5)
+        err = ((h * _E) @ flat).view(complex).reshape(y.shape)
+        abs_y5 = np.abs(y5)
+        mag = np.maximum(abs_y, abs_y5).max(axis=-1, keepdims=True)
+        scale = atol + rtol * mag
+        emax = np.max(np.abs(err) / scale)
+        if emax <= 1.0:
+            for seg, v in zip(segs, (x, x + h, y[0].copy(), stages[0, 0].copy(),
+                                     y5[0].copy(), stages[6, 0].copy())):
+                seg.append(v)
+            if first > next_cp:
+                cp_vals[next_cp:first] = _reference_substep(
+                    f, x, y, stages[0], cps[next_cp:first])
+                next_cp = first
+            x = x + h
+            y, abs_y = y5, abs_y5
+            stages[0] = stages[6]
+            while next_cp < len(cps) and direction * (cps[next_cp] - x) <= 1e-15 * max(1.0, abs(x)):
+                cp_vals[next_cp] = y
+                next_cp += 1
+            fac = 2.0 if emax == 0.0 else min(2.0, max(0.25, 0.9 * emax ** -0.2))
+            h = h * fac
+            if clipped:
+                h = direction * max(abs(h_free), abs(h))
+        else:
+            h = h * max(0.1, 0.9 * emax ** -0.2)
+    return y, cp_vals, tuple(np.array(seg) for seg in segs)
+
+
+def _reference_rhs(d, lam, variant, sigma=None):
+    c0 = ro.zero_order_coeff(d, lam, variant)
+    two_ld = 2.0 * lam + d
+    if sigma is None:
+        def f(rho, y):
+            u, up = y[..., 0], y[..., 1]
+            b = (d - 1.0) / rho - two_ld * rho
+            out = np.empty_like(y)
+            out[..., 0] = up
+            out[..., 1] = (c0 * u - b * up) / (1.0 - rho * rho)
+            return out
+        return f
+    c_sig = c0 + sigma * (d - 0.5 + lam)
+    s_d1 = sigma * (d - 1.0)
+    two_ls = two_ld + 2.0 * sigma
+
+    def f_gauged(rho, y):
+        w, wp = y[..., 0], y[..., 1]
+        b = (d - 1.0) / rho - two_ls * rho - 2.0 * sigma
+        out = np.empty_like(y)
+        out[..., 0] = wp
+        out[..., 1] = ((c_sig + s_d1 / rho) * w - b * wp) / (1.0 - rho * rho)
+        return out
+    return f_gauged
+
+
+def _oscillator(x, y):
+    return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+
+def _same_as_reference(f, f_ref, x0, x_end, y0, cps, rtol, atol, h0):
+    y, vals, dense = _rk45.solve(f, x0, x_end, y0, rtol=rtol, atol=atol,
+                                 checkpoints=cps, dense=True, h0=h0)
+    y_ref, vals_ref, segs_ref = _reference_solve(f_ref, x0, x_end, y0, rtol,
+                                                 atol, cps, h0)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(vals, vals_ref)
+    for name, ref in zip(("xa", "xb", "ya", "fa", "yb", "fb"), segs_ref):
+        assert np.array_equal(getattr(dense, name), ref), name
+    return len(segs_ref[0])
+
+
+def test_oscillator_steps_match_the_reference():
+    # three members and clustered checkpoints, so steps are clipped and
+    # passed checkpoints are sub-stepped
+    y0 = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -0.5]], dtype=complex)
+    starts = 0.5 * np.arange(12) + 0.25
+    cps = (starts[:, None] + 1e-4 * np.arange(4)[None, :]).ravel()
+    _same_as_reference(_oscillator, _oscillator, 0.0, 6.5, y0, cps,
+                       1e-9, 1e-12, 2.0)
+    # descending, checkpoints ahead of x toward x_end
+    _same_as_reference(_oscillator, _oscillator, 6.0, 0.5, y0,
+                       np.array([5.9, 5.0, 4.999, 2.0, 0.5]), 1e-10, 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("gauged", [False, True])
+def test_spectral_steps_match_the_reference(gauged):
+    # 300 lam of the perturbed d 4 equation from ORIGIN_START to 1/2,
+    # landing on 50 checkpoints
+    lam = np.linspace(0.0, 2.0, 300) + 1j * np.linspace(-1.0, 40.0, 300)
+    sigma = 0.5 - lam if gauged else None
+    y0 = np.stack(seed_origin(4, lam, "perturbed").eval(ORIGIN_START), axis=-1)
+    cps = np.linspace(0.01, 0.5, 50)
+    accepted = _same_as_reference(
+        ro._batch_rhs(4, lam, "perturbed", sigma),
+        _reference_rhs(4, lam, "perturbed", sigma),
+        ORIGIN_START, 0.5, y0, cps, 1e-8, 1e-300, 0.5 / 60.0)
+    assert accepted > len(cps)
