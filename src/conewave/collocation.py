@@ -41,7 +41,7 @@ import scipy.linalg
 
 from .errors import (DegenerateEigenvalueError, DomainError,
                      EigensolverFailure)
-from .model import check_dimension
+from .model import check_dimension, potential_constant
 
 
 def _cheb_full(m: int):
@@ -178,7 +178,7 @@ class SpectralDiscretization:
 
 def _assemble_blocks(d: int, rho, de, d2e, perturbed: bool):
     n1 = len(rho)
-    beta = (2.0 * d + d * d) / 4.0
+    beta = potential_constant(d)
     a11 = -rho[:, None] * de
     np.fill_diagonal(a11, a11.diagonal() - (d - 2.0) / 2.0)
     a12 = np.eye(n1)

@@ -29,6 +29,7 @@ def zero_order_coeff(d: int, lam, variant: str):
     if variant == "free":
         return base + d * (d - 2.0) / 4.0
     if variant == "perturbed":
+        # d(d-2)/4 - model.potential_constant(d) = -d, folded into c0
         return base - d
     raise ParamError(f"unknown variant {variant!r}")
 

@@ -55,7 +55,7 @@ from . import _rk45
 from .collocation import even_cheb_coeffs, even_cheb_eval
 from .errors import (DomainError, NearEigenvalueError, QuadratureError,
                      TruncationWarning)
-from .model import varphi
+from .model import potential_constant, varphi
 # `integrate` is bound here by name: the benchmark's tracer patches
 # conewave.green:integrate and conewave.green:build_kernel
 from .radialode import integrate, matching_wronskian, ode_residual
@@ -276,7 +276,7 @@ def residual_checks(d: int, lams, variant: str, src: SourceTerm,
     ix = np.searchsorted(pts, rho_test[:, None] + offsets[None, :])
     w_fd = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
     r = rho_test
-    beta = (2.0 * d + d * d) / 4.0 if variant == "perturbed" else 0.0
+    beta = potential_constant(d) if variant == "perturbed" else 0.0
     f1_true = src.f1(r)
     f2_true = src.f2(r)
     fnorm = max(float(np.max(np.abs(f1_true))), float(np.max(np.abs(f2_true))))

@@ -90,12 +90,18 @@ def psi_from_u(d: int, T: float, u, tau, rho):
 # ---------------------------------------------------------------------------
 
 
+def potential_constant(d: int) -> float:
+    """(2d+d^2)/4 = (p+1) c_d^p, p = 4/(d-2): the constant potential of the
+    linearization around the blowup profile in similarity coordinates."""
+    return (2.0 * d + d * d) / 4.0
+
+
 @functools.cache
 def _nonlinear_constants(d):
     """(c_d, 4/(d-2), c_d^{(d+2)/(d-2)}, (2d+d^2)/4), d checked once."""
     check_dimension(d, nonlinear=True)
     c = c_d(d)
-    return c, 4.0 / (d - 2), c ** ((d + 2.0) / (d - 2.0)), (2.0 * d + d * d) / 4.0
+    return c, 4.0 / (d - 2), c ** ((d + 2.0) / (d - 2.0)), potential_constant(d)
 
 
 def nonlinearity(d: int, x):

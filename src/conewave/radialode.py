@@ -28,11 +28,11 @@ singular seed raises IndexCollisionError where the pair does not exist.
 `integrate` is the only function that builds the Frobenius seeds.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
-Green kernel), counted by the argument principle on bands, located by
-the contour moments of the same samples and polished by Newton.
+Green kernel), counted by the argument principle on one rectangle,
+located by the contour moments of the same samples and polished by
+Newton.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -173,12 +173,12 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
     of 2 n_lam members from ONE_START down to RHO_MID, and (a, b) match u0
     at RHO_MID.  An n_lam-wide run continues u1 from RHO_MID down.  Near
     the index resonance the pair is ill-conditioned: if any lam of the
-    batch has dist(1/2 - lam, Z) < INDEX_GAP, RK45 carries u0 to ONE_START
-    and it continues in the Frobenius pair at 1, and u1 is one run from
-    ONE_START.  Either way one Cramer solve matches u0 at the stop point
-    in its pair.  The Frobenius pair does not exist at |lam - 1/2| < 1e-8
-    or lam = 3/2, 5/2, ..., so there IndexCollisionError is raised for
-    points in (ONE_START, 1).
+    batch has dist(1/2 - lam, Z) < INDEX_GAP, RK45 carries u0 to the stop
+    point ONE_START instead, where the pair's run has zero length and is
+    the Frobenius seeds at 1, and u1 is one run from ONE_START.  Either way
+    one Cramer solve matches u0 at the stop point in the pair.  No pair
+    exists at |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ...: there
+    IndexCollisionError is raised for points in (ONE_START, 1).
 
     The descent of u1 stops at ORIGIN_START: below it u1 ~ rho^{2-d} and
     `_reduce_at_origin` gives it in closed form from u0's series and
@@ -228,28 +228,26 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
         # u0's slots on far hold the singular branch until (a, b) are known
         series = far & at_one
         u0[:, series], u0p[:, series] = ss.eval(pts[series])
-        if stop == RHO_MID:
-            upper = (pts >= RHO_MID) & ~at_one
-            rk = far & ~at_one
-            cps = np.append(pts[upper][::-1], RHO_MID)
-            # u_a and w, both Taylor series at 1, as one batch (u_a first)
-            w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
-                                   ss.coefficients)
-            pair = land(
-                _batch_rhs(d, np.tile(lam_arr, 2), variant,
-                           np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
-                ONE_START, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
-                                                        axis=-1)]), cps)
-            x1, y1 = RHO_MID, pair[-1, :n_lam].copy()
-            basis = (y1.T, _ungauge(sig, RHO_MID, *pair[-1, n_lam:].T))
-            n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk)
-            u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
-            u1p[:, upper] = pair[:n_up, :n_lam, 1][::-1].T
-            u0[:, rk], u0p[:, rk] = _ungauge(sig[:, None], pts[rk],
-                                             *pair[:n_rk, n_lam:][::-1].T)
-            del pair
-        else:
-            basis = (sa.eval(ONE_START), ss.eval(ONE_START))
+        # at stop = ONE_START the run is zero-length and returns the seeds
+        upper = (pts >= stop) & ~at_one
+        rk = far & ~at_one
+        cps = np.append(pts[upper][::-1], stop)
+        # u_a and w, both Taylor series at 1, as one batch (u_a first)
+        w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
+                               ss.coefficients)
+        pair = land(
+            _batch_rhs(d, np.tile(lam_arr, 2), variant,
+                       np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
+            ONE_START, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
+                                                    axis=-1)]), cps)
+        x1, y1 = stop, pair[-1, :n_lam].copy()
+        basis = (y1.T, _ungauge(sig, stop, *pair[-1, n_lam:].T))
+        n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk)
+        u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
+        u1p[:, upper] = pair[:n_up, :n_lam, 1][::-1].T
+        u0[:, rk], u0p[:, rk] = _ungauge(sig[:, None], pts[rk],
+                                         *pair[:n_rk, n_lam:][::-1].T)
+        del pair
         a, b = _pair_coefficients(*at_stop, *basis)
         u0[:, far] = a[:, None] * u1[:, far] + b[:, None] * u0[:, far]
         u0p[:, far] = a[:, None] * u1p[:, far] + b[:, None] * u0p[:, far]
@@ -321,119 +319,79 @@ def eigen_indicator(d: int, lam, variant: str, rtol: float = 1e-10):
     return mu, scale
 
 
-class _CachedIndicator:
-    """Batch evaluator with a value cache keyed by the complex argument."""
-
-    def __init__(self, fn_batch):
-        self.fn_batch = fn_batch
-        self.cache = {}
-
-    def __call__(self, lams):
+def _grouped(fn_batch):
+    """Batch evaluator that splits each call into |Im| groups: a batch
+    steps at the pace of its largest omega, so a group spans |Im| <=
+    max(2 w0, w0 + 4) from its smallest w0."""
+    def ev(lams):
         lams = np.asarray(lams, dtype=complex)
-        missing = [l for l in lams if l not in self.cache]
-        if missing:
-            # group by |Im| octave so batch step sizes stay comparable
-            missing = sorted(set(missing), key=lambda z: abs(z.imag))
-            i = 0
-            while i < len(missing):
-                w0 = abs(missing[i].imag)
-                j = i + 1
-                while j < len(missing) and abs(missing[j].imag) <= max(2.0 * w0, w0 + 4.0):
-                    j += 1
-                chunk = missing[i:j]
-                vals = self.fn_batch(np.asarray(chunk, dtype=complex))
-                for l, v in zip(chunk, vals):
-                    self.cache[l] = complex(v)
-                i = j
-        return np.array([self.cache[l] for l in lams], dtype=complex)
+        order = np.argsort(np.abs(lams.imag), kind="stable")
+        im = np.abs(lams.imag)[order]
+        out = np.empty(len(lams), dtype=complex)
+        i = 0
+        while i < len(order):
+            j = np.searchsorted(im, max(2.0 * im[i], im[i] + 4.0), side="right")
+            out[order[i:j]] = fn_batch(lams[order[i:j]])
+            i = j
+        return out
+    return ev
 
 
-def _trace_edges(ev, edges):
-    """Sample f along each edge (z0, z1, n0) densely enough that arg
-    increments stay below ~0.8.
+def _trace_boundary(ev, rect):
+    """(pts, vals): f sampled on the boundary of rect = (re0, re1, im0,
+    im1) as one closed polyline, counter-clockwise from (re0, im0) and
+    dense enough that arg increments stay below ~0.8.
 
-    Each distinct edge is traced once, from its lexicographically smaller
-    endpoint (real part, then imaginary), and handed back reversed where
-    it runs the other way: an edge that two bands share, the top of one
-    and the bottom of the next, gets the same points in both, and its
-    samples are evaluated once.  The edges refine in lockstep: the initial
-    samples of all edges are one ev call, and each round evaluates the
-    midpoints of every failing interval of every edge in one more.
-    Returns [(pts, vals)] per edge of `edges`.
+    Each edge starts with EDGE_DENSITY samples per unit length (at least
+    4, corners included), and the polyline refines in lockstep: each
+    round evaluates the midpoints of every failing interval in one ev
+    call.  No point reaches ev twice; the closing point is the first.
     """
-    flips = [(z1.real, z1.imag) < (z0.real, z0.imag) for z0, z1, _ in edges]
-    keys = [(z1, z0, n0) if flip else (z0, z1, n0)
-            for (z0, z1, n0), flip in zip(edges, flips)]
-    distinct = list(dict.fromkeys(keys))
-    pts = [list(z0 + (z1 - z0) * np.linspace(0.0, 1.0, max(n0, 3)))
-           for z0, z1, n0 in distinct]
-    flat = ev([p for ps in pts for p in ps])
-    vals = [list(v) for v in
-            np.split(flat, np.cumsum([len(ps) for ps in pts])[:-1])]
+    re0, re1, im0, im1 = rect
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1),
+               complex(re0, im1), complex(re0, im0)]
+    edges = []
+    for a, b in zip(corners[:-1], corners[1:]):
+        n = max(4, int(abs(b - a) * EDGE_DENSITY) + 1)
+        edges.append(a + (b - a) * np.linspace(0.0, 1.0, n)[:-1])
+    pts = np.concatenate(edges + [corners[:1]])
+    vals = ev(pts[:-1])
+    vals = np.append(vals, vals[0])
     for _ in range(EDGE_MAX_DEPTH):
-        refine = []      # (edge, interval indices, midpoints)
-        for e, (ps, vs) in enumerate(zip(pts, vals)):
-            insert_at, new_pts = [], []
-            for k in range(len(ps) - 1):
-                a, b = vs[k], vs[k + 1]
-                if a == 0 or b == 0:
-                    raise ContourTooCloseError(f"edge sample hit a zero near {ps[k]}")
-                r = b / a
-                if abs(cmath.phase(r)) > 0.8 or not (0.25 < abs(r) < 4.0):
-                    insert_at.append(k)
-                    new_pts.append(0.5 * (ps[k] + ps[k + 1]))
-            if new_pts:
-                refine.append((e, insert_at, new_pts))
-        if not refine:
-            at = {key: i for i, key in enumerate(distinct)}
-            return [(pts[at[key]][::-1], vals[at[key]][::-1]) if flip
-                    else (pts[at[key]], vals[at[key]])
-                    for key, flip in zip(keys, flips)]
-        new_vals = iter(ev([p for _, _, new in refine for p in new]))
-        for e, insert_at, new_pts in refine:
-            chunk = [complex(next(new_vals)) for _ in new_pts]
-            for k, p, v in zip(reversed(insert_at), reversed(new_pts),
-                               reversed(chunk)):
-                pts[e].insert(k + 1, p)
-                vals[e].insert(k + 1, v)
-    z0, z1, _ = distinct[refine[0][0]]
+        if np.any(vals == 0):
+            raise ContourTooCloseError(f"zero sample at {pts[vals == 0][0]}")
+        r = vals[1:] / vals[:-1]
+        bad = np.flatnonzero((np.abs(np.angle(r)) > 0.8)
+                             | ~((0.25 < np.abs(r)) & (np.abs(r) < 4.0)))
+        if not len(bad):
+            return pts, vals
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, ev(mids))
     raise ContourTooCloseError(
-        f"edge [{z0}, {z1}] not resolved after {EDGE_MAX_DEPTH} refinements"
-    )
+        f"boundary of {rect} not resolved after {EDGE_MAX_DEPTH} refinements")
 
 
-def _winding_rect(ev, rects):
-    """[(w, estimates)]: winding number of f around each rectangle (re0,
-    re1, im0, im1) and its w roots, all edges traced in one lockstep pass.
+def _winding_rect(ev, rect):
+    """(w, estimates): winding number of f around the rectangle (re0,
+    re1, im0, im1) and its w roots, from one traced boundary.
 
     Delves & Lyness: the power sums s_k = (1/2 pi i) oint z^k dlog f, by
     the midpoint rule on the ratios vals[i+1]/vals[i] whose phases give w,
     are the roots' monic polynomial through the Newton identities.
     """
-    edges = []
-    for re0, re1, im0, im1 in rects:
-        corners = [complex(re0, im0), complex(re1, im0),
-                   complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-        for a, b in zip(corners[:-1], corners[1:]):
-            edges.append((a, b, max(4, int(abs(b - a) * EDGE_DENSITY) + 1)))
-    traced = _trace_edges(ev, edges)
-    out = []
-    for j in range(len(rects)):
-        # one closed polyline: each corner repeats, adding log(1) = 0
-        pts = np.concatenate([p for p, _ in traced[4 * j:4 * j + 4]])
-        vals = np.concatenate([v for _, v in traced[4 * j:4 * j + 4]])
-        logs = np.log(vals[1:] / vals[:-1])
-        w = np.sum(logs.imag) / (2.0 * math.pi)
-        if abs(w - round(w)) > 0.25:
-            raise ContourTooCloseError(f"non-integer winding {w:.3f} on rectangle")
-        w = int(round(w))
-        mids = 0.5 * (pts[1:] + pts[:-1])
-        s = [np.sum(mids**k * logs) / (2j * math.pi) for k in range(w + 1)]
-        c = [1.0]  # the roots' monic polynomial, by the Newton identities
-        for k in range(1, w + 1):
-            c.append(-sum(c[i] * s[k - i] for i in range(k)) / k)
-        out.append((w, np.roots(c)))
-    return out
+    pts, vals = _trace_boundary(ev, rect)
+    logs = np.log(vals[1:] / vals[:-1])
+    w = np.sum(logs.imag) / (2.0 * math.pi)
+    if abs(w - round(w)) > 0.25:
+        raise ContourTooCloseError(f"non-integer winding {w:.3f} on {rect}")
+    w = int(round(w))
+    mids = 0.5 * (pts[1:] + pts[:-1])
+    s = [np.sum(mids**k * logs) / (2j * math.pi) for k in range(w + 1)]
+    c = [1.0]  # the roots' monic polynomial, by the Newton identities
+    for k in range(1, w + 1):
+        c.append(-sum(c[i] * s[k - i] for i in range(k)) / k)
+    return w, np.roots(c)
 
 
 def _newton_polish(batch_fn, z):
@@ -455,7 +413,8 @@ def _newton_polish(batch_fn, z):
 
 def _polish_band(batch_fn, rect, estimates):
     """[(root, multiplicity)] from Newton on each estimate; roots within
-    1e-6 merge, one leaving the rectangle raises ContourTooCloseError."""
+    1e-6 merge, one leaving the rectangle raises ContourTooCloseError
+    (the scan then retries with a shifted window)."""
     re0, re1, im0, im1 = rect
     roots = []
     for z in estimates:
@@ -475,19 +434,20 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
                    method: str = "shooting"):
     """Roots of the eigenvalue indicator in [0, 2] x [-omega_max, omega_max].
 
-    Argument-principle counts on bands of height 2 (starting at Im=-1 so
-    the real axis is interior) and root estimates from the same samples,
-    Newton-polished on 3-point indicator batches (rtol 1e-10).  An
-    unresolved band, or a root polished out of its band, retries the scan
-    with shifted bands.
-    The ODE has real coefficients in lam, so only Im >= -1 bands are
-    scanned and complex roots are mirrored.  method="c3" scans the
-    closed-form connection coefficient instead of the shooting Wronskian.
+    One argument-principle count on the window [0, 2] x [-1, omega_max +
+    0.5] (starting at Im=-1 so the real axis is interior) and root
+    estimates from the same boundary samples, Newton-polished on 3-point
+    indicator batches (rtol 1e-10).  An unresolved boundary, or a root
+    polished out of the window, retries the scan with the window's bottom
+    edge moved down by 0.37.
+    The ODE has real coefficients in lam, so only Im >= -1 is scanned and
+    complex roots are mirrored.  method="c3" scans the closed-form
+    connection coefficient instead of the shooting Wronskian.
 
     Returns a list of (root, multiplicity), sorted by real part descending.
     """
-    if omega_max > 60.0:
-        raise DomainError("omega_max must be <= 60")
+    if not 0.0 <= omega_max <= 60.0:
+        raise DomainError("omega_max must be in [0, 60]")
     if method == "shooting":
         batch = lambda arr: _indicator_batch(d, arr, variant, rtol=1e-8)
         polish = lambda arr: eigen_indicator(d, arr, variant, rtol=1e-10)[0]
@@ -498,18 +458,10 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
         raise ParamError(f"unknown method {method!r}")
 
     for attempt in range(3):
+        rect = (0.0, 2.0, -1.0 - 0.37 * attempt, omega_max + 0.5)
         try:
-            ev = _CachedIndicator(batch)
-            shift = attempt * 0.37
-            bands = []
-            lo = -1.0 - shift
-            while lo < omega_max:
-                hi = min(lo + 2.0, omega_max + 0.5)
-                bands.append((0.0, 2.0, lo, hi))
-                lo = hi
-            roots = []
-            for band, (_, estimates) in zip(bands, _winding_rect(ev, bands)):
-                roots += _polish_band(polish, band, estimates)
+            roots = _polish_band(polish, rect,
+                                 _winding_rect(_grouped(batch), rect)[1])
             break
         except ContourTooCloseError:
             if attempt == 2:

@@ -412,10 +412,10 @@ class TestEigenIndicator:
         assert abs(a[0][0] - b[0][0]) <= 1e-6
 
     def test_scan_batches_per_round(self, monkeypatch):
-        # tracing the 26 bands at omega 50 in lockstep needs one indicator
-        # call per |Im| group and round, where tracing each edge alone needs
-        # about a hundred; the perturbed scan locates lam = 1 from the same
-        # samples, so it needs no more calls than the free one
+        # tracing the window's boundary at omega 50 in lockstep needs one
+        # indicator call per |Im| group and round, where tracing each edge
+        # alone needs about a hundred; the perturbed scan locates lam = 1
+        # from the same samples, so it needs no more calls than the free one
         calls = []
         batch = ro._indicator_batch
 
@@ -430,8 +430,17 @@ class TestEigenIndicator:
             assert [(round(z.real, 8) + round(z.imag, 8) * 1j, m)
                     for z, m in roots] == expected, variant
             assert len(calls) <= 10, variant
-            # a band's top edge is the next band's bottom, traced once
-            assert sum(calls) <= 1545, variant
+            # one closed polyline: no point evaluated twice
+            assert sum(calls) <= 1100, variant
+
+    def test_scan_rejects_negative_omega(self):
+        # a negative omega_max turned the window over and found nothing
+        for omega in (-3.0, -1.2):
+            with pytest.raises(DomainError):
+                ro.scan_halfplane(4, "perturbed", omega, method="c3")
+        # omega_max = 0 scans the real axis alone
+        [(root, m)] = ro.scan_halfplane(4, "perturbed", 0.0, method="c3")
+        assert abs(root - 1.0) <= 1e-8 and m == 1
 
     def test_indicator_tolerance_invariance(self):
         # zero location stable under doubling the integration tolerance
@@ -451,81 +460,86 @@ def _poly(z):
 
 
 def _counted_indicator():
-    """_CachedIndicator over _poly, evaluated one point at a time so the
-    values do not depend on how the cache groups its batches; also returns
-    the list of batch sizes the tracer asked for."""
+    """An evaluator of _poly, one point at a time, and the list of the
+    batches of lam it was asked for."""
     calls = []
-    cached = ro._CachedIndicator(
-        lambda lams: np.array([_poly(complex(z)) for z in lams]))
 
     def ev(lams):
-        calls.append(len(lams))
-        return cached(lams)
+        calls.append(np.array(lams, dtype=complex))
+        return np.array([_poly(complex(z)) for z in lams])
 
     return ev, calls
 
 
+def _failing(pts):
+    """Intervals of a polyline of _poly samples that the tracer refines."""
+    vals = np.array([_poly(complex(z)) for z in pts])
+    r = vals[1:] / vals[:-1]
+    return np.flatnonzero((np.abs(np.angle(r)) > 0.8)
+                          | ~((0.25 < np.abs(r)) & (np.abs(r) < 4.0)))
+
+
 class TestLockstepTracing:
-    EDGES = [
-        (-1.0j, 2.0 - 1.0j, 21),
-        (2.0 - 1.0j, 2.0 + 1.0j, 21),
-        (0.4 + 2.95j, 0.6 + 2.95j, 4),   # passes 0.05 below ROOT2
-        (1.05 + 0.5j, 1.05 - 0.5j, 4),   # passes 0.05 right of lam = 1
-        (3.0j, 5.0j, 21),                # runs through no zero
-    ]
+    # right edge 0.05 right of lam = 1, top edge 0.05 below ROOT2
+    RECT = (0.4, 1.05, -0.5, 2.95)
 
-    def test_same_points_and_values_as_edge_alone(self):
+    def test_boundary_is_one_closed_polyline(self):
         ev, calls = _counted_indicator()
-        together = ro._trace_edges(ev, self.EDGES)
-        rounds = []
-        for edge, (pts, vals) in zip(self.EDGES, together):
-            ev1, calls1 = _counted_indicator()
-            [(pts1, vals1)] = ro._trace_edges(ev1, [edge])
-            assert pts == pts1
-            assert vals == vals1
-            rounds.append(len(calls1))
-        # the near-root edges refine, and all edges share each round's call
-        assert max(rounds) > 1
-        assert len(calls) == max(rounds)
+        pts, vals = ro._trace_boundary(ev, self.RECT)
+        assert pts[0] == pts[-1] == complex(0.4, -0.5)
+        assert vals[0] == vals[-1]
+        assert np.array_equal(vals, [_poly(complex(z)) for z in pts])
+        re0, re1, im0, im1 = self.RECT
+        on_edge = ((np.isclose(pts.real, re0) | np.isclose(pts.real, re1))
+                   & (im0 <= pts.imag) & (pts.imag <= im1)) | (
+                  (np.isclose(pts.imag, im0) | np.isclose(pts.imag, im1))
+                  & (re0 <= pts.real) & (pts.real <= re1))
+        assert on_edge.all()
 
-    def test_shared_edge_is_traced_once(self):
-        # [0, 1] x [2, 2.95] under [0, 1] x [2.95, 4], edges as
-        # _winding_rect builds them; their shared edge passes 0.05 below
-        # ROOT2, so it refines
-        def trace(edges):
-            lams = []   # every lam that reaches the evaluator
-            ev = ro._CachedIndicator(
-                lambda z: lams.extend(z) or np.array([_poly(complex(l)) for l in z]))
-            return lams, ro._trace_edges(ev, edges)
+    def test_no_lam_is_evaluated_twice(self):
+        ev, calls = _counted_indicator()
+        pts, _ = ro._trace_boundary(ev, self.RECT)
+        lams = np.concatenate(calls)
+        assert len(lams) == len(set(lams.tolist())) == len(pts) - 1
+        assert set(lams.tolist()) == set(pts.tolist())
 
-        edges = []
-        for im0, im1 in ((2.0, 2.95), (2.95, 4.0)):
-            corners = [complex(0.0, im0), complex(1.0, im0), complex(1.0, im1),
-                       complex(0.0, im1), complex(0.0, im0)]
-            edges += [(a, b, 11) for a, b in zip(corners[:-1], corners[1:])]
-        lams, traced = trace(edges)
-        (top, top_vals), (bottom, bottom_vals) = traced[2], traced[4]
-        assert len(bottom) > 11
-        assert top == bottom[::-1] and top_vals == bottom_vals[::-1]
-        # the shared edge's points are evaluated for one band only
-        lower, upper = trace(edges[:4])[0], trace(edges[4:])[0]
-        assert len(lams) == len(set(lams)) == len(lower) + len(upper) - len(bottom)
-        # each edge alone gives the same points
-        for edge, (pts, _) in zip(edges, traced):
-            [(alone, _)] = trace([edge])[1]
-            assert alone == pts
+    def test_refines_in_lockstep(self):
+        # every ev call after the first holds the midpoints of all the
+        # intervals that fail at that round, so the calls are the rounds
+        ev, calls = _counted_indicator()
+        pts, _ = ro._trace_boundary(ev, self.RECT)
+        poly = np.append(calls[0], calls[0][0])
+        for batch in calls[1:]:
+            bad = _failing(poly)
+            assert np.array_equal(batch, 0.5 * (poly[bad] + poly[bad + 1]))
+            poly = np.insert(poly, bad + 1, batch)
+        assert len(calls) > 2 and not len(_failing(poly))
+        assert np.array_equal(poly, pts)
+
+    def test_zero_sample_raises(self):
+        # the bottom edge's samples on [0, 2] include the zero lam = 1
+        ev, calls = _counted_indicator()
+        with pytest.raises(ContourTooCloseError):
+            ro._trace_boundary(ev, (0.0, 2.0, 0.0, 1.0))
+        assert len(calls) == 1
+
+    def test_grouped_batches_by_im_in_caller_order(self):
+        batches = []
+        ev = ro._grouped(lambda z: batches.append(z) or np.array(
+            [_poly(complex(l)) for l in z]))
+        lams = np.array([0.5 + 30j, 1.0 - 2j, 0.3 + 9j, 0.2 + 1j, 1.5 - 31j])
+        assert np.array_equal(ev(lams), [_poly(complex(l)) for l in lams])
+        # |Im| <= max(2 w0, w0 + 4) from each group's smallest w0
+        assert [sorted(np.abs(b.imag)) for b in batches] == [[1, 2], [9], [30, 31]]
 
     def test_winding_numbers_of_rect_list(self):
         rects = [(0.0, 2.0, -1.0, 1.0),   # lam = 1, double
                  (0.0, 1.0, 2.0, 4.0),    # ROOT2
                  (0.0, 2.0, 5.0, 7.0)]    # empty
-        ev, _ = _counted_indicator()
-        counted = ro._winding_rect(ev, rects)
+        counted = [ro._winding_rect(_counted_indicator()[0], rect)
+                   for rect in rects]
         assert [w for w, _ in counted] == [2, 1, 0]
         assert [len(est) for _, est in counted] == [2, 1, 0]
-        for rect, w in zip(rects, (2, 1, 0)):
-            ev1, _ = _counted_indicator()
-            assert [w1 for w1, _ in ro._winding_rect(ev1, [rect])] == [w]
         # the estimates polish onto the zeros; the double zero's two
         # estimates merge into one root of multiplicity 2
         located = [ro._polish_band(_poly, rect, est)
@@ -536,7 +550,7 @@ class TestLockstepTracing:
 
     def test_polished_root_outside_band_raises(self):
         # a start whose Newton path leaves the rectangle sends the scan to
-        # its band-shift retry
+        # its shifted-window retry
         with pytest.raises(ContourTooCloseError):
             ro._polish_band(_poly, (0.0, 2.0, -1.0, 1.0), [0.5 + 2.9j])
 
