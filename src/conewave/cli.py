@@ -77,8 +77,8 @@ class RunConfig:
             raise ValueError("omega_scan must lie in (0, 60]")
         if not (0 < self.delta < 0.5):
             raise ValueError("delta must lie in (0, 1/2)")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+        if not (0 <= self.amplitude < math.inf):
+            raise ValueError("amplitude must be finite and nonnegative")
         return self
 
 

@@ -28,9 +28,9 @@ singular seed raises IndexCollisionError where the pair does not exist.
 `integrate` is the only function that builds the Frobenius seeds.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
-Green kernel), counted by the argument principle on one rectangle,
-located by the contour moments of the same samples and polished by
-Newton.
+Green kernel), counted by the argument principle on one rectangle
+whose boundary is traced in rounds of one indicator batch each, located
+by the contour moments of the same samples and polished by Newton.
 """
 
 import math
@@ -53,7 +53,7 @@ RHO_MID = 0.5            # Wronskian matching point for the indicator
 # below 1e-9.
 INDEX_GAP = 5e-3
 EDGE_DENSITY = 10.0      # initial samples per unit length of a scan edge
-EDGE_MAX_DEPTH = 12      # bisection rounds before an edge counts as unresolved
+EDGE_MAX_DEPTH = 12      # bisection rounds before the boundary is unresolved
 
 
 def ode_residual(d: int, lam, variant: str, rho, u, up, upp):
@@ -319,24 +319,6 @@ def eigen_indicator(d: int, lam, variant: str, rtol: float = 1e-10):
     return mu, scale
 
 
-def _grouped(fn_batch):
-    """Batch evaluator that splits each call into |Im| groups: a batch
-    steps at the pace of its largest omega, so a group spans |Im| <=
-    max(2 w0, w0 + 4) from its smallest w0."""
-    def ev(lams):
-        lams = np.asarray(lams, dtype=complex)
-        order = np.argsort(np.abs(lams.imag), kind="stable")
-        im = np.abs(lams.imag)[order]
-        out = np.empty(len(lams), dtype=complex)
-        i = 0
-        while i < len(order):
-            j = np.searchsorted(im, max(2.0 * im[i], im[i] + 4.0), side="right")
-            out[order[i:j]] = fn_batch(lams[order[i:j]])
-            i = j
-        return out
-    return ev
-
-
 def _trace_boundary(ev, rect):
     """(pts, vals): f sampled on the boundary of rect = (re0, re1, im0,
     im1) as one closed polyline, counter-clockwise from (re0, im0) and
@@ -346,6 +328,8 @@ def _trace_boundary(ev, rect):
     4, corners included), and the polyline refines in lockstep: each
     round evaluates the midpoints of every failing interval in one ev
     call.  No point reaches ev twice; the closing point is the first.
+    The polyline is checked after every round, and ContourTooCloseError
+    is raised if it still fails after EDGE_MAX_DEPTH refinements.
     """
     re0, re1, im0, im1 = rect
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1),
@@ -357,7 +341,7 @@ def _trace_boundary(ev, rect):
     pts = np.concatenate(edges + [corners[:1]])
     vals = ev(pts[:-1])
     vals = np.append(vals, vals[0])
-    for _ in range(EDGE_MAX_DEPTH):
+    for depth in range(EDGE_MAX_DEPTH + 1):
         if np.any(vals == 0):
             raise ContourTooCloseError(f"zero sample at {pts[vals == 0][0]}")
         r = vals[1:] / vals[:-1]
@@ -365,11 +349,12 @@ def _trace_boundary(ev, rect):
                              | ~((0.25 < np.abs(r)) & (np.abs(r) < 4.0)))
         if not len(bad):
             return pts, vals
+        if depth == EDGE_MAX_DEPTH:
+            raise ContourTooCloseError(
+                f"boundary of {rect} not resolved after {depth} refinements")
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         pts = np.insert(pts, bad + 1, mids)
         vals = np.insert(vals, bad + 1, ev(mids))
-    raise ContourTooCloseError(
-        f"boundary of {rect} not resolved after {EDGE_MAX_DEPTH} refinements")
 
 
 def _winding_rect(ev, rect):
@@ -437,9 +422,11 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
     One argument-principle count on the window [0, 2] x [-1, omega_max +
     0.5] (starting at Im=-1 so the real axis is interior) and root
     estimates from the same boundary samples, Newton-polished on 3-point
-    indicator batches (rtol 1e-10).  An unresolved boundary, or a root
-    polished out of the window, retries the scan with the window's bottom
-    edge moved down by 0.37.
+    indicator batches (rtol 1e-10).  Each round of the boundary trace
+    (the initial polyline, then the midpoints of its failing intervals)
+    is one indicator batch at rtol 1e-8.  An unresolved boundary, or a
+    root polished out of the window, retries the scan with the window's
+    bottom edge moved down by 0.37.
     The ODE has real coefficients in lam, so only Im >= -1 is scanned and
     complex roots are mirrored.  method="c3" scans the closed-form
     connection coefficient instead of the shooting Wronskian.
@@ -460,8 +447,7 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
     for attempt in range(3):
         rect = (0.0, 2.0, -1.0 - 0.37 * attempt, omega_max + 0.5)
         try:
-            roots = _polish_band(polish, rect,
-                                 _winding_rect(_grouped(batch), rect)[1])
+            roots = _polish_band(polish, rect, _winding_rect(batch, rect)[1])
             break
         except ContourTooCloseError:
             if attempt == 2:

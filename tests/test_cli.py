@@ -61,6 +61,14 @@ class TestExitCodes:
         code = cli.main(["evolve", "--N", "4", "--out", "/tmp/x"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_exit(self, tmp_path, capsys, amplitude):
+        # a NaN or infinite bump is a configuration error, not a failed fit
+        code = cli.main(["fit-blowup", "--amplitude", amplitude,
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "amplitude must be finite" in capsys.readouterr().err
+
     def test_no_jobs_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["spectrum", "--jobs", "2"])

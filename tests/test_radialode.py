@@ -406,16 +406,19 @@ class TestEigenIndicator:
                                          method=method) == [], (d, method)
 
     def test_scan_methods_agree(self):
-        a = ro.scan_halfplane(4, "perturbed", omega_max=6.0)
-        b = ro.scan_halfplane(4, "perturbed", omega_max=6.0, method="c3")
-        assert len(a) == len(b) == 1
-        assert abs(a[0][0] - b[0][0]) <= 1e-6
+        # omega 60 is the largest window the CLI accepts
+        for omega in (6.0, 60.0):
+            a = ro.scan_halfplane(4, "perturbed", omega_max=omega)
+            b = ro.scan_halfplane(4, "perturbed", omega_max=omega,
+                                  method="c3")
+            assert len(a) == len(b) == 1, omega
+            assert abs(a[0][0] - b[0][0]) <= 1e-6, omega
 
     def test_scan_batches_per_round(self, monkeypatch):
         # tracing the window's boundary at omega 50 in lockstep needs one
-        # indicator call per |Im| group and round, where tracing each edge
-        # alone needs about a hundred; the perturbed scan locates lam = 1
-        # from the same samples, so it needs no more calls than the free one
+        # indicator call per round, and its initial polyline needs no
+        # refinement; the perturbed scan locates lam = 1 from the same
+        # samples, so it needs no more calls than the free one
         calls = []
         batch = ro._indicator_batch
 
@@ -429,7 +432,7 @@ class TestEigenIndicator:
             roots = ro.scan_halfplane(4, variant, omega_max=50.0)
             assert [(round(z.real, 8) + round(z.imag, 8) * 1j, m)
                     for z, m in roots] == expected, variant
-            assert len(calls) <= 10, variant
+            assert len(calls) == 1, variant
             # one closed polyline: no point evaluated twice
             assert sum(calls) <= 1100, variant
 
@@ -523,14 +526,29 @@ class TestLockstepTracing:
             ro._trace_boundary(ev, (0.0, 2.0, 0.0, 1.0))
         assert len(calls) == 1
 
-    def test_grouped_batches_by_im_in_caller_order(self):
-        batches = []
-        ev = ro._grouped(lambda z: batches.append(z) or np.array(
-            [_poly(complex(l)) for l in z]))
-        lams = np.array([0.5 + 30j, 1.0 - 2j, 0.3 + 9j, 0.2 + 1j, 1.5 - 31j])
-        assert np.array_equal(ev(lams), [_poly(complex(l)) for l in lams])
-        # |Im| <= max(2 w0, w0 + 4) from each group's smallest w0
-        assert [sorted(np.abs(b.imag)) for b in batches] == [[1, 2], [9], [30, 31]]
+    @pytest.mark.parametrize("step, resolved", [
+        (math.pi / 7, True), (2 * math.pi / 7, False)],
+        ids=["resolved-last", "unresolved"])
+    def test_last_refinement_is_checked(self, step, resolved):
+        # f = exp(i K Re lam) steps its phase by `step` between neighbours
+        # after the last refinement and by 2^j step at the j-th coarser
+        # spacing, whose wrapped size stays >= 2 pi/7 > 0.8: pi/7 resolves
+        # at the last round alone, 2 pi/7 never does
+        rect = (0.0, 0.3, 0.0, 0.3)   # 3 initial intervals of 0.1 per edge
+        k = step / (0.1 / 2 ** ro.EDGE_MAX_DEPTH)
+        calls = []
+
+        def ev(lams):
+            calls.append(len(lams))
+            return np.exp(1j * k * np.real(lams))
+
+        if resolved:
+            pts, vals = ro._trace_boundary(ev, rect)
+            assert pts[0] == pts[-1] and vals[0] == vals[-1]
+        else:
+            with pytest.raises(ContourTooCloseError):
+                ro._trace_boundary(ev, rect)
+        assert len(calls) == ro.EDGE_MAX_DEPTH + 1
 
     def test_winding_numbers_of_rect_list(self):
         rects = [(0.0, 2.0, -1.0, 1.0),   # lam = 1, double
