@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DegenerateEigenvalueError, DomainError,
                      EigensolverFailure)
@@ -243,7 +242,7 @@ def _gauge_projection(l_mat, g_disc):
     like N^4) would also count the second one, which falls like N^-2.
     """
     n2 = l_mat.shape[0]
-    sv = scipy.linalg.svdvals(l_mat - np.eye(n2))
+    sv = np.linalg.svd(l_mat - np.eye(n2), compute_uv=False)
     if not sv[-1] * KERNEL_GAP <= sv[-2]:
         raise DegenerateEigenvalueError(
             f"ker(L - 1) is not one-dimensional: the two smallest singular "
@@ -251,10 +250,9 @@ def _gauge_projection(l_mat, g_disc):
         )
     # inverse iteration on the transpose, seeded with g itself
     a = (l_mat - (1.0 + 1e-9) * np.eye(n2)).T
-    lu = scipy.linalg.lu_factor(a)
     y = g_disc.astype(float).copy()
     for _ in range(4):
-        y = scipy.linalg.lu_solve(lu, y)
+        y = np.linalg.solve(a, y)
         y /= np.linalg.norm(y)
     y = y / np.dot(y, g_disc)
     p_mat = np.outer(g_disc, y)
@@ -394,16 +392,12 @@ def unstable_eigenvalues(disc, disc_fine, re_min: float = 0.05,
 def _polish_eigenvalue(l_mat, lam):
     n2 = l_mat.shape[0]
     lam = complex(lam)
-    v = None
+    v = np.ones(n2, dtype=complex)
     for _ in range(3):
-        a = l_mat - (lam + 1e-12) * np.eye(n2)
         try:
-            lu = scipy.linalg.lu_factor(a)
-        except scipy.linalg.LinAlgError:  # exactly singular: lam is exact
+            v = np.linalg.solve(l_mat - (lam + 1e-12) * np.eye(n2), v)
+        except np.linalg.LinAlgError:  # exactly singular: lam is exact
             return lam
-        if v is None:
-            v = np.ones(n2, dtype=complex)
-        v = scipy.linalg.lu_solve(lu, v)
         v /= np.linalg.norm(v)
         lam = complex(np.vdot(v, l_mat @ v))
     return lam

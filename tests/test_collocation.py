@@ -177,6 +177,13 @@ class TestSpectrum:
             sv = scipy.linalg.svdvals(disc.L_mat - np.eye(n2))
             assert sv[-1] * co.KERNEL_GAP <= sv[-2], (disc.N, sv[-2:])
 
+    def test_polish_returns_exact_eigenvalue(self):
+        # the shift lam + 1e-12 hits a diagonal entry exactly, so the
+        # solve meets an exactly singular matrix and lam is kept as is
+        lam = 1.0 + 2.0j
+        lm = np.diag([lam + 1e-12, 3.0, 5.0 + 1.0j])
+        assert co._polish_eigenvalue(lm, lam) == lam
+
     def test_spurious_modes_move(self, disc4, disc4_fine):
         physical, raw = co.discrete_spectrum(disc4, disc4_fine)
         raw_fine = np.linalg.eigvals(disc4_fine.L_mat)

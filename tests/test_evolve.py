@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,6 +307,22 @@ class TestStack:
         assert None not in taus
         assert stack.blowup_tau == max(taus) == stack.taus[-1] < 12.0
         assert len(stack.taus) == len(stack[0].taus)
+        # each member leaves where its own run does, with the same states;
+        # a block product rounds unlike a vector product, and the blowup
+        # amplifies that to ~1e-10 of the sup norm
+        for m, u in zip(stack, grid_data[3:]):
+            single = ev.evolve(disc, u, 12.0, 0.01, "nonlinear")
+            assert m.blowup_tau == single.blowup_tau
+            assert m.states.shape == single.states.shape
+            diff = np.abs(m.states - single.states).max(axis=1)
+            assert np.all(diff <= 1e-8 * np.abs(single.states).max(axis=1))
+
+    def test_nan_member_leaves_at_once(self, disc, grid_data):
+        block = grid_data[:2].copy()
+        block[1, 0] = np.nan
+        first, broken = ev.evolve(disc, block, 1.0, 0.01, "nonlinear")
+        assert broken.blowup_tau == 0.01 and len(broken.taus) == 2
+        assert first.blowup_tau is None and first.taus[-1] == 1.0
 
 
 def test_energy_norms_on_first_read(disc):
@@ -314,3 +331,60 @@ def test_energy_norms_on_first_read(disc):
                      "linear-perturbed")
     assert "energy_norms" not in vars(traj)
     assert np.array_equal(traj.energy_norms, co.energy_norm(disc, traj.states))
+
+
+def _taylor_expm(a):
+    """Long-double reference: scale to 1-norm <= 1/2, sum 30 Taylor terms,
+    square back (the fewest squarings, which add the most round-off)."""
+    x = np.asarray(a, dtype=np.longdouble)
+    j = max(math.ceil(math.log2(2.0 * np.abs(x).sum(axis=0).max())), 0)
+    x = x / np.longdouble(2) ** j
+    term = np.eye(len(x), dtype=np.longdouble)
+    out = term.copy()
+    for k in range(1, 31):
+        term = term @ x / k
+        out += term
+    for _ in range(j):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize("N, tol", [(32, 1e-13), (96, 2e-12)])
+def test_expm_matches_taylor_reference(N, tol):
+    a = 0.01 * co.build(4, N).L_mat
+    ref = _taylor_expm(a)
+    err = np.abs(ev.expm(a) - ref).max() / np.abs(ref).max()
+    assert err <= tol
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("N", [32, 64, 96, 136])
+def test_expm_matches_scipy(d, N):
+    disc = co.build(d, N)
+    for lmat in (disc.L_mat, disc.L0_mat):
+        for dtau in (0.0025, 0.005, 0.01, 0.02):
+            ref = scipy.linalg.expm(dtau * lmat)
+            err = np.abs(ev.expm(dtau * lmat) - ref).max() / np.abs(ref).max()
+            assert err <= 2e-11, (lmat is disc.L_mat, dtau, err)
+
+
+def test_expm_keeps_the_gauge_eigenpair(disc):
+    # g and y are L's right and left eigenvectors at 1; r_13 solved from
+    # the left misses e^dtau g by 1e-9 and e^dtau y by 7e-11 here
+    g, y = disc.g_disc, disc.adjoint_functional
+    for dtau in (0.005, 0.01):
+        e = ev.expm(dtau * disc.L_mat)
+        assert np.abs(e @ g - math.exp(dtau) * g).max() <= 2e-10 * np.abs(g).max()
+        assert np.abs(y @ e - math.exp(dtau) * y).max() <= 5e-12 * np.abs(y).max()
+
+
+def test_expm_small_and_nilpotent():
+    # A^6, A^8, A^10 and (|A|)^27 vanish: no scaling to choose
+    assert np.array_equal(ev.expm(np.zeros((3, 3))), np.eye(3))
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert np.abs(ev.expm(shift) - (np.eye(2) + shift)).max() <= 1e-15
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])  # rotation by one radian
+    rot = np.array([[math.cos(1), math.sin(1)], [-math.sin(1), math.cos(1)]])
+    assert np.abs(ev.expm(a) - rot).max() <= 1e-15
+    z = np.array([[1.0 + 2.0j, 0.5], [0.0, -1.0j]])
+    assert np.abs(ev.expm(z) - scipy.linalg.expm(z)).max() <= 1e-14

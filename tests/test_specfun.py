@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -192,13 +193,37 @@ class TestBessel:
     def test_cli_import_leaves_scipy_special_unloaded(self):
         # scipy.special is imported by the Bessel wrappers on first use only
         code = "import sys, conewave.cli; print('scipy.special' in sys.modules)"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parents[1] / "src"),
-             env.get("PYTHONPATH", "")])
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert _run_python(code) == "False"
+
+    def test_commands_leave_scipy_linalg_unloaded(self, tmp_path):
+        # scipy.linalg's import (numpy.f2py, numpy.testing, numpy.ma) is
+        # gone from the commands' set-up, and no command loads it later
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("N = 32\ntau_max = 4.0\nomega_scan = 10\n"
+                       "eps_contour = 0.4\nomega = 20\ndomega = 0.2\n")
+        code = (
+            "import json, sys, conewave.cli\n"
+            "codes = [conewave.cli.main([c, '--config', sys.argv[1],"
+            " '--out', sys.argv[2]]) for c in ('spectrum', 'green-check',"
+            " 'laplace-compare', 'fit-blowup', 'strichartz')]\n"
+            "print(json.dumps([codes, [m for m in ('scipy.linalg',"
+            " 'numpy.f2py') if m in sys.modules]]))")
+        codes, loaded = json.loads(
+            _run_python(code, str(cfg), str(tmp_path / "out")))
+        # 66: a gate not met at these short settings, after a full run
+        assert set(codes) <= {0, 66}, codes
+        assert loaded == []
+
+
+def _run_python(code, *args):
+    """Standard output of a fresh interpreter running code on src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 def c3_zero_candidates(d: int, variant: str, re_min: float, re_max: float,
