@@ -191,7 +191,9 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
         ok &= len(results[name]) == 0
     summary = {
         "d": d,
-        "window": {"re_min": 0.05, "im_max": cfg.omega_scan},
+        "window": {"re_min": 0.05, "im_max": cfg.omega_scan,
+                   "trace_rtol": ro.TRACE_RTOL,
+                   "edge_density": ro.EDGE_DENSITY},
         "unstable": {name: [[z.real, z.imag] for z, _ in results[name]]
                      for name in results},
         "agree": bool(ok),

@@ -29,8 +29,9 @@ singular seed raises IndexCollisionError where the pair does not exist.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
 Green kernel), counted by the argument principle on one rectangle
-whose boundary is traced in rounds of one indicator batch each, located
-by the contour moments of the same samples and polished by Newton.
+whose boundary is traced in rounds of one indicator batch each at
+TRACE_RTOL, located by the contour moments of the same samples and
+polished by Newton at rtol 1e-10.
 """
 
 import math
@@ -52,8 +53,20 @@ RHO_MID = 0.5            # Wronskian matching point for the indicator
 # lam = 3/2 and 5/2, real and imaginary offsets, d 4), so 5e-3 keeps it
 # below 1e-9.
 INDEX_GAP = 5e-3
-EDGE_DENSITY = 10.0      # initial samples per unit length of a scan edge
+# initial samples per unit length of a scan edge: `_trace_boundary`
+# refines wherever the samples are too sparse, so this only sets the cost
+EDGE_DENSITY = 4.0
 EDGE_MAX_DEPTH = 12      # bisection rounds before the boundary is unresolved
+# rtol of the scan's boundary trace.  Its samples only feed the winding
+# number and the Delves-Lyness estimates, which seed the Newton polish at
+# rtol 1e-10.  The sum of principal arg increments stays exact while no
+# increment is perturbed across +-pi, and the trace's 0.8 bound on each
+# leaves ~2.3 rad for that; at 1e-6 the indicator's relative error is
+# <= 6.4e-6 against rtol 1e-12 on the omega-50 window at d = 3..6.  The
+# estimates (~2e-3 from lam = 1 there, set by the sampling: the c3 scan's
+# are the same) only seed Newton, so no reported number depends on the
+# trace's accuracy.
+TRACE_RTOL = 1e-6
 
 
 def ode_residual(d: int, lam, variant: str, rho, u, up, upp):
@@ -424,7 +437,7 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
     estimates from the same boundary samples, Newton-polished on 3-point
     indicator batches (rtol 1e-10).  Each round of the boundary trace
     (the initial polyline, then the midpoints of its failing intervals)
-    is one indicator batch at rtol 1e-8.  An unresolved boundary, or a
+    is one indicator batch at TRACE_RTOL.  An unresolved boundary, or a
     root polished out of the window, retries the scan with the window's
     bottom edge moved down by 0.37.
     The ODE has real coefficients in lam, so only Im >= -1 is scanned and
@@ -436,7 +449,8 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
     if not 0.0 <= omega_max <= 60.0:
         raise DomainError("omega_max must be in [0, 60]")
     if method == "shooting":
-        batch = lambda arr: _indicator_batch(d, arr, variant, rtol=1e-8)
+        batch = lambda arr: _indicator_batch(d, arr, variant,
+                                             rtol=TRACE_RTOL)
         polish = lambda arr: eigen_indicator(d, arr, variant, rtol=1e-10)[0]
     elif method == "c3":
         batch = polish = lambda arr: np.array(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conewave import cli, model
+from conewave import radialode as ro
 from conewave.errors import (NotConvergedWarning, StepFailure,
                              TruncationWarning)
 
@@ -157,6 +158,19 @@ def test_amplitude_sweep_columns(tmp_path, monkeypatch):
 
 
 class TestCommands:
+    def test_spectrum_summary_records_trace(self, tmp_path):
+        # the window block names the scan's boundary-trace settings
+        p = tmp_path / "run.cfg"
+        p.write_text("omega_scan = 6.0\n")
+        code = cli.main(["spectrum", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        summary = json.loads(
+            (tmp_path / "out" / "spectrum_summary.json").read_text())
+        assert summary["agree"]
+        assert summary["window"]["trace_rtol"] == ro.TRACE_RTOL
+        assert summary["window"]["edge_density"] == ro.EDGE_DENSITY
+
     def test_evolve_deterministic(self, tmp_path):
         args = ["evolve", "--N", "32", "--tau-max", "1.0", "--seed", "5"]
         assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0

@@ -419,22 +419,46 @@ class TestEigenIndicator:
         # indicator call per round, and its initial polyline needs no
         # refinement; the perturbed scan locates lam = 1 from the same
         # samples, so it needs no more calls than the free one
-        calls = []
-        batch = ro._indicator_batch
+        calls, polish_rtols = [], []
+        batch, polish = ro._indicator_batch, ro.eigen_indicator
 
         def counted(*args, **kwargs):
-            calls.append(len(args[1]))
+            calls.append((len(args[1]), kwargs["rtol"]))
             return batch(*args, **kwargs)
 
+        def counted_polish(*args, **kwargs):
+            polish_rtols.append(kwargs["rtol"])
+            return polish(*args, **kwargs)
+
         monkeypatch.setattr(ro, "_indicator_batch", counted)
+        monkeypatch.setattr(ro, "eigen_indicator", counted_polish)
         for variant, expected in (("free", []), ("perturbed", [(1.0, 1)])):
             calls.clear()
             roots = ro.scan_halfplane(4, variant, omega_max=50.0)
             assert [(round(z.real, 8) + round(z.imag, 8) * 1j, m)
                     for z, m in roots] == expected, variant
             assert len(calls) == 1, variant
-            # one closed polyline: no point evaluated twice
-            assert sum(calls) <= 1100, variant
+            # one closed polyline: no point evaluated twice (428 lam)
+            assert sum(n for n, _ in calls) <= 450, variant
+            assert {rtol for _, rtol in calls} == {ro.TRACE_RTOL}, variant
+        assert polish_rtols and set(polish_rtols) == {1e-10}
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_trace_rtol_budget(self, d):
+        # the omega-50 window's samples at TRACE_RTOL against rtol 1e-12
+        # (<= 6.4e-6 measured), far inside what the arg increments and the
+        # Newton seeds tolerate; the polished roots keep their accuracy
+        rect = (0.0, 2.0, -1.0, 50.5)
+        for variant in ("free", "perturbed"):
+            pts, vals = ro._trace_boundary(
+                lambda arr: ro._indicator_batch(d, arr, variant,
+                                                rtol=ro.TRACE_RTOL), rect)
+            ref = ro._indicator_batch(d, pts[:-1], variant, rtol=1e-12)
+            assert np.max(np.abs(vals[:-1] - ref) / np.abs(ref)) <= 1e-4
+        for method in ("shooting", "c3"):
+            [(root, m)] = ro.scan_halfplane(d, "perturbed", omega_max=50.0,
+                                            method=method)
+            assert abs(root - 1.0) <= 1e-10 and m == 1, method
 
     def test_scan_rejects_negative_omega(self):
         # a negative omega_max turned the window over and found nothing
