@@ -3,9 +3,9 @@
 
 Produces out/<command>/ directories with CSVs and manifests; prints one
 status line per command.  On a 2-core x86 box (Python 3.11, numpy 2.4)
-the six commands take 8-10 s in all; the Laplace-inversion comparison at
-its defaults (eps 0.1, Omega 200, domega 0.05) is 6-7 s of that, and
-each of the others is 0.2-1.2 s.
+the six commands take 7-9 s in all; the Laplace-inversion comparison at
+its defaults (eps 0.1, Omega 200, domega 0.05) is 5.5-6.5 s of that,
+and each of the others is 0.2-1.1 s.
 """
 
 import sys

@@ -1,24 +1,31 @@
-"""Batched adaptive Dormand-Prince RK45 with checkpoint landing.
+"""Batched adaptive Dormand-Prince RK45 with checkpoint landing and
+value-only samples.
 
 The spectral ODEs are integrated for many spectral parameters at once:
 the state has shape (batch, n) and a single step size is controlled by
 the worst batch member.  A step is clipped onto the last checkpoint
-(quadrature node, output grid point) it reaches; the checkpoints it
+(a point where the whole state is read) it reaches; the checkpoints it
 passed get their values from one batched RK5 sub-step from its start, no
 longer than the step and so no less accurate (after a clipped step the
-controller resumes from the step it proposed before clipping).  The
-seven stages of a step live in one (7, batch, n) buffer: each stage
-increment and the error estimate is one real matrix product of a row of
-the h-scaled tableau, formed once per attempt, with the buffer's float
-view.  Beside its six RHS calls an attempt makes only the numpy calls
-its arithmetic needs: the error norm takes member maxima with
+controller resumes from the step it proposed before clipping).  Samples
+are points where only u of a second-order problem y = (u, u') is read
+(the resolvent's quadrature nodes): they never clip a step, and each is
+filled on the accepted step that covers it from the quintic Hermite
+through (u, u', u'') at the step's two ends, whose f = (u', u'') are its
+stages 0 and 6 (FSAL).  A batch of m samples is one (m, 6) by (6, batch)
+product and no RHS call; the sub-step serves only the points whose u' is
+read.  The seven stages of a step live in one (7, batch, n) buffer: each
+stage increment and the error estimate is one real matrix product of a
+row of the h-scaled tableau, formed once per attempt, with the buffer's
+float view.  Beside its six RHS calls an attempt makes only the numpy
+calls its arithmetic needs: the error norm takes member maxima with
 elementwise np.maximum over the component columns, where a reduction
-over a length-2 axis costs over ten times as much, and checkpoints are
-found by bisect on a list.
+over a length-2 axis costs over ten times as much, and checkpoints and
+samples are found by bisect on a list.
 
-Dense output (quintic Hermite on the accepted steps, ~2e-10 relative)
-has no conewave caller; it stays because the benchmark's self-test
-(conebench) drives it.
+Dense output (the same quintic Hermite on the accepted steps, ~2e-10
+relative) has no conewave caller; it stays because the benchmark's
+self-test (conebench) drives it.
 """
 
 import bisect
@@ -43,6 +50,34 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 _AE = np.vstack([_A, _A[6] - np.array(_B4)])
 
 _MAX_STEPS = 2_000_000
+
+
+# the quintic Hermite basis on theta in [0, 1]: column k holds the
+# coefficients of theta^0..theta^5 of the polynomial that multiplies
+# (u_a, u'_a, u''_a, u_b, u'_b, u''_b)[k] times h^_H_POWER[0][k]
+_HERMITE = np.array([
+    (1.0, 0.0, 0.0, -10.0, 15.0, -6.0),
+    (0.0, 1.0, 0.0, -6.0, 8.0, -3.0),
+    (0.0, 0.0, 0.5, -1.5, 1.5, -0.5),
+    (0.0, 0.0, 0.0, 10.0, -15.0, 6.0),
+    (0.0, 0.0, 0.0, -4.0, 7.0, -3.0),
+    (0.0, 0.0, 0.0, 0.5, -1.0, 0.5),
+]).T
+# the basis of u (index 0) and of u' (index 1, d/dtheta over h), in the
+# same powers of theta
+_BASIS = (_HERMITE, np.vstack([_HERMITE[1:] * np.arange(1.0, 6.0)[:, None],
+                               np.zeros((1, 6))]))
+_H_POWER = (np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]),
+            np.array([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0]))
+_THETA_POWER = np.arange(6.0)
+
+
+def _hermite(theta, h, deriv):
+    """(m, 6) matrix whose row i, applied to (u_a, u'_a, u''_a, u_b, u'_b,
+    u''_b) of a step from x_a of length h (a scalar or one per row), gives
+    u (deriv 0) or u' (deriv 1) at x_a + theta[i] h."""
+    h = np.asarray(h, dtype=float)[..., None]
+    return (theta[:, None] ** _THETA_POWER) @ _BASIS[deriv] * h ** _H_POWER[deriv]
 
 
 class DenseSegments:
@@ -75,36 +110,20 @@ class DenseSegments:
         xa = self.xa[idx]
         h = self.xb[idx] - xa
         th = (x - xa) / h
-        u_a, du_a = self.ya[idx, 0], self.ya[idx, 1]
-        d2u_a = self.fa[idx, 1]
-        u_b, du_b = self.yb[idx, 0], self.yb[idx, 1]
-        d2u_b = self.fb[idx, 1]
+        data = np.stack([self.ya[idx, 0], self.ya[idx, 1], self.fa[idx, 1],
+                         self.yb[idx, 0], self.yb[idx, 1], self.fb[idx, 1]],
+                        axis=-1)
+        return tuple((_hermite(th, h, deriv) * data).sum(axis=-1)
+                     for deriv in (0, 1))
 
-        t2 = th * th
-        t3 = t2 * th
-        t4 = t3 * th
-        t5 = t4 * th
-        h00 = 1 - 10 * t3 + 15 * t4 - 6 * t5
-        h01 = th - 6 * t3 + 8 * t4 - 3 * t5
-        h02 = 0.5 * (t2 - 3 * t3 + 3 * t4 - t5)
-        h10 = 10 * t3 - 15 * t4 + 6 * t5
-        h11 = -4 * t3 + 7 * t4 - 3 * t5
-        h12 = 0.5 * (t3 - 2 * t4 + t5)
-        u = (
-            h00 * u_a + h01 * h * du_a + h02 * h * h * d2u_a
-            + h10 * u_b + h11 * h * du_b + h12 * h * h * d2u_b
-        )
-        d00 = -30 * t2 + 60 * t3 - 30 * t4
-        d01 = 1 - 18 * t2 + 32 * t3 - 15 * t4
-        d02 = 0.5 * (2 * th - 9 * t2 + 12 * t3 - 5 * t4)
-        d10 = 30 * t2 - 60 * t3 + 30 * t4
-        d11 = -12 * t2 + 28 * t3 - 15 * t4
-        d12 = 0.5 * (3 * t2 - 8 * t3 + 5 * t4)
-        du = (
-            d00 * u_a / h + d01 * du_a + d02 * h * d2u_a
-            + d10 * u_b / h + d11 * du_b + d12 * h * d2u_b
-        )
-        return u, du
+
+def _hermite_samples(xs, x, h, y, ka, yb, kb):
+    """u at the m points xs of the accepted step from (x, y, ka = f(x, y))
+    to (x + h, yb, kb) of a (batch, 2) state y = (u, u'): one real (m, 6)
+    by (6, 2 batch) product, no RHS call."""
+    data = np.empty((6, len(y)), dtype=complex)
+    data[:2], data[2], data[3:5], data[5] = y.T, ka[:, 1], yb.T, kb[:, 1]
+    return (_hermite((xs - x) / h, h, 0) @ data.view(float)).view(complex)
 
 
 def _substep(f, x, y, k1, xs):
@@ -132,8 +151,19 @@ def _member_max(a):
     return m
 
 
+def _toward(points, direction, x0, x_end):
+    """direction * points as an ascending list; DomainError unless they lie
+    in [x0, x_end], monotone toward x_end."""
+    t = direction * points
+    if len(t) and not (direction * x0 <= t[0] and t[-1] <= direction * x_end
+                       and np.all(np.diff(t) >= 0.0)):
+        raise DomainError("checkpoints and samples must lie in [x0, x_end], "
+                          "monotone toward x_end")
+    return t.tolist()
+
+
 def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
-          dense=False, h0=None, max_steps=_MAX_STEPS):
+          samples=None, dense=False, h0=None, max_steps=_MAX_STEPS):
     """Integrate y' = f(x, y) from x0 to x_end.
 
     Parameters
@@ -146,6 +176,11 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
         toward x_end (DomainError otherwise, before any step); a step
         lands on the last one it reaches, `_substep` fills the ones it
         passed, and the state is recorded at each.
+    samples : optional pair (xs, out) for a state y = (u, u'): points xs
+        under the same rule as checkpoints, and an array out of shape
+        (len(xs), batch) that receives u at each.  Samples never shorten
+        a step: each is filled from the quintic Hermite of the accepted
+        step that covers it.
     dense : keep all accepted steps for later Hermite evaluation.
 
     The error norm is the max over members of max_k |err_k| / (atol +
@@ -165,16 +200,17 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
     cps = toward = cp_vals = None
     if checkpoints is not None:
         cps = np.asarray(checkpoints, dtype=float)
-        t = direction * cps
-        if len(t) and not (direction * x0 <= t[0] and t[-1] <= direction * x_end
-                           and np.all(np.diff(t) >= 0.0)):
-            raise DomainError("checkpoints must lie in [x0, x_end], "
-                              "monotone toward x_end")
-        toward = t.tolist()  # ascending
+        toward = _toward(cps, direction, x0, x_end)
         cp_vals = np.empty((len(cps),) + y.shape, dtype=complex)
+    s_xs = s_toward = s_out = None
+    if samples is not None:
+        s_xs, s_out = np.asarray(samples[0], dtype=float), samples[1]
+        s_toward = _toward(s_xs, direction, x0, x_end)
     if span == 0.0:
         if cps is not None:
             cp_vals[:] = y
+        if s_out is not None:
+            s_out[:] = y[:, 0]
         return y, cp_vals, None
 
     if h0 is None:
@@ -189,7 +225,7 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
     mag_y = _member_max(np.abs(y))
     seg_xa, seg_xb, seg_ya, seg_fa, seg_yb, seg_fb = [], [], [], [], [], []
     hmin = 1e-14 * max(1.0, abs(x0), abs(x_end))
-    next_cp = 0
+    next_cp = next_s = 0
     n_steps = 0
     while direction * (x_end - x) > 0:
         n_steps += 1
@@ -232,6 +268,14 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
                 cp_vals[next_cp:first] = _substep(f, x, y, stages[0],
                                                   cps[next_cp:first])
                 next_cp = first
+            if s_toward is not None:
+                # the samples up to x + h, rounding of x + h included
+                tol = 1e-15 * max(1.0, abs(x + h))
+                last = bisect.bisect_right(s_toward, direction * (x + h) + tol)
+                if last > next_s:
+                    s_out[next_s:last] = _hermite_samples(
+                        s_xs[next_s:last], x, h, y, stages[0], y5, stages[6])
+                    next_s = last
             x = x + h
             y, mag_y = y5, mag_y5
             stages[0] = stages[6]

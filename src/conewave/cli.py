@@ -73,6 +73,8 @@ class RunConfig:
             raise ValueError("omega must lie in (0, 400]")
         if not (0 < self.domega <= 1):
             raise ValueError("domega must lie in (0, 1]")
+        if abs(round(self.omega / self.domega) * self.domega - self.omega) > 1e-9:
+            raise ValueError("omega must be a multiple of domega")
         if not (0 < self.omega_scan <= 60):
             raise ValueError("omega_scan must lie in (0, 60]")
         if not (0 < self.delta < 0.5):

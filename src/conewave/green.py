@@ -15,11 +15,12 @@ and
     F_lam(s) = s f1'(s) + (lam + d/2) f1(s) + f2(s),
 with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 `build_kernel` returns the normalized u0, u1 and their derivatives on a
-point set for an array of lam, from one `radialode.integrate` call; the
-resolvent, `green_eval` and the kernel-decay scan all read them from
-there, and only `integrate` knows the Frobenius pairs at 0 and 1 (it
-raises IndexCollisionError on nodes near 1 where the pair at 1 does not
-exist: |lam - 1/2| < 1e-8, lam = 3/2, 5/2, ...).  The resolvent output
+point set (and u0, u1 alone on a set of value points) for an array of
+lam, from one `radialode.integrate` call; the resolvent, `green_eval`
+and the kernel-decay scan all read them from there, and only
+`integrate` knows the Frobenius pairs at 0 and 1 (it raises
+IndexCollisionError on nodes near 1 where the pair at 1 does not exist:
+|lam - 1/2| < 1e-8, lam = 3/2, 5/2, ...).  The resolvent output
 is smooth at rho = 1: u1(1) = 1 and u0 int_rho^1 K u1 -> 0, so the
 trace there is int_0^1 K u0, and the equation at rho = 1, where the u''
 coefficient 1 - rho^2 vanishes, gives the derivative trace
@@ -33,7 +34,16 @@ GEO_DEPTH = 24 levels) toward both endpoints; the panel at each end has width
 2^-(GEO_DEPTH+1), so with the integrand's factor (1-s)^{lam-1/2} it holds
 ~(2^-(GEO_DEPTH+1))^{Re lam + 1/2} of the integrand's scale.  Output points are
 inserted as panel boundaries, making the split integrals exact partial
-sums over panels.
+sums over panels.  The integrand reads only u0 and u1 at the nodes, so
+they are `integrate`'s value points: each is filled from the quintic
+Hermite of the RK45 step that covers it, at no RHS call and no step
+shortened, and per lam it holds three complex numbers (u0, u1 and the
+kernel weight, 48 bytes).  Only the output points and RHO_MID (the
+normalization point, a panel boundary) are RK45 checkpoints with
+derivatives.  At the benchmark's laplace-compare (eps 0.4, Omega 100,
+domega 0.2: two batches of ~250 lam, ~1,830 nodes each) the RK45 work
+is 1,918 steps and 3.97 M RHS rows, against 2,288 steps and 8.45 M rows
+when every node was a checkpoint.
 
 The semigroup is evaluated by truncated Laplace inversion
 
@@ -58,7 +68,7 @@ from .errors import (DomainError, NearEigenvalueError, QuadratureError,
 from .model import potential_constant, varphi
 # `integrate` is bound here by name: the benchmark's tracer patches
 # conewave.green:integrate and conewave.green:build_kernel
-from .radialode import integrate, matching_wronskian, ode_residual
+from .radialode import RHO_MID, integrate, matching_wronskian, ode_residual
 from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 
 GEO_DEPTH = 24
@@ -148,15 +158,17 @@ def _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts):
     return (2.0j / kappa)[:, None]
 
 
-def build_kernel(d: int, lam_arr, variant: str, pts, rtol: float):
-    """(u0, u0', u1, u1', c) on ascending pts in (0, 1), arrays (n_lam, n_pts).
+def build_kernel(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
+    """(u0, u0', u1, u1', c) on ascending pts in (0, 1), arrays (n_lam, n_pts);
+    u0 and u1 also hold the ascending value points `values` after pts,
+    where `integrate` forms no derivative (arrays (n_lam, n_pts + n_values)).
 
     u1 is the analytic-at-one solution and u0 the origin-regular one scaled
     by c (shape (n_lam, 1)) to the normalization of the module docstring,
     matched at the point of pts nearest 1/2.  The origin series starts at
     1, so c is also u0(0).
     """
-    u0, u0p, u1, u1p = integrate(d, lam_arr, variant, pts, rtol)
+    u0, u0p, u1, u1p = integrate(d, lam_arr, variant, pts, rtol, values)
     c = _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts)
     u0 *= c
     u0p *= c
@@ -164,10 +176,13 @@ def build_kernel(d: int, lam_arr, variant: str, pts, rtol: float):
 
 
 def _kernel_weight(d, lam_arr, s):
-    """s^{d-1} (1-s^2)^{lam-1/2} / (2i), arrays (n_lam, n_s)."""
+    """s^{d-1} (1-s^2)^{lam-1/2} / (2i), arrays (n_lam, n_s), built in
+    place as one array."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    return s ** (d - 1.0) * np.exp(
-        (lam_arr[:, None] - 0.5) * np.log(1.0 - s * s)[None, :]) / 2.0j
+    w = np.multiply.outer(lam_arr - 0.5, np.log(1.0 - s * s))
+    np.exp(w, out=w)
+    w *= s ** (d - 1.0) / 2.0j
+    return w
 
 
 def green_eval(d: int, lam, variant: str, rho, s, rtol: float = 1e-10):
@@ -194,7 +209,9 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol):
 
     Endpoints are allowed: at rho=0 only the regular branch contributes,
     and at rho=1 the trace is int_0^1 K u0 and the derivative trace comes
-    from the equation there (module docstring).
+    from the equation there (module docstring).  The kernel is built with
+    derivatives only on the interior output points and RHO_MID, where
+    it is normalized; the quadrature nodes are value points (`integrate`).
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     rho_out = np.asarray(rho_out, dtype=float)
@@ -203,31 +220,37 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol):
     interior = (rho_out > 0.0) & (rho_out < 1.0)
     bps, nodes, wts = _panel_layout(rho_out[interior])
 
-    eval_pts = np.unique(np.concatenate([nodes, rho_out[interior]]))
-    u0, u0p, u1, u1p, scale0 = build_kernel(d, lam_arr, variant, eval_pts, rtol)
+    pts = np.union1d(rho_out[interior], [RHO_MID])
+    u0, u0p, u1, u1p, scale0 = build_kernel(d, lam_arr, variant, pts, rtol,
+                                            nodes)
+    out_ix = np.searchsorted(pts, rho_out[interior])
 
-    node_ix = np.searchsorted(eval_pts, nodes)
-    out_ix = np.searchsorted(eval_pts, rho_out[interior])
+    # the panel sums of K u0 and K u1 with K = kern F_lam, F_lam = f0 + lam
+    # f1: kern is the one (n_lam, n_nodes) array beside u0 and u1, and
+    # einsum forms each sum over (panel, node) without another
+    kern = _kernel_weight(d, lam_arr, nodes)
+    kern *= wts
+    n_lam, n_panels = len(lam_arr), len(bps) - 1
+    grid = (n_lam, n_panels, GL_NODES)
+    kern = kern.reshape(grid)
+    f0 = src.F_lambda(nodes, 0.0, d).reshape(grid[1:])
+    f1 = src.f1(nodes).reshape(grid[1:])
 
-    flam = src.F_lambda(nodes, 0.0, d)[None, :] + lam_arr[:, None] * src.f1(nodes)[None, :]
-    kern = wts[None, :] * _kernel_weight(d, lam_arr, nodes) * flam
+    def panel_sums(u):
+        u = u[:, len(pts):].reshape(grid)
+        return (np.einsum("lpn,pn,lpn->lp", kern, f0, u)
+                + lam_arr[:, None] * np.einsum("lpn,pn,lpn->lp", kern, f1, u))
 
-    contrib0 = kern * u0[:, node_ix]   # integrand of I0 = int_0^rho K u0
-    contrib1 = kern * u1[:, node_ix]   # integrand of I1 = int_rho^1 K u1
-    n_panels = len(bps) - 1
-    p0 = contrib0.reshape(len(lam_arr), n_panels, GL_NODES).sum(axis=2)
-    p1 = contrib1.reshape(len(lam_arr), n_panels, GL_NODES).sum(axis=2)
-    cums0 = np.concatenate(
-        [np.zeros((len(lam_arr), 1), dtype=complex), np.cumsum(p0, axis=1)], axis=1)
-    cums1 = np.concatenate(
-        [np.zeros((len(lam_arr), 1), dtype=complex), np.cumsum(p1, axis=1)], axis=1)
+    zero = np.zeros((n_lam, 1), dtype=complex)
+    cums0 = np.concatenate([zero, np.cumsum(panel_sums(u0), axis=1)], axis=1)
+    cums1 = np.concatenate([zero, np.cumsum(panel_sums(u1), axis=1)], axis=1)
     tot1 = cums1[:, -1][:, None]
 
     bp_of_out = np.searchsorted(bps, rho_out)
     i0 = cums0[:, bp_of_out]           # int_0^rho K u0
     i1 = tot1 - cums1[:, bp_of_out]    # int_rho^1 K u1
 
-    uo = np.zeros((len(lam_arr), len(rho_out)), dtype=complex)
+    uo = np.zeros((n_lam, len(rho_out)), dtype=complex)
     uop = np.zeros_like(uo)
     uo[:, interior] = u0[:, out_ix] * i1[:, interior] + u1[:, out_ix] * i0[:, interior]
     uop[:, interior] = u0p[:, out_ix] * i1[:, interior] + u1p[:, out_ix] * i0[:, interior]
@@ -340,16 +363,20 @@ def semigroup_laplace(d: int, tau: float, src: SourceTerm, rho_out,
 
     src must already have the gauge-mode projection removed.  Real data
     makes the integrand conjugate-symmetric, so only w >= 0 is computed,
-    in the fewest equal batches of at most LAPLACE_BATCH frequencies.
+    on the trapezoid grid of step domega, of which omega_max must be a
+    multiple (DomainError), in the fewest equal batches of at most
+    LAPLACE_BATCH frequencies.
     Emits TruncationWarning with the relative last-octave tail estimate.
     """
     if not (0.0 < eps < 0.5):
         raise DomainError("contour shift must lie in (0, 1/2)")
     if omega_max > 400.0:
         raise DomainError("omega_max must be <= 400")
+    n_w = int(round(omega_max / domega))
+    if abs(n_w * domega - omega_max) > 1e-9:
+        raise DomainError("omega_max must be a multiple of domega")
     rho_out = np.asarray(rho_out, dtype=float)
     f1_out = np.asarray(src.f1(rho_out), dtype=float)
-    n_w = int(round(omega_max / domega))
     omegas = np.arange(n_w + 1) * domega
     weights = np.full(n_w + 1, domega)  # trapezoid rule
     weights[0] *= 0.5

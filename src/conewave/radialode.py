@@ -167,16 +167,21 @@ def _reduce_at_origin(d, lam_arr, seed, rho, u0, u0p, star):
 # ---------------------------------------------------------------------------
 
 
-def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
-    """(u0, u0', u1, u1') on ascending pts in (0, 1), batched over lam;
-    arrays (n_lam, n_pts).
+def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
+    """(u0, u0', u1, u1') batched over lam: u0' and u1' are (n_lam, n_pts)
+    on the ascending pts in (0, 1), and u0, u1 are (n_lam, n_pts +
+    n_values), on pts and then on the ascending value points `values` in
+    (0, 1), where no derivative is formed.
 
     u0 is the origin-regular and u1 the analytic-at-one solution, both
     with unit leading seed coefficient.  This is the one place where the
     Frobenius series bridge the seed gap next to each endpoint: u0 on
     [0, ORIGIN_START] and u1 on [ONE_START, 1) are the series, and the
-    rest is read off RK45 checkpoints landed on pts.  RK45 carries u0 up
-    from ORIGIN_START and u1 down from ONE_START.
+    rest comes from RK45 runs: a point of pts is a checkpoint, landed on
+    or sub-stepped, and a value point is an RK45 sample, filled from the
+    quintic Hermite of the step that covers it at no RHS call (so value
+    points neither shorten a step nor cost a sub-step).  RK45 carries u0
+    up from ORIGIN_START and u1 down from ONE_START.
 
     u0 holds the singular branch (1-rho)^sigma, sigma = 1/2 - lam, of the
     Frobenius pair at 1, which oscillates like e^{-i Im(lam) ln(1-rho)}.
@@ -199,11 +204,18 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     pts = np.asarray(pts, dtype=float)
-    if len(pts) and (pts[0] <= 0.0 or pts[-1] >= 1.0 or np.any(np.diff(pts) < 0.0)):
-        raise DomainError("points must be ascending in (0, 1)")
+    values = np.asarray(values, dtype=float)
+    for p in (pts, values):
+        if len(p) and (p[0] <= 0.0 or p[-1] >= 1.0 or np.any(np.diff(p) < 0.0)):
+            raise DomainError("points must be ascending in (0, 1)")
     n_lam, n_pts = len(lam_arr), len(pts)
-    u0, u0p, u1, u1p = (np.empty((n_lam, n_pts), dtype=complex) for _ in range(4))
-    if not n_lam or not n_pts:
+    xs = np.concatenate([pts, values])   # the columns of u0 and u1
+    # u1 and u0 share one buffer in the member order of the gauge pair's
+    # run, which so fills the value points of both in place
+    both = np.empty((2, n_lam, len(xs)), dtype=complex)
+    u1, u0 = both
+    u0p, u1p = (np.empty((n_lam, n_pts), dtype=complex) for _ in range(2))
+    if not n_lam or not len(xs):
         return u0, u0p, u1, u1p
     sig = 0.5 - lam_arr
     so = seed_origin(d, lam_arr, variant)
@@ -211,27 +223,49 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
     plain = _batch_rhs(d, lam_arr, variant)
     # initial step resolving the batch's fastest oscillation e^{a phi}
     h0 = 0.5 / (20.0 + float(np.max(np.abs(sig))))
-    land = lambda rhs, x0, y0, cps: _rk45.solve(
-        rhs, x0, float(cps[-1]), y0, rtol=rtol, atol=1e-300, checkpoints=cps,
-        h0=h0)[1]
+    land = lambda rhs, x0, x_end, y0, cps, smp: _rk45.solve(
+        rhs, x0, x_end, y0, rtol=rtol, atol=1e-300, checkpoints=cps,
+        samples=smp, h0=h0)[1]
 
-    near, at_one = pts <= ORIGIN_START, pts >= ONE_START
-    u0[:, near], u0p[:, near] = so.eval(pts[near])
-    u1[:, at_one], u1p[:, at_one] = sa.eval(pts[at_one])
+    def put(u, up, cols, val, der):
+        # val on the columns cols, der on those of them that are pts
+        u[:, cols] = val
+        up[:, cols[:n_pts]] = der[:, :np.count_nonzero(cols[:n_pts])]
+
+    def sampled(buf, cols, descending):
+        # (value points, out) of a run for the value columns cols of the
+        # (rows, n_cols) buffer buf, in the run's direction; None if none
+        ix = np.flatnonzero(cols[n_pts:]) + n_pts
+        if not len(ix):
+            return None
+        sl = slice(ix[0], ix[-1] + 1)
+        step = -1 if descending else 1
+        return xs[sl][::step], buf[:, sl][:, ::step].T
+
+    near, at_one = xs <= ORIGIN_START, xs >= ONE_START
+    v_near, d_near = so.eval(xs[near])
+    put(u0, u0p, near, v_near, d_near)
+    put(u1, u1p, at_one, *sa.eval(xs[at_one]))
     stop = (RHO_MID if np.min(np.abs(sig - np.round(sig.real))) >= INDEX_GAP
             else ONE_START)
-    far = pts > stop   # u0 continued in a pair at 1, matched at stop
+    far = xs > stop   # u0 continued in a pair at 1, matched at stop
+    is_pt = np.arange(len(xs)) < n_pts
 
     # u0 up from the origin series to stop
     mid = ~near & ~far
-    cps = pts[mid]
+    cps = xs[mid & is_pt]
     if np.any(far):
         cps = np.append(cps, stop)
-    if len(cps):
-        vals = land(plain, ORIGIN_START, np.stack(so.eval(ORIGIN_START), axis=-1), cps)
-        n_mid = np.count_nonzero(mid)
-        u0[:, mid], u0p[:, mid] = vals[:n_mid, :, 0].T, vals[:n_mid, :, 1].T
-        at_stop = vals[-1].T.copy()
+    if np.any(mid) or len(cps):
+        x_end = stop if np.any(far) else float(np.max(xs[mid]))
+        vals = land(plain, ORIGIN_START, x_end,
+                    np.stack(so.eval(ORIGIN_START), axis=-1), cps,
+                    sampled(u0, mid, False))
+        n_mid = np.count_nonzero(mid & is_pt)
+        u0[:, mid & is_pt], u0p[:, mid[:n_pts]] = (vals[:n_mid, :, 0].T,
+                                                  vals[:n_mid, :, 1].T)
+        if np.any(far):
+            at_stop = vals[-1].T.copy()
         del vals   # freed before the next run's checkpoint values
 
     # u1 down from the series at 1: above RHO_MID the u_a half of the pair
@@ -239,48 +273,63 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float):
     if np.any(far):
         ss = seed_one(d, lam_arr, variant, "singular")
         # u0's slots on far hold the singular branch until (a, b) are known
-        series = far & at_one
-        u0[:, series], u0p[:, series] = ss.eval(pts[series])
+        put(u0, u0p, far & at_one, *ss.eval(xs[far & at_one]))
         # at stop = ONE_START the run is zero-length and returns the seeds
-        upper = (pts >= stop) & ~at_one
+        upper = (xs >= stop) & ~at_one & is_pt
         rk = far & ~at_one
-        cps = np.append(pts[upper][::-1], stop)
-        # u_a and w, both Taylor series at 1, as one batch (u_a first)
+        cps = np.append(xs[upper][::-1], stop)
+        # u_a and w, both Taylor series at 1, as one batch (u_a first),
+        # sampled into the rows of u1 and u0 at once
         w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
                                ss.coefficients)
         pair = land(
             _batch_rhs(d, np.tile(lam_arr, 2), variant,
                        np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
-            ONE_START, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
-                                                    axis=-1)]), cps)
+            ONE_START, stop, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
+                                                          axis=-1)]), cps,
+            sampled(both.reshape(2 * n_lam, -1), rk, True))
         x1, y1 = stop, pair[-1, :n_lam].copy()
         basis = (y1.T, _ungauge(sig, stop, *pair[-1, n_lam:].T))
-        n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk)
+        n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk & is_pt)
         u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
-        u1p[:, upper] = pair[:n_up, :n_lam, 1][::-1].T
-        u0[:, rk], u0p[:, rk] = _ungauge(sig[:, None], pts[rk],
-                                         *pair[:n_rk, n_lam:][::-1].T)
+        u1p[:, upper[:n_pts]] = pair[:n_up, :n_lam, 1][::-1].T
+        u0[:, rk & is_pt], u0p[:, rk[:n_pts]] = _ungauge(
+            sig[:, None], xs[rk & is_pt], *pair[:n_rk, n_lam:][::-1].T)
         del pair
+        u1[:, (xs == stop) & ~is_pt] = y1[:, :1]
+        # far is a range at the end of pts and one at the end of values;
+        # the value points of w become the singular branch in place, and
+        # the matching is done in place too
+        i_pt = int(np.searchsorted(pts, stop, side="right"))
+        i_val = n_pts + int(np.searchsorted(values, stop, side="right"))
+        i_one = n_pts + int(np.searchsorted(values, ONE_START))
+        gauge = np.multiply.outer(sig, np.log(1.0 - xs[i_val:i_one]))
+        u0[:, i_val:i_one] *= np.exp(gauge, out=gauge)
         a, b = _pair_coefficients(*at_stop, *basis)
-        u0[:, far] = a[:, None] * u1[:, far] + b[:, None] * u0[:, far]
-        u0p[:, far] = a[:, None] * u1p[:, far] + b[:, None] * u0p[:, far]
+        for u, w, cols in ((u0, u1, slice(i_pt, n_pts)),
+                           (u0, u1, slice(i_val, None)),
+                           (u0p, u1p, slice(i_pt, None))):
+            u[:, cols] *= b[:, None]
+            u[:, cols] += a[:, None] * w[:, cols]
 
     # u1 on down to ORIGIN_START, and below it by reduction of order
-    low = ~near & (pts < x1)
-    cps = pts[low][::-1]
+    low = ~near & (xs < x1)
+    cps = xs[low & is_pt][::-1]
     if np.any(near):
         cps = np.append(cps, ORIGIN_START)
-    if len(cps):
-        vals = land(plain, x1, y1, cps)
-        n_low = np.count_nonzero(low)
-        u1[:, low] = vals[:n_low, :, 0][::-1].T
-        u1p[:, low] = vals[:n_low, :, 1][::-1].T
-        star = vals[-1].T.copy()
+    if np.any(low) or len(cps):
+        x_end = ORIGIN_START if np.any(near) else float(np.min(xs[low]))
+        vals = land(plain, x1, x_end, y1, cps, sampled(u1, low, True))
+        n_low = np.count_nonzero(low & is_pt)
+        u1[:, low & is_pt] = vals[:n_low, :, 0][::-1].T
+        u1p[:, low[:n_pts]] = vals[:n_low, :, 1][::-1].T
+        if np.any(near):
+            star = vals[-1].T.copy()
         del vals
     if np.any(near):
-        u1[:, near], u1p[:, near] = _reduce_at_origin(
-            d, lam_arr, so, pts[near], u0[:, near], u0p[:, near], star)
-    if not all(np.all(np.isfinite(v)) for v in (u0, u0p, u1, u1p)):
+        put(u1, u1p, near, *_reduce_at_origin(
+            d, lam_arr, so, xs[near], v_near, d_near, star))
+    if not all(np.all(np.isfinite(v)) for v in (both, u0p, u1p)):
         raise QuadratureError("fundamental solution overflowed on nodes")
     return u0, u0p, u1, u1p
 

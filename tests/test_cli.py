@@ -70,6 +70,17 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "amplitude must be finite" in capsys.readouterr().err
 
+    def test_omega_off_the_domega_grid_exit(self, tmp_path, capsys):
+        # rejected with the config, before the command makes its out dir
+        p = tmp_path / "run.cfg"
+        p.write_text("omega = 100\ndomega = 0.3\n")
+        out = tmp_path / "out"
+        code = cli.main(["laplace-compare", "--config", str(p),
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "omega must be a multiple of domega" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_jobs_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["spectrum", "--jobs", "2"])

@@ -124,6 +124,49 @@ class TestResolvent:
             # the rho = 1 derivative trace, from the equation there
             assert abs(u1p[0, -1] + 0.8) <= 1e-10   # u1'(1) = -2 + 1.2
 
+    def test_quadrature_nodes_are_value_only(self, monkeypatch):
+        # the nodes are RK45 samples: no sub-step reaches one, only output
+        # points and RHO_MID are sub-stepped, and no run lands on more than
+        # its output points plus RHO_MID and its end
+        runs, substepped = [], []
+
+        def recorded(f, x0, x_end, y0, **kwargs):
+            def rhs(x, y):
+                if np.ndim(x):
+                    arrays.append(np.ravel(x))
+                return f(x, y)
+            arrays = []
+            runs.append((x0, x_end, kwargs["checkpoints"], kwargs["samples"],
+                         arrays))
+            return rk45_solve(rhs, x0, x_end, y0, **kwargs)
+
+        def substep(f, x, y, k1, xs):
+            substepped.extend(xs)
+            return sub(f, x, y, k1, xs)
+
+        # bound to other names: test_unused_defaults matches calls by name,
+        # and a forwarding call sets no default of solve
+        rk45_solve, sub = ro._rk45.solve, ro._rk45._substep
+        monkeypatch.setattr(ro._rk45, "solve", recorded)
+        monkeypatch.setattr(ro._rk45, "_substep", substep)
+        # clusters 1e-4 apart, as residual_checks' stencils: steps pass them
+        rho = np.unique(np.append(np.linspace(0.0, 1.0, 21), (
+            np.linspace(0.1, 0.9, 9)[:, None] + 1e-4 * np.arange(1, 4)).ravel()))
+        out_pts = rho[1:-1]
+        src, u1e, _ = _poly_pair_source(4, 2.0)
+        u1 = gr._resolvent_batch(4, [2.0, 0.5 + 3.0j], "perturbed", src, rho,
+                                 rtol=1e-10)[0]
+        assert np.max(np.abs(u1[0] - u1e(rho))) <= 1e-6
+        _, nodes, _ = gr._panel_layout(out_pts)
+        assert len(runs) == 3 and substepped
+        assert set(substepped) <= set(out_pts) | {ro.RHO_MID}
+        for x0, x_end, cps, samples, arrays in runs:
+            assert samples is not None
+            assert not np.isin(np.concatenate(arrays), nodes).any()
+            lo, hi = min(x0, x_end), max(x0, x_end)
+            mine = np.count_nonzero((out_pts >= lo) & (out_pts <= hi))
+            assert len(cps) <= mine + 2, (x0, x_end, cps)
+
     def test_zero_source(self):
         z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
         u1 = gr._resolvent_batch(4, [2.0], "perturbed", gr.SourceTerm(z, z, z),
@@ -243,8 +286,8 @@ GREEN_CHECK_LAMS = [2.0, 0.5 + 3.0j, 0.1 + 10.0j]
 @pytest.fixture(scope="module")
 def green_check_run():
     """The CLI's green-check at N 96: its residuals, the RHS calls of its
-    RK45 solves and their lowest abscissa, and the pts of each integrate
-    call."""
+    RK45 solves and their lowest abscissa, and the (pts, values) of each
+    integrate call."""
     disc = co.build(4, 96)
     src, _ = cli._smooth_test_source(disc, remove_projection=False)
     rho_test = disc.nodes[(disc.nodes >= 0.05) & (disc.nodes <= 0.95)]
@@ -260,9 +303,9 @@ def green_check_run():
             return f(x, y)
         return counted
 
-    def recorded(d, lam_arr, variant, pts, rtol):
-        layouts.append(pts)
-        return integrate(d, lam_arr, variant, pts, rtol)
+    def recorded(d, lam_arr, variant, pts, rtol, values=()):
+        layouts.append((pts, values))
+        return integrate(d, lam_arr, variant, pts, rtol, values)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ro, "_batch_rhs", counted_rhs)
@@ -297,17 +340,27 @@ class TestGreenCheckLayout:
         # ONE_START to the smallest node, 2.7e-10
         run = green_check_run
         assert run.calls <= 11_000
-        assert min(run.layouts[0]) < 1e-9
+        assert min(run.layouts[0][1]) < 1e-9
         # no RK45 run goes below ORIGIN_START: no RHS call is made there
         assert run.lowest == ro.ORIGIN_START
 
     def test_integrate_matches_a_tight_reference(self, green_check_run):
-        [pts] = green_check_run.layouts
-        out = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", pts, 1e-10)
-        ref = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", pts, 1e-13)
+        # the value points (quadrature nodes) come from each step's quintic
+        # Hermite; the reference takes every point as a full point
+        [(pts, values)] = green_check_run.layouts
+        assert len(values) > 10 * len(pts)
+        out = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", pts, 1e-10,
+                           values)
+        every = np.concatenate([pts, values])
+        order = np.argsort(every)
+        ref = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", every[order],
+                           1e-13)
         for name, u, r in zip(("u0", "u1"), out[::2], ref[::2]):
-            rel = np.max(np.abs(u - r), axis=1) / np.max(np.abs(r), axis=1)
-            assert np.all(rel <= 1e-9), (name, rel)
+            r = r[:, np.argsort(order)]
+            for part in (slice(0, len(pts)), slice(len(pts), None)):
+                rel = (np.max(np.abs(u[:, part] - r[:, part]), axis=1)
+                       / np.max(np.abs(r[:, part]), axis=1))
+                assert np.all(rel <= 1e-9), (name, part, rel)
 
 
 class TestKernelDecay:
@@ -397,6 +450,19 @@ class TestSemigroupLaplace:
         assert sum(sizes) == n_nodes
         assert max(sizes) <= 500
         assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("omega_max", [100.0, 1.0])
+    def test_omega_max_off_the_domega_grid(self, monkeypatch, omega_max):
+        # dw 0.3 would stop the grid at 99.9 or 0.9, short of Omega
+        def unused(*args):
+            raise AssertionError("no resolvent before the domain check")
+
+        monkeypatch.setattr(gr, "_resolvent_batch", unused)
+        z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+        with pytest.raises(DomainError, match="multiple of domega"):
+            gr.semigroup_laplace(4, 1.0, gr.SourceTerm(z, z, z),
+                                 np.linspace(0.0, 1.0, 5), eps=0.4,
+                                 omega_max=omega_max, domega=0.3)
 
     def test_contour_domain(self):
         d = 4

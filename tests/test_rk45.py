@@ -43,6 +43,61 @@ def test_dense_output_second_order():
     assert np.max(np.abs(du - np.cos(xs))) <= 1e-8
 
 
+def test_samples_are_as_accurate_as_substepped_checkpoints():
+    # u'' = -u at rtol 1e-10 on 400 points: a sample's Hermite value is as
+    # close to the exact solution as a checkpoint's RK5 sub-step value
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j], [1.0 + 0.0j, 0.0 + 0.0j]])
+    xs = np.linspace(0.05, 19.95, 400)
+    exact = np.stack([np.sin(xs), np.cos(xs)], axis=-1)
+    _, vals, _ = _rk45.solve(_oscillator, 0.0, 20.0, y0, rtol=1e-10,
+                             checkpoints=xs)
+    out = np.empty((len(xs), 2), dtype=complex)
+    _, none, _ = _rk45.solve(_oscillator, 0.0, 20.0, y0, rtol=1e-10,
+                             samples=(xs, out))
+    assert none is None
+    cp_err = np.max(np.abs(vals[:, :, 0] - exact))
+    sample_err = np.max(np.abs(out - exact))
+    assert sample_err <= 2.0 * cp_err, (sample_err, cp_err)
+
+
+def test_samples_leave_the_steps_alone():
+    # samples neither clip a step nor call f: the run is the free run,
+    # descending here, and each sample sits on the step that covers it
+    def f(x, y):
+        f.calls += 1
+        return _oscillator(x, y)
+
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j]])
+    xs = np.linspace(6.0, 0.0, 61)
+    out = np.empty((61, 1), dtype=complex)
+    f.calls = 0
+    free, _, dense = _rk45.solve(f, 6.0, 0.0, y0, rtol=1e-11, dense=True)
+    n_free = f.calls
+    f.calls = 0
+    y, _, _ = _rk45.solve(f, 6.0, 0.0, y0, rtol=1e-11, samples=(xs, out))
+    assert f.calls == n_free and np.array_equal(y, free)
+    assert out[0, 0] == y0[0, 0] and out[-1, 0] == y[0, 0]
+    assert np.max(np.abs(out[:, 0] - dense(xs)[0])) <= 1e-14
+    assert np.max(np.abs(out[:, 0] - np.sin(xs - 6.0))) <= 1e-9
+
+
+@pytest.mark.parametrize("xs", [
+    [0.5, 2.0],     # beyond x_end: its row was never written
+    [0.7, 0.5],     # not monotone
+])
+def test_samples_are_checked_before_stepping(xs):
+    def f(x, y):
+        f.calls += 1
+        return _oscillator(x, y)
+
+    f.calls = 0
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j]])
+    with pytest.raises(DomainError):
+        _rk45.solve(f, 0.0, 1.0, y0, samples=(np.array(xs),
+                                              np.empty((2, 1), complex)))
+    assert f.calls == 0
+
+
 def test_batch_independent_members():
     rates = np.array([-1.0, -2.0, 0.5])
 

@@ -10,8 +10,9 @@ by position, or through ``*args`` / ``**kwargs``.
 More checks keep each fact in one place: no function takes a
 dimension ``d`` beside a discretization ``disc`` (which carries
 ``disc.d``), ``radialode.integrate`` is the only caller of
-``_rk45.solve`` and ``_rk45.solve`` the only caller of its checkpoint
-sub-step ``_rk45._substep``, ``radialode.integrate`` is the only
+``_rk45.solve`` (and the only one that passes it value-only samples)
+and ``_rk45.solve`` the only caller of its checkpoint sub-step
+``_rk45._substep``, ``radialode.integrate`` is the only
 builder of the Frobenius seeds, and it builds them for a whole batch of
 lam, never one lam per loop pass.
 
@@ -155,9 +156,10 @@ def _calls(call, name, module):
             and isinstance(func.value, ast.Name) and func.value.id == module)
 
 
-def _callers(name, module):
+def _callers(name, module, keyword=None):
     """'module.function' of every call of name (bare or as module.name) in
-    src/conewave, one entry per call."""
+    src/conewave, one entry per call; with keyword, only the calls that
+    pass that keyword argument."""
     callers = []
 
     def visit(node, stem, owner):
@@ -165,7 +167,9 @@ def _callers(name, module):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, stem, child.name)
                 continue
-            if isinstance(child, ast.Call) and _calls(child, name, module):
+            if (isinstance(child, ast.Call) and _calls(child, name, module)
+                    and (keyword is None
+                         or any(kw.arg == keyword for kw in child.keywords))):
                 callers.append(f"{stem}.{owner}")
             visit(child, stem, owner)
 
@@ -178,6 +182,12 @@ def test_rk45_solve_is_called_only_by_integrate():
     assert _callers("solve", "_rk45") == ["radialode.integrate"]
     # one RK45 path: the checkpoint sub-step batch is part of solve
     assert _callers("_substep", "_rk45") == ["_rk45.solve"]
+
+
+def test_only_integrate_passes_rk45_samples():
+    # value-only points are declared by one caller, so no option elsewhere
+    # chooses between a Hermite value and a sub-step
+    assert _callers("solve", "_rk45", "samples") == ["radialode.integrate"]
 
 
 def test_frobenius_seeds_are_built_only_by_integrate():
