@@ -16,10 +16,18 @@ together with the Lyapunov-Perron correction functional.  Its error bar
 comes from re-fits on a coarser grid and with a doubled time step.  The
 dimension is read from ``disc.d`` and the perturbation from ``FitResult.v``.
 
+The fit runs coarse to fine.  Its T grid and its first secant run on
+the coarse grid of the error bar's re-fit (N' = max(16, round(2N/3)),
+built once per fit and kept in ``FitResult.coarse``) at 2 dtau, or at
+dtau when tau_max is an odd number of steps.  One warm-started secant
+on the fine grid then finishes it, from the pair (T_c + REFIT_OFFSET,
+T_c) at the coarse stage's T_c.  The re-fits of the error bar start the
+same way from T*, so one helper (``_warm_secant``) serves all three.
+
 Runs that do not depend on each other are one stacked evolution: the
-fit's 5-point T grid, each re-fit's start pair and the detuned pair of
+fit's 5-point T grid, each warm start's pair and the detuned pair of
 ``instability_demo``.  The secant's runs stay one at a time.  Evolution
-counts count the members of a stack.
+counts count the members of a stack, coarse and fine alike.
 """
 
 import math
@@ -96,6 +104,9 @@ class FitResult:
     monotone: bool
     n_evolutions: int
     v: PerturbationData  # the data the fit was made to
+    # the coarse grid of the fit, reused by refinement_error; None if the
+    # result was not made by fit_blowup_time
+    coarse: SpectralDiscretization = None
 
 
 def _evolve_at(disc, T, v, tau_max, dtau):
@@ -105,6 +116,11 @@ def _evolve_at(disc, T, v, tau_max, dtau):
     else:
         phi0 = initial_data(disc, T, v)
     return evolve(disc, phi0, tau_max, dtau, "nonlinear")
+
+
+def _coarse_grid(disc):
+    """The coarse grid of the fit and of the error bar's re-fit."""
+    return build(disc.d, max(16, round(2 * disc.N / 3)))
 
 
 def _secant(disc, v, tau_max, dtau, older, newer):
@@ -120,7 +136,9 @@ def _secant(disc, v, tau_max, dtau, older, newer):
     newer run is exactly 0.  Only the older run's coefficients are kept.
 
     Returns (proposal, trajectory at T*, last pair ending at T*, evolutions
-    made); the proposal is the iterate the secant would evolve next.
+    made); the proposal is the iterate the secant would evolve next.  The
+    trajectory is the newer one passed in (None if it was) when the
+    secant stops before its first run.
     """
     n_last = int(round(tau_max / dtau))
     limit = WINDOW * c_d(disc.d)
@@ -153,29 +171,50 @@ def _secant(disc, v, tau_max, dtau, older, newer):
         raise SecantFailure(
             f"no convergence in {SECANT_MAX_STEPS} secant steps; last pair "
             f"T={t0!r}, {t1!r}")
-    if traj is None:  # the newer run came from the grid scan
-        traj = _evolve_at(disc, t1, v, tau_max, dtau)
-        n_ev += 1
     return float(t_next), traj, (float(t0), float(t1)), n_ev
+
+
+def _warm_secant(disc, v, tau_max, dtau, T):
+    """``_secant`` from the pair (T + REFIT_OFFSET, T), one stacked run.
+
+    Finishes the fit on the fine grid from the coarse stage's T and makes
+    each re-fit of the error bar from T*; the evolution count includes
+    the pair's two.
+    """
+    t0 = T + REFIT_OFFSET
+    start, traj = _evolve_at(disc, (t0, T), v, tau_max, dtau)
+    t_next, traj, pair, n_sec = _secant(
+        disc, v, tau_max, dtau, (t0, np.real(start.mode_coeffs)),
+        (T, np.real(traj.mode_coeffs), traj))
+    return t_next, traj, pair, 2 + n_sec
 
 
 def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
                     tau_max: float = 12.0, dtau: float = 0.01) -> FitResult:
     """Secant in T so the evolved solution carries no late gauge mode.
 
-    The coefficient c(tau) = <Phi(tau), w>_E is checked for a sign change
-    and for monotonicity in T on a 5-point grid over 1 +/- v.delta.  The
-    secant (``_secant``) starts from the adjacent grid pair that brackets
-    the zero; its limit is the fitted blowup time.  ``bracket`` is the
-    secant's last pair and ``n_evolutions`` counts the grid runs too.
+    Coarse to fine.  On the coarse grid N' = max(16, round(2N/3)) at
+    2 dtau (at dtau when tau_max / dtau is odd; the error bar then fails
+    after the fit), the coefficient c(tau) = <Phi(tau), w>_E is checked
+    for a sign change and for monotonicity in T on a 5-point grid over
+    1 +/- v.delta, one stacked run, and a secant (``_secant``) starts
+    from the adjacent grid pair that brackets the zero.  Its T_c starts
+    the fine secant (``_warm_secant``) from (T_c + REFIT_OFFSET, T_c) at
+    (N, dtau), whose limit is the fitted blowup time; T_c lies ~3e-13
+    from it at d 4, N 96, so that secant is a start pair and at most two
+    single runs.  ``bracket`` is the fine secant's last pair and
+    ``n_evolutions`` counts every member evolution, coarse and fine;
+    ``coarse`` keeps the coarse grid for ``refinement_error``.
     """
     delta = v.delta
     a, b = 1.0 - delta, 1.0 + delta
+    coarse = _coarse_grid(disc)
+    dtau_c = dtau if round(tau_max / dtau) % 2 else 2.0 * dtau
 
     grid = np.linspace(a, b, 5)
     # one stacked run; the mode coefficients only: the states are not needed
     coeffs = [np.real(traj.mode_coeffs)
-              for traj in _evolve_at(disc, grid, v, tau_max, dtau)]
+              for traj in _evolve_at(coarse, grid, v, tau_max, dtau_c)]
     # compare at the earliest common time: detuned runs may blow up first
     k = min(len(c) for c in coeffs) - 1
     cs = [float(c[k]) for c in coeffs]
@@ -192,22 +231,24 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     i = next(i for i in range(4) if cs[i] * cs[i + 1] <= 0.0)
     # the newer iterate is the one nearer the zero
     old, new = (i + 1, i) if abs(cs[i]) < abs(cs[i + 1]) else (i, i + 1)
-    _, traj, pair, n_ev = _secant(
-        disc, v, tau_max, dtau, (grid[old], coeffs[old]),
+    _, _, (_, t_c), n_c = _secant(
+        coarse, v, tau_max, dtau_c, (grid[old], coeffs[old]),
         (grid[new], coeffs[new], None))
+    _, traj, pair, n_f = _warm_secant(disc, v, tau_max, dtau, t_c)
     return FitResult(
         T_star=pair[1], residual_mode=abs(float(np.real(traj.mode_coeffs[-1]))),
         trajectory=traj, bracket=pair, monotone=monotone,
-        n_evolutions=len(grid) + n_ev, v=v,
+        n_evolutions=len(grid) + n_c + n_f, v=v, coarse=coarse,
     )
 
 
 def refinement_error(fit: FitResult) -> dict:
     """Error bar of T* and S_phys from two re-fits of ``fit`` to its data.
 
-    Re-fits at (N, 2 dtau) and at (2N/3, dtau), each a secant warm-started
-    from the pair (T*, T* + REFIT_OFFSET); T* moves to the secant's final
-    proposal, so shifts below SECANT_STEP count.  Lawson RK4 is fourth
+    Re-fits at (N, 2 dtau) and at (2N/3, dtau), the latter on the fit's
+    coarse grid, each a secant warm-started from the pair
+    (T* + REFIT_OFFSET, T*) (``_warm_secant``); T* moves to the secant's
+    final proposal, so shifts below SECANT_STEP count.  Lawson RK4 is fourth
     order, so the 2 dtau change bounds the dtau error of T* from above (by
     ~15x); S_phys is integrated in tau at fourth order too.  Each error
     is the largest change over the two re-fits; tau_max must be a multiple
@@ -220,18 +261,13 @@ def refinement_error(fit: FitResult) -> dict:
             f"the 2 dtau re-fit needs tau_max={tau_max:g} to be a multiple "
             f"of 2 dtau={2.0 * dtau:g}")
     s_phys = stability_report(fit, tau_max)["S_phys"]
-    coarse = build(disc.d, max(16, round(2 * disc.N / 3)))
+    coarse = fit.coarse if fit.coarse is not None else _coarse_grid(disc)
     t_err = s_err = 0.0
     n_ev = 0
     for disc_r, dtau_r in ((disc, 2.0 * dtau), (coarse, dtau)):
-        t1 = fit.T_star
-        t0 = t1 + REFIT_OFFSET
-        start, traj = _evolve_at(disc_r, (t0, t1), v, tau_max, dtau_r)
-        c0 = np.real(start.mode_coeffs)
-        t_next, traj, (_, T_r), n_sec = _secant(
-            disc_r, v, tau_max, dtau_r, (t0, c0),
-            (t1, np.real(traj.mode_coeffs), traj))
-        n_ev += 2 + n_sec
+        t_next, traj, (_, T_r), n_r = _warm_secant(
+            disc_r, v, tau_max, dtau_r, fit.T_star)
+        n_ev += n_r
         refit = replace(fit, T_star=T_r, trajectory=traj)
         s_r = stability_report(refit, tau_max)["S_phys"]
         t_err = max(t_err, abs(t_next - fit.T_star))

@@ -5,7 +5,10 @@ The similarity-coordinate system for the perturbation Phi = Psi - (c_d,
 (integrating-factor) RK4 with the dense matrix exponential e^{dt L / 2}
 precomputed by ``expm``, Al-Mohy & Higham's Pade-13 scaling and squaring
 (SIAM J. Matrix Anal. Appl. 31(3), 2009, Algorithm 5.1); the linear
-modes are advanced by e^{dt L} alone, which is exact in time.
+modes are advanced by e^{dt L} alone, which is exact in time.  A
+nonlinear step evaluates the nonlinearity twice, not four times: stages
+1 and 3 side by side, then stages 2 and 4, since stage 3's argument does
+not read stage 2 (``Propagator.step``).
 
 ``evolve`` steps one state or a stack of states as one block of columns.
 A member that passes BLOWUP_SUP leaves the block with its own blowup
@@ -23,7 +26,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -116,25 +119,29 @@ def _ell(a):
     return max(math.ceil((log2_alpha + 53) / 26), 0)
 
 
-@dataclass
 class Propagator:
-    """Cached exponentials for one (disc, dtau, mode) combination."""
+    """Cached exponentials for one (disc, dtau, mode) combination.
 
-    disc: SpectralDiscretization
-    dtau: float
-    mode: str
-    E: np.ndarray = field(init=False, repr=False)  # E_half @ E_half if nonlinear
-    E_half: np.ndarray = field(init=False, repr=False)  # nonlinear mode only
+    Keeps only what ``step`` reads (N, d and the matrices), not the
+    discretization: ``_propagator`` caches it on the discretization, and
+    a reference back would make a cycle that outlives the last user.
+    """
 
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ParamError(f"unknown mode {self.mode!r}")
-        lmat = self.disc.L0_mat if self.mode == "linear-free" else self.disc.L_mat
-        if self.mode == "nonlinear":
-            self.E_half = expm(0.5 * self.dtau * lmat)
-            self.E = self.E_half @ self.E_half
-        else:
-            self.E, self.E_half = expm(self.dtau * lmat), None
+    def __init__(self, disc: SpectralDiscretization, dtau: float, mode: str):
+        if mode not in _MODES:
+            raise ParamError(f"unknown mode {mode!r}")
+        self.N, self.d, self.dtau, self.mode = disc.N, disc.d, dtau, mode
+        lmat = disc.L0_mat if mode == "linear-free" else disc.L_mat
+        if mode != "nonlinear":
+            self.E, self.E_half = expm(dtau * lmat), None
+            return
+        n, eh = disc.N, expm(0.5 * dtau * lmat)
+        self.E_half = eh
+        self.E = eh @ eh
+        # the dt-scaled matrices of step: the stage arguments' and the update's
+        self._b_half = 0.5 * dtau * eh[:n, n:]
+        self._k1_update = dtau / 6.0 * self.E[:, n:]
+        self._k23_update = dtau / 3.0 * eh[:, n:]
 
     def step(self, u):
         """One step of size dtau; Lawson RK4 in the nonlinear mode.
@@ -143,22 +150,30 @@ class Propagator:
         nonlinear mode.  The nonlinear term (0, N(u1)) has no first block,
         so it meets only the second block columns of E_half and E, and of
         the stage states only the first block is formed.  The linear part
-        stays E_half @ (E_half @ u); k3 reads the first block of E_half @ u.
+        stays E_half @ (E_half @ u).  The stages are paired: the stage
+        increment (0, k2) has no first block, so k3 = N((E_half @ u)_1)
+        never reads k2, and the nonlinearity runs twice per step, on k1
+        and k3 side by side and then on k2 and k4.  One state is stepped
+        as a block of one column.
         """
         if self.mode != "nonlinear":
             return self.E @ u
-        n, d, dt = self.disc.N, self.disc.d, self.dtau
-        eh = self.E_half
-        b = eh[:, n:]
-        k1 = nonlinearity(d, u[:n])
-        eh_u = eh @ u
-        k2 = nonlinearity(d, eh_u[:n] + 0.5 * dt * (b[:n] @ k1))
-        k3 = nonlinearity(d, eh_u[:n])
-        e_u = eh @ eh_u
-        k4 = nonlinearity(d, e_u[:n] + dt * (b[:n] @ k3))
-        out = e_u + dt / 6.0 * (self.E[:, n:] @ k1 + b @ (2.0 * (k2 + k3)))
-        out[n:] += dt / 6.0 * k4
-        return out
+        n = self.N
+        v = u.reshape(2 * n, -1)
+        m = v.shape[1]
+        eh_u = self.E_half @ v
+        e_u = self.E_half @ eh_u
+        k13 = nonlinearity(self.d, np.concatenate((v[:n], eh_u[:n]), axis=1))
+        # 0.5 dt b k1 and, doubled, dt b k3 (b = E_half[:N, N:])
+        bk = self._b_half @ k13
+        bk[:, m:] *= 2.0
+        bk[:, :m] += eh_u[:n]
+        bk[:, m:] += e_u[:n]
+        k24 = nonlinearity(self.d, bk)
+        out = (e_u + self._k1_update @ k13[:, :m]
+               + self._k23_update @ (k24[:, :m] + k13[:, m:]))
+        out[n:] += self.dtau / 6.0 * k24[:, m:]
+        return out.reshape(u.shape)
 
 
 def _propagator(disc, dtau, mode):

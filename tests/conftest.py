@@ -25,3 +25,58 @@ def never_linear(monkeypatch):
             alias_indicator=0.0)
 
     monkeypatch.setattr(bl, "evolve", evolve)
+
+
+def _record_evolutions(mp):
+    """Log each call of ``blowup.evolve`` as (N, dtau, members, steps)."""
+    log = []
+    evolve = bl.evolve
+
+    def logged(disc, phi0, tau_max, dtau, mode):
+        out = evolve(disc, phi0, tau_max, dtau, mode)
+        members = 1 if np.ndim(phi0) == 1 else len(phi0)
+        log.append((disc.N, dtau, members, len(out.taus) - 1))
+        return out
+
+    mp.setattr(bl, "evolve", logged)
+    return log
+
+
+@pytest.fixture(scope="session")
+def record_evolutions():
+    """``_record_evolutions``, for fixtures that hold their own monkeypatch."""
+    return _record_evolutions
+
+
+@pytest.fixture
+def evolutions(monkeypatch):
+    """The (N, dtau, members, steps) of each call of ``blowup.evolve``."""
+    return _record_evolutions(monkeypatch)
+
+
+def _fit_stages(log, n_evolutions, N, dtau=0.01, tau_max=12.0):
+    """Check the fit's evolutions, the head of ``log``, stage by stage.
+
+    Coarse: one stack of 5 on (max(16, round(2N/3)), 2 dtau), at dtau when
+    tau_max / dtau is odd, then single secant runs.  Fine: one start pair
+    on (N, dtau), then at most 2 single runs, and at most 3 tau_max / dtau
+    Lawson steps in all.  ``n_evolutions`` counts the members of both.
+    Returns the (coarse, fine) entries of ``log``.
+    """
+    n_steps = round(tau_max / dtau)
+    coarse = (max(16, round(2 * N / 3)), dtau if n_steps % 2 else 2 * dtau)
+    members = np.cumsum([entry[2] for entry in log])
+    end = int(np.searchsorted(members, n_evolutions)) + 1
+    assert members[end - 1] == n_evolutions
+    calls = [entry[:3] for entry in log[:end]]
+    start = calls.index((N, dtau, 2))
+    assert calls[:start] == [coarse + (5,)] + [coarse + (1,)] * (start - 1)
+    assert calls[start + 1:] == [(N, dtau, 1)] * (end - start - 1)
+    assert end - start <= 3
+    assert sum(entry[3] for entry in log[start:end]) <= 3 * n_steps
+    return log[:start], log[start:end]
+
+
+@pytest.fixture(scope="session")
+def fit_stages():
+    return _fit_stages

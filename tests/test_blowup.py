@@ -17,9 +17,19 @@ def disc():
 
 
 @pytest.fixture(scope="module")
-def bump_fit(disc):
-    return bl.fit_blowup_time(
-        disc, bl.bump_perturbation(delta=0.1, amplitude=0.05), tau_max=12.0)
+def bump_run(disc, record_evolutions):
+    """The bump fit and the log of its evolutions."""
+    with pytest.MonkeyPatch.context() as mp:
+        log = record_evolutions(mp)
+        fit = bl.fit_blowup_time(
+            disc, bl.bump_perturbation(delta=0.1, amplitude=0.05),
+            tau_max=12.0)
+    return fit, log
+
+
+@pytest.fixture(scope="module")
+def bump_fit(bump_run):
+    return bump_run[0]
 
 
 class TestInitialData:
@@ -51,14 +61,19 @@ class TestInitialData:
 
 
 class TestFit:
-    def test_zero_perturbation_fixed_point(self, disc):
+    def test_zero_perturbation_fixed_point(self, disc, evolutions,
+                                           fit_stages):
         fit = bl.fit_blowup_time(disc, bl.zero_perturbation(), tau_max=8.0)
         assert abs(fit.T_star - 1.0) <= 1e-9
         assert fit.monotone
         # T = 1 is a grid point with identically zero data: no secant step
+        # on either grid, the fine stage is its start pair alone
         assert fit.T_star == 1.0
         assert fit.residual_mode == 0.0
-        assert fit.n_evolutions == 6
+        assert fit.n_evolutions == 7
+        coarse, fine = fit_stages(evolutions, 7, 96, tau_max=8.0)
+        assert [entry[2] for entry in coarse] == [5]
+        assert fine == [(96, 0.01, 2, 800)]
 
     def test_gauge_direction_linear_response(self, disc):
         # v = a g scales the data along the gauge mode:
@@ -89,11 +104,11 @@ class TestFit:
         late = sups[traj.taus >= 5.0]
         assert np.all(np.diff(late) <= 1e-12)
 
-    def test_secant_matches_bisection(self, bump_fit):
+    def test_secant_matches_bisection(self, bump_run, fit_stages):
         # T* of the 47-evolution bisection to width 1e-14 it replaced
-        fit = bump_fit
+        fit, log = bump_run
         assert abs(fit.T_star - 0.9995089928555445) <= 1e-13
-        assert fit.n_evolutions <= 12
+        fit_stages(log, fit.n_evolutions, 96)
         assert fit.bracket[1] == fit.T_star
 
     def test_never_linear_raises(self, disc, never_linear):
@@ -129,6 +144,16 @@ class TestFit:
         with pytest.raises(DomainError, match="multiple of 2 dtau"):
             bl.refinement_error(fit)
 
+    def test_odd_step_count_fits_coarse_at_dtau(self, evolutions,
+                                                fit_stages):
+        # 401 steps have no 2 dtau grid, so the coarse stage runs at dtau
+        fit = bl.fit_blowup_time(
+            co.build(4, 32), bl.bump_perturbation(delta=0.1, amplitude=0.05),
+            tau_max=4.01)
+        coarse, _ = fit_stages(evolutions, fit.n_evolutions, 32,
+                               tau_max=4.01)
+        assert coarse[0][:3] == (21, 0.01, 5)
+
     def test_no_bracket(self, disc):
         # a perturbation dominated by the gauge mode with tiny delta cannot
         # flip the late coefficient inside the bracket
@@ -141,17 +166,26 @@ class TestFit:
             bl.fit_blowup_time(disc, v, tau_max=8.0)
 
 
-def test_paper_dimension_range():
+# T* of the fine-grid-only fit that the coarse-to-fine fit replaced
+# (d: T*, N 48, amplitude 0.05)
+FINE_ONLY_T_STAR = {3: 0.9951052320321053, 4: 0.9995089928555495,
+                    5: 0.9999675959761654, 6: 1.0000067869327314}
+
+
+def test_paper_dimension_range(evolutions, fit_stages):
     # the paper's nonlinear stability covers 3 <= d <= 6
     t0 = time.time()
     for d in (3, 4, 5, 6):
         disc = co.build(d, 48)
         v = bl.bump_perturbation(delta=0.1, amplitude=0.05)
+        evolutions.clear()
         fit = bl.fit_blowup_time(disc, v, tau_max=12.0)
         err = bl.refinement_error(fit)
         rep = bl.stability_report(fit)
         assert fit.monotone, d
-        assert fit.n_evolutions <= 12, d
+        fit_stages(evolutions, fit.n_evolutions, 48)
+        # the coarse stage only moves the fine secant's start
+        assert abs(fit.T_star - FINE_ONLY_T_STAR[d]) <= 1e-14, d
         # resolved below the secant's stopping step (3e-15 at d 6)
         assert 0.0 < err["T_star_err"] <= 1e-10, d
         assert rep["identity_rel_err"] <= 1e-3, d

@@ -204,13 +204,15 @@ class TestCommands:
         assert body[0] == "lambda,ode_residual,round_trip_error"
         assert len(body) == 4
 
-    def test_fit_blowup_reports_bracket_and_evolutions(self, tmp_path):
+    def test_fit_blowup_reports_bracket_and_evolutions(
+            self, tmp_path, evolutions, fit_stages):
         cli.main(["fit-blowup", "--N", "32", "--tau-max", "4.0",
                   "--out", str(tmp_path)])
         report = json.loads((tmp_path / "fit_blowup_report.json").read_text())
         # the bracket is the secant's last pair, ending at T*
         assert report["T_star"] == report["bracket"][1]
-        assert 6 <= report["n_evolutions"] <= 12  # five grid runs and the fit
+        # the coarse and the fine stage, each member counted
+        fit_stages(evolutions, report["n_evolutions"], 32, tau_max=4.0)
         assert 0.0 <= report["T_star_err"] <= 1e-10
         assert report["S_phys_err"] >= 0.0
         assert report["n_evolutions_err"] >= 4

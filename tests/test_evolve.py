@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -269,6 +271,21 @@ def test_lawson_step_matches_textbook(d):
     for u in (block[:, 1].copy(), block):
         ref = _lawson_rk4(prop.E_half, d, 0.01, u)
         assert np.max(np.abs(prop.step(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_discretization_dies_with_its_last_reference():
+    # the propagator cached on the discretization holds no reference back,
+    # so reference counting frees both without the cycle collector
+    gc.disable()
+    try:
+        disc = co.build(4, 32)
+        u = bl.initial_data(disc, 1.01, bl.zero_perturbation())
+        ev.evolve(disc, u, 0.02, 0.01, "nonlinear")
+        ref = weakref.ref(disc)
+        del disc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestStack:

@@ -143,6 +143,22 @@ class TestNonlinearity:
         with pytest.raises(DomainError):
             model.nonlinearity(7, 0.1)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_polynomial_form_has_no_cancellation(self, d):
+        # the power form was off by 1.3e-2 relative at x = 1e-7 (d 4)
+        mpmath = pytest.importorskip("mpmath")
+        mag = np.geomspace(1e-9, 0.5, 101)
+        x = np.concatenate([mag, -mag])
+        got = model.nonlinearity(d, x)
+        with mpmath.workdps(50):
+            c = (mpmath.mpf(d * (d - 2)) / 4) ** (mpmath.mpf(d - 2) / 4)
+            p = mpmath.mpf(4) / (d - 2)
+            beta = mpmath.mpf(2 * d + d * d) / 4
+            for xi, ni in zip(x, got):
+                y = c + mpmath.mpf(xi)
+                exact = abs(y) ** p * y - c ** (p + 1) - beta * mpmath.mpf(xi)
+                assert abs(ni - exact) <= 1e-14 * abs(exact), xi
+
 
 def _strichartz_x_pairs(d):
     """The two exponent pairs of the Strichartz space norm."""

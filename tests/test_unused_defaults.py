@@ -17,8 +17,9 @@ builder of the Frobenius seeds, and it builds them for a whole batch of
 lam, never one lam per loop pass.
 
 The last checks keep work done once: the blowup fit's independent runs
-(its T grid, each error-bar re-fit's start pair, the detuned pair of the
-instability demo) are one stacked evolution each, and the nonlinearity
+(its coarse T grid, the start pair of each warm-started secant, the
+detuned pair of the instability demo) are one stacked evolution each,
+the fit and its error bar build one coarse grid, and the nonlinearity
 checks its dimension only on the first call for a d.
 
 Finally, the library surface that only tests use is an explicit list
@@ -212,20 +213,6 @@ def test_seeds_are_not_built_per_lambda():
     assert per_lambda == []
 
 
-@pytest.fixture
-def evolve_calls(monkeypatch):
-    """The number of states of each call of ``blowup.evolve``."""
-    calls = []
-
-    def counted(disc, phi0, *args, **kwargs):
-        calls.append(1 if np.ndim(phi0) == 1 else len(phi0))
-        return evolve(disc, phi0, *args, **kwargs)
-
-    evolve = bl.evolve
-    monkeypatch.setattr(bl, "evolve", counted)
-    return calls
-
-
 @pytest.fixture(scope="module")
 def small_fit():
     return bl.fit_blowup_time(
@@ -233,25 +220,40 @@ def small_fit():
         tau_max=4.0)
 
 
-def test_fit_grid_is_one_evolution(evolve_calls):
+def test_fit_grid_is_one_evolution(evolutions, fit_stages):
     fit = bl.fit_blowup_time(
         co.build(4, 32), bl.bump_perturbation(delta=0.1, amplitude=0.05),
         tau_max=4.0)
-    # the 5-point grid, then one run per secant step
-    assert evolve_calls == [5] + [1] * (fit.n_evolutions - 5)
+    # the coarse 5-point grid, then one run per coarse secant step; the
+    # fine start pair, then one run per fine secant step
+    coarse, fine = fit_stages(evolutions, fit.n_evolutions, 32, tau_max=4.0)
+    assert len(evolutions) == len(coarse) + len(fine)
 
 
-def test_refit_start_pair_is_one_evolution(small_fit, evolve_calls):
+def test_refit_start_pair_is_one_evolution(small_fit, evolutions):
     err = bl.refinement_error(small_fit)
-    starts = [i for i, m in enumerate(evolve_calls) if m == 2]
+    calls = [entry[2] for entry in evolutions]  # the states of each call
+    starts = [i for i, m in enumerate(calls) if m == 2]
     assert len(starts) == 2 and starts[0] == 0
-    assert set(evolve_calls) <= {1, 2}
-    assert sum(evolve_calls) == err["n_evolutions_err"]
+    assert set(calls) <= {1, 2}
+    assert sum(calls) == err["n_evolutions_err"]
 
 
-def test_instability_pair_is_one_evolution(evolve_calls):
+def test_coarse_grid_is_built_once(monkeypatch):
+    # the fit builds it and the error bar's (2N/3, dtau) re-fit reuses it
+    built, build = [], bl.build
+    monkeypatch.setattr(bl, "build",
+                        lambda d, N: built.append(N) or build(d, N))
+    fit = bl.fit_blowup_time(
+        co.build(4, 32), bl.bump_perturbation(delta=0.1, amplitude=0.05),
+        tau_max=4.0)
+    bl.refinement_error(fit)
+    assert built == [21]
+
+
+def test_instability_pair_is_one_evolution(evolutions):
     bl.instability_demo(co.build(4, 32), tau_max=1.0)
-    assert evolve_calls == [2]  # the detuned pair
+    assert [entry[2] for entry in evolutions] == [2]  # the detuned pair
 
 
 def test_nonlinearity_checks_d_once(monkeypatch):
