@@ -3,25 +3,25 @@ value-only samples.
 
 The spectral ODEs are integrated for many spectral parameters at once:
 the state has shape (batch, n) and a single step size is controlled by
-the worst batch member.  A step is clipped onto the last checkpoint
-(a point where the whole state is read) it reaches; the checkpoints it
-passed get their values from one batched RK5 sub-step from its start, no
-longer than the step and so no less accurate (after a clipped step the
-controller resumes from the step it proposed before clipping).  Samples
-are points where only u of a second-order problem y = (u, u') is read
-(the resolvent's quadrature nodes): they never clip a step, and each is
-filled on the accepted step that covers it from the quintic Hermite
-through (u, u', u'') at the step's two ends, whose f = (u', u'') are its
-stages 0 and 6 (FSAL).  A batch of m samples is one (m, 6) by (6, batch)
-product and no RHS call; the sub-step serves only the points whose u' is
-read.  The seven stages of a step live in one (7, batch, n) buffer: each
-stage increment and the error estimate is one real matrix product of a
-row of the h-scaled tableau, formed once per attempt, with the buffer's
-float view.  Beside its six RHS calls an attempt makes only the numpy
-calls its arithmetic needs: the error norm takes member maxima with
-elementwise np.maximum over the component columns, where a reduction
-over a length-2 axis costs over ten times as much, and checkpoints and
-samples are found by bisect on a list.
+the worst batch member; every RHS call is one (batch, n) state at one
+scalar abscissa.  Two kinds of output point follow two rules.  A
+checkpoint (a point where the whole state is read) is a point the steps
+land on: a step that would pass the next checkpoint is clipped onto it,
+and after a clipped step the controller resumes from the step it
+proposed before clipping.  Checkpoints at x0 are recorded before the
+first step.  A sample is a point where only u of a second-order problem
+y = (u, u') is read (the resolvent's quadrature nodes): it never clips a
+step, and is filled on the accepted step that covers it from the quintic
+Hermite through (u, u', u'') at the step's two ends, whose f = (u', u'')
+are its stages 0 and 6 (FSAL).  A batch of m samples is one (m, 6) by
+(6, batch) product and no RHS call.  The seven stages of a step live in
+one (7, batch, n) buffer: each stage increment and the error estimate is
+one real matrix product of a row of the h-scaled tableau, formed once
+per attempt, with the buffer's float view.  Beside its six RHS calls an
+attempt makes only the numpy calls its arithmetic needs: the error norm
+takes member maxima with elementwise np.maximum over the component
+columns, where a reduction over a length-2 axis costs over ten times as
+much, and samples are found by bisect on a list.
 
 Dense output (the same quintic Hermite on the accepted steps, ~2e-10
 relative) has no conewave caller; it stays because the benchmark's
@@ -126,21 +126,6 @@ def _hermite_samples(xs, x, h, y, ka, yb, kb):
     return (_hermite((xs - x) / h, h, 0) @ data.view(float)).view(complex)
 
 
-def _substep(f, x, y, k1, xs):
-    """RK5 values at the m points xs from the accepted state (x, y, k1):
-    one (m, batch, n) state with step xs - x per row and abscissae of shape
-    (m, 1); the value needs no FSAL stage, so this is five RHS calls."""
-    h = (xs - x)[:, None]
-    shape = (len(xs),) + y.shape
-    stages = np.empty((6,) + shape, dtype=complex)
-    flat = stages.view(float).reshape(6, -1)
-    stages[0] = k1
-    for i in range(1, 6):
-        incr = (_A[i, :i] @ flat[:i]).view(complex).reshape(shape)
-        stages[i] = f(x + _C[i] * h, y + h[..., None] * incr)
-    return y + h[..., None] * (_A[6, :6] @ flat).view(complex).reshape(shape)
-
-
 def _member_max(a):
     """Elementwise max over the last axis of a (batch, n) array by n - 1
     np.maximum calls on the columns: ~2 us at batch 374 and n = 2, where
@@ -162,20 +147,32 @@ def _toward(points, direction, x0, x_end):
     return t.tolist()
 
 
+def _record(toward, cp_vals, next_cp, direction, x, y):
+    """Record y at the checkpoints from next_cp on that x has reached, to
+    within the rounding of a step onto them; returns the index of the first
+    one not reached.  toward[i] - direction * x is direction * (cp - x)
+    exactly: negation commutes with rounding."""
+    tol = 1e-15 * max(1.0, abs(x))
+    while next_cp < len(toward) and toward[next_cp] - direction * x <= tol:
+        cp_vals[next_cp] = y
+        next_cp += 1
+    return next_cp
+
+
 def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
           samples=None, dense=False, h0=None, max_steps=_MAX_STEPS):
     """Integrate y' = f(x, y) from x0 to x_end.
 
     Parameters
     ----------
-    f : callable(x, y) -> array like y, vectorized over the batch axis.
-        For a sub-step batch it is called with x of shape (m, 1) and y of
-        shape (m, batch, n); x broadcasts against each component y[..., k].
+    f : callable(x, y) -> array like y, vectorized over the batch axis;
+        x is a scalar.
     y0 : array (batch, n) or (n,).
     checkpoints : optional array of x values in [x0, x_end], monotone
-        toward x_end (DomainError otherwise, before any step); a step
-        lands on the last one it reaches, `_substep` fills the ones it
-        passed, and the state is recorded at each.
+        toward x_end (DomainError otherwise, before any step); a step that
+        would pass the next one is clipped onto it, so the steps land on
+        each, and the state is recorded there (at x0 before the first
+        step).
     samples : optional pair (xs, out) for a state y = (u, u'): points xs
         under the same rule as checkpoints, and an array out of shape
         (len(xs), batch) that receives u at each.  Samples never shorten
@@ -197,18 +194,17 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
     y = np.atleast_2d(np.asarray(y0, dtype=complex))
     direction = 1.0 if x_end >= x0 else -1.0
     span = abs(x_end - x0)
-    cps = toward = cp_vals = None
+    toward, cp_vals = [], None
     if checkpoints is not None:
-        cps = np.asarray(checkpoints, dtype=float)
-        toward = _toward(cps, direction, x0, x_end)
-        cp_vals = np.empty((len(cps),) + y.shape, dtype=complex)
+        toward = _toward(np.asarray(checkpoints, dtype=float), direction,
+                         x0, x_end)
+        cp_vals = np.empty((len(toward),) + y.shape, dtype=complex)
     s_xs = s_toward = s_out = None
     if samples is not None:
         s_xs, s_out = np.asarray(samples[0], dtype=float), samples[1]
         s_toward = _toward(s_xs, direction, x0, x_end)
+    next_cp = _record(toward, cp_vals, 0, direction, x0, y)
     if span == 0.0:
-        if cps is not None:
-            cp_vals[:] = y
         if s_out is not None:
             s_out[:] = y[:, 0]
         return y, cp_vals, None
@@ -225,7 +221,7 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
     mag_y = _member_max(np.abs(y))
     seg_xa, seg_xb, seg_ya, seg_fa, seg_yb, seg_fb = [], [], [], [], [], []
     hmin = 1e-14 * max(1.0, abs(x0), abs(x_end))
-    next_cp = next_s = 0
+    next_s = 0
     n_steps = 0
     while direction * (x_end - x) > 0:
         n_steps += 1
@@ -233,14 +229,8 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
             raise StepFailure(f"step budget exceeded ({max_steps})")
         if abs(h) < hmin:
             raise StepFailure(f"step size underflow at x={x}")
-        # clip onto the last checkpoint reached, else onto the endpoint;
-        # the passed checkpoints [next_cp, first) are sub-stepped
-        x_stop, first = x_end, next_cp
-        if cps is not None:
-            last = bisect.bisect_right(toward, direction * (x + h))
-            if last > next_cp:
-                x_stop = direction * toward[last - 1]
-                first = bisect.bisect_left(toward, toward[last - 1])
+        # clip onto the next checkpoint, else onto the endpoint
+        x_stop = direction * toward[next_cp] if next_cp < len(toward) else x_end
         h_free = h
         clipped = direction * (x + h - x_stop) > 0
         if clipped:
@@ -264,10 +254,6 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
                 seg_fa.append(stages[0, 0].copy())
                 seg_yb.append(y5[0].copy())
                 seg_fb.append(stages[6, 0].copy())
-            if first > next_cp:
-                cp_vals[next_cp:first] = _substep(f, x, y, stages[0],
-                                                  cps[next_cp:first])
-                next_cp = first
             if s_toward is not None:
                 # the samples up to x + h, rounding of x + h included
                 tol = 1e-15 * max(1.0, abs(x + h))
@@ -279,12 +265,7 @@ def solve(f, x0, x_end, y0, rtol=1e-10, atol=1e-12, checkpoints=None,
             x = x + h
             y, mag_y = y5, mag_y5
             stages[0] = stages[6]
-            if cps is not None:
-                # direction * (cp - x), exactly: negation commutes with rounding
-                tol = 1e-15 * max(1.0, abs(x))
-                while next_cp < len(toward) and toward[next_cp] - direction * x <= tol:
-                    cp_vals[next_cp] = y
-                    next_cp += 1
+            next_cp = _record(toward, cp_vals, next_cp, direction, x, y)
             fac = 2.0 if emax == 0.0 else min(2.0, max(0.25, 0.9 * emax ** -0.2))
             h = h * fac
             if clipped:

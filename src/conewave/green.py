@@ -39,11 +39,12 @@ they are `integrate`'s value points: each is filled from the quintic
 Hermite of the RK45 step that covers it, at no RHS call and no step
 shortened, and per lam it holds three complex numbers (u0, u1 and the
 kernel weight, 48 bytes).  Only the output points and RHO_MID (the
-normalization point, a panel boundary) are RK45 checkpoints with
-derivatives.  At the benchmark's laplace-compare (eps 0.4, Omega 100,
-domega 0.2: two batches of ~250 lam, ~1,830 nodes each) the RK45 work
-is 1,918 steps and 3.97 M RHS rows, against 2,288 steps and 8.45 M rows
-when every node was a checkpoint.
+normalization point, a panel boundary) are RK45 checkpoints, landed
+on with derivatives.  At the benchmark's laplace-compare (eps 0.4,
+Omega 100, domega 0.2: two batches of ~250 lam, ~1,830 nodes each) the
+RK45 work is 1,916 steps and 3.97 M RHS rows, against 2,288 steps and
+8.45 M rows when every node was a checkpoint; green-check makes 8,667
+RHS calls.
 
 The semigroup is evaluated by truncated Laplace inversion
 

@@ -78,8 +78,8 @@ def ode_residual(d: int, lam, variant: str, rho, u, up, upp):
 
 
 def _batch_rhs(d: int, lam_arr, variant: str, sigma=None):
-    """RK45 right-hand side f(rho, y), y = (u, u') of shape (..., n_lam, 2);
-    rho is a scalar or, for an RK45 checkpoint sub-step, an (m, 1) array.
+    """RK45 right-hand side f(rho, y) at a scalar rho, y = (u, u') of
+    shape (n_lam, 2).
 
     With sigma (one per lam) y = (w, w') of the gauge u = (1-rho)^sigma w,
     sigma = 1/2 - lam or 0, which solves
@@ -177,11 +177,13 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
     with unit leading seed coefficient.  This is the one place where the
     Frobenius series bridge the seed gap next to each endpoint: u0 on
     [0, ORIGIN_START] and u1 on [ONE_START, 1) are the series, and the
-    rest comes from RK45 runs: a point of pts is a checkpoint, landed on
-    or sub-stepped, and a value point is an RK45 sample, filled from the
+    rest comes from RK45 runs: a point of pts is a checkpoint, which the
+    steps land on, and a value point is an RK45 sample, filled from the
     quintic Hermite of the step that covers it at no RHS call (so value
-    points neither shorten a step nor cost a sub-step).  RK45 carries u0
-    up from ORIGIN_START and u1 down from ONE_START.
+    points never shorten a step).  RK45 carries u0 up from ORIGIN_START
+    and u1 down from ONE_START; the states that the matching at the stop
+    point and the reduction below ORIGIN_START read are the runs' end
+    states, not checkpoints.
 
     u0 holds the singular branch (1-rho)^sigma, sigma = 1/2 - lam, of the
     Frobenius pair at 1, which oscillates like e^{-i Im(lam) ln(1-rho)}.
@@ -225,7 +227,7 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
     h0 = 0.5 / (20.0 + float(np.max(np.abs(sig))))
     land = lambda rhs, x0, x_end, y0, cps, smp: _rk45.solve(
         rhs, x0, x_end, y0, rtol=rtol, atol=1e-300, checkpoints=cps,
-        samples=smp, h0=h0)[1]
+        samples=smp, h0=h0)[:2]
 
     def put(u, up, cols, val, der):
         # val on the columns cols, der on those of them that are pts
@@ -253,19 +255,13 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
 
     # u0 up from the origin series to stop
     mid = ~near & ~far
-    cps = xs[mid & is_pt]
-    if np.any(far):
-        cps = np.append(cps, stop)
-    if np.any(mid) or len(cps):
+    if np.any(mid) or np.any(far):
         x_end = stop if np.any(far) else float(np.max(xs[mid]))
-        vals = land(plain, ORIGIN_START, x_end,
-                    np.stack(so.eval(ORIGIN_START), axis=-1), cps,
-                    sampled(u0, mid, False))
-        n_mid = np.count_nonzero(mid & is_pt)
-        u0[:, mid & is_pt], u0p[:, mid[:n_pts]] = (vals[:n_mid, :, 0].T,
-                                                  vals[:n_mid, :, 1].T)
-        if np.any(far):
-            at_stop = vals[-1].T.copy()
+        at_stop, vals = land(plain, ORIGIN_START, x_end,
+                             np.stack(so.eval(ORIGIN_START), axis=-1),
+                             xs[mid & is_pt], sampled(u0, mid, False))
+        u0[:, mid & is_pt] = vals[:, :, 0].T
+        u0p[:, mid[:n_pts]] = vals[:, :, 1].T
         del vals   # freed before the next run's checkpoint values
 
     # u1 down from the series at 1: above RHO_MID the u_a half of the pair
@@ -277,19 +273,18 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
         # at stop = ONE_START the run is zero-length and returns the seeds
         upper = (xs >= stop) & ~at_one & is_pt
         rk = far & ~at_one
-        cps = np.append(xs[upper][::-1], stop)
         # u_a and w, both Taylor series at 1, as one batch (u_a first),
         # sampled into the rows of u1 and u0 at once
         w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
                                ss.coefficients)
-        pair = land(
+        pair_end, pair = land(
             _batch_rhs(d, np.tile(lam_arr, 2), variant,
                        np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
             ONE_START, stop, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
-                                                          axis=-1)]), cps,
-            sampled(both.reshape(2 * n_lam, -1), rk, True))
-        x1, y1 = stop, pair[-1, :n_lam].copy()
-        basis = (y1.T, _ungauge(sig, stop, *pair[-1, n_lam:].T))
+                                                          axis=-1)]),
+            xs[upper][::-1], sampled(both.reshape(2 * n_lam, -1), rk, True))
+        x1, y1 = stop, pair_end[:n_lam]
+        basis = (y1.T, _ungauge(sig, stop, *pair_end[n_lam:].T))
         n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk & is_pt)
         u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
         u1p[:, upper[:n_pts]] = pair[:n_up, :n_lam, 1][::-1].T
@@ -305,7 +300,7 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
         i_one = n_pts + int(np.searchsorted(values, ONE_START))
         gauge = np.multiply.outer(sig, np.log(1.0 - xs[i_val:i_one]))
         u0[:, i_val:i_one] *= np.exp(gauge, out=gauge)
-        a, b = _pair_coefficients(*at_stop, *basis)
+        a, b = _pair_coefficients(*at_stop.T, *basis)
         for u, w, cols in ((u0, u1, slice(i_pt, n_pts)),
                            (u0, u1, slice(i_val, None)),
                            (u0p, u1p, slice(i_pt, None))):
@@ -314,21 +309,16 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
 
     # u1 on down to ORIGIN_START, and below it by reduction of order
     low = ~near & (xs < x1)
-    cps = xs[low & is_pt][::-1]
-    if np.any(near):
-        cps = np.append(cps, ORIGIN_START)
-    if np.any(low) or len(cps):
+    if np.any(low) or np.any(near):
         x_end = ORIGIN_START if np.any(near) else float(np.min(xs[low]))
-        vals = land(plain, x1, x_end, y1, cps, sampled(u1, low, True))
-        n_low = np.count_nonzero(low & is_pt)
-        u1[:, low & is_pt] = vals[:n_low, :, 0][::-1].T
-        u1p[:, low[:n_pts]] = vals[:n_low, :, 1][::-1].T
-        if np.any(near):
-            star = vals[-1].T.copy()
+        star, vals = land(plain, x1, x_end, y1, xs[low & is_pt][::-1],
+                          sampled(u1, low, True))
+        u1[:, low & is_pt] = vals[:, :, 0][::-1].T
+        u1p[:, low[:n_pts]] = vals[:, :, 1][::-1].T
         del vals
     if np.any(near):
         put(u1, u1p, near, *_reduce_at_origin(
-            d, lam_arr, so, xs[near], v_near, d_near, star))
+            d, lam_arr, so, xs[near], v_near, d_near, star.T))
     if not all(np.all(np.isfinite(v)) for v in (both, u0p, u1p)):
         raise QuadratureError("fundamental solution overflowed on nodes")
     return u0, u0p, u1, u1p

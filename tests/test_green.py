@@ -125,31 +125,24 @@ class TestResolvent:
             assert abs(u1p[0, -1] + 0.8) <= 1e-10   # u1'(1) = -2 + 1.2
 
     def test_quadrature_nodes_are_value_only(self, monkeypatch):
-        # the nodes are RK45 samples: no sub-step reaches one, only output
-        # points and RHO_MID are sub-stepped, and no run lands on more than
-        # its output points plus RHO_MID and its end
-        runs, substepped = [], []
+        # the nodes are RK45 samples: each run lands only on its output
+        # points, RHO_MID and its own end, and no step ends on a node
+        runs = []
 
         def recorded(f, x0, x_end, y0, **kwargs):
             def rhs(x, y):
-                if np.ndim(x):
-                    arrays.append(np.ravel(x))
+                xs.append(x)
                 return f(x, y)
-            arrays = []
+            xs = []
             runs.append((x0, x_end, kwargs["checkpoints"], kwargs["samples"],
-                         arrays))
+                         xs))
             return rk45_solve(rhs, x0, x_end, y0, **kwargs)
 
-        def substep(f, x, y, k1, xs):
-            substepped.extend(xs)
-            return sub(f, x, y, k1, xs)
-
-        # bound to other names: test_unused_defaults matches calls by name,
+        # bound to another name: test_unused_defaults matches calls by name,
         # and a forwarding call sets no default of solve
-        rk45_solve, sub = ro._rk45.solve, ro._rk45._substep
+        rk45_solve = ro._rk45.solve
         monkeypatch.setattr(ro._rk45, "solve", recorded)
-        monkeypatch.setattr(ro._rk45, "_substep", substep)
-        # clusters 1e-4 apart, as residual_checks' stencils: steps pass them
+        # clusters 1e-4 apart, as residual_checks' stencils
         rho = np.unique(np.append(np.linspace(0.0, 1.0, 21), (
             np.linspace(0.1, 0.9, 9)[:, None] + 1e-4 * np.arange(1, 4)).ravel()))
         out_pts = rho[1:-1]
@@ -158,14 +151,21 @@ class TestResolvent:
                                  rtol=1e-10)[0]
         assert np.max(np.abs(u1[0] - u1e(rho))) <= 1e-6
         _, nodes, _ = gr._panel_layout(out_pts)
-        assert len(runs) == 3 and substepped
-        assert set(substepped) <= set(out_pts) | {ro.RHO_MID}
-        for x0, x_end, cps, samples, arrays in runs:
+        assert len(runs) == 3
+        for x0, x_end, cps, samples, xs in runs:
             assert samples is not None
-            assert not np.isin(np.concatenate(arrays), nodes).any()
+            assert set(cps) <= set(out_pts) | {ro.RHO_MID}
             lo, hi = min(x0, x_end), max(x0, x_end)
             mine = np.count_nonzero((out_pts >= lo) & (out_pts <= hi))
-            assert len(cps) <= mine + 2, (x0, x_end, cps)
+            assert len(cps) <= mine + 1, (x0, x_end, cps)
+            # k1, then six scalar stages per attempted step, the fifth at
+            # its end
+            assert all(np.ndim(x) == 0 for x in xs)
+            ends = np.array(xs[5::6])
+            assert abs(ends[-1] - x_end) <= 1e-15
+            assert not np.isin(ends, nodes).any()
+            assert all(np.min(np.abs(ends - c)) <= 1e-15 for c in cps
+                       if c != x0)
 
     def test_zero_source(self):
         z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
@@ -319,9 +319,8 @@ def green_check_run():
 
 class TestGreenCheckLayout:
     def test_rhs_calls(self, green_check_run):
-        # ~5,000 checkpoints per solve: a step lands on the last one it
-        # reaches and fills the passed ones by one sub-step batch
-        # (landing on each one cost 77,180 RHS calls)
+        # the quadrature nodes are Hermite samples; only the output points
+        # and RHO_MID are checkpoints, each one landed on
         run = green_check_run
         assert run.calls <= 40_000
         assert all(o["ode_residual"] <= 1e-6 and o["round_trip"] <= 1e-6
@@ -335,7 +334,7 @@ class TestGreenCheckLayout:
 
     def test_one_analytic_descent(self, green_check_run):
         # u1 is the u_a half of the gauge pair above RHO_MID, one run from
-        # there to ORIGIN_START, and reduction of order below it: 9,587
+        # there to ORIGIN_START, and reduction of order below it: 8,667
         # RHS calls, against 20,731 when u1 was a second descent from
         # ONE_START to the smallest node, 2.7e-10
         run = green_check_run

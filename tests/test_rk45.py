@@ -43,9 +43,9 @@ def test_dense_output_second_order():
     assert np.max(np.abs(du - np.cos(xs))) <= 1e-8
 
 
-def test_samples_are_as_accurate_as_substepped_checkpoints():
+def test_samples_are_as_accurate_as_landed_checkpoints():
     # u'' = -u at rtol 1e-10 on 400 points: a sample's Hermite value is as
-    # close to the exact solution as a checkpoint's RK5 sub-step value
+    # close to the exact solution as the value of a step landed on it
     y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j], [1.0 + 0.0j, 0.0 + 0.0j]])
     xs = np.linspace(0.05, 19.95, 400)
     exact = np.stack([np.sin(xs), np.cos(xs)], axis=-1)
@@ -136,37 +136,31 @@ def test_checkpoint_clusters_keep_the_step():
     clipped, (_, vals, _) = attempted_steps(cps)
     assert clipped <= free + len(cps)
     assert np.max(np.abs(vals[:, 0, 0] - np.sin(cps))) <= 1e-9
-
-
-def test_passed_checkpoints_cost_no_step():
-    # the same 40 clusters: a step lands on the last checkpoint of a
-    # cluster it reaches and fills the others by one sub-step batch, so
-    # the clusters cost at most one main step each
-    def f(x, y):
-        f.scalar_calls += np.ndim(x) == 0
-        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
-
-    def main_steps(checkpoints):
-        f.scalar_calls = 0
-        out = _rk45.solve(f, 0.0, 20.0, y0, rtol=1e-10, checkpoints=checkpoints)
-        return (f.scalar_calls - 1) // 6, out
-
-    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j]])
-    starts = 0.5 * np.arange(40) + 0.25
-    cps = (starts[:, None] + 1e-4 * np.arange(5)[None, :]).ravel()
-    free, _ = main_steps(None)
-    landed, (_, vals, _) = main_steps(cps)
-    assert landed <= free + len(starts)
-    assert np.max(np.abs(vals[:, 0, 0] - np.sin(cps))) <= 1e-9
     assert np.max(np.abs(vals[:, 0, 1] - np.cos(cps))) <= 1e-9
 
 
+def test_a_checkpoint_at_the_start_costs_no_step():
+    # u'' = -u from 0 to 2: the state at x0 is recorded before stepping
+    def f(x, y):
+        f.calls += 1
+        return _oscillator(x, y)
+
+    def calls(checkpoints):
+        f.calls = 0
+        out = _rk45.solve(f, 0.0, 2.0, y0, rtol=1e-10,
+                          checkpoints=np.array(checkpoints))
+        return f.calls, out[1]
+
+    y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j]])
+    with_start, vals = calls([0.0, 1.0])
+    assert with_start == calls([1.0])[0]
+    assert np.array_equal(vals[0], y0)
+
+
 def test_stage_abscissae_come_in_groups_of_six():
-    # k1 once, then each attempted step calls f at x + _C[i] h, i = 1..6,
-    # from the last accepted x; conebench counts attempted steps this way.
-    # An accepted step that passed checkpoints is followed by one sub-step
-    # batch: five calls with (m, 1) abscissae x0 + _C[i] (c - x0),
-    # i = 1..5, from the step's start x0 onto the m passed checkpoints c
+    # k1 once, then each attempted step calls f at the scalar x + _C[i] h,
+    # i = 1..6, from the last accepted x; conebench counts attempted steps
+    # this way.  A step that would pass a checkpoint lands on it
     xs = []
 
     def f(x, y):
@@ -176,22 +170,10 @@ def test_stage_abscissae_come_in_groups_of_six():
     y0 = np.array([[0.0 + 0.0j, 1.0 + 0.0j], [1.0 + 0.0j, 0.0 + 0.0j]])
     cps = np.array([0.3, 0.3001, 1.7, 2.5])
     _rk45.solve(f, 0.0, 3.0, y0, rtol=1e-9, checkpoints=cps, h0=2.0)
-    scalar = [x for x in xs if np.ndim(x) == 0]
-    assert xs[0] == 0.0 and (len(scalar) - 1) % 6 == 0
-    assert (len(xs) - len(scalar)) % 5 == 0
-    start, end, rejected, substeps, accepted = 0.0, None, 0, 0, False
-    g = 1
-    while g < len(xs):
-        if np.ndim(xs[g]) == 2:
-            group = xs[g:g + 5]
-            passed = cps[(cps > start) & (cps < end)][:, None]
-            assert len(passed) and all(np.array_equal(
-                xi, start + _rk45._C[i] * (passed - start))
-                for i, xi in enumerate(group, start=1)), group
-            substeps += 1
-            accepted = True
-            g += 5
-            continue
+    assert all(np.ndim(x) == 0 for x in xs)
+    assert xs[0] == 0.0 and (len(xs) - 1) % 6 == 0
+    start, end, rejected, ends = 0.0, None, 0, []
+    for g in range(1, len(xs), 6):
         group = xs[g:g + 6]
         # a step starts where the last one ended (accepted) or where the
         # last one started (rejected); group[4] is its end, x0 + h
@@ -199,11 +181,11 @@ def test_stage_abscissae_come_in_groups_of_six():
             abs(xi - (x0 + _rk45._C[i] * (group[4] - x0))) <= 1e-14
             for i, xi in enumerate(group, start=1))]
         assert x0s, group
-        assert not accepted or x0s[0] == end
         rejected += x0s[0] == start and g > 1
-        start, end, accepted = x0s[0], group[4], False
-        g += 6
-    assert end == 3.0 and rejected > 0 and substeps > 0
+        start, end = x0s[0], group[4]
+        ends.append(end)
+    assert end == 3.0 and rejected > 0
+    assert all(np.min(np.abs(np.array(ends) - c)) <= 1e-15 for c in cps)
 
 
 def test_results_are_not_views_of_the_stage_buffer():
@@ -259,25 +241,12 @@ _ROWS = tuple(_rk45._A[i, :i] for i in range(7))
 _E = _rk45._A[6] - np.array(_rk45._B4)
 
 
-def _reference_substep(f, x, y, k1, xs):
-    h = (xs - x)[:, None]
-    shape = (len(xs),) + y.shape
-    stages = np.empty((6,) + shape, dtype=complex)
-    flat = stages.view(float).reshape(6, -1)
-    stages[0] = k1
-    for i in range(1, 6):
-        incr = (_ROWS[i] @ flat[:i]).view(complex).reshape(shape)
-        stages[i] = f(x + _rk45._C[i] * h, y + h[..., None] * incr)
-    return y + h[..., None] * (_rk45._A[6, :6] @ flat).view(complex).reshape(shape)
-
-
 def _reference_solve(f, x0, x_end, y0, rtol, atol, checkpoints, h0):
     """(y_end, checkpoint values, dense segment arrays)."""
     y = np.atleast_2d(np.asarray(y0, dtype=complex))
     direction = 1.0 if x_end >= x0 else -1.0
     span = abs(x_end - x0)
     cps = np.asarray(checkpoints, dtype=float)
-    toward = direction * cps
     cp_vals = np.empty((len(cps),) + y.shape, dtype=complex)
     h = direction * min(abs(h0), span)
     x = x0
@@ -287,12 +256,11 @@ def _reference_solve(f, x0, x_end, y0, rtol, atol, checkpoints, h0):
     abs_y = np.abs(y)
     segs = ([], [], [], [], [], [])
     next_cp = 0
+    while next_cp < len(cps) and cps[next_cp] == x0:
+        cp_vals[next_cp] = y
+        next_cp += 1
     while direction * (x_end - x) > 0:
-        x_stop, first = x_end, next_cp
-        last = np.searchsorted(toward, direction * (x + h), side="right")
-        if last > next_cp:
-            x_stop = cps[last - 1]
-            first = np.searchsorted(toward, toward[last - 1])
+        x_stop = cps[next_cp] if next_cp < len(cps) else x_end
         h_free = h
         clipped = direction * (x + h - x_stop) > 0
         if clipped:
@@ -310,10 +278,6 @@ def _reference_solve(f, x0, x_end, y0, rtol, atol, checkpoints, h0):
             for seg, v in zip(segs, (x, x + h, y[0].copy(), stages[0, 0].copy(),
                                      y5[0].copy(), stages[6, 0].copy())):
                 seg.append(v)
-            if first > next_cp:
-                cp_vals[next_cp:first] = _reference_substep(
-                    f, x, y, stages[0], cps[next_cp:first])
-                next_cp = first
             x = x + h
             y, abs_y = y5, abs_y5
             stages[0] = stages[6]
@@ -372,16 +336,17 @@ def _same_as_reference(f, f_ref, x0, x_end, y0, cps, rtol, atol, h0):
 
 
 def test_oscillator_steps_match_the_reference():
-    # three members and clustered checkpoints, so steps are clipped and
-    # passed checkpoints are sub-stepped
+    # three members and clustered checkpoints, so steps are clipped onto
+    # each checkpoint of a cluster in turn
     y0 = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -0.5]], dtype=complex)
     starts = 0.5 * np.arange(12) + 0.25
     cps = (starts[:, None] + 1e-4 * np.arange(4)[None, :]).ravel()
     _same_as_reference(_oscillator, _oscillator, 0.0, 6.5, y0, cps,
                        1e-9, 1e-12, 2.0)
-    # descending, checkpoints ahead of x toward x_end
+    # descending, checkpoints from x0 toward x_end
     _same_as_reference(_oscillator, _oscillator, 6.0, 0.5, y0,
-                       np.array([5.9, 5.0, 4.999, 2.0, 0.5]), 1e-10, 1e-12, 1.0)
+                       np.array([6.0, 5.9, 5.0, 4.999, 2.0, 0.5]), 1e-10, 1e-12,
+                       1.0)
 
 
 @pytest.mark.parametrize("gauged", [False, True])

@@ -10,11 +10,10 @@ by position, or through ``*args`` / ``**kwargs``.
 More checks keep each fact in one place: no function takes a
 dimension ``d`` beside a discretization ``disc`` (which carries
 ``disc.d``), ``radialode.integrate`` is the only caller of
-``_rk45.solve`` (and the only one that passes it value-only samples)
-and ``_rk45.solve`` the only caller of its checkpoint sub-step
-``_rk45._substep``, ``radialode.integrate`` is the only
-builder of the Frobenius seeds, and it builds them for a whole batch of
-lam, never one lam per loop pass.
+``_rk45.solve`` (and the only one that passes it value-only samples),
+every RHS call of a ``green-check`` run is one (batch, 2) state at one
+scalar abscissa, and ``radialode.integrate`` alone builds the Frobenius
+seeds, for a whole batch of lam, never one lam per loop pass.
 
 The last checks keep work done once: the blowup fit's independent runs
 (its coarse T grid, the start pair of each warm-started secant, the
@@ -35,8 +34,10 @@ import numpy as np
 import pytest
 
 from conewave import blowup as bl
+from conewave import cli
 from conewave import collocation as co
 from conewave import model
+from conewave import radialode as ro
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "conewave"
@@ -181,13 +182,33 @@ def _callers(name, module, keyword=None):
 
 def test_rk45_solve_is_called_only_by_integrate():
     assert _callers("solve", "_rk45") == ["radialode.integrate"]
-    # one RK45 path: the checkpoint sub-step batch is part of solve
-    assert _callers("_substep", "_rk45") == ["_rk45.solve"]
+
+
+def test_green_check_rhs_calls_are_one_state_at_one_abscissa(
+        monkeypatch, tmp_path):
+    # one RK45 path: checkpoints are landed on and quadrature nodes are
+    # Hermite samples, so no RHS call sees an array of abscissae
+    shapes = []
+    batch_rhs = ro._batch_rhs
+
+    def recorded(d, lam_arr, *args):
+        f = batch_rhs(d, lam_arr, *args)
+        batch = len(lam_arr)
+
+        def rhs(x, y):
+            shapes.append((np.ndim(x), y.shape, batch))
+            return f(x, y)
+        return rhs
+
+    monkeypatch.setattr(ro, "_batch_rhs", recorded)
+    assert cli.cmd_green_check(cli.RunConfig(), tmp_path) == cli.EXIT_OK
+    assert len(shapes) > 1000
+    assert all(nd == 0 and shape == (batch, 2) for nd, shape, batch in shapes)
 
 
 def test_only_integrate_passes_rk45_samples():
     # value-only points are declared by one caller, so no option elsewhere
-    # chooses between a Hermite value and a sub-step
+    # chooses between a Hermite value and a landed step
     assert _callers("solve", "_rk45", "samples") == ["radialode.integrate"]
 
 
