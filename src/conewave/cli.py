@@ -165,14 +165,16 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
         "free": tuple(dataclasses.replace(g, L_mat=g.L0_mat)
                       for g in (disc, disc_fine)),
     }
+    scans = {method: ro.scan_halfplane(d, tuple(grids),
+                                       omega_max=cfg.omega_scan, method=method)
+             for method in ("shooting", "c3")}
     results = {}
-    for variant, (coarse, fine) in grids.items():
+    for i, (variant, (coarse, fine)) in enumerate(grids.items()):
         results[f"eig-{variant}"] = [
             (z, 1) for z in co.unstable_eigenvalues(
                 coarse, fine, re_min=0.05, im_max=cfg.omega_scan)]
-        for method in ("shooting", "c3"):
-            results[f"{method}-{variant}"] = ro.scan_halfplane(
-                d, variant, omega_max=cfg.omega_scan, method=method)
+        for method, found in scans.items():
+            results[f"{method}-{variant}"] = found[i]
 
     rows = []
     for name in ("eig-perturbed", "eig-free", "shooting-perturbed",

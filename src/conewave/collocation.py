@@ -24,7 +24,10 @@ The pair g = (2, d) satisfies L g = g identically; the assembly enforces
 the corresponding row sums exactly (block-row sums are absorbed into the
 smallest off-diagonal entry using compensated summation), so the discrete
 gauge residual sits at the 1e-13 level rather than the matrix-norm noise
-level.
+level.  L0 and L are assembled in one pass; the gauge projection P_mat
+(from the left eigenvector adjoint_functional) is computed from L_mat
+when first read.  An eigenvalue of the coarse grid counts as unstable if
+inverse iteration on a twice finer grid moves it by at most 1e-4.
 
 The energy inner product is
     (u|v)_E = int u1' conj(v1') rho^{d-1} + int u2 conj(v2) rho^{d-1}
@@ -34,7 +37,8 @@ even polynomials of degree <= 2(N-1) integrate exactly against rho^{d-1}.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -160,8 +164,16 @@ class SpectralDiscretization:
     Lprime_mat: np.ndarray
     L_mat: np.ndarray
     g_disc: np.ndarray
-    adjoint_functional: np.ndarray = field(repr=False)  # y with y^H g = 1
-    P_mat: np.ndarray = field(repr=False)
+
+    @cached_property
+    def adjoint_functional(self):
+        """y with y^H g = 1, the left eigenvector of L at eigenvalue 1."""
+        return _gauge_projection(self.L_mat, self.g_disc)
+
+    @cached_property
+    def P_mat(self):
+        """The rank-1 projection g y^H onto the gauge mode."""
+        return np.outer(self.g_disc, self.adjoint_functional)
 
     def split(self, u):
         u = np.asarray(u)
@@ -175,12 +187,13 @@ class SpectralDiscretization:
         return np.asarray(u) @ self.adjoint_functional
 
 
-def _assemble_blocks(d: int, rho, de, d2e, perturbed: bool):
+def _assemble_operators(d: int, rho, de, d2e):
+    """(L0, L): the free and the perturbed operator, which share the
+    a11, a12 and a22 blocks and differ in a21 by the potential."""
     n1 = len(rho)
     beta = potential_constant(d)
     a11 = -rho[:, None] * de
     np.fill_diagonal(a11, a11.diagonal() - (d - 2.0) / 2.0)
-    a12 = np.eye(n1)
     a21 = d2e.copy()
     a21[0] *= float(d)  # l'Hopital limit of u'' + (d-1)/rho u' at rho=0
     a21[1:] += (d - 1.0) / rho[1:, None] * de[1:]
@@ -189,16 +202,14 @@ def _assemble_blocks(d: int, rho, de, d2e, perturbed: bool):
 
     _absorb_row_sums(a11, -(d - 2.0) / 2.0)
     _absorb_row_sums(a22, -d / 2.0)
-    if not perturbed:
-        _absorb_row_sums(a21, 0.0)
-    else:
-        # pre-compensate the rounding of the upcoming diagonal addition
-        delta = np.array([_two_sum_err(a21[i, i], beta) for i in range(n1)])
-        _absorb_row_sums(a21, -delta)
-        np.fill_diagonal(a21, a21.diagonal() + beta)
-    top = np.hstack([a11, a12])
-    bot = np.hstack([a21, a22])
-    return np.vstack([top, bot])
+    a21_free = a21.copy()
+    _absorb_row_sums(a21_free, 0.0)
+    # pre-compensate the rounding of the upcoming diagonal addition
+    delta = np.array([_two_sum_err(a21[i, i], beta) for i in range(n1)])
+    _absorb_row_sums(a21, -delta)
+    np.fill_diagonal(a21, a21.diagonal() + beta)
+    return tuple(np.block([[a11, np.eye(n1)], [lower, a22]])
+                 for lower in (a21_free, a21))
 
 
 def build(d: int, N: int) -> SpectralDiscretization:
@@ -214,18 +225,11 @@ def build(d: int, N: int) -> SpectralDiscretization:
     if np.any(w < -1e-4 * np.max(w)):
         raise DomainError(f"negative quadrature weights at d={d}, N={N}")
 
-    l0 = _assemble_blocks(d, rho, de, d2e, perturbed=False)
-    lfull = _assemble_blocks(d, rho, de, d2e, perturbed=True)
-    lprime = lfull - l0
-
+    l0, lfull = _assemble_operators(d, rho, de, d2e)
     g_disc = np.concatenate([np.full(N, 2.0), np.full(N, float(d))])
-
-    y, p_mat = _gauge_projection(lfull, g_disc)
-
     return SpectralDiscretization(
         d=d, N=N, nodes=rho, D1=de, D1_odd=do, D2=d2e, quad_weights=w,
-        L0_mat=l0, Lprime_mat=lprime, L_mat=lfull, g_disc=g_disc,
-        adjoint_functional=y, P_mat=p_mat,
+        L0_mat=l0, Lprime_mat=lfull - l0, L_mat=lfull, g_disc=g_disc,
     )
 
 
@@ -233,7 +237,7 @@ KERNEL_GAP = 1e3  # least ratio of the two smallest singular values of L - 1
 
 
 def _gauge_projection(l_mat, g_disc):
-    """Left eigenvector of L at eigenvalue 1 and the rank-1 projection.
+    """Left eigenvector y of L at eigenvalue 1, normalized to y^H g = 1.
 
     ker(L - 1) counts as one-dimensional when the smallest singular value
     of L - 1 lies a factor KERNEL_GAP below the next one.  For d = 3..6
@@ -254,9 +258,7 @@ def _gauge_projection(l_mat, g_disc):
     for _ in range(4):
         y = np.linalg.solve(a, y)
         y /= np.linalg.norm(y)
-    y = y / np.dot(y, g_disc)
-    p_mat = np.outer(g_disc, y)
-    return y, p_mat
+    return y / np.dot(y, g_disc)
 
 
 # ---------------------------------------------------------------------------
@@ -349,42 +351,28 @@ def norm_equivalence_check(disc: SpectralDiscretization, n_samples: int = 100,
     return lo, hi
 
 
-def discrete_spectrum(disc: SpectralDiscretization,
-                      disc_fine: SpectralDiscretization):
-    """Eigenvalues of L_mat filtered by stability under N -> 2N.
+def unstable_eigenvalues(disc, disc_fine, re_min: float = 0.05,
+                         im_max: float = 50.0):
+    """Eigenvalues of disc.L_mat in {Re >= re_min, |Im| <= im_max} that
+    are stable under N -> 2N, located on the fine grid.
 
-    Returns (physical, raw): eigenvalues that move by at most 1e-4 when
-    recomputed on the companion grid, and the full raw list.
+    Each candidate of the coarse grid's spectrum in the window is
+    polished by inverse iteration on disc_fine.L_mat, so the reported
+    location does not inherit dense-solver noise, and is kept if the
+    polished value lies within 1e-4 of it: spurious modes move under
+    refinement, physical ones do not.
     """
     try:
         ev = np.linalg.eigvals(disc.L_mat)
-        ev_fine = np.linalg.eigvals(disc_fine.L_mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigensolverFailure(str(exc)) from exc
-    physical = []
-    for lam in ev:
-        if np.min(np.abs(ev_fine - lam)) <= 1e-4:
-            physical.append(complex(lam))
-    physical.sort(key=lambda z: (-z.real, z.imag))
-    return physical, np.sort_complex(ev)
-
-
-def unstable_eigenvalues(disc, disc_fine, re_min: float = 0.05,
-                         im_max: float = 50.0):
-    """Filtered eigenvalues in {Re >= re_min, |Im| <= im_max}, polished.
-
-    Each candidate is refined by inverse iteration on the fine grid so the
-    reported location does not inherit dense-solver noise.
-    """
-    physical, _ = discrete_spectrum(disc, disc_fine)
-    out = []
-    for lam in physical:
-        if lam.real >= re_min and abs(lam.imag) <= im_max:
-            out.append(_polish_eigenvalue(disc_fine.L_mat, lam))
+    window = [complex(z) for z in ev
+              if z.real >= re_min and abs(z.imag) <= im_max]
     dedup = []
-    for lam in out:
-        if not any(abs(lam - z) < 1e-8 for z in dedup):
-            dedup.append(lam)
+    for lam in sorted(window, key=lambda z: (-z.real, z.imag)):
+        z = _polish_eigenvalue(disc_fine.L_mat, lam)
+        if abs(z - lam) <= 1e-4 and not any(abs(z - z2) < 1e-8 for z2 in dedup):
+            dedup.append(z)
     dedup.sort(key=lambda z: (-z.real, z.imag))
     return dedup
 

@@ -21,17 +21,18 @@ ONE_START = 1.0 - 1e-3
 SEED_ORDER = 8
 
 
-def zero_order_coeff(d: int, lam, variant: str):
-    """c0(lam) for a scalar or an array of lam."""
+def zero_order_coeff(d: int, lam, variant):
+    """c0(lam) for a scalar or an array of lam; variant is one name or an
+    array of names that broadcasts against lam."""
     check_dimension(d)
     lam = np.asarray(lam, dtype=complex)
+    names = np.asarray(variant)
+    known = (names == "free") | (names == "perturbed")
+    if not np.all(known):
+        raise ParamError(f"unknown variant {str(names[~known].flat[0])!r}")
     base = lam * (lam + d - 1.0)
-    if variant == "free":
-        return base + d * (d - 2.0) / 4.0
-    if variant == "perturbed":
-        # d(d-2)/4 - model.potential_constant(d) = -d, folded into c0
-        return base - d
-    raise ParamError(f"unknown variant {variant!r}")
+    # d(d-2)/4 - model.potential_constant(d) = -d, folded into c0
+    return np.where(names == "free", base + d * (d - 2.0) / 4.0, base - d)
 
 
 @dataclass(frozen=True)
@@ -50,45 +51,34 @@ class FrobeniusSeed:
     coefficients: np.ndarray = field(repr=False)
 
     def eval(self, rho):
-        """(u, du/drho) at rho (scalar or array), shape (n_lam,) + rho.shape."""
-        u, up, _ = self.eval2(rho)
-        return u, up
-
-    def eval2(self, rho):
-        """(u, u', u'') at rho, all from the truncated series by Horner
-        over the coefficient axis."""
+        """(u, du/drho) at rho (scalar or array), shape (n_lam,) + rho.shape,
+        from the truncated series by Horner over the coefficient axis."""
         rho = np.asarray(rho, dtype=float)
         # column k broadcasts against rho: b[k] has shape (n_lam, 1, ...)
         b = self.coefficients.T.reshape(
             self.coefficients.shape[::-1] + (1,) * rho.ndim)
         zero = np.zeros(b.shape[1:2] + rho.shape, dtype=complex)
         if self.endpoint == "origin":
-            u = up = upp = zero
+            u = up = zero
             r2 = rho * rho
             for k in range(len(b) - 1, 0, -1):
                 u = u * r2 + b[k]
                 up = up * r2 + 2 * k * b[k]
-                upp = upp * r2 + 2 * k * (2 * k - 1) * b[k]
             u = u * r2 + b[0]
-            return u, up * rho, upp
+            return u, up * rho
         x = 1.0 - rho
-        s = sp = spp = zero
+        s = sp = zero
         for k in range(len(b) - 1, 1, -1):
             s = s * x + b[k]
             sp = sp * x + k * b[k]
-            spp = spp * x + k * (k - 1) * b[k]
         s = s * x + b[1]
         sp = sp * x + b[1]
         s = s * x + b[0]
         if not np.any(self.index):
-            y, yp, ypp = s, sp, spp
-        else:
-            sig = self.index.reshape(b.shape[1:])
-            xs = np.exp(sig * np.log(x))
-            y = xs * s
-            yp = xs * (sp + sig * s / x)
-            ypp = xs * (spp + 2.0 * sig * sp / x + sig * (sig - 1.0) * s / x**2)
-        return y, -yp, ypp
+            return s, -sp
+        sig = self.index.reshape(b.shape[1:])
+        xs = np.exp(sig * np.log(x))
+        return xs * s, -(xs * (sp + sig * s / x))
 
 
 def _series(n_lam, next_coeff, x0, power):

@@ -31,7 +31,9 @@ branches at RHO_MID (`matching_wronskian`, which also normalizes the
 Green kernel), counted by the argument principle on one rectangle
 whose boundary is traced in rounds of one indicator batch each at
 TRACE_RTOL, located by the contour moments of the same samples and
-polished by Newton at rtol 1e-10.
+polished by Newton at rtol 1e-10.  The variant enters the ODE only
+through c0, so a batch may mix variants, one per lam: the free and the
+perturbed contours are traced in lockstep as one batch per round.
 """
 
 import math
@@ -167,11 +169,12 @@ def _reduce_at_origin(d, lam_arr, seed, rho, u0, u0p, star):
 # ---------------------------------------------------------------------------
 
 
-def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
-    """(u0, u0', u1, u1') batched over lam: u0' and u1' are (n_lam, n_pts)
-    on the ascending pts in (0, 1), and u0, u1 are (n_lam, n_pts +
-    n_values), on pts and then on the ascending value points `values` in
-    (0, 1), where no derivative is formed.
+def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
+    """(u0, u0', u1, u1') batched over lam, with variant one name or one
+    per lam: u0' and u1' are (n_lam, n_pts) on the ascending pts in (0,
+    1), and u0, u1 are (n_lam, n_pts + n_values), on pts and then on the
+    ascending value points `values` in (0, 1), where no derivative is
+    formed.
 
     u0 is the origin-regular and u1 the analytic-at-one solution, both
     with unit leading seed coefficient.  This is the one place where the
@@ -278,7 +281,8 @@ def integrate(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
         w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
                                ss.coefficients)
         pair_end, pair = land(
-            _batch_rhs(d, np.tile(lam_arr, 2), variant,
+            _batch_rhs(d, np.tile(lam_arr, 2),
+                       np.tile(np.broadcast_to(variant, lam_arr.shape), 2),
                        np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
             ONE_START, stop, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
                                                           axis=-1)]),
@@ -350,8 +354,9 @@ def _mid_wronskian(d, lam_arr, variant, rtol):
     return mu[:, 0], scale[:, 0]
 
 
-def _indicator_batch(d: int, lam_arr, variant: str, rtol: float = 1e-9):
-    """mu(lam) = W(u_origin, u_analytic-at-1)(RHO_MID) for an array of lam.
+def _indicator_batch(d: int, lam_arr, variant, rtol: float = 1e-9):
+    """mu(lam) = W(u_origin, u_analytic-at-1)(RHO_MID) for an array of lam,
+    with variant one name or one per lam.
 
     Solutions are normalized to unit seed data, so mu's scale is O(|u|^2).
     """
@@ -374,7 +379,9 @@ def eigen_indicator(d: int, lam, variant: str, rtol: float = 1e-10):
 def _trace_boundary(ev, rect):
     """(pts, vals): f sampled on the boundary of rect = (re0, re1, im0,
     im1) as one closed polyline, counter-clockwise from (re0, im0) and
-    dense enough that arg increments stay below ~0.8.
+    dense enough that arg increments stay below ~0.8.  ev maps the n
+    points of an array to n values, or to (k, n) values of k functions
+    sharing the polyline, which then refines wherever any of them fails.
 
     Each edge starts with EDGE_DENSITY samples per unit length (at least
     4, corners included), and the polyline refines in lockstep: each
@@ -392,13 +399,15 @@ def _trace_boundary(ev, rect):
         edges.append(a + (b - a) * np.linspace(0.0, 1.0, n)[:-1])
     pts = np.concatenate(edges + [corners[:1]])
     vals = ev(pts[:-1])
-    vals = np.append(vals, vals[0])
+    vals = np.concatenate([vals, vals[..., :1]], axis=-1)
     for depth in range(EDGE_MAX_DEPTH + 1):
         if np.any(vals == 0):
-            raise ContourTooCloseError(f"zero sample at {pts[vals == 0][0]}")
-        r = vals[1:] / vals[:-1]
-        bad = np.flatnonzero((np.abs(np.angle(r)) > 0.8)
-                             | ~((0.25 < np.abs(r)) & (np.abs(r) < 4.0)))
+            raise ContourTooCloseError(
+                f"zero sample at {pts[np.nonzero(vals == 0)[-1][0]]}")
+        r = vals[..., 1:] / vals[..., :-1]
+        fails = ((np.abs(np.angle(r)) > 0.8)
+                 | ~((0.25 < np.abs(r)) & (np.abs(r) < 4.0)))
+        bad = np.flatnonzero(fails.reshape(-1, len(pts) - 1).any(axis=0))
         if not len(bad):
             return pts, vals
         if depth == EDGE_MAX_DEPTH:
@@ -406,29 +415,33 @@ def _trace_boundary(ev, rect):
                 f"boundary of {rect} not resolved after {depth} refinements")
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         pts = np.insert(pts, bad + 1, mids)
-        vals = np.insert(vals, bad + 1, ev(mids))
+        vals = np.insert(vals, bad + 1, ev(mids), axis=-1)
 
 
 def _winding_rect(ev, rect):
     """(w, estimates): winding number of f around the rectangle (re0,
-    re1, im0, im1) and its w roots, from one traced boundary.
+    re1, im0, im1) and its w roots, from one traced boundary; a list of
+    them, one per function, for an ev of k functions (`_trace_boundary`).
 
     Delves & Lyness: the power sums s_k = (1/2 pi i) oint z^k dlog f, by
     the midpoint rule on the ratios vals[i+1]/vals[i] whose phases give w,
     are the roots' monic polynomial through the Newton identities.
     """
     pts, vals = _trace_boundary(ev, rect)
-    logs = np.log(vals[1:] / vals[:-1])
-    w = np.sum(logs.imag) / (2.0 * math.pi)
-    if abs(w - round(w)) > 0.25:
-        raise ContourTooCloseError(f"non-integer winding {w:.3f} on {rect}")
-    w = int(round(w))
     mids = 0.5 * (pts[1:] + pts[:-1])
-    s = [np.sum(mids**k * logs) / (2j * math.pi) for k in range(w + 1)]
-    c = [1.0]  # the roots' monic polynomial, by the Newton identities
-    for k in range(1, w + 1):
-        c.append(-sum(c[i] * s[k - i] for i in range(k)) / k)
-    return w, np.roots(c)
+    wound = []
+    for v in np.atleast_2d(vals):
+        logs = np.log(v[1:] / v[:-1])
+        w = np.sum(logs.imag) / (2.0 * math.pi)
+        if abs(w - round(w)) > 0.25:
+            raise ContourTooCloseError(f"non-integer winding {w:.3f} on {rect}")
+        w = int(round(w))
+        s = [np.sum(mids**k * logs) / (2j * math.pi) for k in range(w + 1)]
+        c = [1.0]  # the roots' monic polynomial, by the Newton identities
+        for k in range(1, w + 1):
+            c.append(-sum(c[i] * s[k - i] for i in range(k)) / k)
+        wound.append((w, np.roots(c)))
+    return wound if vals.ndim == 2 else wound[0]
 
 
 def _newton_polish(batch_fn, z):
@@ -467,7 +480,7 @@ def _polish_band(batch_fn, rect, estimates):
     return roots
 
 
-def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
+def scan_halfplane(d: int, variant, omega_max: float = 50.0,
                    method: str = "shooting"):
     """Roots of the eigenvalue indicator in [0, 2] x [-omega_max, omega_max].
 
@@ -482,42 +495,49 @@ def scan_halfplane(d: int, variant: str, omega_max: float = 50.0,
     The ODE has real coefficients in lam, so only Im >= -1 is scanned and
     complex roots are mirrored.  method="c3" scans the closed-form
     connection coefficient instead of the shooting Wronskian.
+    variant is one name, or a tuple of names scanned in lockstep: one
+    polyline, refined wherever any variant fails, whose rounds are each
+    one batch of all the variants' lam, then one winding count, estimate
+    set and polish per variant; a retry moves the window for all of them.
 
-    Returns a list of (root, multiplicity), sorted by real part descending.
+    Returns a list of (root, multiplicity), sorted by real part
+    descending; for a tuple of variants, one such list per variant.
     """
     if not 0.0 <= omega_max <= 60.0:
         raise DomainError("omega_max must be in [0, 60]")
+    names = (variant,) if isinstance(variant, str) else tuple(variant)
     if method == "shooting":
-        batch = lambda arr: _indicator_batch(d, arr, variant,
-                                             rtol=TRACE_RTOL)
-        polish = lambda arr: eigen_indicator(d, arr, variant, rtol=1e-10)[0]
+        batch = lambda arr: _indicator_batch(
+            d, np.tile(arr, len(names)), np.repeat(names, len(arr)),
+            rtol=TRACE_RTOL).reshape(len(names), len(arr))
+        polish = [lambda arr, v=v: eigen_indicator(d, arr, v, rtol=1e-10)[0]
+                  for v in names]
     elif method == "c3":
-        batch = polish = lambda arr: np.array(
-            [c3_connection(d, l, variant) for l in arr], dtype=complex)
+        polish = [lambda arr, v=v: np.array(
+            [c3_connection(d, l, v) for l in arr], dtype=complex)
+            for v in names]
+        batch = lambda arr: np.array([p(arr) for p in polish])
     else:
         raise ParamError(f"unknown method {method!r}")
 
     for attempt in range(3):
         rect = (0.0, 2.0, -1.0 - 0.37 * attempt, omega_max + 0.5)
         try:
-            roots = _polish_band(polish, rect, _winding_rect(batch, rect)[1])
+            found = [_polish_band(p, rect, est) for p, (_, est)
+                     in zip(polish, _winding_rect(batch, rect))]
             break
         except ContourTooCloseError:
             if attempt == 2:
                 raise
-    # mirror complex roots (real lam-coefficients), then dedup
-    mirrored = []
-    for z, w in roots:
-        if abs(z.imag) < 1e-9:
-            mirrored.append((complex(z.real, 0.0), w))
-        else:
-            mirrored.append((z, w))
-            mirrored.append((z.conjugate(), w))
-    out = []
-    for z, w in mirrored:
-        if -omega_max <= z.imag <= omega_max and not any(
-            abs(z - z2) < 1e-6 for z2, _ in out
-        ):
-            out.append((z, w))
-    out.sort(key=lambda t: (-t[0].real, t[0].imag))
-    return out
+    out = [[] for _ in names]
+    for roots, kept in zip(found, out):
+        # mirror complex roots (real lam-coefficients), then dedup
+        for z, w in roots:
+            pair = ((complex(z.real, 0.0),) if abs(z.imag) < 1e-9
+                    else (z, z.conjugate()))
+            for z in pair:
+                if -omega_max <= z.imag <= omega_max and not any(
+                        abs(z - z2) < 1e-6 for z2, _ in kept):
+                    kept.append((z, w))
+        kept.sort(key=lambda t: (-t[0].real, t[0].imag))
+    return out[0] if isinstance(variant, str) else out

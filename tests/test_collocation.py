@@ -1,11 +1,15 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conewave import cli
 from conewave import collocation as co
 from conewave.errors import DegenerateEigenvalueError, DomainError
+from conewave.model import potential_constant
 
 
 @pytest.fixture(scope="module")
@@ -185,12 +189,51 @@ class TestSpectrum:
         assert co._polish_eigenvalue(lm, lam) == lam
 
     def test_spurious_modes_move(self, disc4, disc4_fine):
-        physical, raw = co.discrete_spectrum(disc4, disc4_fine)
+        raw = np.sort_complex(np.linalg.eigvals(disc4.L_mat))
         raw_fine = np.linalg.eigvals(disc4_fine.L_mat)
+        physical = [z for z in raw if np.min(np.abs(raw_fine - z)) <= 1e-4]
         spurious = [z for z in raw if min(abs(z - w) for w in physical) > 1e-4]
         moved = sum(1 for z in spurious[:20]
                     if np.min(np.abs(raw_fine - z)) > 1e-4)
         assert moved >= len(spurious[:20]) * 3 // 4
+
+    @staticmethod
+    def _two_eig_filter(disc, disc_fine):
+        """The filter by both grids' full spectra: coarse eigenvalues with
+        a fine one within 1e-4, polished on the fine grid."""
+        ev = np.linalg.eigvals(disc.L_mat)
+        ev_fine = np.linalg.eigvals(disc_fine.L_mat)
+        physical = sorted((complex(z) for z in ev
+                           if np.min(np.abs(ev_fine - z)) <= 1e-4),
+                          key=lambda z: (-z.real, z.imag))
+        out = []
+        for lam in physical:
+            if lam.real >= 0.05 and abs(lam.imag) <= 50.0:
+                z = co._polish_eigenvalue(disc_fine.L_mat, lam)
+                if not any(abs(z - z2) < 1e-8 for z2 in out):
+                    out.append(z)
+        return sorted(out, key=lambda z: (-z.real, z.imag))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_filter_matches_two_eig_filter(self, d):
+        # polishing the coarse candidates on the fine grid keeps the same
+        # unstable set as comparing the two grids' full spectra
+        grids = (co.build(d, 64), co.build(d, 128))
+        free = [dataclasses.replace(g, L_mat=g.L0_mat) for g in grids]
+        for pair in (grids, free):
+            assert co.unstable_eigenvalues(*pair) == self._two_eig_filter(*pair)
+
+    def test_unstable_candidate_without_fine_eigenvalue_is_rejected(self):
+        # 2 + i has no fine eigenvalue within 1e-4 (its polish moves to
+        # 2 + i + 2e-4), 3 has one 5e-5 away and is reported there
+        coarse = SimpleNamespace(L_mat=np.diag([1.0, 2.0 + 1.0j, 3.0, 9.0]))
+        fine = SimpleNamespace(
+            L_mat=np.diag([1.0, 2.0 + 1.0j + 2e-4, 3.0 + 5e-5, 9.0]))
+        roots = co.unstable_eigenvalues(coarse, fine, im_max=50.0)
+        assert len(roots) == 3
+        assert abs(roots[0] - 9.0) <= 1e-12
+        assert abs(roots[1] - (3.0 + 5e-5)) <= 1e-12
+        assert abs(roots[2] - 1.0) <= 1e-12
 
 
 class TestKernelGap:
@@ -220,7 +263,7 @@ class TestKernelGap:
 
     def test_simple_kernel_passes(self):
         lm = self._conjugated(np.r_[1.0, np.linspace(2.0, 40.0, 39)])
-        y, _ = co._gauge_projection(lm, np.ones(40))
+        y = co._gauge_projection(lm, np.ones(40))
         assert np.max(np.abs(y @ lm - y)) <= 1e-10 * np.max(np.abs(y))
 
 
@@ -247,6 +290,84 @@ class TestProjection:
 
     def test_mode_coefficient_normalization(self, disc4):
         assert disc4.mode_coefficient(disc4.g_disc) == pytest.approx(1.0, abs=1e-12)
+
+
+def _per_variant_assembly(d, disc, perturbed):
+    """The operator L (perturbed) or L0, assembled by itself."""
+    rho, de, d2e, n1 = disc.nodes, disc.D1, disc.D2, disc.N
+    a11 = -rho[:, None] * de
+    np.fill_diagonal(a11, a11.diagonal() - (d - 2.0) / 2.0)
+    a21 = d2e.copy()
+    a21[0] *= float(d)
+    a21[1:] += (d - 1.0) / rho[1:, None] * de[1:]
+    a22 = -rho[:, None] * de
+    np.fill_diagonal(a22, a22.diagonal() - d / 2.0)
+    co._absorb_row_sums(a11, -(d - 2.0) / 2.0)
+    co._absorb_row_sums(a22, -d / 2.0)
+    if perturbed:
+        beta = potential_constant(d)
+        delta = np.array([co._two_sum_err(a21[i, i], beta)
+                          for i in range(n1)])
+        co._absorb_row_sums(a21, -delta)
+        np.fill_diagonal(a21, a21.diagonal() + beta)
+    else:
+        co._absorb_row_sums(a21, 0.0)
+    return np.vstack([np.hstack([a11, np.eye(n1)]), np.hstack([a21, a22])])
+
+
+class TestLazyProjection:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_operators_match_per_variant_assembly(self, d, N):
+        disc = co.build(d, N)
+        l0 = _per_variant_assembly(d, disc, perturbed=False)
+        lm = _per_variant_assembly(d, disc, perturbed=True)
+        assert np.array_equal(disc.L0_mat, l0)
+        assert np.array_equal(disc.L_mat, lm)
+        assert np.array_equal(disc.Lprime_mat, lm - l0)
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        """The N of each grid whose gauge projection is computed."""
+        made, project = [], co._gauge_projection
+
+        def counted(l_mat, g_disc):
+            made.append(len(g_disc) // 2)
+            return project(l_mat, g_disc)
+
+        monkeypatch.setattr(co, "_gauge_projection", counted)
+        return made
+
+    def test_build_does_not_project(self, projections):
+        disc = co.build(4, 32)
+        assert projections == []
+        y, p = disc.adjoint_functional, disc.P_mat
+        assert disc.P_mat is p and disc.adjoint_functional is y
+        assert projections == [32]
+        assert np.array_equal(p, np.outer(disc.g_disc, y))
+
+    def test_commands_project_what_they_read(self, projections, tmp_path):
+        # spectrum and green-check never read the projection; fit-blowup
+        # reads it once on its grid and once on its coarse grid
+        cfg = cli.RunConfig(N=32, tau_max=4.0, omega_scan=6.0)
+        for cmd in (cli.cmd_spectrum, cli.cmd_green_check):
+            cmd(cfg, tmp_path)
+            assert projections == [], cmd.__name__
+        cli.cmd_fit_blowup(cfg, tmp_path)
+        assert sorted(projections) == [21, 32]
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_free_grid_has_no_projection(self, d):
+        # the spectrum command's free grids carry L0 as L_mat, which has no
+        # eigenvalue 1: reading the projection raises, also after the grid
+        # it was copied from has projected
+        for N in (64, 128):
+            disc = co.build(d, N)
+            disc.P_mat
+            free = dataclasses.replace(disc, L_mat=disc.L0_mat)
+            for name in ("P_mat", "adjoint_functional"):
+                with pytest.raises(DegenerateEigenvalueError):
+                    getattr(free, name)
 
 
 class TestInterpolation:

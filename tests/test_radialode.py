@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from closed_forms import ExplicitLambda1
-from conewave import _rk45
+from conewave import _rk45, cli
 from conewave import collocation as co
 from conewave import frobenius as fr
 from conewave import green as gr
@@ -29,12 +29,45 @@ def _pochhammer_ratio(a, b, c, k):
     return num / den
 
 
+def _eval2(seed, rho):
+    """(u, u', u'') of a FrobeniusSeed at rho, all from its truncated
+    series by Horner over the coefficient axis."""
+    rho = np.asarray(rho, dtype=float)
+    b = seed.coefficients.T.reshape(
+        seed.coefficients.shape[::-1] + (1,) * rho.ndim)
+    zero = np.zeros(b.shape[1:2] + rho.shape, dtype=complex)
+    if seed.endpoint == "origin":
+        u = up = upp = zero
+        r2 = rho * rho
+        for k in range(len(b) - 1, 0, -1):
+            u = u * r2 + b[k]
+            up = up * r2 + 2 * k * b[k]
+            upp = upp * r2 + 2 * k * (2 * k - 1) * b[k]
+        u = u * r2 + b[0]
+        return u, up * rho, upp
+    x = 1.0 - rho
+    s = sp = spp = zero
+    for k in range(len(b) - 1, 1, -1):
+        s = s * x + b[k]
+        sp = sp * x + k * b[k]
+        spp = spp * x + k * (k - 1) * b[k]
+    s = s * x + b[1]
+    sp = sp * x + b[1]
+    s = s * x + b[0]
+    if not np.any(seed.index):
+        return s, -sp, spp
+    sig = seed.index.reshape(b.shape[1:])
+    xs = np.exp(sig * np.log(x))
+    return (xs * s, -(xs * (sp + sig * s / x)),
+            xs * (spp + 2.0 * sig * sp / x + sig * (sig - 1.0) * s / x**2))
+
+
 class TestSeeds:
     @pytest.mark.parametrize("variant", ["free", "perturbed"])
     @pytest.mark.parametrize("lam", [1.0, 0.3 + 2.0j, 0.1 + 20.0j, 2.0])
     def test_origin_residual(self, variant, lam):
         seed = ro.seed_origin(4, [lam], variant)
-        [u], [up], [upp] = seed.eval2(np.asarray(ro.ORIGIN_START))
+        [u], [up], [upp] = _eval2(seed, np.asarray(ro.ORIGIN_START))
         res = ro.ode_residual(4, lam, variant, ro.ORIGIN_START, u, up, upp)
         assert abs(res) <= 1e-12 * (abs(u) + abs(upp))
 
@@ -43,9 +76,23 @@ class TestSeeds:
         for lam in (1.0, 0.3 + 2.0j, 0.1 + 20.0j):
             seed = ro.seed_one(5, [lam], "perturbed", branch)
             x = np.asarray(1.0 - 1e-3)
-            [u], [up], [upp] = seed.eval2(x)
+            [u], [up], [upp] = _eval2(seed, x)
             res = ro.ode_residual(5, lam, "perturbed", float(x), u, up, upp)
             assert abs(res) <= 1e-9 * (abs(u) + abs(upp) + 1.0)
+
+    def test_eval_is_eval2_without_upp(self):
+        # eval's own (u, u') Horner gives the same bits as the full chain
+        lams = [1.0, 0.3 + 2.0j, 0.1 + 20.0j, 2.0]
+        rho = np.array([[1e-4, 1e-3], [0.2, 0.5]])
+        for seed, pts in (
+                (ro.seed_origin(4, lams, "free"), rho),
+                (ro.seed_one(5, lams, "perturbed", "analytic"), 1.0 - rho),
+                (ro.seed_one(5, lams, "perturbed", "singular"), 1.0 - rho)):
+            for x in (pts, pts[1, 1]):
+                got, want = seed.eval(x), _eval2(seed, x)[:2]
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape == (4,) + np.shape(x)
+                    assert np.array_equal(a, b)
 
     def test_gauge_series_is_constant(self):
         # perturbed lam=1: the H^1 branch is u == 1
@@ -443,6 +490,53 @@ class TestEigenIndicator:
             assert {rtol for _, rtol in calls} == {ro.TRACE_RTOL}, variant
         assert polish_rtols and set(polish_rtols) == {1e-10}
 
+    @pytest.mark.parametrize("omega", [6.0, 50.0])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_lockstep_scan_matches_per_variant(self, d, omega):
+        # one shared boundary trace for both variants finds the roots of
+        # the separate scans; the trace's samples differ in the last bits
+        # only, as the batch's step sizes follow its worst member
+        both = ro.scan_halfplane(d, ("perturbed", "free"), omega_max=omega)
+        for variant, roots in zip(("perturbed", "free"), both):
+            alone = ro.scan_halfplane(d, variant, omega_max=omega)
+            assert [m for _, m in roots] == [m for _, m in alone], variant
+            for (z, _), (z2, _) in zip(roots, alone):
+                assert abs(z - z2) <= 1e-12, (variant, z, z2)
+        assert [len(r) for r in both] == [1, 0]
+
+    def test_spectrum_command_is_one_trace_batch(self, monkeypatch,
+                                                 tmp_path):
+        # the perturbed and the free contour at omega_scan 50 are one
+        # indicator batch of 2 x 428 lam
+        calls, batch = [], ro._indicator_batch
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(ro, "_indicator_batch", counted)
+        cfg = cli.RunConfig(omega_scan=50.0)
+        assert cli.cmd_spectrum(cfg, tmp_path) == cli.EXIT_OK
+        assert calls == [856]
+
+    def test_lockstep_retry_moves_both_windows(self, monkeypatch):
+        # a failed trace retries the shared window: both variants' roots
+        # come from the shifted one
+        rects, winding = [], ro._winding_rect
+
+        def failing_first(ev, rect):
+            rects.append(rect)
+            if len(rects) == 1:
+                raise ContourTooCloseError("first window")
+            return winding(ev, rect)
+
+        monkeypatch.setattr(ro, "_winding_rect", failing_first)
+        both = ro.scan_halfplane(4, ("perturbed", "free"), omega_max=6.0,
+                                 method="c3")
+        assert rects == [(0.0, 2.0, -1.0, 6.5), (0.0, 2.0, -1.37, 6.5)]
+        [(root, m)], free = both
+        assert abs(root - 1.0) <= 1e-8 and m == 1 and free == []
+
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_trace_rtol_budget(self, d):
         # the omega-50 window's samples at TRACE_RTOL against rtol 1e-12
@@ -542,6 +636,38 @@ class TestLockstepTracing:
             poly = np.insert(poly, bad + 1, batch)
         assert len(calls) > 2 and not len(_failing(poly))
         assert np.array_equal(poly, pts)
+
+    def test_one_function_keeps_1d_values(self):
+        # a 1-D evaluator gets 1-D values and one (w, estimates); one row
+        # of a 2-D evaluator gets the same trace
+        ev, _ = _counted_indicator()
+        pts, vals = ro._trace_boundary(ev, self.RECT)
+        assert vals.ndim == 1
+        pts2, vals2 = ro._trace_boundary(lambda z: ev(z)[None], self.RECT)
+        assert np.array_equal(pts, pts2) and np.array_equal(vals2, [vals])
+        w, est = ro._winding_rect(ev, self.RECT)
+        assert w == 2 and len(est) == 2
+        [(w2, est2)] = ro._winding_rect(lambda z: ev(z)[None], self.RECT)
+        assert w2 == w and np.array_equal(est2, est)
+
+    def test_functions_share_refinement(self):
+        # two functions on one polyline: it refines wherever either fails,
+        # so it holds each one's own trace, and each row is its function
+        def shifted(z):
+            return _poly(z + 0.3j)
+
+        ev_a, _ = _counted_indicator()
+        ev_b = lambda lams: np.array([shifted(complex(z)) for z in lams])
+        ev_ab = lambda lams: np.stack([ev_a(lams), ev_b(lams)])
+        pts, vals = ro._trace_boundary(ev_ab, self.RECT)
+        assert vals.shape == (2, len(pts))
+        for ev, row in ((ev_a, vals[0]), (ev_b, vals[1])):
+            alone, _ = ro._trace_boundary(ev, self.RECT)
+            assert set(alone.tolist()) <= set(pts.tolist())
+            assert np.array_equal(row, ev(pts))
+        # ROOT2 - 0.3i lies inside the rectangle, so the shifted one winds
+        # three times
+        assert [w for w, _ in ro._winding_rect(ev_ab, self.RECT)] == [2, 3]
 
     def test_zero_sample_raises(self):
         # the bottom edge's samples on [0, 2] include the zero lam = 1
