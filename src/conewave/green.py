@@ -42,9 +42,9 @@ kernel weight, 48 bytes).  Only the output points and RHO_MID (the
 normalization point, a panel boundary) are RK45 checkpoints, landed
 on with derivatives.  At the benchmark's laplace-compare (eps 0.4,
 Omega 100, domega 0.2: two batches of ~250 lam, ~1,830 nodes each) the
-RK45 work is 1,916 steps and 3.97 M RHS rows, against 2,288 steps and
-8.45 M rows when every node was a checkpoint; green-check makes 8,667
-RHS calls.
+RK45 work is 1,417 steps and 2.67 M RHS rows (1,916 and 3.97 M with the
+series handed over 1e-3 from each endpoint, 2,288 and 8.45 M when every
+node was also a checkpoint); green-check makes 4,917 RHS calls (8,667).
 
 The semigroup is evaluated by truncated Laplace inversion
 

@@ -13,18 +13,18 @@ singular points: Frobenius indices {0, (2-d)/2} at rho=0 and
 is its left side for given (u, u', u''), broadcast over lam.
 `integrate` evaluates the fundamental system (u0, u0', u1, u1') on a
 point set, u0 origin-regular and u1 analytic at 1, batched over lam; it
-is the one place where the series bridge the seed gap next to each
-endpoint, and every shoot of the ODE (indicator, resolvent kernel, the
-closed-form checks) goes through it.
+is the one place where the series cover the zones next to each endpoint,
+and every shoot of the ODE (indicator, resolvent kernel, the closed-form
+checks) goes through it.
 Above RHO_MID u0 is a u1 + b (1-rho)^{1/2-lam} w: the singular Frobenius
 branch at 1 in the gauge u = (1-rho)^{1/2-lam} w is smooth there, so
 RK45 does not step through its oscillation, and u1 is the other half of
-that batch.  Below ORIGIN_START u1 ~ rho^{2-d} is u0 q by reduction of
-order on the origin series (`_reduce_at_origin`), the origin's
-counterpart of the pair at 1.  Within INDEX_GAP of the index resonance
-(1/2 - lam an integer) the gauge pair is ill-conditioned, and u0 is
-integrated to ONE_START and continued in the Frobenius pair at 1, whose
-singular seed raises IndexCollisionError where the pair does not exist.
+that batch.  Below the handoff r0 u1 ~ rho^{2-d} is u0 q by reduction
+of order on the origin series (`_reduce_at_origin`), the origin's
+counterpart of the pair at 1.  Within `frobenius.INDEX_GAP` of the
+index resonance (1/2 - lam an integer) the gauge pair is ill-conditioned,
+and u0 is integrated to ONE_START and continued in the Frobenius pair at
+1, whose singular seed raises IndexCollisionError where it does not exist.
 `integrate` is the only function that builds the Frobenius seeds.
 Eigenvalues are located as zeros (in lam) of the Wronskian of the two
 branches at RHO_MID (`matching_wronskian`, which also normalizes the
@@ -43,18 +43,11 @@ import numpy as np
 from . import _rk45
 from .errors import (ContourTooCloseError, DomainError, ParamError,
                      QuadratureError)
-from .frobenius import (ONE_START, ORIGIN_START, FrobeniusSeed,
-                        reduction_series, seed_one, seed_origin,
-                        zero_order_coeff)
+from .frobenius import (FrobeniusSeed, handoff, reduction_series, seed_one,
+                        seed_origin, zero_order_coeff)
 from .specfun import c3_connection
 
 RHO_MID = 0.5            # Wronskian matching point for the indicator
-# dist(1/2 - lam, Z) below which the origin-regular solution is not
-# continued from RHO_MID in the gauge pair at 1: at rtol 1e-10 that pair
-# loses ~4e-12 / dist relative to a direct rtol 1e-13 solve (measured at
-# lam = 3/2 and 5/2, real and imaginary offsets, d 4), so 5e-3 keeps it
-# below 1e-9.
-INDEX_GAP = 5e-3
 # initial samples per unit length of a scan edge: `_trace_boundary`
 # refines wherever the samples are too sparse, so this only sets the cost
 EDGE_DENSITY = 4.0
@@ -63,11 +56,11 @@ EDGE_MAX_DEPTH = 12      # bisection rounds before the boundary is unresolved
 # number and the Delves-Lyness estimates, which seed the Newton polish at
 # rtol 1e-10.  The sum of principal arg increments stays exact while no
 # increment is perturbed across +-pi, and the trace's 0.8 bound on each
-# leaves ~2.3 rad for that; at 1e-6 the indicator's relative error is
-# <= 6.4e-6 against rtol 1e-12 on the omega-50 window at d = 3..6.  The
-# estimates (~2e-3 from lam = 1 there, set by the sampling: the c3 scan's
-# are the same) only seed Newton, so no reported number depends on the
-# trace's accuracy.
+# leaves ~2.3 rad for that; at 1e-6 the indicator's relative error stays
+# in a 6.4e-6 budget against rtol 1e-12 on the omega-50 window at d =
+# 3..6 (4.2e-6 measured).  The estimates (~2e-3 from lam = 1, set by the
+# sampling: the c3 scan's are the same) only seed Newton, so no reported
+# number depends on the trace's accuracy.
 TRACE_RTOL = 1e-6
 
 
@@ -139,29 +132,30 @@ def _ungauge(sig, rho, w, wp):
     return xs * w, xs * (wp - (sig / x) * w)
 
 
-def _reduce_at_origin(d, lam_arr, seed, rho, u0, u0p, star):
-    """(u, u') on rho <= ORIGIN_START of the solution with data star = (u,
-    u') at ORIGIN_START, by reduction of order on u0 = U(rho^2) (the seed's
-    values (u0, u0') at rho, arrays (n_lam, n_rho)).
+def _reduce_at_origin(d, lam_arr, seed, r0, rho, u0, u0p, star):
+    """(u, u') on rho <= r0 of the solution with data star = (u, u') at
+    r0, by reduction of order on u0 = U(rho^2): u0 is the seed's value
+    on rho and u0' its derivative on the first m points, which are the
+    ones where u' is formed (arrays (n_lam, n_rho) and (n_lam, m)).
 
     Abel: W(u, u0) = C rho^{1-d} (1-rho^2)^{-1/2-lam}, so u = u0 q with
     q' = -C rho^{1-d} sum_k h_k rho^{2k} (`reduction_series`), integrated
-    termwise from ORIGIN_START; e_k = 2 - d + 2k = 0 is the log branch.
+    termwise from r0; e_k = 2 - d + 2k = 0 is the log branch.
     """
-    r0 = ORIGIN_START
     u0s, u0ps = seed.eval(r0)
     c = (matching_wronskian(star, (u0s, u0ps))[0]
          * r0 ** (d - 1.0) * np.exp((0.5 + lam_arr) * math.log1p(-r0 * r0)))
-    h = reduction_series(lam_arr, seed)
+    h = reduction_series(lam_arr, seed, r0)
     e = 2.0 - d + 2.0 * np.arange(h.shape[1])[:, None]
     log_ratio = np.log(rho / r0)
     # (r0^e - rho^e) / e, and ln(r0 / rho) for e = 0
     g = np.where(e == 0.0, -log_ratio,
                  -np.expm1(e * log_ratio) / np.where(e == 0.0, 1.0, e)) * r0 ** e
     q = (star[0] / u0s)[:, None] + c[:, None] * (h @ g)
-    w = c[:, None] * rho ** (1.0 - d) * np.exp(
-        -(0.5 + lam_arr[:, None]) * np.log1p(-rho * rho))
-    return u0 * q, u0p * q - w / u0
+    m = u0p.shape[1]
+    w = c[:, None] * rho[:m] ** (1.0 - d) * np.exp(
+        -(0.5 + lam_arr[:, None]) * np.log1p(-rho[:m] * rho[:m]))
+    return u0 * q, u0p * q[:, :m] - w / u0[:, :m]
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +172,33 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
 
     u0 is the origin-regular and u1 the analytic-at-one solution, both
     with unit leading seed coefficient.  This is the one place where the
-    Frobenius series bridge the seed gap next to each endpoint: u0 on
-    [0, ORIGIN_START] and u1 on [ONE_START, 1) are the series, and the
-    rest comes from RK45 runs: a point of pts is a checkpoint, which the
-    steps land on, and a value point is an RK45 sample, filled from the
-    quintic Hermite of the step that covers it at no RHS call (so value
-    points never shorten a step).  RK45 carries u0 up from ORIGIN_START
-    and u1 down from ONE_START; the states that the matching at the stop
-    point and the reduction below ORIGIN_START read are the runs' end
-    states, not checkpoints.
+    Frobenius series cover the zones next to each endpoint: u0 on [0, r0]
+    and u1 on [1 - t1, 1) are the series, (r0, t1) the batch's `handoff`
+    (0.1 at max|lam| <= 15, 3.75e-3 and 0.015 at |lam| 400), written into
+    the output buffers (u' only on pts).  The rest comes from RK45 runs:
+    a point of pts is a checkpoint, which the steps land on, and a value
+    point is an RK45 sample, filled from the quintic Hermite of the step
+    that covers it at no RHS call (so value points never shorten a step).
+    RK45 carries u0 up from r0 and u1 down from 1 - t1; the states that
+    the matching at the stop point and the reduction below r0 read are
+    the runs' end states, not checkpoints.
 
     u0 holds the singular branch (1-rho)^sigma, sigma = 1/2 - lam, of the
     Frobenius pair at 1, which oscillates like e^{-i Im(lam) ln(1-rho)}.
     RK45 carries u0 only up to RHO_MID.  Above RHO_MID u0 is
     a u1 + b (1-rho)^sigma w, with w the singular branch in the gauge of
     `_batch_rhs` (sigma), smooth at 1 like u1: u1 and w are one RK45 batch
-    of 2 n_lam members from ONE_START down to RHO_MID, and (a, b) match u0
+    of 2 n_lam members from 1 - t1 down to RHO_MID, and (a, b) match u0
     at RHO_MID.  An n_lam-wide run continues u1 from RHO_MID down.  Near
-    the index resonance the pair is ill-conditioned: if any lam of the
-    batch has dist(1/2 - lam, Z) < INDEX_GAP, RK45 carries u0 to the stop
-    point ONE_START instead, where the pair's run has zero length and is
-    the Frobenius seeds at 1, and u1 is one run from ONE_START.  Either way
-    one Cramer solve matches u0 at the stop point in the pair.  No pair
-    exists at |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ...: there
-    IndexCollisionError is raised for points in (ONE_START, 1).
+    the index resonance the pair is ill-conditioned: if `handoff` finds
+    the batch in its gap, t1 is 1 - ONE_START = 1e-3 and RK45 carries u0
+    to the stop point 1 - t1 instead, where the pair is the seeds at 1
+    (no run), and u1 is one run from there.  Either way one Cramer solve
+    matches u0 at the stop point in the pair.  No pair exists at
+    |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ...: there IndexCollisionError
+    is raised for points in (ONE_START, 1).
 
-    The descent of u1 stops at ORIGIN_START: below it u1 ~ rho^{2-d} and
+    The descent of u1 stops at r0: below it u1 ~ rho^{2-d} and
     `_reduce_at_origin` gives it in closed form from u0's series and
     Abel's identity.  This is the only RK45 entry of the package.
     """
@@ -223,6 +218,9 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
     if not n_lam or not len(xs):
         return u0, u0p, u1, u1p
     sig = 0.5 - lam_arr
+    r0, t1, gap = handoff(lam_arr)
+    one = 1.0 - t1
+    stop = one if gap else RHO_MID
     so = seed_origin(d, lam_arr, variant)
     sa = seed_one(d, lam_arr, variant, "analytic")
     plain = _batch_rhs(d, lam_arr, variant)
@@ -232,10 +230,13 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
         rhs, x0, x_end, y0, rtol=rtol, atol=1e-300, checkpoints=cps,
         samples=smp, h0=h0)[:2]
 
-    def put(u, up, cols, val, der):
-        # val on the columns cols, der on those of them that are pts
-        u[:, cols] = val
-        up[:, cols[:n_pts]] = der[:, :np.count_nonzero(cols[:n_pts])]
+    def series(seed, lo, hi, u, up):
+        # the seed's u on the columns in [lo, hi], u' on those of pts
+        i, j = np.searchsorted(pts, lo), np.searchsorted(pts, hi, side="right")
+        u[:, i:j], up[:, i:j] = seed.eval(pts[i:j])
+        i, j = (n_pts + np.searchsorted(values, v, side=s)
+                for v, s in ((lo, "left"), (hi, "right")))
+        u[:, i:j] = seed.value(xs[i:j])
 
     def sampled(buf, cols, descending):
         # (value points, out) of a run for the value columns cols of the
@@ -247,12 +248,9 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
         step = -1 if descending else 1
         return xs[sl][::step], buf[:, sl][:, ::step].T
 
-    near, at_one = xs <= ORIGIN_START, xs >= ONE_START
-    v_near, d_near = so.eval(xs[near])
-    put(u0, u0p, near, v_near, d_near)
-    put(u1, u1p, at_one, *sa.eval(xs[at_one]))
-    stop = (RHO_MID if np.min(np.abs(sig - np.round(sig.real))) >= INDEX_GAP
-            else ONE_START)
+    near, at_one = xs <= r0, xs >= one
+    series(so, 0.0, r0, u0, u0p)
+    series(sa, one, 1.0, u1, u1p)
     far = xs > stop   # u0 continued in a pair at 1, matched at stop
     is_pt = np.arange(len(xs)) < n_pts
 
@@ -260,50 +258,50 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
     mid = ~near & ~far
     if np.any(mid) or np.any(far):
         x_end = stop if np.any(far) else float(np.max(xs[mid]))
-        at_stop, vals = land(plain, ORIGIN_START, x_end,
-                             np.stack(so.eval(ORIGIN_START), axis=-1),
+        at_stop, vals = land(plain, r0, x_end, np.stack(so.eval(r0), axis=-1),
                              xs[mid & is_pt], sampled(u0, mid, False))
         u0[:, mid & is_pt] = vals[:, :, 0].T
         u0p[:, mid[:n_pts]] = vals[:, :, 1].T
         del vals   # freed before the next run's checkpoint values
 
     # u1 down from the series at 1: above RHO_MID the u_a half of the pair
-    x1, y1 = ONE_START, np.stack(sa.eval(ONE_START), axis=-1)
+    x1, y1 = one, np.stack(sa.eval(one), axis=-1)
     if np.any(far):
-        ss = seed_one(d, lam_arr, variant, "singular")
-        # u0's slots on far hold the singular branch until (a, b) are known
-        put(u0, u0p, far & at_one, *ss.eval(xs[far & at_one]))
-        # at stop = ONE_START the run is zero-length and returns the seeds
-        upper = (xs >= stop) & ~at_one & is_pt
-        rk = far & ~at_one
-        # u_a and w, both Taylor series at 1, as one batch (u_a first),
-        # sampled into the rows of u1 and u0 at once
-        w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
-                               ss.coefficients)
-        pair_end, pair = land(
-            _batch_rhs(d, np.tile(lam_arr, 2),
-                       np.tile(np.broadcast_to(variant, lam_arr.shape), 2),
-                       np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
-            ONE_START, stop, np.concatenate([y1, np.stack(w_seed.eval(ONE_START),
-                                                          axis=-1)]),
-            xs[upper][::-1], sampled(both.reshape(2 * n_lam, -1), rk, True))
+        # u_a and w, the singular branch in the gauge of `_batch_rhs`
+        # (sig), are both Taylor series at 1; u0's slots on far hold w
+        # until (a, b) are known
+        w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex), seed_one(
+            d, lam_arr, variant, "singular").coefficients)
+        series(w_seed, max(one, np.nextafter(stop, 1.0)), 1.0, u0, u0p)
+        pair_end = np.concatenate([y1, np.stack(w_seed.eval(one), axis=-1)])
+        if stop < one:
+            # one batch (u_a first), sampled into the rows of u1 and u0
+            upper = (xs >= stop) & ~at_one & is_pt
+            rk = far & ~at_one
+            pair_end, pair = land(
+                _batch_rhs(d, np.tile(lam_arr, 2),
+                           np.tile(np.broadcast_to(variant, lam_arr.shape), 2),
+                           np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
+                one, stop, pair_end, xs[upper][::-1],
+                sampled(both.reshape(2 * n_lam, -1), rk, True))
+            n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk & is_pt)
+            u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
+            u1p[:, upper[:n_pts]] = pair[:n_up, :n_lam, 1][::-1].T
+            u0[:, rk & is_pt] = pair[:n_rk, n_lam:, 0][::-1].T
+            u0p[:, rk[:n_pts]] = pair[:n_rk, n_lam:, 1][::-1].T
+            del pair
         x1, y1 = stop, pair_end[:n_lam]
         basis = (y1.T, _ungauge(sig, stop, *pair_end[n_lam:].T))
-        n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk & is_pt)
-        u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
-        u1p[:, upper[:n_pts]] = pair[:n_up, :n_lam, 1][::-1].T
-        u0[:, rk & is_pt], u0p[:, rk[:n_pts]] = _ungauge(
-            sig[:, None], xs[rk & is_pt], *pair[:n_rk, n_lam:][::-1].T)
-        del pair
         u1[:, (xs == stop) & ~is_pt] = y1[:, :1]
         # far is a range at the end of pts and one at the end of values;
-        # the value points of w become the singular branch in place, and
-        # the matching is done in place too
+        # w becomes the singular branch in place, and the matching is
+        # done in place too
         i_pt = int(np.searchsorted(pts, stop, side="right"))
         i_val = n_pts + int(np.searchsorted(values, stop, side="right"))
-        i_one = n_pts + int(np.searchsorted(values, ONE_START))
-        gauge = np.multiply.outer(sig, np.log(1.0 - xs[i_val:i_one]))
-        u0[:, i_val:i_one] *= np.exp(gauge, out=gauge)
+        u0[:, i_pt:n_pts], u0p[:, i_pt:] = _ungauge(
+            sig[:, None], pts[i_pt:], u0[:, i_pt:n_pts], u0p[:, i_pt:])
+        gauge = np.multiply.outer(sig, np.log(1.0 - xs[i_val:]))
+        u0[:, i_val:] *= np.exp(gauge, out=gauge)
         a, b = _pair_coefficients(*at_stop.T, *basis)
         for u, w, cols in ((u0, u1, slice(i_pt, n_pts)),
                            (u0, u1, slice(i_val, None)),
@@ -311,18 +309,19 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
             u[:, cols] *= b[:, None]
             u[:, cols] += a[:, None] * w[:, cols]
 
-    # u1 on down to ORIGIN_START, and below it by reduction of order
+    # u1 on down to r0, and below it by reduction of order
     low = ~near & (xs < x1)
     if np.any(low) or np.any(near):
-        x_end = ORIGIN_START if np.any(near) else float(np.min(xs[low]))
+        x_end = r0 if np.any(near) else float(np.min(xs[low]))
         star, vals = land(plain, x1, x_end, y1, xs[low & is_pt][::-1],
                           sampled(u1, low, True))
         u1[:, low & is_pt] = vals[:, :, 0][::-1].T
         u1p[:, low[:n_pts]] = vals[:, :, 1][::-1].T
         del vals
     if np.any(near):
-        put(u1, u1p, near, *_reduce_at_origin(
-            d, lam_arr, so, xs[near], v_near, d_near, star.T))
+        u1[:, near], u1p[:, near[:n_pts]] = _reduce_at_origin(
+            d, lam_arr, so, r0, xs[near], u0[:, near], u0p[:, near[:n_pts]],
+            star.T)
     if not all(np.all(np.isfinite(v)) for v in (both, u0p, u1p)):
         raise QuadratureError("fundamental solution overflowed on nodes")
     return u0, u0p, u1, u1p
@@ -513,9 +512,7 @@ def scan_halfplane(d: int, variant, omega_max: float = 50.0,
         polish = [lambda arr, v=v: eigen_indicator(d, arr, v, rtol=1e-10)[0]
                   for v in names]
     elif method == "c3":
-        polish = [lambda arr, v=v: np.array(
-            [c3_connection(d, l, v) for l in arr], dtype=complex)
-            for v in names]
+        polish = [lambda arr, v=v: c3_connection(d, arr, v) for v in names]
         batch = lambda arr: np.array([p(arr) for p in polish])
     else:
         raise ParamError(f"unknown method {method!r}")

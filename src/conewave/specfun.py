@@ -20,9 +20,9 @@ the series/Hankel code it replaced (worst relative error against mpmath
 Principal branch for all complex powers and logs.
 """
 
-import cmath
 import math
 
+import numpy as np
 
 from .errors import DomainError, ParamError, PoleError
 from .model import check_dimension
@@ -51,38 +51,42 @@ _LANCZOS_C = (
 _POLE_TOL = 1e-14
 
 
-def _near_nonpositive_int(z: complex, tol: float = _POLE_TOL) -> bool:
-    if z.real > 0.5:
-        return False
-    n = round(z.real)
-    return n <= 0 and abs(z - n) <= tol
+def _near_nonpositive_int(z, tol: float = _POLE_TOL):
+    """Elementwise: z within tol of 0, -1, -2, ..."""
+    z = np.asarray(z, dtype=complex)
+    n = np.round(z.real)
+    return (z.real <= 0.5) & (n <= 0) & (np.abs(z - n) <= tol)
 
 
-def gamma_c(z) -> complex:
-    """Gamma(z) for complex z, accurate to ~1e-13 relative on |Re z|,|Im z| <= 60.
+def _out(z, vals):
+    """vals as a complex scalar if z is one, else as an array."""
+    return complex(vals) if np.ndim(z) == 0 else vals
+
+
+def gamma_c(z):
+    """Gamma(z) for complex z or an array of them, accurate to ~1e-13
+    relative on |Re z|,|Im z| <= 60.
 
     Raises PoleError within 1e-14 of a nonpositive integer.
     """
-    z = complex(z)
-    if _near_nonpositive_int(z):
-        raise PoleError(f"Gamma pole at z={z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1-z))
-        return math.pi / (cmath.sin(math.pi * z) * gamma_c(1.0 - z))
-    zz = z - 1.0
-    a = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        a += _LANCZOS_C[k] / (zz + k)
+    w = np.asarray(z, dtype=complex)
+    pole = _near_nonpositive_int(w)
+    if np.any(pole):
+        raise PoleError(f"Gamma pole at z={w[pole][0]}")
+    # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1-z)) on Re z < 1/2
+    refl = w.real < 0.5
+    zz = np.where(refl, -w, w - 1.0)
+    a = _LANCZOS_C[0] + sum(c / (zz + k) for k, c in enumerate(_LANCZOS_C[1:], 1))
     t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * a
+    g = math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * np.exp(-t) * a
+    return _out(z, np.where(refl, math.pi / (np.sin(math.pi * w) * g), g))
 
 
-def rgamma(z) -> complex:
-    """1/Gamma(z); entire, returns exactly 0 at nonpositive integers."""
-    z = complex(z)
-    if _near_nonpositive_int(z):
-        return 0.0 + 0.0j
-    return 1.0 / gamma_c(z)
+def rgamma(z):
+    """1/Gamma(z) for complex z or an array of them; entire, returns
+    exactly 0 at nonpositive integers."""
+    pole = _near_nonpositive_int(z)
+    return _out(z, np.where(pole, 0.0, 1.0 / gamma_c(np.where(pole, 1.0, z))))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +242,9 @@ def bessel_y_deriv(nu: float, z) -> complex:
 
 
 def hypergeo_params(d: int, lam, variant: str):
-    """(a, b, c) of the hypergeometric reduction z = rho^2 of the spectral ODE."""
-    lam = complex(lam)
+    """(a, b, c) of the hypergeometric reduction z = rho^2 of the spectral
+    ODE, for a scalar lam or elementwise over an array of lam."""
+    lam = lam + 0j
     if variant == "perturbed":
         return lam / 2.0 + d / 2.0, lam / 2.0 - 0.5, d / 2.0
     if variant == "free":
@@ -247,14 +252,16 @@ def hypergeo_params(d: int, lam, variant: str):
     raise ParamError(f"unknown variant {variant!r}")
 
 
-def c3_connection(d: int, lam, variant: str) -> complex:
-    """Gamma(c)Gamma(a+b-c+1) / (Gamma(a)Gamma(b)) for the given variant.
+def c3_connection(d: int, lam, variant: str):
+    """Gamma(c)Gamma(a+b-c+1) / (Gamma(a)Gamma(b)) for the given variant,
+    complex for a scalar lam and an array for an array of lam.
 
     Zeros in lam (poles of Gamma(a), Gamma(b)) flag eigenvalues; returns an
     exact 0 there.  For both variants a+b-c+1 = lam + 1/2, so numerator
     poles sit at lam = -1/2 - n and raise PoleError.
     """
     check_dimension(d)
+    lam = np.asarray(lam, dtype=complex)
     a, b, c = hypergeo_params(d, lam, variant)
-    num = gamma_c(c) * gamma_c(complex(lam) + 0.5)  # PoleError propagates
-    return num * rgamma(a) * rgamma(b)
+    num = gamma_c(c) * gamma_c(lam + 0.5)  # PoleError propagates
+    return _out(lam, num * rgamma(a) * rgamma(b))

@@ -98,7 +98,7 @@ def test_criterion_3_lambda1_closed_forms():
         w_ref = ex.wronskian(rr)
         worst_w = max(worst_w, float(np.max(
             np.abs(w_int / (scale0 * scale1) - w_ref) / np.abs(w_ref))))
-        # below ORIGIN_START, at the resolvent's rtol 1e-10: u1 ~ rho^{2-d}
+        # below the origin handoff, at the resolvent's rtol 1e-10: u1 ~ rho^{2-d}
         # and u1' pointwise, scaled at rho = 1/2 (the last point)
         _, _, u1, u1p = ro.integrate(d, [1.0], "free", small, 1e-10)
         scale1 = complex(u1[0, -1]) / ex.u1(0.5)

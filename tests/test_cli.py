@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conewave import cli, model
+from conewave import cli, frobenius, model
 from conewave import radialode as ro
 from conewave.errors import (NotConvergedWarning, StepFailure,
                              TruncationWarning)
@@ -116,6 +116,16 @@ def test_manifest_on_every_exit(tmp_path, monkeypatch, command, code, error):
     assert manifest.get("error") == error
     assert "config_sha256" in manifest
     assert {"scipy", "python"} <= set(manifest["versions"])
+
+
+def test_unconverged_series_exits_65(tmp_path, monkeypatch):
+    # a Frobenius series that would need more than MAX_ORDER terms at its
+    # handoff is a numerical failure, not a silent truncation
+    monkeypatch.setattr(frobenius, "MAX_ORDER", 9)
+    assert cli.main(["green-check", "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+    manifest = json.loads((tmp_path / "green_check_manifest.json").read_text())
+    assert manifest["exit_code"] == cli.EXIT_NUMERIC
+    assert "not converged at order 9" in manifest["error"]
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["exit-0", "exit-65"])

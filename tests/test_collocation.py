@@ -188,6 +188,18 @@ class TestSpectrum:
         lm = np.diag([lam + 1e-12, 3.0, 5.0 + 1.0j])
         assert co._polish_eigenvalue(lm, lam) == lam
 
+    def test_real_candidate_is_polished_in_real_arithmetic(self):
+        # the coarse grid's lam = 1 on the fine real operator: three real
+        # solves, and the value (0.9999999994 at d 4, 1.0000000005 in
+        # complex arithmetic) stays within the collocation's 1e-9
+        ev = np.linalg.eigvals(co.build(4, 64).L_mat)
+        lam = complex(ev[np.argmin(np.abs(ev - 1.0))])
+        lm = co.build(4, 128).L_mat
+        real = co._polish_eigenvalue(lm, lam)
+        cplx = co._polish_eigenvalue(lm.astype(complex), lam)
+        assert real.imag == 0.0
+        assert abs(real - 1.0) <= 1e-9 and abs(cplx - 1.0) <= 1e-9
+
     def test_spurious_modes_move(self, disc4, disc4_fine):
         raw = np.sort_complex(np.linalg.eigvals(disc4.L_mat))
         raw_fine = np.linalg.eigvals(disc4_fine.L_mat)

@@ -7,6 +7,7 @@ import pytest
 
 from conewave import cli
 from conewave import collocation as co
+from conewave import frobenius as fr
 from conewave import green as gr
 from conewave import radialode as ro
 from conewave import specfun as sf
@@ -327,21 +328,27 @@ class TestGreenCheckLayout:
                    for o in run.out)
 
     def test_rhs_calls_with_the_gauge_pair(self, green_check_run):
-        # above RHO_MID u0 is the gauge pair integrated from ONE_START,
-        # smooth at rho = 1: 20,731 RHS calls, against 29,492 when RK45
-        # carried u0 itself to ONE_START
+        # above RHO_MID u0 is the gauge pair integrated from the handoff
+        # at 1, smooth at rho = 1: 20,731 RHS calls with that handoff at
+        # ONE_START, against 29,492 when RK45 carried u0 itself there
         assert green_check_run.calls <= 22_000
 
     def test_one_analytic_descent(self, green_check_run):
         # u1 is the u_a half of the gauge pair above RHO_MID, one run from
-        # there to ORIGIN_START, and reduction of order below it: 8,667
-        # RHS calls, against 20,731 when u1 was a second descent from
-        # ONE_START to the smallest node, 2.7e-10
+        # there to the handoff r0, and reduction of order below it: 8,667
+        # RHS calls with the handoffs at ORIGIN_START and ONE_START,
+        # against 20,731 when u1 was a second descent from ONE_START to
+        # the smallest node, 2.7e-10
         run = green_check_run
         assert run.calls <= 11_000
         assert min(run.layouts[0][1]) < 1e-9
-        # no RK45 run goes below ORIGIN_START: no RHS call is made there
-        assert run.lowest == ro.ORIGIN_START
+        # with the series handed over at r0 and 1 - t1 of the batch's
+        # largest |lam| (here both 0.1 from the endpoints): 4,917 RHS
+        # calls, against 8,667 with both handoffs 1e-3 from them
+        assert run.calls <= 6_000
+        # no RK45 run goes below the batch's origin handoff r0: no RHS
+        # call is made there
+        assert run.lowest == fr.handoff(GREEN_CHECK_LAMS)[0]
 
     def test_integrate_matches_a_tight_reference(self, green_check_run):
         # the value points (quadrature nodes) come from each step's quintic

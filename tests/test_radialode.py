@@ -12,7 +12,7 @@ from conewave import green as gr
 from conewave import radialode as ro
 from conewave import specfun as sf
 from conewave.errors import (ContourTooCloseError, DomainError,
-                             IndexCollisionError)
+                             IndexCollisionError, QuadratureError)
 
 PI_OVER_16 = 0.19634954084936208
 TWO_FIFTEENTHS = 0.13333333333333333
@@ -30,36 +30,32 @@ def _pochhammer_ratio(a, b, c, k):
 
 
 def _eval2(seed, rho):
-    """(u, u', u'') of a FrobeniusSeed at rho, all from its truncated
-    series by Horner over the coefficient axis."""
+    """(u, u', u'') of a FrobeniusSeed at rho, each one product of its
+    coefficients with a table of powers, u and u' as its eval forms them."""
     rho = np.asarray(rho, dtype=float)
-    b = seed.coefficients.T.reshape(
-        seed.coefficients.shape[::-1] + (1,) * rho.ndim)
-    zero = np.zeros(b.shape[1:2] + rho.shape, dtype=complex)
-    if seed.endpoint == "origin":
-        u = up = upp = zero
-        r2 = rho * rho
-        for k in range(len(b) - 1, 0, -1):
-            u = u * r2 + b[k]
-            up = up * r2 + 2 * k * b[k]
-            upp = upp * r2 + 2 * k * (2 * k - 1) * b[k]
-        u = u * r2 + b[0]
-        return u, up * rho, upp
-    x = 1.0 - rho
-    s = sp = spp = zero
-    for k in range(len(b) - 1, 1, -1):
-        s = s * x + b[k]
-        sp = sp * x + k * b[k]
-        spp = spp * x + k * (k - 1) * b[k]
-    s = s * x + b[1]
-    sp = sp * x + b[1]
-    s = s * x + b[0]
-    if not np.any(seed.index):
-        return s, -sp, spp
-    sig = seed.index.reshape(b.shape[1:])
-    xs = np.exp(sig * np.log(x))
-    return (xs * s, -(xs * (sp + sig * s / x)),
-            xs * (spp + 2.0 * sig * sp / x + sig * (sig - 1.0) * s / x**2))
+    c = seed.coefficients
+    origin = seed.endpoint == "origin"
+    r = rho.reshape(-1)
+    x = r * r if origin else 1.0 - r
+    k = np.arange(c.shape[1])[:, None]
+    powers = x ** k
+    u = c @ powers
+    up = c[:, 1:] @ (k[1:] * powers[:-1])
+    if origin:
+        # u = sum_k a_k rho^{2k}
+        up = up * (2.0 * r)
+        upp = c[:, 1:] @ (2 * k[1:] * (2 * k[1:] - 1) * powers[:-1])
+    else:
+        # derivatives in x = 1 - rho, then u = x^sigma s
+        upp = c[:, 2:] @ (k[2:] * (k[2:] - 1) * powers[:-2])
+        sig = seed.index[:, None]
+        xs = np.exp(sig * np.log(x))
+        upp = xs * (upp + 2.0 * sig * up / x + sig * (sig - 1.0) * u / x**2)
+        if np.any(seed.index):
+            u = u * xs
+        up = -(up * xs + sig * u / x)
+    shape = (len(c),) + rho.shape
+    return u.reshape(shape), up.reshape(shape), upp.reshape(shape)
 
 
 class TestSeeds:
@@ -67,8 +63,8 @@ class TestSeeds:
     @pytest.mark.parametrize("lam", [1.0, 0.3 + 2.0j, 0.1 + 20.0j, 2.0])
     def test_origin_residual(self, variant, lam):
         seed = ro.seed_origin(4, [lam], variant)
-        [u], [up], [upp] = _eval2(seed, np.asarray(ro.ORIGIN_START))
-        res = ro.ode_residual(4, lam, variant, ro.ORIGIN_START, u, up, upp)
+        [u], [up], [upp] = _eval2(seed, np.asarray(fr.ORIGIN_START))
+        res = ro.ode_residual(4, lam, variant, fr.ORIGIN_START, u, up, upp)
         assert abs(res) <= 1e-12 * (abs(u) + abs(upp))
 
     @pytest.mark.parametrize("branch", ["analytic", "singular"])
@@ -81,7 +77,7 @@ class TestSeeds:
             assert abs(res) <= 1e-9 * (abs(u) + abs(upp) + 1.0)
 
     def test_eval_is_eval2_without_upp(self):
-        # eval's own (u, u') Horner gives the same bits as the full chain
+        # eval's own (u, u') products give the same bits as the full chain
         lams = [1.0, 0.3 + 2.0j, 0.1 + 20.0j, 2.0]
         rho = np.array([[1e-4, 1e-3], [0.2, 0.5]])
         for seed, pts in (
@@ -93,6 +89,64 @@ class TestSeeds:
                 for a, b in zip(got, want):
                     assert a.shape == b.shape == (4,) + np.shape(x)
                     assert np.array_equal(a, b)
+            # and value is eval's u without the derivative
+            assert np.array_equal(seed.value(pts.reshape(-1)),
+                                  seed.eval(pts)[0].reshape(4, -1))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_seeds_at_the_handoff(self, d):
+        # each series at its batch's handoff, r0 or 1 - t1, against an
+        # rtol 1e-13 RK45 run from the nearest handoff 1e-3, where the
+        # same series, truncated at the handoff farther out, holds to
+        # rounding.  The regular and the analytic seed run away from their
+        # endpoint, the singular one (gauged, smooth at 1) toward it,
+        # where its partner decays in that gauge; the last run's own
+        # error (~2e-11, scaling with its rtol) is most of the singular
+        # seed's
+        def direct(rhs, x0, x1, seed):
+            y0 = np.stack(seed.eval(x0), axis=-1)
+            return _rk45.solve(rhs, x0, x1, y0, rtol=1e-13, atol=1e-300)[0]
+
+        for mag in (1.5, 10.0, 50.0, 100.0, 400.0):
+            lams = mag * np.exp(1j * np.array([0.02, np.pi / 4, np.pi / 2 - 0.01]))
+            r0, t1, _ = fr.handoff(lams)
+            zero = np.zeros(len(lams), dtype=complex)
+            regular = fr.seed_origin(d, lams, "perturbed")
+            analytic = fr.seed_one(d, lams, "perturbed", "analytic")
+            gauged = fr.FrobeniusSeed("one", zero, fr.seed_one(
+                d, lams, "perturbed", "singular").coefficients)
+            plain = ro._batch_rhs(d, lams, "perturbed")
+            for got, ref, tol in (
+                    (regular.eval(r0),
+                     direct(plain, fr.ORIGIN_START, r0, regular), 1e-12),
+                    (analytic.eval(1.0 - t1),
+                     direct(plain, fr.ONE_START, 1.0 - t1, analytic), 1e-12),
+                    (gauged.eval(fr.ONE_START),
+                     direct(ro._batch_rhs(d, lams, "perturbed", 0.5 - lams),
+                            1.0 - t1, fr.ONE_START, gauged), 1e-10)):
+                for a, b in zip(got, ref.T):
+                    assert np.max(np.abs(a - b) / np.abs(b)) <= tol, (mag, tol)
+
+    def test_series_stop_below_the_order_cap(self):
+        # at the largest |lam| the CLI reaches (Omega 400) each series
+        # stops below MAX_ORDER at the batch's handoffs; one that cannot
+        # stop there raises instead of truncating
+        lams = [0.1 + 400.0j, 0.4 + 399.8j]
+        r0 = fr.handoff(lams)[0]
+        origin = fr.seed_origin(4, lams, "perturbed")
+        for seed in (origin,
+                     fr.seed_one(4, lams, "perturbed", "analytic"),
+                     fr.seed_one(4, lams, "perturbed", "singular")):
+            assert seed.coefficients.shape[1] <= fr.MAX_ORDER
+        assert fr.reduction_series(np.asarray(lams), origin, r0).shape[1] \
+            <= fr.MAX_ORDER
+        with pytest.raises(QuadratureError, match="not converged"):
+            # past |lam| 6000 the handoff stays at 1e-3 from the endpoint
+            fr.seed_one(4, [0.1 + 5e4j], "perturbed", "analytic")
+        with pytest.raises(QuadratureError, match="not converged"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            # past its radius the series overflows before the cap
+            fr.reduction_series(np.asarray(lams), origin, 2.0 * r0)
 
     def test_gauge_series_is_constant(self):
         # perturbed lam=1: the H^1 branch is u == 1
@@ -127,18 +181,20 @@ class TestSeeds:
 
     def test_batched_seeds_match_scalar_recurrence(self):
         # each member of a batch carries its own series, zero-padded above
-        # the order where its own series stops
+        # the order where its own series stops at the batch's handoff
         rng = np.random.default_rng(7)
         lams = rng.uniform(-0.4, 2.0, 40) + 1j * rng.uniform(-200.0, 200.0, 40)
         lams[:4] = (1.0, 2.0, 0.3 + 0.5j, 0.1 + 200.0j)
+        r0, t1, _ = fr.handoff(lams)
         for d in (3, 4, 5, 6):
             for variant in ("free", "perturbed"):
-                seeds = [(ro.seed_origin(d, lams, variant), ro.ORIGIN_START ** 2,
-                          lambda lam: _scalar_origin(d, lam, variant))]
+                seeds = [(ro.seed_origin(d, lams, variant), r0 ** 2,
+                          lambda lam: _scalar_origin(d, lam, variant, r0))]
                 for branch in ("analytic", "singular"):
                     seeds.append((
-                        ro.seed_one(d, lams, variant, branch), 1.0 - ro.ONE_START,
-                        lambda lam, br=branch: _scalar_one(d, lam, variant, br)))
+                        ro.seed_one(d, lams, variant, branch), t1,
+                        lambda lam, br=branch: _scalar_one(d, lam, variant, br,
+                                                           t1)))
                 for seed, x0, scalar in seeds:
                     assert seed.coefficients.shape[0] == len(lams)
                     for lam, row, index in zip(lams, seed.coefficients, seed.index):
@@ -162,13 +218,13 @@ class TestSeeds:
                 assert diff == (2.0 * d + d * d) / 4.0
 
 
-def _scalar_origin(d, lam, variant):
-    """(index, coefficients) of the origin series of one lam, as the
-    recurrence a_{k+1}/a_k reads term by term."""
+def _scalar_origin(d, lam, variant, r0):
+    """(index, coefficients) of the origin series of one lam, truncated at
+    r0, as the recurrence a_{k+1}/a_k reads term by term."""
     c0 = complex(ro.zero_order_coeff(d, lam, variant))
     a = [1.0 + 0.0j]
     k = 0
-    while k < fr.SEED_ORDER or (abs(a[-1]) * ro.ORIGIN_START ** (2 * k) > 1e-17
+    while k < fr.SEED_ORDER or (abs(a[-1]) * r0 ** (2 * k) > 1e-17
                                 and k < 80):
         num = 4.0 * k * k + 2.0 * k * (2.0 * lam + d - 1.0) + c0
         a.append(a[-1] * num / ((2.0 * k + 2.0) * (2.0 * k + d)))
@@ -176,14 +232,15 @@ def _scalar_origin(d, lam, variant):
     return 0.0, np.array(a)
 
 
-def _scalar_one(d, lam, variant, branch):
-    """(index, coefficients) of the series at rho = 1 of one lam."""
+def _scalar_one(d, lam, variant, branch, t1):
+    """(index, coefficients) of the series at rho = 1 of one lam,
+    truncated at x = t1."""
     c0 = complex(ro.zero_order_coeff(d, lam, variant))
     sig = 0.0 if branch == "analytic" else 0.5 - lam
     two_ld = 2.0 * lam + d
     b = [1.0 + 0.0j]
     m = 0
-    while m < fr.SEED_ORDER or (abs(b[-1]) * (1.0 - ro.ONE_START) ** m > 1e-17
+    while m < fr.SEED_ORDER or (abs(b[-1]) * t1 ** m > 1e-17
                                 and m < 80):
         ms = m + sig
         c_m = (ms + 1.0) * (2.0 * ms + 2.0 * lam + 1.0)
@@ -205,8 +262,8 @@ def _direct_origin(d, lams, variant, pts):
     equation from its seed to pts[-1] at rtol 1e-13, with no continuation
     in a pair at rho = 1; arrays (n_lam, n_pts)."""
     seed = ro.seed_origin(d, lams, variant)
-    _, cp, _ = _rk45.solve(ro._batch_rhs(d, lams, variant), ro.ORIGIN_START,
-                           pts[-1], np.stack(seed.eval(ro.ORIGIN_START), axis=-1),
+    _, cp, _ = _rk45.solve(ro._batch_rhs(d, lams, variant), fr.ORIGIN_START,
+                           pts[-1], np.stack(seed.eval(fr.ORIGIN_START), axis=-1),
                            rtol=1e-13, atol=1e-300, checkpoints=pts)
     return cp[:, :, 0].T, cp[:, :, 1].T
 
@@ -216,8 +273,8 @@ def _direct_one(d, lams, variant, pts):
     equation from its seed down to pts[0] at rtol 1e-13, with no pair
     continuation and no closed form near 0; arrays (n_lam, n_pts)."""
     seed = ro.seed_one(d, lams, variant, "analytic")
-    _, cp, _ = _rk45.solve(ro._batch_rhs(d, lams, variant), ro.ONE_START,
-                           pts[0], np.stack(seed.eval(ro.ONE_START), axis=-1),
+    _, cp, _ = _rk45.solve(ro._batch_rhs(d, lams, variant), fr.ONE_START,
+                           pts[0], np.stack(seed.eval(fr.ONE_START), axis=-1),
                            rtol=1e-13, atol=1e-300, checkpoints=pts[::-1])
     return cp[::-1, :, 0].T, cp[::-1, :, 1].T
 
@@ -261,12 +318,17 @@ class TestIntegration:
             assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
 
     @pytest.mark.parametrize("endpoint, start",
-                             [("origin", ro.ORIGIN_START), ("one", ro.ONE_START)])
+                             [("origin", fr.ORIGIN_START), ("one", fr.ONE_START)])
     @pytest.mark.parametrize("lam", [2.0, 0.3 + 5.0j])
     def test_seed_gap_boundary(self, endpoint, start, lam):
-        # just inside the gap the series is read, just outside RK45 steps
-        # off the series start; both agree with the series itself
-        pts = start + np.array([-1e-6, -1e-9, 1e-9, 1e-6])
+        # just inside the batch's handoff (r0 or 1 - t1, here 0.1 from the
+        # endpoint) the series is read, just outside RK45 steps off it;
+        # both agree with the series itself, as do the points around the
+        # nearest handoff `start`, which lie inside the series zone
+        r0, t1, _ = fr.handoff([lam])
+        edge = r0 if endpoint == "origin" else 1.0 - t1
+        pts = np.sort(np.concatenate(
+            [x + np.array([-1e-6, -1e-9, 1e-9, 1e-6]) for x in (start, edge)]))
         seed = (ro.seed_origin(4, [lam], "perturbed") if endpoint == "origin"
                 else ro.seed_one(4, [lam], "perturbed", "analytic"))
         u0, u0p, u1, u1p = ro.integrate(4, [lam], "perturbed", pts, 1e-10)
@@ -304,12 +366,13 @@ class TestIntegration:
     @pytest.mark.parametrize("side", [0.8, 1.25])
     def test_index_gap(self, monkeypatch, base, offset, side):
         # inside INDEX_GAP of the index resonance RK45 carries u0 to
-        # ONE_START; outside it RK45 stops at RHO_MID and the gauge pair,
-        # one more RK45 run of the gauged equation, continues u0.  Both
-        # stay within 1e-9 of a direct solve; the pair's error is
-        # ~4e-12 / dist at lam 3/2.
-        lam = base + side * ro.INDEX_GAP * offset
-        pts = np.linspace(0.01, 0.998, 120)
+        # ONE_START, where the Frobenius pair at 1 continues it with no
+        # run of the gauged equation; outside it RK45 stops at RHO_MID and
+        # the gauge pair, one more RK45 run of the gauged equation,
+        # continues u0.  Both stay within 1e-9 of a direct solve; the
+        # pair's error is ~4e-12 / dist at lam 3/2.
+        lam = base + side * fr.INDEX_GAP * offset
+        pts = np.append(np.linspace(0.01, 0.998, 120), 0.9995)
         ref, ref_p = _direct_origin(4, [lam], "perturbed", pts)
         gauged, batch_rhs = [], ro._batch_rhs
 
@@ -337,13 +400,13 @@ class TestIntegration:
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_origin_continuation(self, d):
-        # on the Green layout's nodes below ORIGIN_START (down to 2.7e-10)
-        # u1 ~ rho^{2-d} is u0 q by reduction of order from ORIGIN_START;
-        # outside INDEX_GAP its descent continues the gauge pair from
-        # RHO_MID, inside it is one run from ONE_START
+        # on the Green layout's nodes below the batch's handoff r0 (here
+        # 0.1, down to 2.7e-10) u1 ~ rho^{2-d} is u0 q by reduction of
+        # order from r0; outside INDEX_GAP its descent continues the gauge
+        # pair from RHO_MID, inside it is one run from ONE_START
         _, nodes, _ = gr._panel_layout([])
-        small = nodes <= ro.ORIGIN_START
-        for lams in ([0.4, 2.0, 0.3 + 5.0j], [1.5 + 0.8 * ro.INDEX_GAP]):
+        for lams in ([0.4, 2.0, 0.3 + 5.0j], [1.5 + 0.8 * fr.INDEX_GAP]):
+            small = nodes <= fr.handoff(lams)[0]
             _, _, u1, u1p = ro.integrate(d, lams, "perturbed", nodes, 1e-10)
             ref, ref_p = _direct_one(d, lams, "perturbed", nodes[small])
             for got, want in ((u1[:, small], ref), (u1p[:, small], ref_p)):
@@ -504,6 +567,31 @@ class TestEigenIndicator:
                 assert abs(z - z2) <= 1e-12, (variant, z, z2)
         assert [len(r) for r in both] == [1, 0]
 
+    def test_trace_steps(self, monkeypatch):
+        # the spectrum command's trace batch (both variants' omega-50
+        # contours, 856 lam) hands over to the series at r0 and 1 - t1 of
+        # its largest |lam|: 240 attempted RK45 steps, against 374 with
+        # both handoffs 1e-3 from the endpoints
+        steps, original = [], _rk45.solve
+
+        def counted(f, *args, **kwargs):
+            calls = [0]
+
+            def g(x, y):
+                calls[0] += 1
+                return f(x, y)
+            try:
+                return original(g, *args, **kwargs)
+            finally:
+                steps.append((calls[0] - 1) // 6)
+
+        monkeypatch.setattr(_rk45, "solve", counted)
+        names = ("perturbed", "free")
+        ro._trace_boundary(lambda arr: ro._indicator_batch(
+            4, np.tile(arr, 2), np.repeat(names, len(arr)),
+            rtol=ro.TRACE_RTOL).reshape(2, len(arr)), (0.0, 2.0, -1.0, 50.5))
+        assert len(steps) == 2 and sum(steps) <= 260, steps
+
     def test_spectrum_command_is_one_trace_batch(self, monkeypatch,
                                                  tmp_path):
         # the perturbed and the free contour at omega_scan 50 are one
@@ -540,15 +628,16 @@ class TestEigenIndicator:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_trace_rtol_budget(self, d):
         # the omega-50 window's samples at TRACE_RTOL against rtol 1e-12
-        # (<= 6.4e-6 measured), far inside what the arg increments and the
-        # Newton seeds tolerate; the polished roots keep their accuracy
+        # stay within the 6.4e-6 budget of TRACE_RTOL (4.2e-6 measured),
+        # far inside what the arg increments and the Newton seeds
+        # tolerate; the polished roots keep their accuracy
         rect = (0.0, 2.0, -1.0, 50.5)
         for variant in ("free", "perturbed"):
             pts, vals = ro._trace_boundary(
                 lambda arr: ro._indicator_batch(d, arr, variant,
                                                 rtol=ro.TRACE_RTOL), rect)
             ref = ro._indicator_batch(d, pts[:-1], variant, rtol=1e-12)
-            assert np.max(np.abs(vals[:-1] - ref) / np.abs(ref)) <= 1e-4
+            assert np.max(np.abs(vals[:-1] - ref) / np.abs(ref)) <= 6.4e-6
         for method in ("shooting", "c3"):
             [(root, m)] = ro.scan_halfplane(d, "perturbed", omega_max=50.0,
                                             method=method)

@@ -46,6 +46,20 @@ class TestGamma:
             sf.gamma_c(z)
         assert sf.rgamma(z) == 0.0
 
+    def test_arrays(self):
+        # arrays in, arrays out: the poles give exact zeros of rgamma and
+        # a PoleError of gamma_c for the whole array
+        z = np.array([0.5, -1.0, 3.0 + 2.0j, -2.5 - 7.0j])
+        rg = sf.rgamma(z)
+        assert rg[1] == 0.0
+        for zz, r in zip(z, rg):
+            assert abs(r - sf.rgamma(zz)) <= 1e-15 * abs(r)
+        with pytest.raises(PoleError):
+            sf.gamma_c(z)
+        g = sf.gamma_c(z[[0, 2, 3]])
+        assert abs(g[0] - SQRT_PI) <= 1e-13
+        assert abs(g[1] * rg[2] - 1.0) <= 1e-14
+
     def test_against_scipy_grid(self):
         rng = np.random.default_rng(11)
         worst = 0.0
@@ -262,6 +276,22 @@ class TestConnectionCoefficient:
     def test_numerator_pole(self):
         with pytest.raises(PoleError):
             sf.c3_connection(4, -0.5, "free")
+
+    def test_array_is_elementwise(self):
+        # one call takes a whole contour; a scalar gives a complex, and an
+        # array the same values, with the exact zero at lam = 1 and the
+        # numerator pole raising
+        lams = np.array([[1.0, 0.0, 0.3 + 2.0j], [1.7 - 40.0j, 0.1 + 50.5j, 2.0]])
+        for variant in ("free", "perturbed"):
+            vals = sf.c3_connection(4, lams, variant)
+            assert vals.shape == lams.shape
+            for lam, v in zip(lams.ravel(), vals.ravel()):
+                ref = sf.c3_connection(4, lam, variant)
+                assert isinstance(ref, complex)
+                assert abs(v - ref) <= 1e-15 * abs(ref), (variant, lam)
+        assert sf.c3_connection(4, lams, "perturbed")[0, 0] == 0.0
+        with pytest.raises(PoleError):
+            sf.c3_connection(4, [0.3, -0.5], "free")
 
     def test_zero_candidates(self):
         zs = c3_zero_candidates(4, "perturbed", -0.5, 2.0, 50.0)
