@@ -3,9 +3,9 @@
 
 Produces out/<command>/ directories with CSVs and manifests; prints one
 status line per command.  On a 2-core x86 box (Python 3.11, numpy 2.4)
-the six commands take 8-10 s in all; the Laplace-inversion comparison at
-its defaults (eps 0.1, Omega 200, domega 0.05) is 6.5-7.5 s of that,
-the blowup-time fit 1.0-1.2 s, and each of the others is 0.2-0.5 s.
+the six commands take 3.5-4.5 s in all; the Laplace-inversion comparison
+at its defaults (eps 0.1, Omega 200, domega 0.05) is 2.7-3.3 s of that,
+the blowup-time fit 0.35-0.45 s, and each of the others is 0.1-0.25 s.
 """
 
 import sys

@@ -18,11 +18,13 @@ dimension is read from ``disc.d`` and the perturbation from ``FitResult.v``.
 
 The fit runs coarse to fine.  Its T grid and its first secant run on
 the coarse grid of the error bar's re-fit (N' = max(16, round(2N/3)),
-built once per fit and kept in ``FitResult.coarse``) at 2 dtau, or at
-dtau when tau_max is an odd number of steps.  One warm-started secant
-on the fine grid then finishes it, from the pair (T_c + REFIT_OFFSET,
-T_c) at the coarse stage's T_c.  The re-fits of the error bar start the
-same way from T*, so one helper (``_warm_secant``) serves all three.
+built once per fit and kept in ``FitResult.coarse``) at the divisor of
+tau_max nearest COARSE_DTAU dtau.  The coarse stage only seeds the fine
+one, so its secant stops once a step is below REFIT_OFFSET, and its next
+proposal is T_c.  One warm-started secant on the fine grid then
+finishes the fit, from the pair (T_c + REFIT_OFFSET, T_c), down to
+SECANT_STEP.  The re-fits of the error bar start the same way from T*,
+so one helper (``_warm_secant``) serves all three.
 
 Runs that do not depend on each other are one stacked evolution: the
 fit's 5-point T grid, each warm start's pair and the detuned pair of
@@ -46,6 +48,7 @@ WINDOW = 0.01  # linear window of the secant: |c| <= WINDOW c_d
 SECANT_STEP = 1e-14  # a secant step this small at tau_max ends the fit
 SECANT_MAX_STEPS = 20
 REFIT_OFFSET = 1e-9  # second start point of the error-bar re-fits
+COARSE_DTAU = 4  # the coarse stage steps at ~4 dtau, a divisor of tau_max
 DETUNE = 0.02  # blowup-time detuning of the gauge-mode growth demo
 
 
@@ -123,7 +126,7 @@ def _coarse_grid(disc):
     return build(disc.d, max(16, round(2 * disc.N / 3)))
 
 
-def _secant(disc, v, tau_max, dtau, older, newer):
+def _secant(disc, v, tau_max, dtau, older, newer, stop):
     """Secant in T on the gauge-mode coefficient inside its linear window.
 
     ``older`` is (T, mode coefficients); ``newer`` is (T, mode coefficients,
@@ -131,7 +134,7 @@ def _secant(disc, v, tau_max, dtau, older, newer):
     up to which both satisfy |c| <= WINDOW c_d (k = 0 if there is none):
     past it the nonlinearity saturates c and the secant would diverge.
     The window moves out to tau_max as the pair closes.  Stops, without
-    evolving the next iterate, once that iterate is within SECANT_STEP of
+    evolving the next iterate, once that iterate is within ``stop`` of
     the newer one and k is the tau_max snapshot, or once c(tau_max) of the
     newer run is exactly 0.  Only the older run's coefficients are kept.
 
@@ -157,7 +160,7 @@ def _secant(disc, v, tau_max, dtau, older, newer):
                 f"equal mode coefficients {c1[k]:.3e} at tau={k * dtau:g} "
                 f"for the pair T={t0!r}, {t1!r}")
         t_next = t1 - c1[k] * (t1 - t0) / (c1[k] - c0[k])
-        if k == n_last and abs(t_next - t1) <= SECANT_STEP:
+        if k == n_last and abs(t_next - t1) <= stop:
             break
         if not (1.0 - v.delta <= t_next <= 1.0 + v.delta):
             raise SecantFailure(
@@ -185,7 +188,7 @@ def _warm_secant(disc, v, tau_max, dtau, T):
     start, traj = _evolve_at(disc, (t0, T), v, tau_max, dtau)
     t_next, traj, pair, n_sec = _secant(
         disc, v, tau_max, dtau, (t0, np.real(start.mode_coeffs)),
-        (T, np.real(traj.mode_coeffs), traj))
+        (T, np.real(traj.mode_coeffs), traj), SECANT_STEP)
     return t_next, traj, pair, 2 + n_sec
 
 
@@ -194,22 +197,24 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     """Secant in T so the evolved solution carries no late gauge mode.
 
     Coarse to fine.  On the coarse grid N' = max(16, round(2N/3)) at
-    2 dtau (at dtau when tau_max / dtau is odd; the error bar then fails
-    after the fit), the coefficient c(tau) = <Phi(tau), w>_E is checked
-    for a sign change and for monotonicity in T on a 5-point grid over
-    1 +/- v.delta, one stacked run, and a secant (``_secant``) starts
-    from the adjacent grid pair that brackets the zero.  Its T_c starts
-    the fine secant (``_warm_secant``) from (T_c + REFIT_OFFSET, T_c) at
-    (N, dtau), whose limit is the fitted blowup time; T_c lies ~3e-13
-    from it at d 4, N 96, so that secant is a start pair and at most two
-    single runs.  ``bracket`` is the fine secant's last pair and
+    dtau_c = tau_max / max(1, round(tau_max / (COARSE_DTAU dtau))), the
+    divisor of tau_max nearest 4 dtau, the coefficient
+    c(tau) = <Phi(tau), w>_E is checked for a sign change and for
+    monotonicity in T on a 5-point grid over 1 +/- v.delta, one stacked
+    run, and a secant (``_secant``) starts from the adjacent grid pair
+    that brackets the zero.  It stops once its step is below
+    REFIT_OFFSET, and its next proposal T_c starts the fine secant
+    (``_warm_secant``) from (T_c + REFIT_OFFSET, T_c) at (N, dtau),
+    whose limit is the fitted blowup time; T_c lies ~5e-12 from it at
+    d 4, N 96, so that secant is a start pair and at most two single
+    runs.  ``bracket`` is the fine secant's last pair and
     ``n_evolutions`` counts every member evolution, coarse and fine;
     ``coarse`` keeps the coarse grid for ``refinement_error``.
     """
     delta = v.delta
     a, b = 1.0 - delta, 1.0 + delta
     coarse = _coarse_grid(disc)
-    dtau_c = dtau if round(tau_max / dtau) % 2 else 2.0 * dtau
+    dtau_c = tau_max / max(1, round(tau_max / (COARSE_DTAU * dtau)))
 
     grid = np.linspace(a, b, 5)
     # one stacked run; the mode coefficients only: the states are not needed
@@ -231,9 +236,10 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     i = next(i for i in range(4) if cs[i] * cs[i + 1] <= 0.0)
     # the newer iterate is the one nearer the zero
     old, new = (i + 1, i) if abs(cs[i]) < abs(cs[i + 1]) else (i, i + 1)
-    _, _, (_, t_c), n_c = _secant(
+    # the coarse stage only seeds the fine pair
+    t_c, _, _, n_c = _secant(
         coarse, v, tau_max, dtau_c, (grid[old], coeffs[old]),
-        (grid[new], coeffs[new], None))
+        (grid[new], coeffs[new], None), REFIT_OFFSET)
     _, traj, pair, n_f = _warm_secant(disc, v, tau_max, dtau, t_c)
     return FitResult(
         T_star=pair[1], residual_mode=abs(float(np.real(traj.mode_coeffs[-1]))),
@@ -351,22 +357,32 @@ def instability_demo(disc: SpectralDiscretization, tau_max: float = 10.0,
 
     Evolves v = 0 data with T = 1 +/- DETUNE; the mode coefficient grows
     like e^tau until nonlinear saturation, and its sign follows sign(T-1).
+    The slope is fitted on the window c0 <= |c| <= 0.02 c_d (None if it
+    holds fewer than 5 snapshots), so the pair is evolved only to
+    min(tau_max, ln(0.02 c_d / min |c0|) + 1), one tau unit past the time
+    the window closes at rate 1; the sign is that of the last nonzero
+    coefficient.
     """
     d = disc.d
     v0 = zero_perturbation(delta=max(2 * DETUNE, 0.05))
     out = {"d": d, "detune": DETUNE, "slopes": {}, "signs": {}}
     pair = (1.0 - DETUNE, 1.0 + DETUNE)
-    for T, traj in zip(pair, _evolve_at(disc, pair, v0, tau_max, dtau)):
+    limit = 0.02 * c_d(d)
+    c_start = np.abs(disc.mode_coefficient(
+        [initial_data(disc, T, v0) for T in pair]))
+    n_close = math.ceil((math.log(limit / c_start.min()) + 1.0) / dtau)
+    n_steps = min(round(tau_max / dtau), max(1, n_close))
+    for T, traj in zip(pair, _evolve_at(disc, pair, v0, n_steps * dtau,
+                                        dtau)):
         c = np.real(traj.mode_coeffs)
         c0 = abs(c[0])
         # fit strictly inside the linear regime: nonlinear feedback bends
         # the rate once the coefficient approaches the profile scale
-        window = (np.abs(c) >= c0) & (np.abs(c) <= 0.02 * c_d(d))
+        window = (np.abs(c) >= c0) & (np.abs(c) <= limit)
+        slope = None
         if np.sum(window) >= 5:
             slope = float(np.polyfit(traj.taus[window],
                                      np.log(np.abs(c[window])), 1)[0])
-        else:
-            slope = math.nan
         out["slopes"][T] = slope
         out["signs"][T] = float(np.sign(c[np.where(np.abs(c) > 0)[0][-1]]))
     return out

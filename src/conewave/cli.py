@@ -313,9 +313,9 @@ def cmd_fit_blowup(cfg: RunConfig, out_dir: Path) -> int:
     # written before the error bar, which may fail (exit 65) and whose
     # re-fits stay out of the fit's evolution count
     path = out_dir / "fit_blowup_report.json"
-    path.write_text(json.dumps(report, indent=1))
+    path.write_text(json.dumps(report, indent=1, allow_nan=False))
     report.update(bl.refinement_error(fit))
-    path.write_text(json.dumps(report, indent=1))
+    path.write_text(json.dumps(report, indent=1, allow_nan=False))
     ok = (1.0 - cfg.delta < fit.T_star < 1.0 + cfg.delta
           and report["identity_rel_err"] <= 1e-3
           and (report["sup_deviation"] is None

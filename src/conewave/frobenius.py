@@ -119,16 +119,20 @@ def _series(n_lam, next_coeff, x0, power):
     """
     cs = [np.ones(n_lam, dtype=complex)]
     active = np.ones(n_lam, dtype=bool)
-    for m in range(MAX_ORDER + 1):
-        if m >= SEED_ORDER:
-            # a non-finite coefficient keeps its member active
-            active &= ~(np.abs(cs[-1]) * x0 ** (power * m) <= 1e-17)
-            if not active.any():
-                return np.stack(cs, axis=1)
-        if m == MAX_ORDER:
-            raise QuadratureError(
-                f"Frobenius series not converged at order {m} at {x0:.3g}")
-        cs.append(np.where(active, next_coeff(m, cs, active), 0.0))
+    # past its radius a member overflows; it stays active (below) and
+    # reaches the order cap, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(MAX_ORDER + 1):
+            if m >= SEED_ORDER:
+                # a non-finite coefficient keeps its member active
+                active &= ~(np.abs(cs[-1]) * x0 ** (power * m) <= 1e-17)
+                if not active.any():
+                    return np.stack(cs, axis=1)
+            if m == MAX_ORDER:
+                raise QuadratureError(
+                    f"Frobenius series not converged at order {m} "
+                    f"at {x0:.3g}")
+            cs.append(np.where(active, next_coeff(m, cs, active), 0.0))
 
 
 def seed_origin(d: int, lam_arr, variant: str) -> FrobeniusSeed:

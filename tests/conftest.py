@@ -57,14 +57,16 @@ def evolutions(monkeypatch):
 def _fit_stages(log, n_evolutions, N, dtau=0.01, tau_max=12.0):
     """Check the fit's evolutions, the head of ``log``, stage by stage.
 
-    Coarse: one stack of 5 on (max(16, round(2N/3)), 2 dtau), at dtau when
-    tau_max / dtau is odd, then single secant runs.  Fine: one start pair
-    on (N, dtau), then at most 2 single runs, and at most 3 tau_max / dtau
+    Coarse: one stack of 5 on (max(16, round(2N/3)), dtau_c), then single
+    secant runs, where dtau_c = tau_max / max(1, round(tau_max / (4 dtau)))
+    is the divisor of tau_max nearest 4 dtau.  Fine: one start pair on
+    (N, dtau), then at most 2 single runs, and at most 3 tau_max / dtau
     Lawson steps in all.  ``n_evolutions`` counts the members of both.
     Returns the (coarse, fine) entries of ``log``.
     """
     n_steps = round(tau_max / dtau)
-    coarse = (max(16, round(2 * N / 3)), dtau if n_steps % 2 else 2 * dtau)
+    coarse = (max(16, round(2 * N / 3)),
+              tau_max / max(1, round(tau_max / (4 * dtau))))
     members = np.cumsum([entry[2] for entry in log])
     end = int(np.searchsorted(members, n_evolutions)) + 1
     assert members[end - 1] == n_evolutions

@@ -7,6 +7,7 @@ import pytest
 from conewave import blowup as bl
 from conewave import collocation as co
 from conewave.errors import DomainError, NoBracketError, SecantFailure
+from conewave.model import c_d
 
 SQRT2 = math.sqrt(2.0)
 
@@ -144,15 +145,16 @@ class TestFit:
         with pytest.raises(DomainError, match="multiple of 2 dtau"):
             bl.refinement_error(fit)
 
-    def test_odd_step_count_fits_coarse_at_dtau(self, evolutions,
-                                                fit_stages):
-        # 401 steps have no 2 dtau grid, so the coarse stage runs at dtau
+    def test_odd_step_count_fits_coarse_at_a_divisor(self, evolutions,
+                                                     fit_stages):
+        # 401 steps have no 4 dtau grid: the coarse stage takes the
+        # divisor of tau_max nearest it, 100 steps of 0.0401
         fit = bl.fit_blowup_time(
             co.build(4, 32), bl.bump_perturbation(delta=0.1, amplitude=0.05),
             tau_max=4.01)
         coarse, _ = fit_stages(evolutions, fit.n_evolutions, 32,
                                tau_max=4.01)
-        assert coarse[0][:3] == (21, 0.01, 5)
+        assert coarse[0] == (21, 4.01 / 100, 5, 100)
 
     def test_no_bracket(self, disc):
         # a perturbation dominated by the gauge mode with tiny delta cannot
@@ -198,6 +200,25 @@ class TestInstabilityDemo:
         for T, slope in rep["slopes"].items():
             assert abs(slope - 1.0) <= 0.05
         assert rep["signs"][1.02] > 0 > rep["signs"][0.98]
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_run_ends_with_its_window(self, d):
+        # the pair stops once its slope window has closed; a run to
+        # tau_max gives the same slopes, bit for bit, and the same signs
+        small = co.build(d, 32)
+        rep = bl.instability_demo(small, tau_max=10.0)
+        pair = (1.0 - bl.DETUNE, 1.0 + bl.DETUNE)
+        full = bl._evolve_at(small, pair, bl.zero_perturbation(delta=0.05),
+                             10.0, 0.01)
+        for T, traj in zip(pair, full):
+            c = np.real(traj.mode_coeffs)
+            window = (np.abs(c) >= abs(c[0])) & (np.abs(c) <= 0.02 * c_d(d))
+            slope = None
+            if np.sum(window) >= 5:
+                slope = float(np.polyfit(traj.taus[window],
+                                         np.log(np.abs(c[window])), 1)[0])
+            assert rep["slopes"][T] == slope, (d, T)
+            assert rep["signs"][T] == np.sign(c[np.abs(c) > 0][-1]), (d, T)
 
 
 class TestPerturbationData:

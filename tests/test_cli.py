@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conewave import cli, frobenius, model
+from conewave import evolve as ev
 from conewave import radialode as ro
 from conewave.errors import (NotConvergedWarning, StepFailure,
                              TruncationWarning)
@@ -226,6 +227,38 @@ class TestCommands:
         assert 0.0 <= report["T_star_err"] <= 1e-10
         assert report["S_phys_err"] >= 0.0
         assert report["n_evolutions_err"] >= 4
+
+    def test_fit_blowup_unfit_slopes_are_null(self, tmp_path):
+        # at d 6 DETUNE puts |c0| at the demo window's bound, so the
+        # window is empty; the report stays strict JSON
+        code = cli.main(["fit-blowup", "--d", "6", "--N", "32",
+                         "--tau-max", "6", "--out", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "fit_blowup_report.json").read_text()
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        report = json.loads(text, parse_constant=reject)
+        assert report["slopes"] == {"0.98": None, "1.02": None}
+
+    def test_evolution_step_budget(self, tmp_path, monkeypatch):
+        # fit-blowup, then strichartz, at the benchmark's evolution config:
+        # ~7,700 Lawson steps, each read by a reported number
+        steps = [0]
+        step = ev.Propagator.step
+
+        def counted(prop, u):
+            steps[0] += 1
+            return step(prop, u)
+
+        monkeypatch.setattr(ev.Propagator, "step", counted)
+        common = ["--d", "4", "--N", "96", "--tau-max", "12",
+                  "--out", str(tmp_path)]
+        assert cli.main(["fit-blowup", "--amplitude", "0.028359106102810033"]
+                        + common) == 0
+        assert cli.main(["strichartz", "--seed", "0"] + common) == 0
+        assert steps[0] <= 8000
 
     def test_fit_blowup_secant_failure_exits_65(self, tmp_path, never_linear):
         code = cli.main(["fit-blowup", "--N", "32", "--tau-max", "4.0",

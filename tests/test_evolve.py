@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -13,7 +14,7 @@ from conewave import blowup as bl
 from conewave import collocation as co
 from conewave import evolve as ev
 from conewave.errors import DomainError, NotConvergedWarning
-from conewave.model import nonlinearity
+from conewave.model import nonlinearity, strichartz_pairs
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,37 @@ class TestSuite:
         assert np.all(report["spread"] <= 3.0)
         drift = np.abs(report["ratios"] - report["ratios_half"]) / report["ratios"]
         assert np.max(drift) <= 0.05
+
+    def test_stacked_segments_match_single_runs(self):
+        # each sample stepped through evolve on its own and its norms read
+        # from the whole trajectory; 737 steps leave uneven segments
+        small, tau_max = co.build(4, 32), 7.37
+        pairs = strichartz_pairs(4)
+        report = ev.strichartz_suite(small, pairs, tau_max)
+        rng = np.random.default_rng(0)
+        for i in range(10):
+            f = co.random_smooth_pair(small, rng)
+            phi0 = f - small.P_mat @ f
+            denom = co.sobolev_norm(small, phi0)
+            traj = ev.evolve(small, phi0, tau_max, 0.01, "linear-perturbed")
+            half = len(traj.taus) // 2 + 1
+            for j, (p, q) in enumerate(pairs):
+                g = ev.lq_norm(small, traj.states[:, : small.N], q)
+                for key, n in (("ratios", len(g)), ("ratios_half", half)):
+                    norm, _ = ev._strichartz_with_tail(g[:n], traj.taus[:n], p)
+                    assert report[key][i, j] == pytest.approx(
+                        norm / denom, rel=1e-12, abs=0.0)
+
+    def test_stack_holds_one_segment(self):
+        # ten whole trajectories at once would hold 18 MB of states
+        fresh = co.build(4, 96)
+        tracemalloc.start()
+        try:
+            ev.strichartz_suite(fresh, strichartz_pairs(4), 12.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 
 class TestDump:
