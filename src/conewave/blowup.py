@@ -17,7 +17,7 @@ comes from re-fits on a coarser grid and with a doubled time step.  The
 dimension is read from ``disc.d`` and the perturbation from ``FitResult.v``.
 
 The fit runs coarse to fine.  Its T grid and its first secant run on
-the coarse grid of the error bar's re-fit (N' = max(16, round(2N/3)),
+the coarse grid of the error bar's re-fit (N' = max(19, round(2N/3)),
 built once per fit and kept in ``FitResult.coarse``) at the divisor of
 tau_max nearest COARSE_DTAU dtau.  The coarse stage only seeds the fine
 one, so its secant stops once a step is below REFIT_OFFSET, and its next
@@ -101,15 +101,17 @@ def initial_data(disc: SpectralDiscretization, T: float,
 @dataclass
 class FitResult:
     T_star: float
-    residual_mode: float
     trajectory: EvolutionTrajectory
     bracket: tuple
     monotone: bool
     n_evolutions: int
     v: PerturbationData  # the data the fit was made to
-    # the coarse grid of the fit, reused by refinement_error; None if the
-    # result was not made by fit_blowup_time
-    coarse: SpectralDiscretization = None
+    coarse: SpectralDiscretization  # reused by refinement_error
+
+    @property
+    def residual_mode(self):
+        """|c| at the end of the trajectory."""
+        return abs(float(np.real(self.trajectory.mode_coeffs[-1])))
 
 
 def _evolve_at(disc, T, v, tau_max, dtau):
@@ -122,32 +124,34 @@ def _evolve_at(disc, T, v, tau_max, dtau):
 
 
 def _coarse_grid(disc):
-    """The coarse grid of the fit and of the error bar's re-fit."""
-    return build(disc.d, max(16, round(2 * disc.N / 3)))
+    """The coarse grid of the fit and of the error bar's re-fit; 19 is
+    the least N that ``build`` accepts at every nonlinear d."""
+    return build(disc.d, max(19, round(2 * disc.N / 3)))
 
 
 def _secant(disc, v, tau_max, dtau, older, newer, stop):
     """Secant in T on the gauge-mode coefficient inside its linear window.
 
-    ``older`` is (T, mode coefficients); ``newer`` is (T, mode coefficients,
-    trajectory or None).  Each step reads both runs at the last snapshot k
-    up to which both satisfy |c| <= WINDOW c_d (k = 0 if there is none):
+    ``older`` and ``newer`` are (T, trajectory) pairs.  Each step reads
+    the mode coefficients of both runs at the last snapshot k up to
+    which both satisfy |c| <= WINDOW c_d (k = 0 if there is none):
     past it the nonlinearity saturates c and the secant would diverge.
     The window moves out to tau_max as the pair closes.  Stops, without
     evolving the next iterate, once that iterate is within ``stop`` of
     the newer one and k is the tau_max snapshot, or once c(tau_max) of the
-    newer run is exactly 0.  Only the older run's coefficients are kept.
+    newer run is exactly 0.
 
     Returns (proposal, trajectory at T*, last pair ending at T*, evolutions
     made); the proposal is the iterate the secant would evolve next.  The
-    trajectory is the newer one passed in (None if it was) when the
-    secant stops before its first run.
+    trajectory is the newer one passed in when the secant stops before
+    its first run.
     """
     n_last = int(round(tau_max / dtau))
     limit = WINDOW * c_d(disc.d)
-    (t0, c0), (t1, c1, traj) = older, newer
+    (t0, traj0), (t1, traj1) = older, newer
     n_ev = 0
     for _ in range(SECANT_MAX_STEPS):
+        c0, c1 = np.real(traj0.mode_coeffs), np.real(traj1.mode_coeffs)
         if len(c1) > n_last and c1[n_last] == 0.0:
             t_next = t1
             break
@@ -168,13 +172,12 @@ def _secant(disc, v, tau_max, dtau, older, newer, stop):
                 f"from the pair T={t0!r}, {t1!r}")
         traj = _evolve_at(disc, t_next, v, tau_max, dtau)
         n_ev += 1
-        t0, c0 = t1, c1
-        t1, c1 = t_next, np.real(traj.mode_coeffs)
+        (t0, traj0), (t1, traj1) = (t1, traj1), (t_next, traj)
     else:
         raise SecantFailure(
             f"no convergence in {SECANT_MAX_STEPS} secant steps; last pair "
             f"T={t0!r}, {t1!r}")
-    return float(t_next), traj, (float(t0), float(t1)), n_ev
+    return float(t_next), traj1, (float(t0), float(t1)), n_ev
 
 
 def _warm_secant(disc, v, tau_max, dtau, T):
@@ -185,10 +188,9 @@ def _warm_secant(disc, v, tau_max, dtau, T):
     the pair's two.
     """
     t0 = T + REFIT_OFFSET
-    start, traj = _evolve_at(disc, (t0, T), v, tau_max, dtau)
+    older, newer = _evolve_at(disc, (t0, T), v, tau_max, dtau)
     t_next, traj, pair, n_sec = _secant(
-        disc, v, tau_max, dtau, (t0, np.real(start.mode_coeffs)),
-        (T, np.real(traj.mode_coeffs), traj), SECANT_STEP)
+        disc, v, tau_max, dtau, (t0, older), (T, newer), SECANT_STEP)
     return t_next, traj, pair, 2 + n_sec
 
 
@@ -196,7 +198,7 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
                     tau_max: float = 12.0, dtau: float = 0.01) -> FitResult:
     """Secant in T so the evolved solution carries no late gauge mode.
 
-    Coarse to fine.  On the coarse grid N' = max(16, round(2N/3)) at
+    Coarse to fine.  On the coarse grid N' = max(19, round(2N/3)) at
     dtau_c = tau_max / max(1, round(tau_max / (COARSE_DTAU dtau))), the
     divisor of tau_max nearest 4 dtau, the coefficient
     c(tau) = <Phi(tau), w>_E is checked for a sign change and for
@@ -217,12 +219,10 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     dtau_c = tau_max / max(1, round(tau_max / (COARSE_DTAU * dtau)))
 
     grid = np.linspace(a, b, 5)
-    # one stacked run; the mode coefficients only: the states are not needed
-    coeffs = [np.real(traj.mode_coeffs)
-              for traj in _evolve_at(coarse, grid, v, tau_max, dtau_c)]
+    runs = _evolve_at(coarse, grid, v, tau_max, dtau_c)  # one stacked run
     # compare at the earliest common time: detuned runs may blow up first
-    k = min(len(c) for c in coeffs) - 1
-    cs = [float(c[k]) for c in coeffs]
+    k = min(len(traj.taus) for traj in runs) - 1
+    cs = [float(np.real(traj.mode_coeffs[k])) for traj in runs]
     monotone = bool(np.all(np.diff(cs) > 0) or np.all(np.diff(cs) < 0))
     ca, cb = cs[0], cs[-1]
     if ca == 0.0 or cb == 0.0:
@@ -238,12 +238,12 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     old, new = (i + 1, i) if abs(cs[i]) < abs(cs[i + 1]) else (i, i + 1)
     # the coarse stage only seeds the fine pair
     t_c, _, _, n_c = _secant(
-        coarse, v, tau_max, dtau_c, (grid[old], coeffs[old]),
-        (grid[new], coeffs[new], None), REFIT_OFFSET)
+        coarse, v, tau_max, dtau_c, (grid[old], runs[old]),
+        (grid[new], runs[new]), REFIT_OFFSET)
+    del runs  # the fine stage reads none of the coarse states
     _, traj, pair, n_f = _warm_secant(disc, v, tau_max, dtau, t_c)
     return FitResult(
-        T_star=pair[1], residual_mode=abs(float(np.real(traj.mode_coeffs[-1]))),
-        trajectory=traj, bracket=pair, monotone=monotone,
+        T_star=pair[1], trajectory=traj, bracket=pair, monotone=monotone,
         n_evolutions=len(grid) + n_c + n_f, v=v, coarse=coarse,
     )
 
@@ -267,10 +267,9 @@ def refinement_error(fit: FitResult) -> dict:
             f"the 2 dtau re-fit needs tau_max={tau_max:g} to be a multiple "
             f"of 2 dtau={2.0 * dtau:g}")
     s_phys = stability_report(fit, tau_max)["S_phys"]
-    coarse = fit.coarse if fit.coarse is not None else _coarse_grid(disc)
     t_err = s_err = 0.0
     n_ev = 0
-    for disc_r, dtau_r in ((disc, 2.0 * dtau), (coarse, dtau)):
+    for disc_r, dtau_r in ((disc, 2.0 * dtau), (fit.coarse, dtau)):
         t_next, traj, (_, T_r), n_r = _warm_secant(
             disc_r, v, tau_max, dtau_r, fit.T_star)
         n_ev += n_r

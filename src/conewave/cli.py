@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError("dtau must lie in (0, 0.5]")
         if not (0 < self.tau_max <= 50):
             raise ValueError("tau_max must lie in (0, 50]")
+        if abs(round(self.tau_max / self.dtau) * self.dtau - self.tau_max) > 1e-9:
+            raise ValueError("tau_max must be a multiple of dtau")
         if not (0 < self.eps_contour < 0.5):
             raise ValueError("eps_contour must lie in (0, 0.5)")
         if not (0 < self.omega <= 400):

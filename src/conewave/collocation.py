@@ -161,7 +161,6 @@ class SpectralDiscretization:
     D2: np.ndarray          # even-acting second derivative
     quad_weights: np.ndarray
     L0_mat: np.ndarray
-    Lprime_mat: np.ndarray
     L_mat: np.ndarray
     g_disc: np.ndarray
 
@@ -229,7 +228,7 @@ def build(d: int, N: int) -> SpectralDiscretization:
     g_disc = np.concatenate([np.full(N, 2.0), np.full(N, float(d))])
     return SpectralDiscretization(
         d=d, N=N, nodes=rho, D1=de, D1_odd=do, D2=d2e, quad_weights=w,
-        L0_mat=l0, Lprime_mat=lfull - l0, L_mat=lfull, g_disc=g_disc,
+        L0_mat=l0, L_mat=lfull, g_disc=g_disc,
     )
 
 

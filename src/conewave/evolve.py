@@ -12,10 +12,10 @@ not read stage 2 (``Propagator.step``).
 
 ``evolve`` steps one state or a stack of states as one block of columns.
 A member that passes BLOWUP_SUP leaves the block with its own blowup
-time; the others go on to tau_max.  A trajectory holds its states, mode
-coefficients and alias indicator; norms are computed where they are
-read: ``energy_norms`` on first read, the L^q norms by ``lq_norm`` in
-the Strichartz suite, the trajectory dump and the blowup report.
+time; the others go on to tau_max.  A trajectory holds its states; what
+derives from them is computed where it is read: mode coefficients,
+alias indicator and energy norms on first read, the L^q norms by
+``lq_norm`` in the Strichartz suite, the dump and the blowup report.
 
 Modes: "linear-free" (L0), "linear-perturbed" (L), "nonlinear" (L plus
 pointwise collocation of the nonlinearity, no dealiasing; the top
@@ -187,19 +187,30 @@ def _propagator(disc, dtau, mode):
 
 @dataclass
 class EvolutionTrajectory:
-    """Uniform-step time series of one state with per-snapshot diagnostics.
-
-    ``energy_norms`` is computed from the states on first read.
-    """
+    """Uniform-step time series of one state; its diagnostics are
+    computed from the states on first read."""
 
     disc: SpectralDiscretization
     dtau: float
     mode: str
     taus: np.ndarray
     states: np.ndarray          # (n_snap, 2N)
-    mode_coeffs: np.ndarray     # <Phi, w>_E per snapshot
-    alias_indicator: float      # max top Chebyshev coefficient of Phi_1
     blowup_tau: float = None    # set if the run left the resolvable regime
+
+    @cached_property
+    def mode_coeffs(self):
+        """<Phi, w>_E per snapshot."""
+        return self.disc.mode_coefficient(self.states)
+
+    @cached_property
+    def alias_indicator(self):
+        """Max top even-Chebyshev coefficient of Phi_1 relative to its sup
+        norm over ~50 snapshots; 0 outside the nonlinear mode."""
+        if self.mode != "nonlinear":
+            return 0.0
+        u1 = self.states[:: max(1, (len(self.taus) - 1) // 50), : self.disc.N]
+        top = np.abs(even_cheb_coeffs(self.disc, u1)[:, -1])
+        return float(np.max(top / (np.max(np.abs(u1), axis=1) + 1e-300)))
 
     @cached_property
     def energy_norms(self):
@@ -217,15 +228,28 @@ class EvolutionTrajectory:
 
 
 class TrajectoryStack(list):
-    """The member trajectories of one stacked evolution, in input order.
+    """The member trajectories of one stacked evolution, in input order."""
 
-    ``taus`` is the block's time grid up to its last step; ``blowup_tau``
-    is set when every member blew up, so that the block stopped there.
-    """
+    @property
+    def taus(self):
+        """The block's time grid up to its last step."""
+        return max((m.taus for m in self), key=len)
 
-    def __init__(self, members, taus, blowup_tau=None):
-        super().__init__(members)
-        self.taus, self.blowup_tau = taus, blowup_tau
+    @property
+    def blowup_tau(self):
+        """Set when every member blew up, so that the block stopped there."""
+        taus = [m.blowup_tau for m in self]
+        return None if None in taus else max(taus)
+
+
+def _n_steps(tau_max, dtau):
+    """Steps of dtau to tau_max, a multiple of dtau and at most 50."""
+    if tau_max > 50.0:
+        raise DomainError("tau_max must be <= 50")
+    n_steps = int(round(tau_max / dtau))
+    if abs(n_steps * dtau - tau_max) > 1e-9:
+        raise DomainError("tau_max must be a multiple of dtau")
+    return n_steps
 
 
 def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
@@ -236,16 +260,9 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
     of m states (m, 2N), which are stepped together as one (2N, m) block
     and give a TrajectoryStack.  A member whose sup norm passes BLOWUP_SUP
     (or is not finite) leaves the block there with its own blowup_tau; the
-    others go on to tau_max.
-
-    Diagnostics per snapshot: the mode coefficient <Phi, w>_E; the energy
-    norm on first read.
+    others go on to tau_max, a multiple of dtau and at most 50.
     """
-    if tau_max > 50.0:
-        raise DomainError("tau_max must be <= 50")
-    n_steps = int(round(tau_max / dtau))
-    if abs(n_steps * dtau - tau_max) > 1e-9:
-        raise DomainError("tau_max must be a multiple of dtau")
+    n_steps = _n_steps(tau_max, dtau)
     prop = _propagator(disc, dtau, mode)
     u = np.array(phi0, dtype=float if np.isrealobj(phi0) else complex)
     single = u.ndim == 1
@@ -271,28 +288,10 @@ def evolve(disc: SpectralDiscretization, phi0, tau_max: float, dtau: float,
         if not live.size:
             break
         u = u[:, ~gone]
-    trajs = [_trajectory(disc, dtau, mode, taus[: e + 1], states[j, : e + 1],
-                         blowup[j])
+    trajs = [EvolutionTrajectory(disc, dtau, mode, taus[: e + 1],
+                                 states[j, : e + 1], blowup[j])
              for j, e in enumerate(ends)]
-    if single:
-        return trajs[0]
-    return TrajectoryStack(trajs, taus[: ends.max() + 1],
-                           None if None in blowup else max(blowup))
-
-
-def _trajectory(disc, dtau, mode, taus, states, blowup_tau):
-    """One member's trajectory and its per-snapshot diagnostics."""
-    alias = 0.0
-    if mode == "nonlinear":
-        # top even-Chebyshev coefficient of Phi_1 relative to its sup norm
-        u1 = states[:: max(1, (len(taus) - 1) // 50), : disc.N]
-        top = np.abs(even_cheb_coeffs(disc, u1)[:, -1])
-        alias = float(np.max(top / (np.max(np.abs(u1), axis=1) + 1e-300)))
-    return EvolutionTrajectory(
-        disc=disc, dtau=dtau, mode=mode, taus=taus, states=states,
-        mode_coeffs=disc.mode_coefficient(states),
-        alias_indicator=alias, blowup_tau=blowup_tau,
-    )
+    return trajs[0] if single else TrajectoryStack(trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +356,16 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
     The samples are one stacked evolution, run in tau-segments of at most
     SEGMENT_STEPS steps, each started from the last state of the one
     before; only the L^q norms of the first components are kept, so the
-    stack holds one segment's states at a time.
+    stack holds one segment's states at a time; tau_max is checked first.
 
     Returns {"pairs": ..., "ratios": (n_samples, n_pairs), "ratios_half": ...,
     "spread": per-pair max/min}.
     """
+    n_steps = _n_steps(tau_max, dtau)
     rng = np.random.default_rng(seed)
     f = [random_smooth_pair(disc, rng) for _ in range(n_samples)]
     u = np.array([fi - disc.P_mat @ fi for fi in f])
     denom = [sobolev_norm(disc, phi0) for phi0 in u]
-    n_steps = int(round(tau_max / dtau))
     taus = np.arange(n_steps + 1) * dtau
     g = {q: np.empty((n_samples, n_steps + 1)) for _, q in pairs}
     for q in g:

@@ -9,20 +9,20 @@ from conewave import evolve as ev
 def never_linear(monkeypatch):
     """Stub the fit's evolutions with a gauge-mode coefficient of +/- 0.5.
 
-    The sign follows the first node of the initial data, so it changes
-    inside the bracket, but |c| never enters the secant's linear window.
+    Every state is +/- 0.5 times the gauge mode g.  The sign follows the
+    first node of the initial data, so it changes inside the bracket, but
+    |c| never enters the secant's linear window.
     """
     def evolve(disc, phi0, tau_max, dtau, mode):
         n = int(round(tau_max / dtau)) + 1
         taus = np.arange(n) * dtau
         if np.ndim(phi0) == 2:
             return ev.TrajectoryStack(
-                [evolve(disc, u, tau_max, dtau, mode) for u in phi0], taus)
+                evolve(disc, u, tau_max, dtau, mode) for u in phi0)
         c = 0.5 if phi0[0] > 0.01 else -0.5
         return bl.EvolutionTrajectory(
             disc=disc, dtau=dtau, mode=mode, taus=taus,
-            states=np.zeros((n, 2 * disc.N)), mode_coeffs=np.full(n, c),
-            alias_indicator=0.0)
+            states=np.tile(c * disc.g_disc, (n, 1)))
 
     monkeypatch.setattr(bl, "evolve", evolve)
 
@@ -57,7 +57,7 @@ def evolutions(monkeypatch):
 def _fit_stages(log, n_evolutions, N, dtau=0.01, tau_max=12.0):
     """Check the fit's evolutions, the head of ``log``, stage by stage.
 
-    Coarse: one stack of 5 on (max(16, round(2N/3)), dtau_c), then single
+    Coarse: one stack of 5 on (max(19, round(2N/3)), dtau_c), then single
     secant runs, where dtau_c = tau_max / max(1, round(tau_max / (4 dtau)))
     is the divisor of tau_max nearest 4 dtau.  Fine: one start pair on
     (N, dtau), then at most 2 single runs, and at most 3 tau_max / dtau
@@ -65,7 +65,7 @@ def _fit_stages(log, n_evolutions, N, dtau=0.01, tau_max=12.0):
     Returns the (coarse, fine) entries of ``log``.
     """
     n_steps = round(tau_max / dtau)
-    coarse = (max(16, round(2 * N / 3)),
+    coarse = (max(19, round(2 * N / 3)),
               tau_max / max(1, round(tau_max / (4 * dtau))))
     members = np.cumsum([entry[2] for entry in log])
     end = int(np.searchsorted(members, n_evolutions)) + 1

@@ -139,9 +139,9 @@ class TestFit:
         v = bl.zero_perturbation()
         traj = bl.evolve(disc, bl.initial_data(disc, 1.0, v), 0.03, 0.01,
                          "nonlinear")
-        fit = bl.FitResult(T_star=1.0, residual_mode=0.0, trajectory=traj,
-                           bracket=(1.0, 1.0), monotone=True, n_evolutions=1,
-                           v=v)
+        fit = bl.FitResult(T_star=1.0, trajectory=traj, bracket=(1.0, 1.0),
+                           monotone=True, n_evolutions=1, v=v,
+                           coarse=bl._coarse_grid(disc))
         with pytest.raises(DomainError, match="multiple of 2 dtau"):
             bl.refinement_error(fit)
 
@@ -155,6 +155,18 @@ class TestFit:
         coarse, _ = fit_stages(evolutions, fit.n_evolutions, 32,
                                tau_max=4.01)
         assert coarse[0] == (21, 4.01 / 100, 5, 100)
+
+    @pytest.mark.parametrize("d, N", [(4, 24), (4, 27), (6, 26)])
+    def test_coarse_grid_is_one_build_accepts(self, d, N, evolutions,
+                                              fit_stages):
+        # round(2N/3) is 16, 18 and 17 here, sizes whose quadrature weights
+        # go negative at this d; the coarse grid is floored at N' = 19
+        fit = bl.fit_blowup_time(
+            co.build(d, N), bl.bump_perturbation(delta=0.1, amplitude=0.05),
+            tau_max=4.0)
+        assert fit.coarse.N == 19 and 0.9 < fit.T_star < 1.1
+        fit_stages(evolutions, fit.n_evolutions, N, tau_max=4.0)
+        assert bl.refinement_error(fit)["T_star_err"] <= 1e-12
 
     def test_no_bracket(self, disc):
         # a perturbation dominated by the gauge mode with tiny delta cannot

@@ -82,6 +82,17 @@ class TestExitCodes:
         assert "omega must be a multiple of domega" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "strichartz"])
+    def test_tau_max_off_the_dtau_grid_exit(self, tmp_path, capsys, command):
+        # 1.005 is no whole number of 0.01 steps: rejected with the config,
+        # not run to 1.0 or failed as a numerical error
+        out = tmp_path / "out"
+        code = cli.main([command, "--N", "32", "--tau-max", "1.005",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "tau_max must be a multiple of dtau" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_jobs_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["spectrum", "--jobs", "2"])

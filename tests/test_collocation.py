@@ -67,7 +67,11 @@ class TestOperator:
         assert co.gauge_residual(disc) <= 1e-10
 
     def test_split_is_exact(self, disc4):
-        assert np.array_equal(disc4.L_mat, disc4.L0_mat + disc4.Lprime_mat)
+        # L - L0 is L' u = (0, (2d+d^2)/4 u1) to the last bit
+        n = disc4.N
+        lprime = np.zeros_like(disc4.L_mat)
+        lprime[n:, :n] = potential_constant(4) * np.eye(n)
+        assert np.array_equal(disc4.L_mat - disc4.L0_mat, lprime)
 
     def test_symbolic_application(self, disc4):
         # L0 applied to (1 - rho^2, 0): first slot -rho(-2rho) - (d-2)/2 (1-rho^2),
@@ -336,7 +340,6 @@ class TestLazyProjection:
         lm = _per_variant_assembly(d, disc, perturbed=True)
         assert np.array_equal(disc.L0_mat, l0)
         assert np.array_equal(disc.L_mat, lm)
-        assert np.array_equal(disc.Lprime_mat, lm - l0)
 
     @pytest.fixture
     def projections(self, monkeypatch):

@@ -163,8 +163,7 @@ class TestStrichartzNorm:
         taus = np.arange(n + 1) * 0.1
         states = np.tile(state, (n + 1, 1))
         return ev.EvolutionTrajectory(
-            disc=disc, dtau=0.1, mode="linear-free", taus=taus, states=states,
-            mode_coeffs=np.zeros(n + 1), alias_indicator=0.0)
+            disc=disc, dtau=0.1, mode="linear-free", taus=taus, states=states)
 
     def test_constant_trajectory(self, disc):
         u1 = np.cos(disc.nodes)
@@ -191,8 +190,7 @@ class TestStrichartzNorm:
         taus = np.arange(0, 2001) * 0.01
         states = np.exp(-taus)[:, None] * state[None, :]
         traj = ev.EvolutionTrajectory(
-            disc=disc, dtau=0.01, mode="linear-free", taus=taus, states=states,
-            mode_coeffs=np.zeros(len(taus)), alias_indicator=0.0)
+            disc=disc, dtau=0.01, mode="linear-free", taus=taus, states=states)
         val = _strichartz_norm(traj, 2.0, 8.0)
         ref = ev.lq_norm(disc, u1, 8.0) / math.sqrt(2.0)
         assert val == pytest.approx(ref, rel=1e-3)
@@ -255,6 +253,23 @@ class TestSuite:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
+
+    @pytest.mark.parametrize("tau_max, match", [
+        (1.005, "multiple of dtau"), (60.0, "<= 50")])
+    def test_horizon_checked_as_in_evolve(self, tau_max, match):
+        # each segment is a legal evolve, so the suite checks the whole
+        # horizon by evolve's rule before it runs one
+        with pytest.raises(DomainError, match=match):
+            ev.strichartz_suite(co.build(4, 32), [(2.0, 8.0)], tau_max)
+
+    def test_makes_no_mode_coefficient_products(self, monkeypatch):
+        # the ratios read the first components of the states only
+        calls, mode_coefficient = [], co.SpectralDiscretization.mode_coefficient
+        monkeypatch.setattr(
+            co.SpectralDiscretization, "mode_coefficient",
+            lambda disc, u: calls.append(len(u)) or mode_coefficient(disc, u))
+        ev.strichartz_suite(co.build(4, 32), strichartz_pairs(4), 12.0)
+        assert calls == []
 
 
 class TestDump:
@@ -375,11 +390,23 @@ class TestStack:
 
 
 def test_energy_norms_on_first_read(disc):
+    # and the other diagnostics: a trajectory stores its states, and
+    # each diagnostic is computed from them when first read
     rng = np.random.default_rng(2)
-    traj = ev.evolve(disc, co.random_smooth_pair(disc, rng), 0.1, 0.01,
-                     "linear-perturbed")
-    assert "energy_norms" not in vars(traj)
-    assert np.array_equal(traj.energy_norms, co.energy_norm(disc, traj.states))
+    derived = {"energy_norms", "mode_coeffs", "alias_indicator"}
+    linear, nonlinear = (
+        ev.evolve(disc, scale * co.random_smooth_pair(disc, rng), 0.1, 0.01,
+                  mode)
+        for scale, mode in ((1.0, "linear-perturbed"), (0.01, "nonlinear")))
+    for traj in (linear, nonlinear):
+        assert not derived & set(vars(traj))
+        assert np.array_equal(traj.energy_norms,
+                              co.energy_norm(disc, traj.states))
+        assert np.array_equal(traj.mode_coeffs,
+                              disc.mode_coefficient(traj.states))
+    assert linear.alias_indicator == 0.0
+    top = [_top_cheb_reference(disc, u1) for u1 in nonlinear.states[:, :96]]
+    assert nonlinear.alias_indicator == pytest.approx(max(top), rel=1e-12)
 
 
 def _taylor_expm(a):

@@ -4,8 +4,9 @@ Every defaulted parameter of a function in ``src/conewave`` must be set
 by some call in ``src/``, ``scripts/`` or ``tests/``; a default that no
 call overrides is a constant and should be written as one.  Calls are
 matched to definitions by name (the called name or attribute), so a
-parameter counts as set when any call of that name passes it by keyword,
-by position, or through ``*args`` / ``**kwargs``.
+parameter counts as set when any call of that name passes it by keyword
+or by position before any ``*args``; a ``*args`` / ``**kwargs``
+pass-through sets nothing.
 
 More checks keep each fact in one place: no function takes a
 dimension ``d`` beside a discretization ``disc`` (which carries
@@ -23,8 +24,11 @@ checks its dimension only on the first call for a d.
 
 Finally, the library surface that only tests use is an explicit list
 (``TEST_ONLY``): a top-level function or class of ``src/conewave`` that
-no code in ``src/`` or ``scripts/`` names must be on it, so a single-lam
-or test-only copy of a library path cannot come back unnoticed.
+library code does not reach must be on it, so a single-lam or test-only
+copy of a library path cannot come back unnoticed.  Library code is
+``scripts/``, the module-level code of ``src/`` and the functions and
+classes these reach, transitively; a name read only inside test-only
+code, or only imported, is not reached.
 """
 
 import ast
@@ -51,11 +55,16 @@ ALLOWED = {("_rk45", "solve", "max_steps")}
 # tests call them.  A new test-only helper in src/ is added here on purpose.
 TEST_ONLY = {
     "collocation.dissipativity_check", "collocation.gauge_residual",
-    "collocation.norm_equivalence_check", "green.kernel_decay_scan",
+    "collocation.norm_equivalence_check", "green._b_solution",
+    "green.green_eval", "green.kernel_decay_scan",
     "green.perturbed_bessel_check", "model.admissible",
-    "model.liouville_green_potential", "model.ode_blowup",
-    "model.psi_from_u", "model.to_similarity", "model.varphi_inverse",
-    "specfun.hyp2f1_deriv",
+    "model.from_similarity", "model.liouville_green_potential",
+    "model.ode_blowup", "model.psi_from_u", "model.to_similarity",
+    "model.varphi", "model.varphi_inverse", "specfun._bessel_args",
+    "specfun._check_2f1_params", "specfun._hyp2f1_series_with_deriv",
+    "specfun._hyp2f1_with_deriv", "specfun._taylor_recenter",
+    "specfun.bessel_j", "specfun.bessel_j_deriv", "specfun.bessel_y",
+    "specfun.bessel_y_deriv", "specfun.hyp2f1", "specfun.hyp2f1_deriv",
 }
 
 
@@ -111,11 +120,11 @@ def _called_name(node):
 
 
 def _is_set(call, param, index):
-    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+    if any(kw.arg == param for kw in call.keywords):
         return True
-    if any(isinstance(a, ast.Starred) for a in call.args):
-        return True
-    return index is not None and len(call.args) > index
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    n_positional = starred[0] if starred else len(call.args)
+    return index is not None and n_positional > index
 
 
 def unset_defaults():
@@ -131,6 +140,15 @@ def unset_defaults():
 
 def test_every_default_is_set_by_some_call():
     assert unset_defaults() == ALLOWED
+
+
+def test_pass_through_sets_no_default():
+    # a wrapper solve(g, *args, **kwargs) sets the parameter it names
+    # before the star, and none that the star arguments may carry
+    call = ast.parse("solve(g, *args, **kwargs)").body[0].value
+    assert _is_set(call, "g", 0)
+    assert not _is_set(call, "rtol", 1)
+    assert not _is_set(call, "max_steps", None)
 
 
 def _package_trees():
@@ -288,25 +306,38 @@ def test_nonlinearity_checks_d_once(monkeypatch):
     assert np.array_equal(model.nonlinearity(5, x), first)
 
 
-def _names_in_library_code():
-    """Every name, attribute and imported name in src/ and scripts/."""
-    names = set()
-    for sub in ("src", "scripts"):
-        for path in sorted((ROOT / sub).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
-    return names
+def _names_read(node):
+    """Every name and attribute read under node; imports do not count."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _names_reached_by_library_code():
+    """The names that library code reaches: those read in scripts/ and
+    in the module-level code of src/, then, to a fixed point, those read
+    in the top-level functions and classes of src/ so reached.  Code that
+    only test-only code reaches is itself test-only."""
+    defs, todo = {}, set()
+    for path in sorted((ROOT / "scripts").rglob("*.py")):
+        todo |= _names_read(ast.parse(path.read_text(), str(path)))
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            else:
+                todo |= _names_read(node)
+    reached = set()
+    while todo:
+        reached |= todo
+        todo = {name for node_name in todo for node in defs.get(node_name, ())
+                for name in _names_read(node)} - reached
+    return reached
 
 
 def test_test_only_surface_is_listed():
-    used = _names_in_library_code()
+    reached = _names_reached_by_library_code()
     unused = {f"{stem}.{node.name}" for stem, tree in _package_trees()
               for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in used}
+              and node.name not in reached}
     assert unused == TEST_ONLY
