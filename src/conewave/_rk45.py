@@ -23,6 +23,10 @@ takes member maxima with elementwise np.maximum over the component
 columns, where a reduction over a length-2 axis costs over ten times as
 much, and samples are found by bisect on a list.
 
+A samples out may be a `SampleBlocks`, which hands the samples over in
+blocks as they come, so that a caller reducing them (the resolvent's
+panel sums) never holds all of them.
+
 Dense output (the same quintic Hermite on the accepted steps, ~2e-10
 relative) has no conewave caller; it stays because the benchmark's
 self-test (conebench) drives it.
@@ -115,6 +119,38 @@ class DenseSegments:
                         axis=-1)
         return tuple((_hermite(th, h, deriv) * data).sum(axis=-1)
                      for deriv in (0, 1))
+
+
+class SampleBlocks:
+    """A samples out for `solve` that hands the samples over in blocks
+    instead of holding them all.  `solve` assigns rows, out[i:j] = u with
+    u (j - i, batch), in its run's order and without gaps (or one row for
+    all at zero span).  Once width of them have come, or the run's last,
+    they go to flush(first, v) with v (batch, m) on the points first ..
+    first + m - 1 of an ascending numbering in which the run's points are
+    lo .. hi - 1; flush may overwrite v."""
+
+    def __init__(self, lo, hi, width, descending, flush):
+        self.lo, self.n, self.width = lo, hi - lo, width
+        self.descending, self.flush = descending, flush
+        self.rows, self.held, self.done = [], 0, 0
+
+    def __setitem__(self, key, u):
+        i, j, _ = key.indices(self.n)
+        self.rows.append(np.broadcast_to(u, (j - i, len(u))) if u.ndim == 1
+                         else u)
+        self.held += j - i
+        if self.held < self.width and j < self.n:
+            return
+        if self.descending:
+            rows = [r[::-1].T for r in reversed(self.rows)]
+            first = self.n - self.done - self.held
+        else:
+            rows = [r.T for r in self.rows]
+            first = self.done
+        v = np.concatenate(rows, axis=1)
+        self.flush(self.lo + first, v)
+        self.rows, self.done, self.held = [], self.done + self.held, 0
 
 
 def _hermite_samples(xs, x, h, y, ka, yb, kb):

@@ -350,15 +350,23 @@ def stability_report(fit: FitResult, tau_eval: float = 10.0) -> dict:
     }
 
 
+def growth_limit(d: int) -> float:
+    """Top of `instability_demo`'s slope window: twice the detuned data's
+    linear mode coefficient DETUNE l(d_T U0) = DETUNE (d-2) c_d / 4, so
+    that the window spans a factor 2 of growth at every d (0.02 c_d at
+    d 4; a fixed 0.02 c_d left fewer than 5 snapshots at d 6)."""
+    return (d - 2) / 2.0 * DETUNE * c_d(d)
+
+
 def instability_demo(disc: SpectralDiscretization, tau_max: float = 10.0,
                      dtau: float = 0.01) -> dict:
     """Gauge-mode growth under blowup-time detuning (not a real instability).
 
     Evolves v = 0 data with T = 1 +/- DETUNE; the mode coefficient grows
     like e^tau until nonlinear saturation, and its sign follows sign(T-1).
-    The slope is fitted on the window c0 <= |c| <= 0.02 c_d (None if it
-    holds fewer than 5 snapshots), so the pair is evolved only to
-    min(tau_max, ln(0.02 c_d / min |c0|) + 1), one tau unit past the time
+    The slope is fitted on the window c0 <= |c| <= `growth_limit(d)`
+    (None if it holds fewer than 5 snapshots), so the pair is evolved only
+    to min(tau_max, ln(limit / min |c0|) + 1), one tau unit past the time
     the window closes at rate 1; the sign is that of the last nonzero
     coefficient.
     """
@@ -366,7 +374,7 @@ def instability_demo(disc: SpectralDiscretization, tau_max: float = 10.0,
     v0 = zero_perturbation(delta=max(2 * DETUNE, 0.05))
     out = {"d": d, "detune": DETUNE, "slopes": {}, "signs": {}}
     pair = (1.0 - DETUNE, 1.0 + DETUNE)
-    limit = 0.02 * c_d(d)
+    limit = growth_limit(d)
     c_start = np.abs(disc.mode_coefficient(
         [initial_data(disc, T, v0) for T in pair]))
     n_close = math.ceil((math.log(limit / c_start.min()) + 1.0) / dtau)

@@ -11,6 +11,9 @@ configuration, 65 numerical failure, 66 acceptance threshold missed.
 Once the configuration loads, the manifest records the exit code and
 the warnings raised (each category and message once; each is also
 printed once to stderr) on every exit, and the error text on 64 and 65.
+Every manifest records `peak_rss_mb`, the process's peak resident memory
+so far (`ru_maxrss`): the peak of this command, or of an earlier one in
+the same process if that was higher.
 """
 
 import argparse
@@ -19,6 +22,7 @@ import hashlib
 import json
 import math
 import platform
+import resource
 import sys
 import time
 import warnings
@@ -145,6 +149,9 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
             "python": platform.python_version(),
         },
         "wall_time_s": wall,
+        # the process peak so far; Linux reports ru_maxrss in KiB
+        "peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if extra:
         manifest.update(extra)

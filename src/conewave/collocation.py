@@ -157,8 +157,6 @@ class SpectralDiscretization:
     N: int
     nodes: np.ndarray
     D1: np.ndarray          # even-acting first derivative
-    D1_odd: np.ndarray      # odd-acting first derivative
-    D2: np.ndarray          # even-acting second derivative
     quad_weights: np.ndarray
     L0_mat: np.ndarray
     L_mat: np.ndarray
@@ -227,7 +225,7 @@ def build(d: int, N: int) -> SpectralDiscretization:
     l0, lfull = _assemble_operators(d, rho, de, d2e)
     g_disc = np.concatenate([np.full(N, 2.0), np.full(N, float(d))])
     return SpectralDiscretization(
-        d=d, N=N, nodes=rho, D1=de, D1_odd=do, D2=d2e, quad_weights=w,
+        d=d, N=N, nodes=rho, D1=de, quad_weights=w,
         L0_mat=l0, L_mat=lfull, g_disc=g_disc,
     )
 

@@ -374,10 +374,10 @@ def strichartz_suite(disc: SpectralDiscretization, pairs, tau_max: float,
     ends = ends.round().astype(int)
     for a, b in zip(ends[:-1], ends[1:]):
         stack = evolve(disc, u, (b - a) * dtau, dtau, "linear-perturbed")
-        for i, traj in enumerate(stack):
-            for q in g:
-                g[q][i, a + 1: b + 1] = lq_norm(
-                    disc, traj.states[1:, : disc.N], q)
+        # one (n_samples, b - a, N) stack of first components per segment
+        u1 = np.array([traj.states[1:, : disc.N] for traj in stack])
+        for q in g:
+            g[q][:, a + 1: b + 1] = lq_norm(disc, u1, q)
         u = np.array([traj.states[-1] for traj in stack])
     ratios = np.empty((n_samples, len(pairs)))
     ratios_half = np.empty((n_samples, len(pairs)))

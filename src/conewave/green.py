@@ -15,9 +15,10 @@ and
     F_lam(s) = s f1'(s) + (lam + d/2) f1(s) + f2(s),
 with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 `build_kernel` returns the normalized u0, u1 and their derivatives on a
-point set (and u0, u1 alone on a set of value points) for an array of
-lam, from one `radialode.integrate` call; the resolvent, `green_eval`
-and the kernel-decay scan all read them from there, and only
+point set for an array of lam (and, given a `PanelSums`, the panel sums
+of K u0 and K u1 on the quadrature nodes), from one `radialode.integrate`
+call; the resolvent, `green_eval` and the kernel-decay scan all read
+them from there, and only
 `integrate` knows the Frobenius pairs at 0 and 1 (it raises
 IndexCollisionError on nodes near 1 where the pair at 1 does not exist:
 |lam - 1/2| < 1e-8, lam = 3/2, 5/2, ...).  The resolvent output
@@ -34,17 +35,22 @@ GEO_DEPTH = 24 levels) toward both endpoints; the panel at each end has width
 2^-(GEO_DEPTH+1), so with the integrand's factor (1-s)^{lam-1/2} it holds
 ~(2^-(GEO_DEPTH+1))^{Re lam + 1/2} of the integrand's scale.  Output points are
 inserted as panel boundaries, making the split integrals exact partial
-sums over panels.  The integrand reads only u0 and u1 at the nodes, so
-they are `integrate`'s value points: each is filled from the quintic
-Hermite of the RK45 step that covers it, at no RHS call and no step
-shortened, and per lam it holds three complex numbers (u0, u1 and the
-kernel weight, 48 bytes).  Only the output points and RHO_MID (the
-normalization point, a panel boundary) are RK45 checkpoints, landed
-on with derivatives.  At the benchmark's laplace-compare (eps 0.4,
-Omega 100, domega 0.2: two batches of ~250 lam, ~1,830 nodes each) the
-RK45 work is 1,417 steps and 2.67 M RHS rows (1,916 and 3.97 M with the
-series handed over 1e-3 from each endpoint, 2,288 and 8.45 M when every
-node was also a checkpoint); green-check makes 4,917 RHS calls (8,667).
+sums over panels.  The integrand reads u0 and u1 at the nodes only
+through those panel sums, so the nodes are `integrate`'s RK45 samples,
+each filled from the quintic Hermite of the step that covers it (no RHS
+call, no step shortened), and `integrate` hands their values to
+`PanelSums` in blocks of ~`radialode.NODE_BLOCK` values as the zones
+fill.  So per lam a batch holds two complex sums per panel (four while
+the pair above RHO_MID is unmatched), not three complex numbers per node
+(u0, u1 and the kernel weight) as when whole node arrays were formed.
+Only the output points and RHO_MID (the normalization point, a panel
+boundary) are RK45 checkpoints, landed on with derivatives.  At the
+benchmark's
+laplace-compare (eps 0.4, Omega 100, domega 0.2: two batches of ~250
+lam, 144 panels of 12 nodes) the RK45 work is 1,417 steps and 2.67 M
+RHS rows, and `semigroup_laplace` peaks at 6.8 MiB under tracemalloc
+(26.3 MiB with whole node arrays; 11.5 against 46.8 MiB at the CLI
+defaults); green-check makes 4,917 RHS calls.
 
 The semigroup is evaluated by truncated Laplace inversion
 
@@ -76,7 +82,9 @@ GEO_DEPTH = 24
 GL_NODES = 12
 EIGEN_GUARD = 1e-6
 LAPLACE_RTOL = 2e-7   # RK45 tolerance of the contour resolvent solves
-LAPLACE_BATCH = 500   # most frequencies integrated in one batched solve
+# most frequencies integrated in one batched solve, a cap for memory: wider
+# caps take fewer RK45 steps but were no faster on 2 cores (README)
+LAPLACE_BATCH = 500
 
 
 @dataclass
@@ -132,6 +140,51 @@ def _panel_layout(rho_out):
     return bps, nodes, weights
 
 
+class PanelSums:
+    """The panel sums sum_n K(s_n) u(s_n) of the composite rule for one
+    batch of lam, K = w_n s^{d-1} (1-s^2)^{lam-1/2} / (2i) F_lam(s) at the
+    nodes s_n of `_panel_layout`, formed from node values that
+    `radialode.integrate` hands over block by block, so no (n_lam,
+    n_nodes) array exists.  sums = (s0, s1) holds the (n_lam, n_panels)
+    sums of u0 and u1; `add` adds those of any node values, one set or a
+    stack of them, to an accumulator of that shape (`zeros`).
+    """
+
+    def __init__(self, d, lam_arr, src: SourceTerm, rho_out):
+        self.bps, self.nodes, wts = _panel_layout(rho_out)
+        self.lam = np.asarray(lam_arr, dtype=complex)
+        # K = exp((lam - 1/2) log1m) (b0 + lam b1) at each node, with
+        # w s^{d-1} / (2i) F_lam = b0 + lam b1
+        self._log1m = np.log(1.0 - self.nodes * self.nodes)
+        base = wts * self.nodes ** (d - 1.0) / 2.0j
+        self._b0 = base * src.F_lambda(self.nodes, 0.0, d)
+        self._b1 = base * src.f1(self.nodes)
+        self.sums = self.zeros(2)
+        self.s0, self.s1 = self.sums
+
+    def zeros(self, *lead):
+        return np.zeros(lead + (len(self.lam), len(self.bps) - 1),
+                        dtype=complex)
+
+    def add(self, acc, lo, u):
+        """acc += the panel sums of K u, for u (..., n_lam, m) the values on
+        the nodes lo .. lo + m - 1, which u is overwritten with K u."""
+        hi = lo + u.shape[-1]
+        if hi == lo:
+            return
+        k = np.multiply.outer(self.lam - 0.5, self._log1m[lo:hi])
+        np.exp(k, out=k)
+        u *= k
+        np.multiply.outer(self.lam, self._b1[lo:hi], out=k)
+        k += self._b0[lo:hi]
+        u *= k
+        first = lo // GL_NODES
+        starts = np.arange(first * GL_NODES, hi, GL_NODES)
+        starts[0] = lo
+        acc[..., first:first + len(starts)] += np.add.reduceat(
+            u, starts - lo, axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # the kernel: normalized fundamental solutions on node sets (batched over lam)
 # ---------------------------------------------------------------------------
@@ -159,31 +212,22 @@ def _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts):
     return (2.0j / kappa)[:, None]
 
 
-def build_kernel(d: int, lam_arr, variant: str, pts, rtol: float, values=()):
-    """(u0, u0', u1, u1', c) on ascending pts in (0, 1), arrays (n_lam, n_pts);
-    u0 and u1 also hold the ascending value points `values` after pts,
-    where `integrate` forms no derivative (arrays (n_lam, n_pts + n_values)).
+def build_kernel(d: int, lam_arr, variant: str, pts, rtol: float, quad=None):
+    """(u0, u0', u1, u1', c) on ascending pts in (0, 1), arrays (n_lam,
+    n_pts), and with a `PanelSums` quad its panel sums of u0 and u1.
 
     u1 is the analytic-at-one solution and u0 the origin-regular one scaled
     by c (shape (n_lam, 1)) to the normalization of the module docstring,
-    matched at the point of pts nearest 1/2.  The origin series starts at
-    1, so c is also u0(0).
+    matched at the point of pts nearest 1/2; quad.s0 is scaled alike.  The
+    origin series starts at 1, so c is also u0(0).
     """
-    u0, u0p, u1, u1p = integrate(d, lam_arr, variant, pts, rtol, values)
+    u0, u0p, u1, u1p = integrate(d, lam_arr, variant, pts, rtol, quad)
     c = _normalize_kernel(d, lam_arr, u0, u0p, u1, u1p, pts)
     u0 *= c
     u0p *= c
+    if quad is not None:
+        quad.s0 *= c
     return u0, u0p, u1, u1p, c
-
-
-def _kernel_weight(d, lam_arr, s):
-    """s^{d-1} (1-s^2)^{lam-1/2} / (2i), arrays (n_lam, n_s), built in
-    place as one array."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    w = np.multiply.outer(lam_arr - 0.5, np.log(1.0 - s * s))
-    np.exp(w, out=w)
-    w *= s ** (d - 1.0) / 2.0j
-    return w
 
 
 def green_eval(d: int, lam, variant: str, rho, s, rtol: float = 1e-10):
@@ -195,7 +239,9 @@ def green_eval(d: int, lam, variant: str, rho, s, rtol: float = 1e-10):
     pts = np.unique([lo, hi, 0.5])
     u0, _, u1, _, _ = build_kernel(d, lam_arr, variant, pts, rtol)
     i, j = np.searchsorted(pts, [lo, hi])
-    g = _kernel_weight(d, lam_arr, s)[:, 0] * u0[:, i] * u1[:, j]
+    # s^{d-1} (1-s^2)^{lam-1/2} / (2i) u0(min) u1(max)
+    weight = s ** (d - 1.0) * np.exp((lam_arr - 0.5) * math.log(1.0 - s * s))
+    g = weight / 2.0j * u0[:, i] * u1[:, j]
     return complex(g[0]) if np.ndim(lam) == 0 else g
 
 
@@ -212,49 +258,34 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol):
     and at rho=1 the trace is int_0^1 K u0 and the derivative trace comes
     from the equation there (module docstring).  The kernel is built with
     derivatives only on the interior output points and RHO_MID, where
-    it is normalized; the quadrature nodes are value points (`integrate`).
+    it is normalized; on the quadrature nodes `integrate` forms only the
+    panel sums of K u0 and K u1 (`PanelSums`).
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     rho_out = np.asarray(rho_out, dtype=float)
     if np.any(rho_out < 0.0) or np.any(rho_out > 1.0):
         raise DomainError("output points must lie in [0, 1]")
     interior = (rho_out > 0.0) & (rho_out < 1.0)
-    bps, nodes, wts = _panel_layout(rho_out[interior])
+    quad = PanelSums(d, lam_arr, src, rho_out[interior])
 
     pts = np.union1d(rho_out[interior], [RHO_MID])
     u0, u0p, u1, u1p, scale0 = build_kernel(d, lam_arr, variant, pts, rtol,
-                                            nodes)
+                                            quad)
     out_ix = np.searchsorted(pts, rho_out[interior])
 
-    # the panel sums of K u0 and K u1 with K = kern F_lam, F_lam = f0 + lam
-    # f1: kern is the one (n_lam, n_nodes) array beside u0 and u1, and
-    # einsum forms each sum over (panel, node) without another
-    kern = _kernel_weight(d, lam_arr, nodes)
-    kern *= wts
-    n_lam, n_panels = len(lam_arr), len(bps) - 1
-    grid = (n_lam, n_panels, GL_NODES)
-    kern = kern.reshape(grid)
-    f0 = src.F_lambda(nodes, 0.0, d).reshape(grid[1:])
-    f1 = src.f1(nodes).reshape(grid[1:])
+    # running sums in place: column k integrates over the panels 0 .. k
+    cums0 = np.cumsum(quad.s0, axis=1, out=quad.s0)
+    cums1 = np.cumsum(quad.s1, axis=1, out=quad.s1)
+    tot1 = cums1[:, -1:]
+    # the panel that ends at each interior output point
+    below = np.searchsorted(quad.bps, rho_out[interior]) - 1
+    i0 = cums0[:, below]           # int_0^rho K u0
+    i1 = tot1 - cums1[:, below]    # int_rho^1 K u1
 
-    def panel_sums(u):
-        u = u[:, len(pts):].reshape(grid)
-        return (np.einsum("lpn,pn,lpn->lp", kern, f0, u)
-                + lam_arr[:, None] * np.einsum("lpn,pn,lpn->lp", kern, f1, u))
-
-    zero = np.zeros((n_lam, 1), dtype=complex)
-    cums0 = np.concatenate([zero, np.cumsum(panel_sums(u0), axis=1)], axis=1)
-    cums1 = np.concatenate([zero, np.cumsum(panel_sums(u1), axis=1)], axis=1)
-    tot1 = cums1[:, -1][:, None]
-
-    bp_of_out = np.searchsorted(bps, rho_out)
-    i0 = cums0[:, bp_of_out]           # int_0^rho K u0
-    i1 = tot1 - cums1[:, bp_of_out]    # int_rho^1 K u1
-
-    uo = np.zeros((n_lam, len(rho_out)), dtype=complex)
+    uo = np.zeros((len(lam_arr), len(rho_out)), dtype=complex)
     uop = np.zeros_like(uo)
-    uo[:, interior] = u0[:, out_ix] * i1[:, interior] + u1[:, out_ix] * i0[:, interior]
-    uop[:, interior] = u0p[:, out_ix] * i1[:, interior] + u1p[:, out_ix] * i0[:, interior]
+    uo[:, interior] = u0[:, out_ix] * i1 + u1[:, out_ix] * i0
+    uop[:, interior] = u0p[:, out_ix] * i1 + u1p[:, out_ix] * i0
     # at rho = 0: I0 = 0 and u1 I0 -> 0, so only the regular branch acts;
     # u0(0) is the kernel's scale, u0'(0) = 0
     uo[:, rho_out == 0.0] = scale0 * tot1

@@ -62,6 +62,9 @@ EDGE_MAX_DEPTH = 12      # bisection rounds before the boundary is unresolved
 # sampling: the c3 scan's are the same) only seed Newton, so no reported
 # number depends on the trace's accuracy.
 TRACE_RTOL = 1e-6
+# (lam, node) values per block of node values handed to quad.add (RK45
+# samples: at least this many, or the run's last, plus one step's)
+NODE_BLOCK = 2**14
 
 
 def ode_residual(d: int, lam, variant: str, rho, u, up, upp):
@@ -132,11 +135,17 @@ def _ungauge(sig, rho, w, wp):
     return xs * w, xs * (wp - (sig / x) * w)
 
 
-def _reduce_at_origin(d, lam_arr, seed, r0, rho, u0, u0p, star):
-    """(u, u') on rho <= r0 of the solution with data star = (u, u') at
-    r0, by reduction of order on u0 = U(rho^2): u0 is the seed's value
-    on rho and u0' its derivative on the first m points, which are the
-    ones where u' is formed (arrays (n_lam, n_rho) and (n_lam, m)).
+# ---------------------------------------------------------------------------
+# fundamental solutions by adaptive integration
+# ---------------------------------------------------------------------------
+
+
+def _origin_reduction(d, lam_arr, seed, r0, star):
+    """The map (rho, u0, u0') -> (u, u') on rho <= r0 of the solution with
+    data star = (u, u') at r0, by reduction of order on u0 = U(rho^2): u0
+    is the seed's value on rho and u0' its derivative on the first m
+    points, which are the ones where u' is formed (arrays (n_lam, n_rho)
+    and (n_lam, m)).
 
     Abel: W(u, u0) = C rho^{1-d} (1-rho^2)^{-1/2-lam}, so u = u0 q with
     q' = -C rho^{1-d} sum_k h_k rho^{2k} (`reduction_series`), integrated
@@ -147,41 +156,39 @@ def _reduce_at_origin(d, lam_arr, seed, r0, rho, u0, u0p, star):
          * r0 ** (d - 1.0) * np.exp((0.5 + lam_arr) * math.log1p(-r0 * r0)))
     h = reduction_series(lam_arr, seed, r0)
     e = 2.0 - d + 2.0 * np.arange(h.shape[1])[:, None]
-    log_ratio = np.log(rho / r0)
-    # (r0^e - rho^e) / e, and ln(r0 / rho) for e = 0
-    g = np.where(e == 0.0, -log_ratio,
-                 -np.expm1(e * log_ratio) / np.where(e == 0.0, 1.0, e)) * r0 ** e
-    q = (star[0] / u0s)[:, None] + c[:, None] * (h @ g)
-    m = u0p.shape[1]
-    w = c[:, None] * rho[:m] ** (1.0 - d) * np.exp(
-        -(0.5 + lam_arr[:, None]) * np.log1p(-rho[:m] * rho[:m]))
-    return u0 * q, u0p * q[:, :m] - w / u0[:, :m]
+
+    def reduce(rho, u0, u0p):
+        log_ratio = np.log(rho / r0)
+        # (r0^e - rho^e) / e, and ln(r0 / rho) for e = 0
+        g = np.where(e == 0.0, -log_ratio, -np.expm1(e * log_ratio)
+                     / np.where(e == 0.0, 1.0, e)) * r0 ** e
+        q = (star[0] / u0s)[:, None] + c[:, None] * (h @ g)
+        m = u0p.shape[1]
+        w = c[:, None] * rho[:m] ** (1.0 - d) * np.exp(
+            -(0.5 + lam_arr[:, None]) * np.log1p(-rho[:m] * rho[:m]))
+        return u0 * q, u0p * q[:, :m] - w / u0[:, :m]
+    return reduce
 
 
-# ---------------------------------------------------------------------------
-# fundamental solutions by adaptive integration
-# ---------------------------------------------------------------------------
-
-
-def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
+def integrate(d: int, lam_arr, variant, pts, rtol: float, quad=None):
     """(u0, u0', u1, u1') batched over lam, with variant one name or one
-    per lam: u0' and u1' are (n_lam, n_pts) on the ascending pts in (0,
-    1), and u0, u1 are (n_lam, n_pts + n_values), on pts and then on the
-    ascending value points `values` in (0, 1), where no derivative is
-    formed.
+    per lam: arrays (n_lam, n_pts) on the ascending pts in (0, 1).  With
+    a quad (`green.PanelSums`) the panel sums of u0 and u1 on its
+    ascending nodes in (0, 1) are added to quad.s0 and quad.s1; node
+    values live only in blocks of ~NODE_BLOCK values, handed to quad.add.
 
     u0 is the origin-regular and u1 the analytic-at-one solution, both
     with unit leading seed coefficient.  This is the one place where the
     Frobenius series cover the zones next to each endpoint: u0 on [0, r0]
     and u1 on [1 - t1, 1) are the series, (r0, t1) the batch's `handoff`
-    (0.1 at max|lam| <= 15, 3.75e-3 and 0.015 at |lam| 400), written into
-    the output buffers (u' only on pts).  The rest comes from RK45 runs:
-    a point of pts is a checkpoint, which the steps land on, and a value
-    point is an RK45 sample, filled from the quintic Hermite of the step
-    that covers it at no RHS call (so value points never shorten a step).
-    RK45 carries u0 up from r0 and u1 down from 1 - t1; the states that
-    the matching at the stop point and the reduction below r0 read are
-    the runs' end states, not checkpoints.
+    (0.1 at max|lam| <= 15, 3.75e-3 and 0.015 at |lam| 400).  The rest
+    comes from RK45 runs: a point of pts is a checkpoint, which the steps
+    land on, and a node is an RK45 sample, filled from the quintic
+    Hermite of the step that covers it at no RHS call (so nodes never
+    shorten a step), into `_rk45.SampleBlocks`, which hands over blocks.  RK45
+    carries u0 up from r0 and u1 down from 1 - t1; the states that the
+    matching at the stop point and the reduction below r0 read are the
+    runs' end states, not checkpoints.
 
     u0 holds the singular branch (1-rho)^sigma, sigma = 1/2 - lam, of the
     Frobenius pair at 1, which oscillates like e^{-i Im(lam) ln(1-rho)}.
@@ -189,33 +196,30 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
     a u1 + b (1-rho)^sigma w, with w the singular branch in the gauge of
     `_batch_rhs` (sigma), smooth at 1 like u1: u1 and w are one RK45 batch
     of 2 n_lam members from 1 - t1 down to RHO_MID, and (a, b) match u0
-    at RHO_MID.  An n_lam-wide run continues u1 from RHO_MID down.  Near
-    the index resonance the pair is ill-conditioned: if `handoff` finds
-    the batch in its gap, t1 is 1 - ONE_START = 1e-3 and RK45 carries u0
-    to the stop point 1 - t1 instead, where the pair is the seeds at 1
-    (no run), and u1 is one run from there.  Either way one Cramer solve
-    matches u0 at the stop point in the pair.  No pair exists at
-    |lam - 1/2| < 1e-8 or lam = 3/2, 5/2, ...: there IndexCollisionError
-    is raised for points in (ONE_START, 1).
+    at RHO_MID.  On the nodes there the sums of u1 and of (1-rho)^sigma w
+    are formed apart and combined once (a, b) are known.  An n_lam-wide
+    run continues u1 from RHO_MID down.  Near the index resonance the
+    pair is ill-conditioned: if `handoff` finds the batch in its gap, t1
+    is 1 - ONE_START = 1e-3 and RK45 carries u0 to the stop point 1 - t1
+    instead, where the pair is the seeds at 1 (no run), and u1 is one run
+    from there.  Either way one Cramer solve matches u0 at the stop point
+    in the pair.  No pair exists at |lam - 1/2| < 1e-8 or lam = 3/2, 5/2,
+    ...: there IndexCollisionError is raised for points in (ONE_START, 1).
 
     The descent of u1 stops at r0: below it u1 ~ rho^{2-d} and
-    `_reduce_at_origin` gives it in closed form from u0's series and
+    `_origin_reduction` gives it in closed form from u0's series and
     Abel's identity.  This is the only RK45 entry of the package.
     """
     lam_arr = np.asarray(lam_arr, dtype=complex)
     pts = np.asarray(pts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    for p in (pts, values):
+    nodes = np.asarray(() if quad is None else quad.nodes, dtype=float)
+    for p in (pts, nodes):
         if len(p) and (p[0] <= 0.0 or p[-1] >= 1.0 or np.any(np.diff(p) < 0.0)):
             raise DomainError("points must be ascending in (0, 1)")
-    n_lam, n_pts = len(lam_arr), len(pts)
-    xs = np.concatenate([pts, values])   # the columns of u0 and u1
-    # u1 and u0 share one buffer in the member order of the gauge pair's
-    # run, which so fills the value points of both in place
-    both = np.empty((2, n_lam, len(xs)), dtype=complex)
-    u1, u0 = both
-    u0p, u1p = (np.empty((n_lam, n_pts), dtype=complex) for _ in range(2))
-    if not n_lam or not len(xs):
+    n_lam, n_pts, n_nodes = len(lam_arr), len(pts), len(nodes)
+    u0, u0p, u1, u1p = (np.empty((n_lam, n_pts), dtype=complex)
+                        for _ in range(4))
+    if not n_lam or not (n_pts or n_nodes):
         return u0, u0p, u1, u1p
     sig = 0.5 - lam_arr
     r0, t1, gap = handoff(lam_arr)
@@ -230,99 +234,115 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, values=()):
         rhs, x0, x_end, y0, rtol=rtol, atol=1e-300, checkpoints=cps,
         samples=smp, h0=h0)[:2]
 
-    def series(seed, lo, hi, u, up):
-        # the seed's u on the columns in [lo, hi], u' on those of pts
-        i, j = np.searchsorted(pts, lo), np.searchsorted(pts, hi, side="right")
-        u[:, i:j], up[:, i:j] = seed.eval(pts[i:j])
-        i, j = (n_pts + np.searchsorted(values, v, side=s)
-                for v, s in ((lo, "left"), (hi, "right")))
-        u[:, i:j] = seed.value(xs[i:j])
-
-    def sampled(buf, cols, descending):
-        # (value points, out) of a run for the value columns cols of the
-        # (rows, n_cols) buffer buf, in the run's direction; None if none
-        ix = np.flatnonzero(cols[n_pts:]) + n_pts
-        if not len(ix):
+    def samples(lo, hi, batch, descending, flush):
+        # the nodes lo .. hi - 1 of a run, in its direction, and their sink
+        if hi <= lo:
             return None
-        sl = slice(ix[0], ix[-1] + 1)
-        step = -1 if descending else 1
-        return xs[sl][::step], buf[:, sl][:, ::step].T
+        xs = nodes[lo:hi]
+        return (xs[::-1] if descending else xs, _rk45.SampleBlocks(
+            lo, hi, max(1, NODE_BLOCK // batch), descending, flush))
 
-    near, at_one = xs <= r0, xs >= one
-    series(so, 0.0, r0, u0, u0p)
-    series(sa, one, 1.0, u1, u1p)
-    far = xs > stop   # u0 continued in a pair at 1, matched at stop
-    is_pt = np.arange(len(xs)) < n_pts
+    width = max(1, NODE_BLOCK // (2 * n_lam))   # series blocks of 2 stacks
+    blocks = lambda lo, hi: ((i, nodes[i:min(i + width, hi)])
+                             for i in range(lo, hi, width))
+    # the zones (0, r0], (r0, stop] and (stop, 1) of pts and nodes; w, the
+    # singular branch at 1, is the series past max(one, stop)
+    w_lo = max(one, np.nextafter(stop, 1.0))
+    p_r0, p_stop, p_one, p_w = (int(np.searchsorted(pts, x, s)) for x, s in (
+        (r0, "right"), (stop, "right"), (one, "left"), (w_lo, "left")))
+    q_r0, q_stop, q_w = (int(np.searchsorted(nodes, x, s)) for x, s in (
+        (r0, "right"), (stop, "right"), (w_lo, "left")))
+    far = p_stop < n_pts or q_stop < n_nodes   # u0 continued in the pair
+    u0[:, :p_r0], u0p[:, :p_r0] = so.eval(pts[:p_r0])
+    u1[:, p_one:], u1p[:, p_one:] = sa.eval(pts[p_one:])
 
     # u0 up from the origin series to stop
-    mid = ~near & ~far
-    if np.any(mid) or np.any(far):
-        x_end = stop if np.any(far) else float(np.max(xs[mid]))
+    if p_r0 < n_pts or q_r0 < n_nodes:
+        x_end = stop if far else float(max(pts[p_r0:p_stop].max(initial=0.0),
+                                           nodes[q_r0:q_stop].max(initial=0.0)))
         at_stop, vals = land(plain, r0, x_end, np.stack(so.eval(r0), axis=-1),
-                             xs[mid & is_pt], sampled(u0, mid, False))
-        u0[:, mid & is_pt] = vals[:, :, 0].T
-        u0p[:, mid[:n_pts]] = vals[:, :, 1].T
+                             pts[p_r0:p_stop],
+                             samples(q_r0, q_stop, n_lam, False,
+                                     lambda i, v: quad.add(quad.s0, i, v)))
+        u0[:, p_r0:p_stop] = vals[:, :, 0].T
+        u0p[:, p_r0:p_stop] = vals[:, :, 1].T
         del vals   # freed before the next run's checkpoint values
 
     # u1 down from the series at 1: above RHO_MID the u_a half of the pair
     x1, y1 = one, np.stack(sa.eval(one), axis=-1)
-    if np.any(far):
+    if far:
         # u_a and w, the singular branch in the gauge of `_batch_rhs`
-        # (sig), are both Taylor series at 1; u0's slots on far hold w
-        # until (a, b) are known
-        w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex), seed_one(
-            d, lam_arr, variant, "singular").coefficients)
-        series(w_seed, max(one, np.nextafter(stop, 1.0)), 1.0, u0, u0p)
+        # (sig), are both Taylor series at 1; u0's columns past stop hold
+        # w until (a, b) are known, and the node sums of u_a and
+        # (1-rho)^sig w (s_aw) are kept apart until then
+        ss = seed_one(d, lam_arr, variant, "singular")
+        w_seed = FrobeniusSeed("one", np.zeros(n_lam, dtype=complex),
+                               ss.coefficients)
+        u0[:, p_w:], u0p[:, p_w:] = w_seed.eval(pts[p_w:])
+        s_aw = None if quad is None else quad.zeros(2)
+        for i, x in blocks(q_w, n_nodes):
+            quad.add(s_aw, i, np.stack([sa.value(x), ss.value(x)]))
         pair_end = np.concatenate([y1, np.stack(w_seed.eval(one), axis=-1)])
         if stop < one:
-            # one batch (u_a first), sampled into the rows of u1 and u0
-            upper = (xs >= stop) & ~at_one & is_pt
-            rk = far & ~at_one
+            # one batch (u_a first), landing on the pts in [stop, one)
+            def pair_sums(i, v):
+                x = nodes[i:i + v.shape[1]]
+                v[n_lam:] *= np.exp(np.multiply.outer(sig, np.log(1.0 - x)))
+                quad.add(s_aw, i, v.reshape(2, n_lam, -1))
+
+            p_up = int(np.searchsorted(pts, stop, "left"))
             pair_end, pair = land(
                 _batch_rhs(d, np.tile(lam_arr, 2),
                            np.tile(np.broadcast_to(variant, lam_arr.shape), 2),
                            np.concatenate([np.zeros(n_lam, dtype=complex), sig])),
-                one, stop, pair_end, xs[upper][::-1],
-                sampled(both.reshape(2 * n_lam, -1), rk, True))
-            n_up, n_rk = np.count_nonzero(upper), np.count_nonzero(rk & is_pt)
-            u1[:, upper] = pair[:n_up, :n_lam, 0][::-1].T
-            u1p[:, upper[:n_pts]] = pair[:n_up, :n_lam, 1][::-1].T
-            u0[:, rk & is_pt] = pair[:n_rk, n_lam:, 0][::-1].T
-            u0p[:, rk[:n_pts]] = pair[:n_rk, n_lam:, 1][::-1].T
+                one, stop, pair_end, pts[p_up:p_one][::-1],
+                samples(q_stop, q_w, 2 * n_lam, True, pair_sums))
+            n_up, n_rk = p_one - p_up, p_one - p_stop
+            u1[:, p_up:p_one] = pair[:n_up, :n_lam, 0][::-1].T
+            u1p[:, p_up:p_one] = pair[:n_up, :n_lam, 1][::-1].T
+            u0[:, p_stop:p_one] = pair[:n_rk, n_lam:, 0][::-1].T
+            u0p[:, p_stop:p_one] = pair[:n_rk, n_lam:, 1][::-1].T
             del pair
         x1, y1 = stop, pair_end[:n_lam]
         basis = (y1.T, _ungauge(sig, stop, *pair_end[n_lam:].T))
-        u1[:, (xs == stop) & ~is_pt] = y1[:, :1]
-        # far is a range at the end of pts and one at the end of values;
-        # w becomes the singular branch in place, and the matching is
-        # done in place too
-        i_pt = int(np.searchsorted(pts, stop, side="right"))
-        i_val = n_pts + int(np.searchsorted(values, stop, side="right"))
-        u0[:, i_pt:n_pts], u0p[:, i_pt:] = _ungauge(
-            sig[:, None], pts[i_pt:], u0[:, i_pt:n_pts], u0p[:, i_pt:])
-        gauge = np.multiply.outer(sig, np.log(1.0 - xs[i_val:]))
-        u0[:, i_val:] *= np.exp(gauge, out=gauge)
+        # w becomes the singular branch in place, and the matching is done
+        # in place too
+        far_p = slice(p_stop, None)
+        u0[:, far_p], u0p[:, far_p] = _ungauge(
+            sig[:, None], pts[far_p], u0[:, far_p], u0p[:, far_p])
         a, b = _pair_coefficients(*at_stop.T, *basis)
-        for u, w, cols in ((u0, u1, slice(i_pt, n_pts)),
-                           (u0, u1, slice(i_val, None)),
-                           (u0p, u1p, slice(i_pt, None))):
-            u[:, cols] *= b[:, None]
-            u[:, cols] += a[:, None] * w[:, cols]
+        for u, w in ((u0, u1), (u0p, u1p)):
+            u[:, far_p] *= b[:, None]
+            u[:, far_p] += a[:, None] * w[:, far_p]
+        if quad is not None:
+            quad.s1 += s_aw[0]
+            s_aw[0] *= a[:, None]
+            s_aw[1] *= b[:, None]
+            quad.s0 += s_aw[0]
+            quad.s0 += s_aw[1]
 
-    # u1 on down to r0, and below it by reduction of order
-    low = ~near & (xs < x1)
-    if np.any(low) or np.any(near):
-        x_end = r0 if np.any(near) else float(np.min(xs[low]))
-        star, vals = land(plain, x1, x_end, y1, xs[low & is_pt][::-1],
-                          sampled(u1, low, True))
-        u1[:, low & is_pt] = vals[:, :, 0][::-1].T
-        u1p[:, low[:n_pts]] = vals[:, :, 1][::-1].T
+    # u1 on down to r0, and below it by reduction of order; the descent
+    # samples the nodes in (r0, x1] (x1 itself exactly, at its start)
+    p_lo = int(np.searchsorted(pts, x1, "left"))
+    q_lo = int(np.searchsorted(nodes, x1, "right"))
+    if p_lo or q_lo:
+        x_end = r0 if p_r0 or q_r0 else float(min(pts[:p_lo].min(initial=1.0),
+                                                  nodes[:q_lo].min(initial=1.0)))
+        star, vals = land(plain, x1, x_end, y1, pts[p_r0:p_lo][::-1],
+                          samples(q_r0, q_lo, n_lam, True,
+                                  lambda i, v: quad.add(quad.s1, i, v)))
+        u1[:, p_r0:p_lo] = vals[:, :, 0][::-1].T
+        u1p[:, p_r0:p_lo] = vals[:, :, 1][::-1].T
         del vals
-    if np.any(near):
-        u1[:, near], u1p[:, near[:n_pts]] = _reduce_at_origin(
-            d, lam_arr, so, r0, xs[near], u0[:, near], u0p[:, near[:n_pts]],
-            star.T)
-    if not all(np.all(np.isfinite(v)) for v in (both, u0p, u1p)):
+    if p_r0 or q_r0:
+        reduce = _origin_reduction(d, lam_arr, so, r0, star.T)
+        u1[:, :p_r0], u1p[:, :p_r0] = reduce(pts[:p_r0], u0[:, :p_r0],
+                                             u0p[:, :p_r0])
+        for i, x in blocks(0, q_r0):
+            v0 = so.value(x)
+            quad.add(quad.sums, i, np.stack([v0, reduce(x, v0, v0[:, :0])[0]]))
+    sums = () if quad is None else (quad.s0, quad.s1)
+    if not all(np.all(np.isfinite(v)) for v in (u0, u0p, u1, u1p, *sums)):
         raise QuadratureError("fundamental solution overflowed on nodes")
     return u0, u0p, u1, u1p
 

@@ -7,7 +7,6 @@ import pytest
 from conewave import blowup as bl
 from conewave import collocation as co
 from conewave.errors import DomainError, NoBracketError, SecantFailure
-from conewave.model import c_d
 
 SQRT2 = math.sqrt(2.0)
 
@@ -214,6 +213,14 @@ class TestInstabilityDemo:
         assert rep["signs"][1.02] > 0 > rep["signs"][0.98]
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_growth_slope_at_every_d(self, d):
+        # the window spans a factor 2 over the detuned data's coefficient,
+        # (d-2)/4 of a fixed 0.02 c_d bound, so d 6 reports slopes too
+        rep = bl.instability_demo(co.build(d, 32), tau_max=10.0)
+        for T, slope in rep["slopes"].items():
+            assert slope is not None and abs(slope - 1.0) <= 0.1, (d, T)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_run_ends_with_its_window(self, d):
         # the pair stops once its slope window has closed; a run to
         # tau_max gives the same slopes, bit for bit, and the same signs
@@ -224,7 +231,8 @@ class TestInstabilityDemo:
                              10.0, 0.01)
         for T, traj in zip(pair, full):
             c = np.real(traj.mode_coeffs)
-            window = (np.abs(c) >= abs(c[0])) & (np.abs(c) <= 0.02 * c_d(d))
+            window = ((np.abs(c) >= abs(c[0]))
+                      & (np.abs(c) <= bl.growth_limit(d)))
             slope = None
             if np.sum(window) >= 5:
                 slope = float(np.polyfit(traj.taus[window],

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conewave import cli, frobenius, model
+from conewave import blowup as bl
 from conewave import evolve as ev
 from conewave import radialode as ro
 from conewave.errors import (NotConvergedWarning, StepFailure,
@@ -128,6 +129,8 @@ def test_manifest_on_every_exit(tmp_path, monkeypatch, command, code, error):
     assert manifest.get("error") == error
     assert "config_sha256" in manifest
     assert {"scipy", "python"} <= set(manifest["versions"])
+    # the process's peak resident memory so far, on every exit
+    assert manifest["peak_rss_mb"] > 0.0
 
 
 def test_unconverged_series_exits_65(tmp_path, monkeypatch):
@@ -239,9 +242,11 @@ class TestCommands:
         assert report["S_phys_err"] >= 0.0
         assert report["n_evolutions_err"] >= 4
 
-    def test_fit_blowup_unfit_slopes_are_null(self, tmp_path):
-        # at d 6 DETUNE puts |c0| at the demo window's bound, so the
-        # window is empty; the report stays strict JSON
+    def test_fit_blowup_unfit_slopes_are_null(self, tmp_path, monkeypatch):
+        # a demo window with fewer than 5 snapshots gives null slopes; the
+        # window top is forced below |c0| here, as a fixed 0.02 c_d top did
+        # at d 6 before it followed d.  The report stays strict JSON
+        monkeypatch.setattr(bl, "growth_limit", lambda d: 1e-300)
         code = cli.main(["fit-blowup", "--d", "6", "--N", "32",
                          "--tau-max", "6", "--out", str(tmp_path)])
         assert code == 0

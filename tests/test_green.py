@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -71,11 +72,12 @@ class TestKernel:
 
     def test_jump_relation(self, kernel_d4):
         # (1-s^2) [d_rho G jump across rho=s] = -1, where the jump is
-        # weight(s) (u0 u1' - u0' u1)(s)
+        # weight(s) (u0 u1' - u0' u1)(s), weight = s^{d-1} (1-s^2)^{lam-1/2}
+        # / (2i)
         s = 0.55
         k = int(np.searchsorted(KERNEL_PTS, s))
         u0, u0p, u1, u1p, _ = kernel_d4
-        weight = gr._kernel_weight(4, np.array([2.0 + 0.0j]), s)[0, 0]
+        weight = s**3 * (1.0 - s * s) ** 1.5 / 2.0j
         jump = weight * (u0[0, k] * u1p[0, k] - u0p[0, k] * u1[0, k])
         assert abs((1 - s * s) * jump + 1.0) <= 1e-6
 
@@ -124,6 +126,19 @@ class TestResolvent:
             assert np.max(np.abs(u2[0] - u2e(rho))) <= 1e-6
             # the rho = 1 derivative trace, from the equation there
             assert abs(u1p[0, -1] + 0.8) <= 1e-10   # u1'(1) = -2 + 1.2
+
+    def test_forward_operator_oracle_in_the_index_gap(self):
+        # within INDEX_GAP of the index resonance u0 runs to ONE_START and
+        # the pair at 1 is the seeds there: the node sums past ONE_START
+        # come from the series, the rest from the runs (3.2e-11 measured)
+        rho = np.linspace(0.0, 1.0, 21)
+        for lam in (1.502, 1.5 + 0.003j, 2.496):
+            assert fr.handoff(np.array([lam]))[2]
+            src, u1e, _ = _poly_pair_source(4, lam)
+            u1 = gr._resolvent_batch(4, [lam], "perturbed", src, rho,
+                                     rtol=1e-10)[0][0]
+            err = np.max(np.abs(u1 - u1e(rho))) / np.max(np.abs(u1e(rho)))
+            assert err <= 1e-9, (lam, err)
 
     def test_quadrature_nodes_are_value_only(self, monkeypatch):
         # the nodes are RK45 samples: each run lands only on its output
@@ -287,8 +302,8 @@ GREEN_CHECK_LAMS = [2.0, 0.5 + 3.0j, 0.1 + 10.0j]
 @pytest.fixture(scope="module")
 def green_check_run():
     """The CLI's green-check at N 96: its residuals, the RHS calls of its
-    RK45 solves and their lowest abscissa, and the (pts, values) of each
-    integrate call."""
+    RK45 solves and their lowest abscissa, its source, and the (pts, quad)
+    of each integrate call."""
     disc = co.build(4, 96)
     src, _ = cli._smooth_test_source(disc, remove_projection=False)
     rho_test = disc.nodes[(disc.nodes >= 0.05) & (disc.nodes <= 0.95)]
@@ -304,9 +319,9 @@ def green_check_run():
             return f(x, y)
         return counted
 
-    def recorded(d, lam_arr, variant, pts, rtol, values=()):
-        layouts.append((pts, values))
-        return integrate(d, lam_arr, variant, pts, rtol, values)
+    def recorded(d, lam_arr, variant, pts, rtol, quad=None):
+        layouts.append((pts, quad))
+        return integrate(d, lam_arr, variant, pts, rtol, quad)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ro, "_batch_rhs", counted_rhs)
@@ -315,7 +330,7 @@ def green_check_run():
                                  rho_test)
     assert len(rho_test) == 72
     return SimpleNamespace(out=out, calls=calls[0], lowest=lowest[0],
-                           layouts=layouts)
+                           src=src, layouts=layouts)
 
 
 class TestGreenCheckLayout:
@@ -341,7 +356,7 @@ class TestGreenCheckLayout:
         # the smallest node, 2.7e-10
         run = green_check_run
         assert run.calls <= 11_000
-        assert min(run.layouts[0][1]) < 1e-9
+        assert min(run.layouts[0][1].nodes) < 1e-9
         # with the series handed over at r0 and 1 - t1 of the batch's
         # largest |lam| (here both 0.1 from the endpoints): 4,917 RHS
         # calls, against 8,667 with both handoffs 1e-3 from them
@@ -351,22 +366,35 @@ class TestGreenCheckLayout:
         assert run.lowest == fr.handoff(GREEN_CHECK_LAMS)[0]
 
     def test_integrate_matches_a_tight_reference(self, green_check_run):
-        # the value points (quadrature nodes) come from each step's quintic
-        # Hermite; the reference takes every point as a full point
-        [(pts, values)] = green_check_run.layouts
-        assert len(values) > 10 * len(pts)
-        out = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", pts, 1e-10,
-                           values)
-        every = np.concatenate([pts, values])
+        # on the quadrature nodes integrate forms only the panel sums of
+        # K u0 and K u1, from each step's quintic Hermite; the reference
+        # takes every node as a full point, and its sums use the same
+        # green-check weights K
+        run = green_check_run
+        [(pts, quad)] = run.layouts
+        lams = np.asarray(GREEN_CHECK_LAMS, dtype=complex)
+        fresh = gr.PanelSums(4, lams, run.src, pts[pts != ro.RHO_MID])
+        assert np.array_equal(fresh.nodes, quad.nodes)
+        nodes, n_pts = quad.nodes, len(pts)
+        assert len(nodes) > 10 * n_pts
+        out = ro.integrate(4, lams, "perturbed", pts, 1e-10, fresh)
+        every = np.concatenate([pts, nodes])
         order = np.argsort(every)
-        ref = ro.integrate(4, GREEN_CHECK_LAMS, "perturbed", every[order],
-                           1e-13)
-        for name, u, r in zip(("u0", "u1"), out[::2], ref[::2]):
+        ref = ro.integrate(4, lams, "perturbed", every[order], 1e-13)
+        _, _, wts = gr._panel_layout(pts[pts != ro.RHO_MID])
+        kern = (nodes**3 * (1.0 - nodes**2) ** (lams[:, None] - 0.5) / 2.0j
+                * wts * run.src.F_lambda(nodes, lams[:, None], 4))
+        grid = (len(lams), len(quad.bps) - 1, gr.GL_NODES)
+        for name, u, r, sums in (("u0", out[0], ref[0], fresh.s0),
+                                 ("u1", out[2], ref[2], fresh.s1)):
             r = r[:, np.argsort(order)]
-            for part in (slice(0, len(pts)), slice(len(pts), None)):
-                rel = (np.max(np.abs(u[:, part] - r[:, part]), axis=1)
-                       / np.max(np.abs(r[:, part]), axis=1))
-                assert np.all(rel <= 1e-9), (name, part, rel)
+            rel = (np.max(np.abs(u - r[:, :n_pts]), axis=1)
+                   / np.max(np.abs(r[:, :n_pts]), axis=1))
+            assert np.all(rel <= 1e-9), (name, rel)
+            ku = (kern * r[:, n_pts:]).reshape(grid)
+            # each panel's error relative to its sum of |K u|
+            rel = np.abs(sums - ku.sum(axis=2)) / np.abs(ku).sum(axis=2)
+            assert np.all(rel <= 1e-9), (name, rel.max(axis=1))
 
 
 class TestKernelDecay:
@@ -398,6 +426,21 @@ class TestKernelDecay:
 
 
 class TestSemigroupLaplace:
+    def test_peak_memory_at_the_benchmark_config(self):
+        # integrate hands the node values to the panel sums block by block,
+        # so no (n_lam, n_nodes) array is formed: 27.4 MiB when u0, u1 and
+        # the kernel weight were kept at every node of a batch
+        disc = co.build(4, 96)
+        src, _ = cli._smooth_test_source(disc)
+        tracemalloc.start()
+        try:
+            gr.semigroup_laplace(4, 1.0, src, disc.nodes, eps=0.4,
+                                 omega_max=100.0, domega=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20, peak / 2**20
+
     def _source(self, d, disc):
         f1 = lambda r: np.exp(-np.asarray(r) ** 2) * (1.0 - np.asarray(r) ** 2)
         f1p = lambda r: np.exp(-np.asarray(r) ** 2) * (

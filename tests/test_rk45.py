@@ -362,3 +362,36 @@ def test_spectral_steps_match_the_reference(gauged):
         _reference_rhs(4, lam, "perturbed", sigma),
         ORIGIN_START, 0.5, y0, cps, 1e-8, 1e-300, 0.5 / 60.0)
     assert accepted > len(cps)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_sample_blocks_hand_over_what_an_array_holds(descending):
+    # solve fills a SampleBlocks as it fills an array: the blocks, each of
+    # at least width samples but the run's last, put together in
+    # ascending order are the array's samples, bit for bit
+    y0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    xs = np.linspace(0.1, 5.9, 40)
+    x0, x_end = (6.0, 0.0) if descending else (0.0, 6.0)
+    run = xs[::-1] if descending else xs
+    held = np.empty((len(xs), 2), dtype=complex)
+    _rk45.solve(_oscillator, x0, x_end, y0, rtol=1e-9, samples=(run, held))
+    got = {}
+    blocks = _rk45.SampleBlocks(3, 43, 7, descending,
+                                lambda i, v: got.setdefault(i, v.copy()))
+    _rk45.solve(_oscillator, x0, x_end, y0, rtol=1e-9, samples=(run, blocks))
+    starts = sorted(got)
+    sizes = [got[i].shape[1] for i in starts]
+    assert starts == list(3 + np.cumsum([0] + sizes[:-1]))
+    assert sum(sizes) == len(xs) and len(starts) > 2
+    assert min(sizes[1:] if descending else sizes[:-1]) >= 7
+    vals = np.concatenate([got[i] for i in starts], axis=1)
+    assert np.array_equal(vals.T, held[::-1] if descending else held)
+
+
+def test_sample_blocks_at_zero_span():
+    # solve assigns its one state to every sample
+    got = []
+    blocks = _rk45.SampleBlocks(0, 3, 7, True, lambda i, v: got.append(v))
+    y0 = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
+    _rk45.solve(_oscillator, 1.0, 1.0, y0, samples=(np.ones(3), blocks))
+    assert len(got) == 1 and np.array_equal(got[0], [[1.0] * 3, [2.0] * 3])
