@@ -185,10 +185,10 @@ def integrate(d: int, lam_arr, variant, pts, rtol: float, quad=None):
     comes from RK45 runs: a point of pts is a checkpoint, which the steps
     land on, and a node is an RK45 sample, filled from the quintic
     Hermite of the step that covers it at no RHS call (so nodes never
-    shorten a step), into `_rk45.SampleBlocks`, which hands over blocks.  RK45
-    carries u0 up from r0 and u1 down from 1 - t1; the states that the
-    matching at the stop point and the reduction below r0 read are the
-    runs' end states, not checkpoints.
+    shorten a step), into `_rk45.SampleBlocks`, which hands over blocks.
+    RK45 carries u0 up from r0 and u1 down from 1 - t1; the states that
+    the matching at the stop point and the reduction below r0 read are
+    the runs' end states, not checkpoints.
 
     u0 holds the singular branch (1-rho)^sigma, sigma = 1/2 - lam, of the
     Frobenius pair at 1, which oscillates like e^{-i Im(lam) ln(1-rho)}.
