@@ -213,6 +213,8 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     ``n_evolutions`` counts every member evolution, coarse and fine;
     ``coarse`` keeps the coarse grid for ``refinement_error``.
     """
+    # the gate first: at d >= 7 the coarse grid may not build
+    check_dimension(disc.d, nonlinear=True)
     delta = v.delta
     a, b = 1.0 - delta, 1.0 + delta
     coarse = _coarse_grid(disc)

@@ -17,11 +17,11 @@ with the second output component u2 = lam u + rho u' + (d-2)/2 u - f1.
 `build_kernel` returns the normalized u0, u1 and their derivatives on a
 point set for an array of lam (and, given a `PanelSums`, the panel sums
 of K u0 and K u1 on the quadrature nodes), from one `radialode.integrate`
-call; the resolvent, `green_eval` and the kernel-decay scan all read
-them from there, and only
-`integrate` knows the Frobenius pairs at 0 and 1 (it raises
-IndexCollisionError on nodes near 1 where the pair at 1 does not exist:
-|lam - 1/2| < 1e-8, lam = 3/2, 5/2, ...).  The resolvent output
+call; the resolvent reads them from there, as do the tests' Green
+function and kernel-decay oracles, and only `integrate` knows the
+Frobenius pairs at 0 and 1 (it raises IndexCollisionError on nodes near
+1 where the pair at 1 does not exist: |lam - 1/2| < 1e-8, lam = 3/2,
+5/2, ...).  The resolvent output
 is smooth at rho = 1: u1(1) = 1 and u0 int_rho^1 K u1 -> 0, so the
 trace there is int_0^1 K u0, and the equation at rho = 1, where the u''
 coefficient 1 - rho^2 vanishes, gives the derivative trace
@@ -60,7 +60,6 @@ The semigroup is evaluated by truncated Laplace inversion
 using the conjugate symmetry of the integrand for real data.
 """
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -69,14 +68,12 @@ import numpy as np
 
 # unused here, but the benchmark's tracer patches conewave.green:_rk45.solve
 from . import _rk45
-from .collocation import even_cheb_coeffs, even_cheb_eval
 from .errors import (DomainError, NearEigenvalueError, QuadratureError,
                      TruncationWarning)
-from .model import potential_constant, varphi
+from .model import potential_constant
 # `integrate` is bound here by name: the benchmark's tracer patches
 # conewave.green:integrate and conewave.green:build_kernel
 from .radialode import RHO_MID, integrate, matching_wronskian, ode_residual
-from .specfun import (bessel_j, bessel_j_deriv, bessel_y, bessel_y_deriv)
 
 GEO_DEPTH = 24
 GL_NODES = 12
@@ -94,18 +91,6 @@ class SourceTerm:
     f1: callable
     f1p: callable
     f2: callable
-
-    @classmethod
-    def from_grid(cls, disc, pair):
-        """Interpolate a grid pair through its even-Chebyshev series."""
-        u1, u2 = np.asarray(pair[0]), np.asarray(pair[1])
-        c1 = even_cheb_coeffs(disc, u1)
-        c2 = even_cheb_coeffs(disc, u2)
-        return cls(
-            f1=lambda s: even_cheb_eval(c1, s)[0],
-            f1p=lambda s: even_cheb_eval(c1, s)[1],
-            f2=lambda s: even_cheb_eval(c2, s)[0],
-        )
 
     def F_lambda(self, s, lam, d):
         """F_lam(s) for a scalar lam, or an array of lam broadcast against s."""
@@ -230,21 +215,6 @@ def build_kernel(d: int, lam_arr, variant: str, pts, rtol: float, quad=None):
     return u0, u0p, u1, u1p, c
 
 
-def green_eval(d: int, lam, variant: str, rho, s, rtol: float = 1e-10):
-    """G(rho, s, lam) for a scalar or an array of lam; continuous across
-    rho = s."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    rho, s = float(rho), float(s)
-    lo, hi = min(rho, s), max(rho, s)
-    pts = np.unique([lo, hi, 0.5])
-    u0, _, u1, _, _ = build_kernel(d, lam_arr, variant, pts, rtol)
-    i, j = np.searchsorted(pts, [lo, hi])
-    # s^{d-1} (1-s^2)^{lam-1/2} / (2i) u0(min) u1(max)
-    weight = s ** (d - 1.0) * np.exp((lam_arr - 0.5) * math.log(1.0 - s * s))
-    g = weight / 2.0j * u0[:, i] * u1[:, j]
-    return complex(g[0]) if np.ndim(lam) == 0 else g
-
-
 # ---------------------------------------------------------------------------
 # resolvent application
 # ---------------------------------------------------------------------------
@@ -357,28 +327,8 @@ def residual_checks(d: int, lams, variant: str, src: SourceTerm,
 
 
 # ---------------------------------------------------------------------------
-# kernel decay and Laplace inversion
+# Laplace inversion
 # ---------------------------------------------------------------------------
-
-
-def kernel_decay_scan(d: int, rho: float, s: float, omega_list,
-                      eps: float = 0.1) -> dict:
-    """|G - G_f|(rho, s, eps + i w) over omega_list with a log-log slope fit."""
-    if not (0.05 <= rho < 1.0 and 0.05 <= s < 1.0):
-        raise DomainError("evaluation points should lie inside (0, 1)")
-    omegas = np.asarray(sorted(omega_list), dtype=float)
-    lam = eps + 1j * omegas
-    diffs = np.abs(green_eval(d, lam, "perturbed", rho, s)
-                   - green_eval(d, lam, "free", rho, s))
-    pos = omegas > 0
-    slope = float(np.polyfit(np.log(omegas[pos]), np.log(diffs[pos]), 1)[0]) \
-        if np.sum(pos) >= 2 else math.nan
-    return {
-        "d": d, "rho": rho, "s": s, "eps": eps,
-        "omegas": omegas.tolist(), "differences": diffs.tolist(),
-        "slope": slope,
-        "monotone": bool(np.all(np.diff(diffs[pos]) < 0.0)),
-    }
 
 
 def semigroup_laplace(d: int, tau: float, src: SourceTerm, rho_out,
@@ -434,90 +384,3 @@ def semigroup_laplace(d: int, tau: float, src: SourceTerm, rho_out,
             TruncationWarning,
         )
     return total
-
-
-# ---------------------------------------------------------------------------
-# perturbed Bessel model near the origin
-# ---------------------------------------------------------------------------
-
-
-def _b_solution(d, lam, rho, kind: str):
-    """b_1/b_2 = sqrt((1-rho^2) phi) J/Y_{(d-2)/2}(a phi) and derivatives."""
-    rho = np.asarray(rho, dtype=float)
-    nu = (d - 2.0) / 2.0
-    a = 1j * (0.5 - complex(lam))
-    phi = varphi(rho)
-    om = 1.0 - rho * rho
-    g = om * phi
-    gp = -2.0 * rho * phi + 1.0
-    gpp = -2.0 * phi - 2.0 * rho / om
-    m = np.sqrt(g)
-    mp = gp / (2.0 * m)
-    mpp = gpp / (2.0 * m) - gp * gp / (4.0 * g * m)
-    z = a * phi
-    phip = 1.0 / om
-    phipp = 2.0 * rho / om**2
-    if kind == "J":
-        f = np.array([bessel_j(nu, zz) for zz in np.atleast_1d(z)])
-        fp = np.array([bessel_j_deriv(nu, zz) for zz in np.atleast_1d(z)])
-    else:
-        f = np.array([bessel_y(nu, zz) for zz in np.atleast_1d(z)])
-        fp = np.array([bessel_y_deriv(nu, zz) for zz in np.atleast_1d(z)])
-    z1 = np.atleast_1d(z)
-    fpp = -fp / z1 - (1.0 - nu * nu / z1**2) * f
-    b = m * f
-    bp = mp * f + m * fp * a * phip
-    bpp = (mpp * f + 2.0 * mp * fp * a * phip
-           + m * (fpp * (a * phip) ** 2 + fp * a * phipp))
-    return b, bp, bpp
-
-
-def perturbed_bessel_check(d: int, lam, rho_grid) -> dict:
-    """Residual of b1 in the Liouville-Green model equation, the rho -> 0
-    convergence rate of the transformed origin-regular solution toward b1,
-    and the cross Wronskian W(b1, b2) = 2/pi."""
-    lam = complex(lam)
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    b1, b1p, b1pp = _b_solution(d, lam, rho_grid, "J")
-    om = 1.0 - rho_grid**2
-    phi = varphi(rho_grid)
-    # v'' = [phi'^2 ((1/2-lam)^2 - (4d-d^2-3)/(4 phi^2)) - Q_phi] v with
-    # Q_phi = 1/(1-rho^2)^2 (the Liouville-Green correction enters with a
-    # minus sign, as direct substitution into the no-first-order form shows)
-    pot = ((1.0 - 4.0 * lam + 4.0 * lam * lam) / (4.0 * om**2)
-           - (4.0 * d - d * d - 3.0) / (4.0 * phi**2 * om**2)
-           - 1.0 / om**2)
-    resid = b1pp - pot * b1
-    res_rel = float(np.max(np.abs(resid) / (np.abs(b1pp) + np.abs(pot * b1))))
-
-    b2, b2p, _ = _b_solution(d, lam, rho_grid, "Y")
-    wr = b1 * b2p - b1p * b2
-    wr_err = float(np.max(np.abs(wr - 2.0 / math.pi) * math.pi / 2.0))
-
-    # transformed origin-regular solution against b1
-    rho_ref = 1e-3
-    pts = np.unique(np.append(rho_grid, rho_ref))
-    u0 = integrate(d, [lam], "perturbed", pts, 1e-11)[0]
-    u0r = u0[0, np.searchsorted(pts, rho_ref)]
-    u0 = u0[0, np.searchsorted(pts, rho_grid)]
-    v = rho_grid ** ((d - 1.0) / 2.0) * np.exp(
-        (0.25 + lam / 2.0) * np.log(om)) * u0
-    ratio = v / b1
-    vref = rho_ref ** ((d - 1.0) / 2.0) * cmath.exp(
-        (0.25 + lam / 2.0) * math.log(1.0 - rho_ref**2)) * complex(u0r)
-    b1r = _b_solution(d, lam, np.asarray([rho_ref]), "J")[0][0]
-    c_inf = complex(vref / b1r)
-    dev = np.abs(ratio - c_inf)
-    fit_mask = (rho_grid >= 0.02) & (rho_grid <= 0.3) & (dev > 0)
-    if np.sum(fit_mask) >= 2:
-        slope = float(np.polyfit(np.log(rho_grid[fit_mask]),
-                                 np.log(dev[fit_mask]), 1)[0])
-    else:
-        slope = math.nan
-    return {
-        "d": d, "lam": lam,
-        "model_residual": res_rel,
-        "wronskian_error": wr_err,
-        "ratio_constant": c_inf,
-        "rate_slope": slope,
-    }

@@ -1,4 +1,5 @@
-"""Blowup family, similarity coordinates, nonlinearity, Strichartz pairs.
+"""Blowup amplitude, nonlinearity and Strichartz pairs of the equation
+in similarity coordinates.
 
 The focusing energy-critical radial wave equation
 (d_t^2 - d_r^2 - (d-1)/r d_r) u = u |u|^{4/(d-2)} has the space-independent
@@ -8,7 +9,9 @@ blowup family u^T(t) = c_d (T-t)^{(2-d)/2}.  Similarity coordinates
 
 map the backward lightcone Gamma_T onto the cylinder [0, inf) x [0, 1],
 and psi(tau, rho) = (T e^{-tau})^{(d-2)/2} u(T - T e^{-tau}, T e^{-tau} rho)
-turns u^T into the constant c_d.
+turns u^T into the constant c_d.  The library works on the cylinder
+only; the map itself, like the profile u^T, is a test oracle
+(``tests/closed_forms.py``).
 """
 
 import functools
@@ -35,54 +38,10 @@ def c_d(d: int) -> float:
     return (d * (d - 2) / 4.0) ** ((d - 2) / 4.0)
 
 
-def ode_blowup(d: int, T: float, t) -> float:
-    """u^T(t) = c_d (T-t)^{(2-d)/2}; independent of r."""
-    check_dimension(d)
-    t = np.asarray(t, dtype=float)
-    if np.any(t >= T):
-        raise DomainError("blowup profile defined for t < T only")
-    return c_d(d) * (T - t) ** ((2.0 - d) / 2.0)
-
-
 def sphere_area(d: int) -> float:
     """|S^{d-1}| = 2 pi^{d/2} / Gamma(d/2)."""
     check_dimension(d)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# similarity coordinates
-# ---------------------------------------------------------------------------
-
-
-def to_similarity(T: float, t, r):
-    """(t, r) in the backward lightcone -> (tau, rho)."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(t < 0) or np.any(t >= T) or np.any(r < 0) or np.any(r > T - t):
-        raise DomainError("point outside the backward lightcone Gamma_T")
-    tau = -np.log1p(-t / T)  # exactly 0 at t = 0, never negative
-    rho = r / (T - t)
-    return tau, rho
-
-
-def from_similarity(T: float, tau, rho):
-    """(tau, rho) on the cylinder -> (t, r)."""
-    tau = np.asarray(tau, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(tau < 0) or np.any(rho < 0) or np.any(rho > 1):
-        raise DomainError("similarity point outside [0,inf) x [0,1]")
-    t = T - T * np.exp(-tau)
-    r = T * np.exp(-tau) * rho
-    return t, r
-
-
-def psi_from_u(d: int, T: float, u, tau, rho):
-    """psi(tau, rho) = (T e^{-tau})^{(d-2)/2} u(T - T e^{-tau}, T e^{-tau} rho)."""
-    check_dimension(d)
-    tau = np.asarray(tau, dtype=float)
-    t, r = from_similarity(T, tau, rho)
-    return (T * np.exp(-tau)) ** ((d - 2) / 2.0) * u(t, r)
 
 
 # ---------------------------------------------------------------------------
@@ -153,40 +112,3 @@ def strichartz_pairs(d: int):
     q_lo, q_hi = q_bounds(d)
     return (2.0, q_hi), (math.inf, q_lo)
 
-
-def admissible(d: int, p: float, q: float) -> bool:
-    """True iff 1/p + d/q = d/2 - 1 (to 1e-12) with p in [2, inf], q in range."""
-    check_dimension(d)
-    tol = 1e-12
-    if p < 2.0:
-        return False
-    qlo, qhi = q_bounds(d)
-    if q < qlo - tol or q > qhi + tol:
-        return False
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    return abs(inv_p + d / q - (d / 2.0 - 1.0)) <= tol
-
-
-# ---------------------------------------------------------------------------
-# Liouville-Green machinery shared with the ODE analysis
-# ---------------------------------------------------------------------------
-
-
-def varphi(rho):
-    """Diffeomorphism phi(rho) = log((1+rho)/(1-rho)) / 2 of (0,1) onto (0,inf)."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0) or np.any(rho >= 1):
-        raise DomainError("varphi defined on [0, 1)")
-    return 0.5 * (np.log1p(rho) - np.log1p(-rho))
-
-
-def varphi_inverse(x):
-    return np.tanh(np.asarray(x, dtype=float))
-
-
-def liouville_green_potential(rho):
-    """Q_phi(rho) = 1/(1-rho^2)^2 (closed form)."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0) or np.any(rho >= 1):
-        raise DomainError("potential defined on [0, 1)")
-    return (1.0 - rho**2) ** -2.0

@@ -56,8 +56,9 @@ class TestInitialData:
     def test_domain_gate(self, disc):
         with pytest.raises(DomainError):
             bl.initial_data(disc, 1.2, bl.zero_perturbation(0.1))
-        with pytest.raises(DomainError):
-            bl.initial_data(co.build(7, 16), 1.0, bl.zero_perturbation())
+        # N 24 builds at d 7 (N 16 does not), so the nonlinear gate raises
+        with pytest.raises(DomainError, match="require 3 <= d <= 6"):
+            bl.initial_data(co.build(7, 24), 1.0, bl.zero_perturbation())
 
 
 class TestFit:
@@ -166,6 +167,13 @@ class TestFit:
         assert fit.coarse.N == 19 and 0.9 < fit.T_star < 1.1
         fit_stages(evolutions, fit.n_evolutions, N, tau_max=4.0)
         assert bl.refinement_error(fit)["T_star_err"] <= 1e-12
+
+    def test_dimension_gate_precedes_the_coarse_grid(self):
+        # N 24 builds at d 7 but its coarse grid (N' 19) does not, so the
+        # fit must raise the nonlinear gate before it builds that grid
+        with pytest.raises(DomainError, match="require 3 <= d <= 6"):
+            bl.fit_blowup_time(co.build(7, 24), bl.zero_perturbation(),
+                               tau_max=1.0)
 
     def test_no_bracket(self, disc):
         # a perturbation dominated by the gauge mode with tiny delta cannot

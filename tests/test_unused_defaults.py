@@ -22,13 +22,14 @@ detuned pair of the instability demo) are one stacked evolution each,
 the fit and its error bar build one coarse grid, and the nonlinearity
 checks its dimension only on the first call for a d.
 
-Finally, the library surface that only tests use is an explicit list
-(``TEST_ONLY``): a top-level function or class of ``src/conewave`` that
-library code does not reach must be on it, so a single-lam or test-only
-copy of a library path cannot come back unnoticed.  Library code is
-``scripts/``, the module-level code of ``src/`` and the functions and
-classes these reach, transitively; a name read only inside test-only
-code, or only imported, is not reached.
+Finally, library code reaches every top-level function and class of
+``src/conewave``, so a single-lam or test-only copy of a library path
+cannot come back unnoticed; oracles that only tests call live in
+``tests/closed_forms.py``.  Library code is ``scripts/``, the
+module-level code of ``src/`` and the functions and classes these
+reach, transitively; a name read only inside unreached code, or only
+imported, is not reached.  Methods are not scanned one by one: a class
+counts as reached as a whole.
 """
 
 import ast
@@ -50,22 +51,6 @@ CALLER_DIRS = ("src", "scripts", "tests")
 # _rk45.solve(max_steps) is set only by the benchmark's self-test, which
 # checks the step budget; the benchmark directory is not a caller here.
 ALLOWED = {("_rk45", "solve", "max_steps")}
-
-# Oracles of the paper's closed forms and checks of its statements; only
-# tests call them.  A new test-only helper in src/ is added here on purpose.
-TEST_ONLY = {
-    "collocation.dissipativity_check", "collocation.gauge_residual",
-    "collocation.norm_equivalence_check", "green._b_solution",
-    "green.green_eval", "green.kernel_decay_scan",
-    "green.perturbed_bessel_check", "model.admissible",
-    "model.from_similarity", "model.liouville_green_potential",
-    "model.ode_blowup", "model.psi_from_u", "model.to_similarity",
-    "model.varphi", "model.varphi_inverse", "specfun._bessel_args",
-    "specfun._check_2f1_params", "specfun._hyp2f1_series_with_deriv",
-    "specfun._hyp2f1_with_deriv", "specfun._taylor_recenter",
-    "specfun.bessel_j", "specfun.bessel_j_deriv", "specfun.bessel_y",
-    "specfun.bessel_y_deriv", "specfun.hyp2f1", "specfun.hyp2f1_deriv",
-}
 
 
 def _defaulted_params(tree):
@@ -315,8 +300,7 @@ def _names_read(node):
 def _names_reached_by_library_code():
     """The names that library code reaches: those read in scripts/ and
     in the module-level code of src/, then, to a fixed point, those read
-    in the top-level functions and classes of src/ so reached.  Code that
-    only test-only code reaches is itself test-only."""
+    in the top-level functions and classes of src/ so reached."""
     defs, todo = {}, set()
     for path in sorted((ROOT / "scripts").rglob("*.py")):
         todo |= _names_read(ast.parse(path.read_text(), str(path)))
@@ -334,10 +318,10 @@ def _names_reached_by_library_code():
     return reached
 
 
-def test_test_only_surface_is_listed():
+def test_library_code_reaches_every_definition():
     reached = _names_reached_by_library_code()
     unused = {f"{stem}.{node.name}" for stem, tree in _package_trees()
               for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in reached}
-    assert unused == TEST_ONLY
+    assert unused == set()
