@@ -20,15 +20,17 @@ The fit runs coarse to fine.  Its T grid and its first secant run on
 the coarse grid of the error bar's re-fit (N' = max(19, round(2N/3)),
 built once per fit and kept in ``FitResult.coarse``) at the divisor of
 tau_max nearest COARSE_DTAU dtau.  The coarse stage only seeds the fine
-one, so its secant stops once a step is below REFIT_OFFSET, and its next
-proposal is T_c.  One warm-started secant on the fine grid then
-finishes the fit, from the pair (T_c + REFIT_OFFSET, T_c), down to
-SECANT_STEP.  The re-fits of the error bar start the same way from T*,
-so one helper (``_warm_secant``) serves all three.
+one: its secant stops once a step is below COARSE_STOP, and hands on its
+next proposal T_c and the slope dc(tau_max)/dT of its last pair.  The
+fine stage evolves T_c alone, takes one Newton step with that slope and
+evolves the result; the secant (``_secant``) finishes the fit from these
+two runs, down to SECANT_STEP.  Each re-fit of the error bar evolves T*
+once on its own discretisation and takes one Newton step from it with
+the fit's last slope (``_newton_step``).
 
 Runs that do not depend on each other are one stacked evolution: the
-fit's 5-point T grid, each warm start's pair and the detuned pair of
-``instability_demo``.  The secant's runs stay one at a time.  Evolution
+fit's 5-point T grid and the detuned pair of ``instability_demo``.  The
+secant's and the Newton steps' runs stay one at a time.  Evolution
 counts count the members of a stack, coarse and fine alike.
 """
 
@@ -37,9 +39,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .collocation import SpectralDiscretization, build
 # energy_norm is unused here, but the benchmark's tracer patches
 # conewave.blowup:energy_norm
-from .collocation import SpectralDiscretization, build, energy_norm
+from .collocation import energy_norm  # noqa: F401
 from .errors import DomainError, NoBracketError, SecantFailure
 from .evolve import EvolutionTrajectory, evolve, lq_norm
 from .model import c_d, check_dimension
@@ -47,7 +50,7 @@ from .model import c_d, check_dimension
 WINDOW = 0.01  # linear window of the secant: |c| <= WINDOW c_d
 SECANT_STEP = 1e-14  # a secant step this small at tau_max ends the fit
 SECANT_MAX_STEPS = 20
-REFIT_OFFSET = 1e-9  # second start point of the error-bar re-fits
+COARSE_STOP = 1e-12  # a coarse secant step this small seeds the fine stage
 COARSE_DTAU = 4  # the coarse stage steps at ~4 dtau, a divisor of tau_max
 DETUNE = 0.02  # blowup-time detuning of the gauge-mode growth demo
 
@@ -105,6 +108,7 @@ class FitResult:
     bracket: tuple
     monotone: bool
     n_evolutions: int
+    slope: float  # dc(tau_max)/dT of the fit's last pair
     v: PerturbationData  # the data the fit was made to
     coarse: SpectralDiscretization  # reused by refinement_error
 
@@ -142,9 +146,10 @@ def _secant(disc, v, tau_max, dtau, older, newer, stop):
     newer run is exactly 0.
 
     Returns (proposal, trajectory at T*, last pair ending at T*, evolutions
-    made); the proposal is the iterate the secant would evolve next.  The
-    trajectory is the newer one passed in when the secant stops before
-    its first run.
+    made, slope); the proposal is the iterate the secant would evolve
+    next, and the slope is dc/dT of the last pair at its snapshot k, the
+    tau_max one unless c(tau_max) is exactly 0.  The trajectory is the
+    newer one passed in when the secant stops before its first run.
     """
     n_last = int(round(tau_max / dtau))
     limit = WINDOW * c_d(disc.d)
@@ -152,13 +157,13 @@ def _secant(disc, v, tau_max, dtau, older, newer, stop):
     n_ev = 0
     for _ in range(SECANT_MAX_STEPS):
         c0, c1 = np.real(traj0.mode_coeffs), np.real(traj1.mode_coeffs)
-        if len(c1) > n_last and c1[n_last] == 0.0:
-            t_next = t1
-            break
         n = min(len(c0), len(c1))
         inside = (np.abs(c0[:n]) <= limit) & (np.abs(c1[:n]) <= limit)
         outside = np.flatnonzero(~inside)
         k = max(outside[0] - 1 if outside.size else n - 1, 0)
+        if len(c1) > n_last and c1[n_last] == 0.0:
+            t_next = t1
+            break
         if c1[k] == c0[k]:
             raise SecantFailure(
                 f"equal mode coefficients {c1[k]:.3e} at tau={k * dtau:g} "
@@ -177,21 +182,24 @@ def _secant(disc, v, tau_max, dtau, older, newer, stop):
         raise SecantFailure(
             f"no convergence in {SECANT_MAX_STEPS} secant steps; last pair "
             f"T={t0!r}, {t1!r}")
-    return float(t_next), traj1, (float(t0), float(t1)), n_ev
+    slope = float((c1[k] - c0[k]) / (t1 - t0))
+    return float(t_next), traj1, (float(t0), float(t1)), n_ev, slope
 
 
-def _warm_secant(disc, v, tau_max, dtau, T):
-    """``_secant`` from the pair (T + REFIT_OFFSET, T), one stacked run.
+def _newton_step(disc, v, tau_max, dtau, T, slope):
+    """One run from U(T, v) and the Newton step T - c(tau_max) / slope.
 
-    Finishes the fit on the fine grid from the coarse stage's T and makes
-    each re-fit of the error bar from T*; the evolution count includes
-    the pair's two.
+    Returns (next T, trajectory at T).  Raises SecantFailure when c(tau_max)
+    lies outside the secant's linear window |c| <= WINDOW c_d, where a
+    slope measured inside it does not hold.
     """
-    t0 = T + REFIT_OFFSET
-    older, newer = _evolve_at(disc, (t0, T), v, tau_max, dtau)
-    t_next, traj, pair, n_sec = _secant(
-        disc, v, tau_max, dtau, (t0, older), (T, newer), SECANT_STEP)
-    return t_next, traj, pair, 2 + n_sec
+    traj = _evolve_at(disc, T, v, tau_max, dtau)
+    c = np.real(traj.mode_coeffs)
+    n_last = int(round(tau_max / dtau))
+    if len(c) <= n_last or not abs(c[n_last]) <= WINDOW * c_d(disc.d):
+        raise SecantFailure(
+            f"c(tau_max) of the run at T={T!r} leaves the linear window")
+    return float(T - c[n_last] / slope), traj
 
 
 def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
@@ -204,13 +212,18 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     c(tau) = <Phi(tau), w>_E is checked for a sign change and for
     monotonicity in T on a 5-point grid over 1 +/- v.delta, one stacked
     run, and a secant (``_secant``) starts from the adjacent grid pair
-    that brackets the zero.  It stops once its step is below
-    REFIT_OFFSET, and its next proposal T_c starts the fine secant
-    (``_warm_secant``) from (T_c + REFIT_OFFSET, T_c) at (N, dtau),
-    whose limit is the fitted blowup time; T_c lies ~5e-12 from it at
-    d 4, N 96, so that secant is a start pair and at most two single
-    runs.  ``bracket`` is the fine secant's last pair and
-    ``n_evolutions`` counts every member evolution, coarse and fine;
+    that brackets the zero.  It stops once its step is below COARSE_STOP,
+    so its last pair lies at most ~1e-9 apart and its slope
+    dc(tau_max)/dT matches the fine grid's to ~1e-4 relative.  At (N,
+    dtau) the fine stage evolves the coarse stage's next proposal T_c,
+    takes one Newton step from it with that slope (``_newton_step``) and
+    evolves the result; the secant from these two runs converges to the
+    fitted blowup time.  T_c lies ~5e-12 from it at d 4, N 96, so the
+    fine stage is two runs and at most one more, and one run when the
+    Newton step leaves T_c where it is (c(tau_max) exactly 0 at T_c).
+    ``bracket`` is the fine stage's last pair, (T_c, T_c) for a single
+    run, ``slope`` its dc(tau_max)/dT (the coarse one for a single run),
+    ``n_evolutions`` counts every member evolution, coarse and fine, and
     ``coarse`` keeps the coarse grid for ``refinement_error``.
     """
     # the gate first: at d >= 7 the coarse grid may not build
@@ -238,15 +251,21 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     i = next(i for i in range(4) if cs[i] * cs[i + 1] <= 0.0)
     # the newer iterate is the one nearer the zero
     old, new = (i + 1, i) if abs(cs[i]) < abs(cs[i + 1]) else (i, i + 1)
-    # the coarse stage only seeds the fine pair
-    t_c, _, _, n_c = _secant(
+    # the coarse stage only seeds the fine stage
+    t_c, _, _, n_c, slope = _secant(
         coarse, v, tau_max, dtau_c, (grid[old], runs[old]),
-        (grid[new], runs[new]), REFIT_OFFSET)
+        (grid[new], runs[new]), COARSE_STOP)
     del runs  # the fine stage reads none of the coarse states
-    _, traj, pair, n_f = _warm_secant(disc, v, tau_max, dtau, t_c)
+    t_1, traj = _newton_step(disc, v, tau_max, dtau, t_c, slope)
+    pair, n_f = (t_c, t_c), 1
+    if t_1 != t_c:
+        _, traj, pair, n_sec, slope = _secant(
+            disc, v, tau_max, dtau, (t_c, traj),
+            (t_1, _evolve_at(disc, t_1, v, tau_max, dtau)), SECANT_STEP)
+        n_f += 1 + n_sec
     return FitResult(
         T_star=pair[1], trajectory=traj, bracket=pair, monotone=monotone,
-        n_evolutions=len(grid) + n_c + n_f, v=v, coarse=coarse,
+        n_evolutions=len(grid) + n_c + n_f, slope=slope, v=v, coarse=coarse,
     )
 
 
@@ -254,13 +273,15 @@ def refinement_error(fit: FitResult) -> dict:
     """Error bar of T* and S_phys from two re-fits of ``fit`` to its data.
 
     Re-fits at (N, 2 dtau) and at (2N/3, dtau), the latter on the fit's
-    coarse grid, each a secant warm-started from the pair
-    (T* + REFIT_OFFSET, T*) (``_warm_secant``); T* moves to the secant's
-    final proposal, so shifts below SECANT_STEP count.  Lawson RK4 is fourth
-    order, so the 2 dtau change bounds the dtau error of T* from above (by
-    ~15x); S_phys is integrated in tau at fourth order too.  Each error
-    is the largest change over the two re-fits; tau_max must be a multiple
-    of 2 dtau (DomainError otherwise).
+    coarse grid.  Each evolves T* once and moves it by the Newton step
+    -c_r(tau_max) / ``fit.slope`` (``_newton_step``): a slope error moves
+    the step by that relative error times the shift, which is at most
+    ~4e-12 at d 3..6, so the step matches a converged secant far below
+    SECANT_STEP, and shifts below it count.
+    Lawson RK4 is fourth order, so the 2 dtau change bounds the dtau error
+    of T* from above (by ~15x); S_phys is integrated in tau at fourth
+    order too.  Each error is the largest change over the two re-fits;
+    tau_max must be a multiple of 2 dtau (DomainError otherwise).
     """
     base, v = fit.trajectory, fit.v
     disc, dtau, tau_max = base.disc, base.dtau, base.tau_max
@@ -270,17 +291,16 @@ def refinement_error(fit: FitResult) -> dict:
             f"of 2 dtau={2.0 * dtau:g}")
     s_phys = stability_report(fit, tau_max)["S_phys"]
     t_err = s_err = 0.0
-    n_ev = 0
-    for disc_r, dtau_r in ((disc, 2.0 * dtau), (fit.coarse, dtau)):
-        t_next, traj, (_, T_r), n_r = _warm_secant(
-            disc_r, v, tau_max, dtau_r, fit.T_star)
-        n_ev += n_r
-        refit = replace(fit, T_star=T_r, trajectory=traj)
-        s_r = stability_report(refit, tau_max)["S_phys"]
+    refits = ((disc, 2.0 * dtau), (fit.coarse, dtau))
+    for disc_r, dtau_r in refits:
+        t_next, traj = _newton_step(disc_r, v, tau_max, dtau_r, fit.T_star,
+                                    fit.slope)
+        s_r = stability_report(replace(fit, trajectory=traj),
+                               tau_max)["S_phys"]
         t_err = max(t_err, abs(t_next - fit.T_star))
         s_err = max(s_err, abs(s_r - s_phys))
     return {"T_star_err": t_err, "S_phys_err": s_err,
-            "n_evolutions_err": n_ev}
+            "n_evolutions_err": len(refits)}
 
 
 def _simpson_weights(n):

@@ -7,7 +7,8 @@ strichartz | fit-blowup.  Configuration comes from a flat key=value file
 configuration, so identical configs produce bit-identical CSV bodies.
 
 Exit codes: 0 success, 2 spectrum method disagreement, 64 bad
-configuration, 65 numerical failure, 66 acceptance threshold missed.
+configuration (a grid size N that ``collocation.build`` rejects at this d
+included), 65 numerical failure, 66 acceptance threshold missed.
 Once the configuration loads, the manifest records the exit code and
 the warnings raised (each category and message once; each is also
 printed once to stderr) on every exit, and the error text on 64 and 65.
@@ -37,7 +38,7 @@ from . import collocation as co
 from . import evolve as ev
 from . import green as gr
 from . import radialode as ro
-from .errors import NumericsError
+from .errors import GridSizeError, NumericsError
 from .model import strichartz_pairs
 
 EXIT_OK = 0
@@ -319,6 +320,7 @@ def cmd_fit_blowup(cfg: RunConfig, out_dir: Path) -> int:
     report["monotone_bracket"] = fit.monotone
     report["bracket"] = [float(t) for t in fit.bracket]
     report["n_evolutions"] = fit.n_evolutions
+    report["gauge_slope"] = fit.slope
     # written before the error bar, which may fail (exit 65) and whose
     # re-fits stay out of the fit's evolution count
     path = out_dir / "fit_blowup_report.json"
@@ -398,7 +400,7 @@ def main(argv=None) -> int:
                 code = cmd_fit_blowup(cfg, out_dir)
             else:  # pragma: no cover
                 return EXIT_CONFIG
-        except ValueError as exc:
+        except (ValueError, GridSizeError) as exc:
             print(f"conewave: config error: {exc}", file=sys.stderr)
             code, failure = EXIT_CONFIG, {"error": str(exc)}
         except NumericsError as exc:

@@ -42,8 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateEigenvalueError, DomainError,
-                     EigensolverFailure)
+from .errors import (DegenerateEigenvalueError, EigensolverFailure,
+                     GridSizeError)
 from .model import check_dimension, potential_constant
 
 
@@ -212,22 +212,23 @@ def _assemble_operators(d: int, rho, de, d2e):
 def build(d: int, N: int) -> SpectralDiscretization:
     """Assemble the discretization at grid size N (16 <= N <= 512).
 
-    Inside that range the weight check still raises DomainError at some
-    small N, where the weights of the measure rho^{d-1} turn materially
-    negative: N 16 and 18 at d 4, 17 at d 6, 16, 17 and 19 at d 7,
-    16-19 at d 8 and 16-20 at d 9; d 3 and 5 accept every N, and no d
-    rejects an N above 20.
+    Inside that range the weight check still rejects some small N, where
+    the weights of the measure rho^{d-1} turn materially negative: N 16
+    and 18 at d 4, 17 at d 6, 16, 17 and 19 at d 7, 16-19 at d 8 and
+    16-20 at d 9; d 3 and 5 accept every N, and no d rejects an N above
+    20.  Both checks raise GridSizeError, a DomainError that the command
+    line reports as a configuration error (exit 64).
     """
     check_dimension(d)
     if not (16 <= N <= 512):
-        raise DomainError("grid size N must lie in [16, 512]")
+        raise GridSizeError("grid size N must lie in [16, 512]")
     rho, de, do = _folded_derivatives(N - 1)
     d2e = do @ de
     w = _weighted_cc_weights(rho, d)
     # nodes near rho=0 may carry exponentially tiny negative weights (the
     # measure rho^{d-1} vanishes there); only material negativity is an error
     if np.any(w < -1e-4 * np.max(w)):
-        raise DomainError(f"negative quadrature weights at d={d}, N={N}")
+        raise GridSizeError(f"negative quadrature weights at d={d}, N={N}")
 
     l0, lfull = _assemble_operators(d, rho, de, d2e)
     g_disc = np.concatenate([np.full(N, 2.0), np.full(N, float(d))])

@@ -9,6 +9,11 @@ class DomainError(NumericsError):
     """Argument outside the admissible domain of an operation."""
 
 
+class GridSizeError(DomainError):
+    """A grid size that ``collocation.build`` cannot use at this d; the
+    command line treats it as a configuration error (exit 64)."""
+
+
 class PoleError(NumericsError):
     """Evaluation requested at (or too close to) a pole."""
 

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # unused here, but the benchmark's tracer patches conewave.green:_rk45.solve
-from . import _rk45
+from . import _rk45  # noqa: F401
 from .errors import (DomainError, NearEigenvalueError, QuadratureError,
                      TruncationWarning)
 from .model import potential_constant

@@ -59,10 +59,11 @@ def _fit_stages(log, n_evolutions, N, dtau=0.01, tau_max=12.0):
 
     Coarse: one stack of 5 on (max(19, round(2N/3)), dtau_c), then single
     secant runs, where dtau_c = tau_max / max(1, round(tau_max / (4 dtau)))
-    is the divisor of tau_max nearest 4 dtau.  Fine: one start pair on
-    (N, dtau), then at most 2 single runs, and at most 3 tau_max / dtau
-    Lawson steps in all.  ``n_evolutions`` counts the members of both.
-    Returns the (coarse, fine) entries of ``log``.
+    is the divisor of tau_max nearest 4 dtau.  Fine: one to three single
+    runs on (N, dtau), the warm start, its Newton step and at most one
+    secant run, and at most 3 tau_max / dtau Lawson steps in all.
+    ``n_evolutions`` counts the members of both.  Returns the (coarse,
+    fine) entries of ``log``.
     """
     n_steps = round(tau_max / dtau)
     coarse = (max(19, round(2 * N / 3)),
@@ -71,9 +72,9 @@ def _fit_stages(log, n_evolutions, N, dtau=0.01, tau_max=12.0):
     end = int(np.searchsorted(members, n_evolutions)) + 1
     assert members[end - 1] == n_evolutions
     calls = [entry[:3] for entry in log[:end]]
-    start = calls.index((N, dtau, 2))
+    start = calls.index((N, dtau, 1), 1)
     assert calls[:start] == [coarse + (5,)] + [coarse + (1,)] * (start - 1)
-    assert calls[start + 1:] == [(N, dtau, 1)] * (end - start - 1)
+    assert calls[start:] == [(N, dtau, 1)] * (end - start)
     assert end - start <= 3
     assert sum(entry[3] for entry in log[start:end]) <= 3 * n_steps
     return log[:start], log[start:end]

@@ -9,7 +9,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 import scipy.special
 
 import closed_forms as cf
@@ -20,7 +19,7 @@ from conewave import evolve as ev
 from conewave import green as gr
 from conewave import radialode as ro
 from conewave import specfun as sf
-from conewave.errors import NotConvergedWarning, TruncationWarning
+from conewave.errors import TruncationWarning
 
 
 def _report(num, ok, detail, t0, budget):

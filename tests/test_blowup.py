@@ -7,6 +7,7 @@ import pytest
 from conewave import blowup as bl
 from conewave import collocation as co
 from conewave.errors import DomainError, NoBracketError, SecantFailure
+from conewave.model import c_d
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,13 +69,14 @@ class TestFit:
         assert abs(fit.T_star - 1.0) <= 1e-9
         assert fit.monotone
         # T = 1 is a grid point with identically zero data: no secant step
-        # on either grid, the fine stage is its start pair alone
-        assert fit.T_star == 1.0
+        # on either grid, and the fine stage is one run whose Newton step
+        # stays at T_c
+        assert fit.T_star == 1.0 and fit.bracket == (1.0, 1.0)
         assert fit.residual_mode == 0.0
-        assert fit.n_evolutions == 7
-        coarse, fine = fit_stages(evolutions, 7, 96, tau_max=8.0)
+        assert fit.n_evolutions == 6
+        coarse, fine = fit_stages(evolutions, 6, 96, tau_max=8.0)
         assert [entry[2] for entry in coarse] == [5]
-        assert fine == [(96, 0.01, 2, 800)]
+        assert fine == [(96, 0.01, 1, 800)]
 
     def test_gauge_direction_linear_response(self, disc):
         # v = a g scales the data along the gauge mode:
@@ -116,12 +118,50 @@ class TestFit:
         with pytest.raises(SecantFailure, match="for the pair T="):
             bl.fit_blowup_time(disc, bl.zero_perturbation(), tau_max=1.0)
 
+    def test_warm_start_outside_the_window_raises(self):
+        # c(tau_max) of a run far from T* is saturated, where no slope holds
+        with pytest.raises(SecantFailure, match="leaves the linear window"):
+            bl._newton_step(co.build(4, 32), bl.zero_perturbation(), 4.0,
+                            0.01, 1.05, 1.0)
+
     def test_refinement_error(self, bump_fit):
         err = bl.refinement_error(bump_fit)
         assert 0.0 <= err["T_star_err"] <= 1e-12
         s_phys = bl.stability_report(bump_fit)["S_phys"]
         assert 0.0 < err["S_phys_err"] <= 1e-3 * s_phys
-        assert 4 <= err["n_evolutions_err"] <= 8
+        assert err["n_evolutions_err"] == 2
+
+    def test_refit_newton_step_matches_a_converged_secant(self):
+        # each re-fit's one-run Newton step with the fit's slope against a
+        # secant from the stacked pair (T* + 1e-9, T*), run to SECANT_STEP
+        # on the re-fit's own discretisation
+        disc48 = co.build(4, 48)
+        fit = bl.fit_blowup_time(
+            disc48, bl.bump_perturbation(delta=0.1, amplitude=0.05),
+            tau_max=12.0)
+        T, shifts = fit.T_star, []
+        for disc_r, dtau_r in ((disc48, 0.02), (fit.coarse, 0.01)):
+            t_newton, _ = bl._newton_step(disc_r, fit.v, 12.0, dtau_r, T,
+                                          fit.slope)
+            older, newer = bl._evolve_at(disc_r, (T + 1e-9, T), fit.v,
+                                         12.0, dtau_r)
+            t_secant = bl._secant(disc_r, fit.v, 12.0, dtau_r,
+                                  (T + 1e-9, older), (T, newer),
+                                  bl.SECANT_STEP)[0]
+            assert abs(t_newton - t_secant) <= 1e-15, (disc_r.N, dtau_r)
+            shifts.append(abs(t_newton - T))
+        assert bl.refinement_error(fit)["T_star_err"] == max(shifts)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_gauge_slope_is_the_linear_growth(self, d):
+        # the slope of the Newton steps, dc(tau_max)/dT, is the gauge
+        # mode's growth e^tau_max times l(d_T U0) = (d-2) c_d / 4 (read
+        # 4.9e-3 off at d 3, 5.0e-4 at d 4, 7.6e-6 at d 5, 6.4e-5 at d 6)
+        fit = bl.fit_blowup_time(
+            co.build(d, 48), bl.bump_perturbation(delta=0.1, amplitude=0.05),
+            tau_max=12.0)
+        linear = math.exp(12.0) * (d - 2) * c_d(d) / 4.0
+        assert abs(fit.slope - linear) <= 1e-2 * linear
 
     def test_s_phys_tau_quadrature(self):
         # S_phys is fourth order in dtau: re-fits at 2 dtau and dtau/2
@@ -140,7 +180,7 @@ class TestFit:
         traj = bl.evolve(disc, bl.initial_data(disc, 1.0, v), 0.03, 0.01,
                          "nonlinear")
         fit = bl.FitResult(T_star=1.0, trajectory=traj, bracket=(1.0, 1.0),
-                           monotone=True, n_evolutions=1, v=v,
+                           monotone=True, n_evolutions=1, slope=1.0, v=v,
                            coarse=bl._coarse_grid(disc))
         with pytest.raises(DomainError, match="multiple of 2 dtau"):
             bl.refinement_error(fit)

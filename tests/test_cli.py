@@ -64,6 +64,20 @@ class TestExitCodes:
         code = cli.main(["evolve", "--N", "4", "--out", "/tmp/x"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("d, N", [(4, 16), (6, 17)])
+    def test_grid_size_that_build_rejects_exit(self, tmp_path, capsys, d, N):
+        # inside [16, 512] but with negative quadrature weights at this d:
+        # a configuration error, recorded in the manifest
+        code = cli.main(["green-check", "--d", str(d), "--N", str(N),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        manifest = json.loads(
+            (tmp_path / "green_check_manifest.json").read_text())
+        assert manifest["exit_code"] == cli.EXIT_CONFIG
+        assert manifest["error"] == (
+            f"negative quadrature weights at d={d}, N={N}")
+
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
     def test_non_finite_amplitude_exit(self, tmp_path, capsys, amplitude):
         # a NaN or infinite bump is a configuration error, not a failed fit
@@ -240,7 +254,11 @@ class TestCommands:
         fit_stages(evolutions, report["n_evolutions"], 32, tau_max=4.0)
         assert 0.0 <= report["T_star_err"] <= 1e-10
         assert report["S_phys_err"] >= 0.0
-        assert report["n_evolutions_err"] >= 4
+        assert report["n_evolutions_err"] == 2
+        # the slope of the Newton steps: e^tau_max (d-2) c_d / 4 to first
+        # order
+        linear = math.exp(4.0) * model.c_d(4) / 2.0
+        assert abs(report["gauge_slope"] - linear) <= 1e-2 * linear
 
     def test_fit_blowup_unfit_slopes_are_null(self, tmp_path, monkeypatch):
         # a demo window with fewer than 5 snapshots gives null slopes; the

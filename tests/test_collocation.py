@@ -1,5 +1,4 @@
 import dataclasses
-import math
 from types import SimpleNamespace
 
 import numpy as np

@@ -17,10 +17,14 @@ scalar abscissa, and ``radialode.integrate`` alone builds the Frobenius
 seeds, for a whole batch of lam, never one lam per loop pass.
 
 The last checks keep work done once: the blowup fit's independent runs
-(its coarse T grid, the start pair of each warm-started secant, the
-detuned pair of the instability demo) are one stacked evolution each,
+(its coarse T grid and the detuned pair of the instability demo) are one
+stacked evolution each, each re-fit of its error bar is one run at T*,
 the fit and its error bar build one coarse grid, and the nonlinearity
 checks its dimension only on the first call for a d.
+
+No module of ``src/``, ``tests/`` or ``scripts/`` imports a name it
+never reads; the bindings through which the benchmark's tracer patches
+the library are read by the tracer and carry ``# noqa: F401``.
 
 Finally, library code reaches every top-level function and class of
 ``src/conewave``, so a single-lam or test-only copy of a library path
@@ -249,18 +253,22 @@ def test_fit_grid_is_one_evolution(evolutions, fit_stages):
         co.build(4, 32), bl.bump_perturbation(delta=0.1, amplitude=0.05),
         tau_max=4.0)
     # the coarse 5-point grid, then one run per coarse secant step; the
-    # fine start pair, then one run per fine secant step
+    # fine warm start, its Newton step, then one run per fine secant step
     coarse, fine = fit_stages(evolutions, fit.n_evolutions, 32, tau_max=4.0)
     assert len(evolutions) == len(coarse) + len(fine)
 
 
-def test_refit_start_pair_is_one_evolution(small_fit, evolutions):
+def test_each_refit_is_one_run_at_t_star(small_fit, evolutions,
+                                        monkeypatch):
+    starts, initial_data = [], bl.initial_data
+    monkeypatch.setattr(bl, "initial_data", lambda disc, T, v:
+                        starts.append(T) or initial_data(disc, T, v))
     err = bl.refinement_error(small_fit)
-    calls = [entry[2] for entry in evolutions]  # the states of each call
-    starts = [i for i, m in enumerate(calls) if m == 2]
-    assert len(starts) == 2 and starts[0] == 0
-    assert set(calls) <= {1, 2}
-    assert sum(calls) == err["n_evolutions_err"]
+    # (N, 2 dtau), then the coarse grid at dtau, one state each
+    assert [entry[:3] for entry in evolutions] == [(32, 0.02, 1),
+                                                   (21, 0.01, 1)]
+    assert starts == [small_fit.T_star] * 2
+    assert err["n_evolutions_err"] == 2
 
 
 def test_coarse_grid_is_built_once(monkeypatch):
@@ -325,3 +333,32 @@ def test_library_code_reaches_every_definition():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in reached}
     assert unused == set()
+
+
+def _unused_imports(path):
+    """'file: name' of each name that ``path`` imports and never reads.
+
+    A binding marked ``# noqa: F401`` on its line counts as read: the
+    benchmark's tracer patches the library through it.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if (name not in read
+                        and "# noqa: F401" not in lines[alias.lineno - 1]):
+                    unused.append(f"{path.relative_to(ROOT)}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = [item for sub in CALLER_DIRS
+              for path in sorted((ROOT / sub).rglob("*.py"))
+              for item in _unused_imports(path)]
+    assert unused == []
