@@ -6,8 +6,13 @@ and the spacetime norm S_phys, each with its refinement error bar
 (``blowup.refinement_error``); the shift is asymptotically linear in the
 amplitude and S_phys quadratic, which shows up as the ratio columns
 approaching constants.
+
+    python scripts/amplitude_sweep.py [OUT_CSV] [--d D]
+
+D is the dimension (default 4); the CSV's first column repeats it.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -20,9 +25,13 @@ AMPLITUDES = [0.05, 0.025, 0.0125, 0.00625]
 
 
 def main():
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/amplitude_sweep.csv")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out", nargs="?", type=Path,
+                        default=Path("out/amplitude_sweep.csv"))
+    parser.add_argument("--d", type=int, default=4)
+    args = parser.parse_args()
+    out, d, delta = args.out, args.d, 0.1
     out.parent.mkdir(parents=True, exist_ok=True)
-    d, delta = 4, 0.1
     disc = co.build(d, 96)
     rows = []
     for amp in AMPLITUDES:
@@ -35,11 +44,11 @@ def main():
         print(f"amplitude {amp:.5f}: T* = {fit.T_star:.9f} "
               f"+/- {err['T_star_err']:.1e}, S_phys = {rep['S_phys']:.3e}")
     with open(out, "w") as fh:
-        fh.write("amplitude,T_star,T_star_err,shift,S_phys,S_phys_err,"
+        fh.write("d,amplitude,T_star,T_star_err,shift,S_phys,S_phys_err,"
                  "shift_per_amp,S_per_amp_sq\n")
         for amp, t, t_err, s, sp, sp_err in rows:
-            fh.write(",".join(f"{x:.17g}" for x in (
-                amp, t, t_err, s, sp, sp_err, s / amp, sp / amp**2)) + "\n")
+            fh.write(",".join([str(d)] + [f"{x:.17g}" for x in (
+                amp, t, t_err, s, sp, sp_err, s / amp, sp / amp**2)]) + "\n")
     shifts = np.array([r[3] for r in rows])
     amps = np.array([r[0] for r in rows])
     print("shift/amplitude ratios:", np.round(shifts / amps, 4))

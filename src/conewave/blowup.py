@@ -26,7 +26,10 @@ fine stage evolves T_c alone, takes one Newton step with that slope and
 evolves the result; the secant (``_secant``) finishes the fit from these
 two runs, down to SECANT_STEP.  Each re-fit of the error bar evolves T*
 once on its own discretisation and takes one Newton step from it with
-the fit's last slope (``_newton_step``).
+the fit's last slope (``_newton_step``).  A Newton step reads c at the
+run's last snapshot inside the secant's linear window, tau_max for a
+run near its T*; a re-fit whose step is read earlier, on data its grid
+does not resolve, is finished by the secant.
 
 Runs that do not depend on each other are one stacked evolution: the
 fit's 5-point T grid and the detuned pair of ``instability_demo``.  The
@@ -133,6 +136,15 @@ def _coarse_grid(disc):
     return build(disc.d, max(19, round(2 * disc.N / 3)))
 
 
+def _window_end(limit, *cs):
+    """The last snapshot up to which every coefficient sequence of ``cs``
+    satisfies |c| <= limit, over their common length; 0 if there is none."""
+    n = min(len(c) for c in cs)
+    inside = np.all([np.abs(c[:n]) <= limit for c in cs], axis=0)
+    outside = np.flatnonzero(~inside)
+    return max(outside[0] - 1 if outside.size else n - 1, 0)
+
+
 def _secant(disc, v, tau_max, dtau, older, newer, stop):
     """Secant in T on the gauge-mode coefficient inside its linear window.
 
@@ -157,10 +169,7 @@ def _secant(disc, v, tau_max, dtau, older, newer, stop):
     n_ev = 0
     for _ in range(SECANT_MAX_STEPS):
         c0, c1 = np.real(traj0.mode_coeffs), np.real(traj1.mode_coeffs)
-        n = min(len(c0), len(c1))
-        inside = (np.abs(c0[:n]) <= limit) & (np.abs(c1[:n]) <= limit)
-        outside = np.flatnonzero(~inside)
-        k = max(outside[0] - 1 if outside.size else n - 1, 0)
+        k = _window_end(limit, c0, c1)
         if len(c1) > n_last and c1[n_last] == 0.0:
             t_next = t1
             break
@@ -187,19 +196,25 @@ def _secant(disc, v, tau_max, dtau, older, newer, stop):
 
 
 def _newton_step(disc, v, tau_max, dtau, T, slope):
-    """One run from U(T, v) and the Newton step T - c(tau_max) / slope.
+    """One run from U(T, v) and the Newton step T - c(tau_k) / slope_k.
 
-    Returns (next T, trajectory at T).  Raises SecantFailure when c(tau_max)
-    lies outside the secant's linear window |c| <= WINDOW c_d, where a
-    slope measured inside it does not hold.
+    tau_k is the last snapshot up to which the run's c stays inside the
+    secant's linear window |c| <= WINDOW c_d, tau_max for a run near its
+    T*, and slope_k = slope e^{tau_k - tau_max}, since the gauge mode
+    grows like e^tau there.  Returns (next T, trajectory at T, whether
+    tau_k is tau_max).  Raises SecantFailure when c(0) already lies
+    outside the window, where no slope holds.
     """
     traj = _evolve_at(disc, T, v, tau_max, dtau)
     c = np.real(traj.mode_coeffs)
-    n_last = int(round(tau_max / dtau))
-    if len(c) <= n_last or not abs(c[n_last]) <= WINDOW * c_d(disc.d):
+    limit = WINDOW * c_d(disc.d)
+    if not abs(c[0]) <= limit:
         raise SecantFailure(
-            f"c(tau_max) of the run at T={T!r} leaves the linear window")
-    return float(T - c[n_last] / slope), traj
+            f"c(0) of the run at T={T!r} leaves the linear window")
+    k = _window_end(limit, c)
+    n_last = int(round(tau_max / dtau))
+    step = c[k] / (slope * math.exp((k - n_last) * dtau))
+    return float(T - step), traj, k == n_last
 
 
 def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
@@ -218,9 +233,14 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
     dtau) the fine stage evolves the coarse stage's next proposal T_c,
     takes one Newton step from it with that slope (``_newton_step``) and
     evolves the result; the secant from these two runs converges to the
-    fitted blowup time.  T_c lies ~5e-12 from it at d 4, N 96, so the
-    fine stage is two runs and at most one more, and one run when the
-    Newton step leaves T_c where it is (c(tau_max) exactly 0 at T_c).
+    fitted blowup time.  For the bump T_c lies ~5e-12 from it at d 4,
+    N 96, so the fine stage is two runs and at most one more, and one run
+    when the Newton step leaves T_c where it is (c(tau_max) exactly 0 at
+    T_c).  On data the coarse grid does not resolve, T_c lies further off
+    than the fine linear window is wide (the window spans ~1e-7 in T at
+    d 4, tau_max 12), the Newton step is read at an earlier snapshot and
+    the secant takes more runs: 6 fine runs for a kink and a jump inside
+    the cone at d 4, N 48, whose T_c lies ~1e-5 off.
     ``bracket`` is the fine stage's last pair, (T_c, T_c) for a single
     run, ``slope`` its dc(tau_max)/dT (the coarse one for a single run),
     ``n_evolutions`` counts every member evolution, coarse and fine, and
@@ -256,7 +276,7 @@ def fit_blowup_time(disc: SpectralDiscretization, v: PerturbationData,
         coarse, v, tau_max, dtau_c, (grid[old], runs[old]),
         (grid[new], runs[new]), COARSE_STOP)
     del runs  # the fine stage reads none of the coarse states
-    t_1, traj = _newton_step(disc, v, tau_max, dtau, t_c, slope)
+    t_1, traj, _ = _newton_step(disc, v, tau_max, dtau, t_c, slope)
     pair, n_f = (t_c, t_c), 1
     if t_1 != t_c:
         _, traj, pair, n_sec, slope = _secant(
@@ -277,7 +297,11 @@ def refinement_error(fit: FitResult) -> dict:
     -c_r(tau_max) / ``fit.slope`` (``_newton_step``): a slope error moves
     the step by that relative error times the shift, which is at most
     ~4e-12 at d 3..6, so the step matches a converged secant far below
-    SECANT_STEP, and shifts below it count.
+    SECANT_STEP, and shifts below it count.  When T* lies outside a
+    re-fit's linear window (data the re-fit's grid does not resolve), the
+    step is read at an earlier snapshot and the secant (``_secant``) from
+    T* and that step finishes the re-fit; ``n_evolutions_err`` counts its
+    runs.
     Lawson RK4 is fourth order, so the 2 dtau change bounds the dtau error
     of T* from above (by ~15x); S_phys is integrated in tau at fourth
     order too.  Each error is the largest change over the two re-fits;
@@ -291,16 +315,24 @@ def refinement_error(fit: FitResult) -> dict:
             f"of 2 dtau={2.0 * dtau:g}")
     s_phys = stability_report(fit, tau_max)["S_phys"]
     t_err = s_err = 0.0
-    refits = ((disc, 2.0 * dtau), (fit.coarse, dtau))
-    for disc_r, dtau_r in refits:
-        t_next, traj = _newton_step(disc_r, v, tau_max, dtau_r, fit.T_star,
-                                    fit.slope)
+    n_err = 0
+    for disc_r, dtau_r in ((disc, 2.0 * dtau), (fit.coarse, dtau)):
+        t_next, traj, at_end = _newton_step(disc_r, v, tau_max, dtau_r,
+                                            fit.T_star, fit.slope)
+        n_err += 1
+        if not at_end:
+            # T* leaves this re-fit's linear window: finish by secant
+            t_next, traj, _, n_sec, _ = _secant(
+                disc_r, v, tau_max, dtau_r, (fit.T_star, traj),
+                (t_next, _evolve_at(disc_r, t_next, v, tau_max, dtau_r)),
+                SECANT_STEP)
+            n_err += 1 + n_sec
         s_r = stability_report(replace(fit, trajectory=traj),
                                tau_max)["S_phys"]
         t_err = max(t_err, abs(t_next - fit.T_star))
         s_err = max(s_err, abs(s_r - s_phys))
     return {"T_star_err": t_err, "S_phys_err": s_err,
-            "n_evolutions_err": len(refits)}
+            "n_evolutions_err": n_err}
 
 
 def _simpson_weights(n):

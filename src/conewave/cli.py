@@ -19,7 +19,6 @@ the same process if that was higher.
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import platform
@@ -131,18 +130,11 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _config_hash(cfg: RunConfig) -> str:
-    items = sorted(dataclasses.asdict(cfg).items())
-    blob = ";".join(f"{k}={v}" for k, v in items).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
                     wall: float, extra=None):
     manifest = {
         "command": command,
         "config": dataclasses.asdict(cfg),
-        "config_sha256": _config_hash(cfg),
         "versions": {
             "conewave": __version__,
             "numpy": np.__version__,

@@ -104,6 +104,14 @@ class SourceTerm:
 # ---------------------------------------------------------------------------
 
 
+def _sorted_distinct(x):
+    """The distinct values of x, ascending; x holds no NaN."""
+    s = np.sort(np.ravel(x))
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def _panel_layout(rho_out):
     """(breakpoints, nodes, weights) of the composite rule on (0, 1).
 
@@ -113,9 +121,9 @@ def _panel_layout(rho_out):
     """
     left = 0.5 * 2.0 ** -np.arange(GEO_DEPTH + 1, dtype=float)
     right = 1.0 - left
-    pts = set(left) | set(right) | {0.0, 1.0}
-    pts |= {float(r) for r in np.asarray(rho_out).ravel() if 0.0 < r < 1.0}
-    bps = np.array(sorted(pts))
+    r = np.ravel(rho_out)
+    bps = _sorted_distinct(np.concatenate(
+        [left, right, [0.0, 1.0], r[(r > 0.0) & (r < 1.0)]]))
     gx, gw = np.polynomial.legendre.leggauss(GL_NODES)
     a, b = bps[:-1], bps[1:]
     half = 0.5 * (b - a)
@@ -238,7 +246,7 @@ def _resolvent_batch(d, lam_arr, variant, src: SourceTerm, rho_out, rtol):
     interior = (rho_out > 0.0) & (rho_out < 1.0)
     quad = PanelSums(d, lam_arr, src, rho_out[interior])
 
-    pts = np.union1d(rho_out[interior], [RHO_MID])
+    pts = _sorted_distinct(np.append(rho_out[interior], RHO_MID))
     u0, u0p, u1, u1p, scale0 = build_kernel(d, lam_arr, variant, pts, rtol,
                                             quad)
     out_ix = np.searchsorted(pts, rho_out[interior])
@@ -295,7 +303,7 @@ def residual_checks(d: int, lams, variant: str, src: SourceTerm,
     if np.any(rho_test - 2 * h <= 0.0) or np.any(rho_test + 2 * h >= 1.0):
         raise DomainError("test points must keep the FD stencil inside (0,1)")
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
-    pts = np.unique((rho_test[:, None] + offsets[None, :]).ravel())
+    pts = _sorted_distinct(rho_test[:, None] + offsets[None, :])
     sol_u1, sol_u2, sol_u1p = _resolvent_batch(d, lams, variant, src, pts,
                                                rtol=1e-10)
     ix = np.searchsorted(pts, rho_test[:, None] + offsets[None, :])

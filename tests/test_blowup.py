@@ -33,6 +33,16 @@ def bump_fit(bump_run):
     return bump_run[0]
 
 
+@pytest.fixture(scope="module")
+def rough_fit():
+    """The fit at d 4, N 48 to data with a kink and a jump inside the
+    cone, v1 = 0.05 (1 - r/0.5)_+ and v2 = 0.05 1_{r<0.5}."""
+    v = bl.PerturbationData(
+        v1=lambda r: 0.05 * np.clip(1.0 - np.asarray(r) / 0.5, 0.0, None),
+        v2=lambda r: 0.05 * (np.asarray(r) < 0.5), delta=0.1, amplitude=0.05)
+    return bl.fit_blowup_time(co.build(4, 48), v, tau_max=12.0)
+
+
 class TestInitialData:
     def test_zero_at_tuned_time(self, disc):
         u = bl.initial_data(disc, 1.0, bl.zero_perturbation())
@@ -119,7 +129,8 @@ class TestFit:
             bl.fit_blowup_time(disc, bl.zero_perturbation(), tau_max=1.0)
 
     def test_warm_start_outside_the_window_raises(self):
-        # c(tau_max) of a run far from T* is saturated, where no slope holds
+        # c(0) of a run this far from T* is already outside the window,
+        # where no slope holds
         with pytest.raises(SecantFailure, match="leaves the linear window"):
             bl._newton_step(co.build(4, 32), bl.zero_perturbation(), 4.0,
                             0.01, 1.05, 1.0)
@@ -141,8 +152,8 @@ class TestFit:
             tau_max=12.0)
         T, shifts = fit.T_star, []
         for disc_r, dtau_r in ((disc48, 0.02), (fit.coarse, 0.01)):
-            t_newton, _ = bl._newton_step(disc_r, fit.v, 12.0, dtau_r, T,
-                                          fit.slope)
+            t_newton = bl._newton_step(disc_r, fit.v, 12.0, dtau_r, T,
+                                       fit.slope)[0]
             older, newer = bl._evolve_at(disc_r, (T + 1e-9, T), fit.v,
                                          12.0, dtau_r)
             t_secant = bl._secant(disc_r, fit.v, 12.0, dtau_r,
@@ -151,6 +162,24 @@ class TestFit:
             assert abs(t_newton - t_secant) <= 1e-15, (disc_r.N, dtau_r)
             shifts.append(abs(t_newton - T))
         assert bl.refinement_error(fit)["T_star_err"] == max(shifts)
+
+    def test_fit_to_data_the_coarse_grid_does_not_resolve(self, rough_fit):
+        # the coarse T* lies ~1e-5 off and the linear window spans ~1e-7
+        # in T, so the fine warm start leaves it; 0.9994025339870205 is
+        # the T* of the stacked-pair secant that the one-state warm starts
+        # replaced
+        assert abs(rough_fit.T_star - 0.9994025339870205) <= 1e-13
+        assert rough_fit.residual_mode <= 1e-9
+        assert rough_fit.n_evolutions == 16
+
+    def test_refinement_error_on_data_the_coarse_grid_does_not_resolve(
+            self, rough_fit):
+        # T* leaves the coarse re-fit's window too, so its Newton step is
+        # read early and a secant finishes it; the stacked-pair re-fits
+        # read 6.844733752531e-5
+        err = bl.refinement_error(rough_fit)
+        assert abs(err["T_star_err"] - 6.844733752531e-5) <= 1e-13
+        assert err["n_evolutions_err"] == 7
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_gauge_slope_is_the_linear_growth(self, d):

@@ -1,6 +1,9 @@
+import dataclasses
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -141,10 +144,28 @@ def test_manifest_on_every_exit(tmp_path, monkeypatch, command, code, error):
     manifest = json.loads((tmp_path / "green_check_manifest.json").read_text())
     assert manifest["exit_code"] == code
     assert manifest.get("error") == error
-    assert "config_sha256" in manifest
+    assert manifest["config"] == dataclasses.asdict(
+        cli.RunConfig(out_dir=str(tmp_path)))
     assert {"scipy", "python"} <= set(manifest["versions"])
     # the process's peak resident memory so far, on every exit
     assert manifest["peak_rss_mb"] > 0.0
+
+
+def test_green_check_loads_neither_openssl_nor_numpy_ma(tmp_path):
+    # hashlib always loads _hashlib (OpenSSL's libcrypto, ~3.6 MB
+    # resident), and numpy's unique loads numpy.ma; a fresh interpreter
+    # shows what importing the CLI and running a command load
+    probe = ("import sys\n"
+             "from conewave import cli\n"
+             f"code = cli.main(['green-check', '--N', '48', '--out', "
+             f"{str(tmp_path)!r}])\n"
+             "print(code, [m for m in ('_hashlib', 'numpy.ma') "
+             "if m in sys.modules])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 def test_unconverged_series_exits_65(tmp_path, monkeypatch):
@@ -199,12 +220,14 @@ def test_amplitude_sweep_columns(tmp_path, monkeypatch):
     spec.loader.exec_module(sweep)
     monkeypatch.setattr(sweep, "AMPLITUDES", [0.05, 0.025])
     out = tmp_path / "sweep.csv"
-    monkeypatch.setattr(sys, "argv", ["amplitude_sweep.py", str(out)])
+    monkeypatch.setattr(sys, "argv",
+                        ["amplitude_sweep.py", str(out), "--d", "5"])
     assert sweep.main() == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ("amplitude,T_star,T_star_err,shift,S_phys,S_phys_err,"
-                        "shift_per_amp,S_per_amp_sq")
+    assert lines[0] == ("d,amplitude,T_star,T_star_err,shift,S_phys,"
+                        "S_phys_err,shift_per_amp,S_per_amp_sq")
     assert len(lines) == 3
+    assert all(line.startswith("5,") for line in lines[1:])
 
 
 class TestCommands:
@@ -233,8 +256,8 @@ class TestCommands:
         assert side["mode"] == "linear-perturbed"
         manifest = json.loads(
             (tmp_path / "a" / "evolve_manifest.json").read_text())
-        assert manifest["config"]["N"] == 32
-        assert "config_sha256" in manifest
+        assert manifest["config"] == dataclasses.asdict(cli.RunConfig(
+            N=32, tau_max=1.0, seed=5, out_dir=str(tmp_path / "a")))
 
     def test_green_check_passes(self, tmp_path):
         code = cli.main(["green-check", "--N", "48", "--out", str(tmp_path)])
